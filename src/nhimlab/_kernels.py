@@ -2,7 +2,8 @@
 
 The splitting integrator advances a 6-component state (p, q, I, theta, J, phi)
 through kick(h/2) / drift(h) / kick(h/2) compositions.  Both backends execute
-the same function body, so they agree bit for bit; setting the environment
+the same function body, so they agree by construction; ``tests/test_kernels.py``
+checks that bit for bit only when numba is installed.  Setting the environment
 variable ``NHIM_NUMBA=0`` before import selects the pure-Python fallback.
 """
 

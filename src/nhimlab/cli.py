@@ -14,8 +14,8 @@ exhausted, 4 model inconsistency.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, ModelInconsistencyError
-from .geometry import TWO_PI
 from .lambdalemma import (
     DiskSpec,
     annulus_experiment,
@@ -35,14 +34,11 @@ from .lambdalemma import (
 from .models import (
     FlowState,
     HamiltonianSpec,
-    hamiltonian_energy,
-    integrate_series,
+    hamiltonian_audits,
     make_defective,
     make_linear,
     make_poly,
     make_twist_annulus,
-    pendulum_local_coords,
-    poincare_map,
 )
 from .normalform import check_constants, estimate_bounds, validate_conditions
 
@@ -75,8 +71,12 @@ def _resolve_out(args, cfg: dict) -> Path:
     return path
 
 
-def _stamp(experiment: str, model: str) -> str:
-    return f"{experiment}_{model}_{time.strftime('%Y%m%dT%H%M%S')}"
+def _stamp(experiment: str, model: str, cfg: dict, seed: int) -> str:
+    """Output file stem: experiment, model, start second, and a short hash of
+    the resolved config and seed, so runs started in the same second with
+    different inputs do not overwrite each other."""
+    key = json.dumps({"config": cfg, "seed": seed}, sort_keys=True).encode("utf-8")
+    return f"{experiment}_{model}_{time.strftime('%Y%m%dT%H%M%S')}_{hashlib.sha256(key).hexdigest()[:8]}"
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -179,7 +179,7 @@ def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         "bounds": bounds.to_dict(),
         "constants": [{"name": c.name, "holds": c.holds, "slack": c.slack} for c in constants],
     }
-    base = _stamp("validate", f.name)
+    base = _stamp("validate", f.name, cfg, seed)
     json_path = out_dir / f"{base}.json"
     _write_json(json_path, payload)
     ok = report.passed and all(c.holds for c in constants)
@@ -210,7 +210,7 @@ def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     disk = build_disk(cfg.get("disk"), f)
     result = find_K(disk, f, eps=eps, n_max=n_max)
     domination = verify_bound_domination(disk, f, bounds, n_max=n_max)
-    base = _stamp("lambda", f.name)
+    base = _stamp("lambda", f.name, cfg, seed)
     csv_path = out_dir / f"{base}.csv"
     _write_csv(
         csv_path,
@@ -226,13 +226,9 @@ def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         "seed": seed,
         "eps": eps,
         "n_max": n_max,
-        "K": result.K,
         "bounds": bounds.to_dict(),
         "domination": domination.to_dict(),
-        "series": [
-            {"n": c.n, "c0": c.c0, "c1": c.c1, "alive": alive}
-            for c, alive in zip(result.series, result.alive_series)
-        ],
+        **result.to_dict(),
     }
     json_path = out_dir / f"{base}.json"
     _write_json(json_path, payload)
@@ -255,7 +251,7 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     n_max = int(cfg.get("n_max", 40))
     disk = build_disk(cfg.get("disk"), f)
     report = annulus_experiment(f, y0, y1, disk, eps=eps, n_max=n_max)
-    base = _stamp("annulus", f.name)
+    base = _stamp("annulus", f.name, cfg, seed)
     csv_path = out_dir / f"{base}.csv"
     rows = []
     for c, alive in zip(report.full.series, report.full.alive_series):
@@ -290,25 +286,6 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _exponent_fit(hs: HamiltonianSpec, h: float, unstable: bool) -> float:
-    """Log-slope of the expanding (or contracting) saddle coordinate."""
-    delta = 1e-8
-    root = math.sqrt(hs.eps)
-    p0 = root * delta if unstable else -root * delta
-    st = FlowState(p=p0, q=delta, I=0.0, theta=0.0, J=0.0, phi=0.0)
-    t_span = 3.0 / root
-    stride = max(1, int(round(t_span / (40 * h))))
-    series = integrate_series(hs, st, h, n_blocks=40, stride=stride)
-    ts = np.arange(41) * (stride * h)
-    vals = []
-    for row in series:
-        s_loc = (row[1] - row[0] / root) / 2.0
-        u_loc = (row[1] + row[0] / root) / 2.0
-        vals.append(abs(u_loc if unstable else s_loc))
-    slope = np.polyfit(ts, np.log(np.asarray(vals)), 1)[0]
-    return float(slope)
-
-
 def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     hc = cfg.get("ham") or {}
     try:
@@ -337,65 +314,22 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         J=float(sc.get("J", 0.0)),
         phi=0.0,
     )
-    # audit 1: energy drift across Poincare returns
-    e0 = hamiltonian_energy(hs, st)
+    results, orbit = hamiltonian_audits(hs, st, h, n_returns, cyl_returns, fit_exponents)
     rows = [
-        "0,"
-        + ",".join(_fmt(v) for v in st.as_array())
-        + f",{_fmt(e0)},{_fmt(0.0)}"
+        f"{n}," + ",".join(_fmt(v) for v in state.as_array()) + f",{_fmt(energy)},{_fmt(drift)}"
+        for n, state, energy, drift in orbit
     ]
-    drift_max = 0.0
-    cur = st
-    for n in range(1, n_returns + 1):
-        cur, _ = poincare_map(hs, cur, h=h)
-        e_n = hamiltonian_energy(hs, cur)
-        drift = e_n - e0
-        drift_max = max(drift_max, abs(drift))
-        rows.append(
-            f"{n}," + ",".join(_fmt(v) for v in cur.as_array()) + f",{_fmt(e_n)},{_fmt(drift)}"
-        )
-
-    # audit 2: the cylinder {p = q = 0} must be exactly invariant
-    cyl = FlowState(p=0.0, q=0.0, I=float(sc.get("I", 0.03)), theta=0.3, J=0.0, phi=0.0)
-    cyl_residual = 0.0
-    for _ in range(cyl_returns):
-        cyl, _ = poincare_map(hs, cyl, h=h)
-        cyl_residual = max(cyl_residual, abs(cyl.p), min(cyl.q, TWO_PI - cyl.q))
-
-    # audit 3: integrable rotor advance, theta' = theta + 2*pi*I
-    free = HamiltonianSpec(eps=0.0, mu=0.0, nu=hs.nu, sigma_param=hs.sigma_param)
-    ist = FlowState(p=0.0, q=0.0, I=0.17, theta=1.0, J=0.2, phi=0.0)
-    iret, _ = poincare_map(free, ist, h=h)
-    theta_expect = (1.0 + TWO_PI * 0.17) % TWO_PI
-    theta_err = abs(iret.theta - theta_expect)
-    theta_err = min(theta_err, TWO_PI - theta_err)
-
-    results = {
-        "energy_drift_max": drift_max,
-        "cylinder_residual": cyl_residual,
-        "integrable_theta_error": theta_err,
-    }
+    drift_max = results["energy_drift_max"]
+    cyl_residual = results["cylinder_residual"]
     tol_drift = float(hc.get("drift_tol", 1e-8))
     tol_cyl = float(hc.get("cyl_tol", 1e-12))
-    ok = drift_max <= tol_drift and cyl_residual <= tol_cyl and theta_err <= 1e-10
-
-    # audit 4: local saddle exponents about (p, q) = (0, 0)
+    ok = drift_max <= tol_drift and cyl_residual <= tol_cyl and results["integrable_theta_error"] <= 1e-10
     if fit_exponents:
-        root = math.sqrt(hs.eps)
-        u_rate = _exponent_fit(hs, h, unstable=True)
-        s_rate = _exponent_fit(hs, h, unstable=False)
         fit_tol = float(hc.get("fit_rel_tol", 0.05))
-        results["exponents"] = {
-            "target": root,
-            "unstable_rate": u_rate,
-            "stable_rate": s_rate,
-            "unstable_rel_err": abs(u_rate - root) / root,
-            "stable_rel_err": abs(-s_rate - root) / root,
-        }
         ok = ok and results["exponents"]["unstable_rel_err"] <= fit_tol
         ok = ok and results["exponents"]["stable_rel_err"] <= fit_tol
 
-    base = _stamp("ham", "pendulum_rotors")
+    base = _stamp("ham", "pendulum_rotors", cfg, seed)
     csv_path = out_dir / f"{base}.csv"
     _write_csv(csv_path, "n,p,q,I,theta,J,phi,energy,drift", rows)
     payload = {
@@ -433,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config document")
     parser.add_argument("--out", default=None, help="output directory (default: $NHIM_OUT or .)")
     parser.add_argument("--seed", type=int, default=None, help="sampling seed override")
-    parser.add_argument("--threads", type=int, default=None, help="kernel thread count hint")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser.add_argument(
         "command",
@@ -445,13 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and args.threads > 0:
-        try:
-            import numba
-
-            numba.set_num_threads(args.threads)
-        except (ImportError, ValueError):
-            pass
     try:
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))

@@ -27,7 +27,7 @@ from .exceptions import (
     OutOfNeighborhoodError,
 )
 from .geometry import TWO_PI, ChartPoint, TangentVector, vec_sup_norm
-from .normalform import BoundSet, MapSpec, check_constants
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _fd_first, check_constants
 from .tangentflow import (
     JetState,
     stable_restricted_step,
@@ -36,8 +36,6 @@ from .tangentflow import (
     theoretical_inclination_bounds,
     unit_frame,
 )
-
-_FD_H = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,21 +108,12 @@ def _snap_zero(nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_partials(d: DiskSpec, u: np.ndarray, x: np.ndarray, n_u: int, m: int):
+def _sigma_partials(d: DiskSpec, u: np.ndarray, x: np.ndarray):
     if d.dsigma is not None:
         du, dx = d.dsigma(u, x)
         return np.atleast_2d(np.asarray(du, dtype=float)), np.atleast_2d(np.asarray(dx, dtype=float))
-    sig = d.sigma
-    du = np.empty((np.atleast_1d(sig(u, x)).shape[0], n_u))
-    for j in range(n_u):
-        e = np.zeros(n_u)
-        e[j] = _FD_H
-        du[:, j] = (np.atleast_1d(sig(u + e, x)) - np.atleast_1d(sig(u - e, x))) / (2 * _FD_H)
-    dx = np.empty((du.shape[0], m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = _FD_H
-        dx[:, i] = (np.atleast_1d(sig(u, x + e)) - np.atleast_1d(sig(u, x - e))) / (2 * _FD_H)
+    du = _fd_first(lambda v: np.atleast_1d(d.sigma(v, x)), u, FD_STEP_FIRST)
+    dx = _fd_first(lambda v: np.atleast_1d(d.sigma(u, v)), x, FD_STEP_FIRST)
     return du, dx
 
 
@@ -160,7 +149,7 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
         p = ChartPoint(s=s, u=u, x=x, topology=f.topo)
         if not p.in_ball(f.rho):
             raise OutOfNeighborhoodError(norm=p.normal_norm, rho=f.rho)
-        du, dx = _sigma_partials(d, u, x, dims.n_u, dims.m)
+        du, dx = _sigma_partials(d, u, x)
         frame = []
         for j in range(dims.n_u):
             e = np.zeros(dims.n_u)
@@ -263,15 +252,38 @@ class FindKResult:
         }
 
 
-def _first_settled(series: Sequence[C1Distance], eps: float) -> Optional[int]:
-    # smallest n such that every later tested value stays <= eps
+def _first_settled(pairs: Sequence[tuple], eps: float) -> Optional[int]:
+    """Smallest n of the (n, value) pairs from which every later value stays <= eps."""
     settled = None
-    for c in reversed(series):
-        if c.value <= eps:
-            settled = c.n
+    for n, value in reversed(pairs):
+        if value <= eps:
+            settled = n
         else:
             break
     return settled
+
+
+def _iterates(mo: MeshOrbit, f: MapSpec, n_max: int):
+    """The orbit itself, then its n_max successive images."""
+    yield mo
+    for _ in range(n_max):
+        mo = advance_mesh(mo, f, 1)
+        yield mo
+
+
+def _settle(orbits, eps: float) -> FindKResult:
+    """Distance series, alive counts and settling iterate over a run of orbits."""
+    series = []
+    alive = []
+    for mo in orbits:
+        series.append(c1_distance(mo))
+        alive.append(mo.alive_count())
+    return FindKResult(
+        K=_first_settled([(c.n, c.value) for c in series], eps),
+        series=tuple(series),
+        alive_series=tuple(alive),
+        final_orbit=mo,
+    )
 
 
 def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
@@ -284,19 +296,7 @@ def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
         raise ContractError(f"eps must be positive, got {eps}")
     if n_max < 0:
         raise ContractError(f"n_max must be nonnegative, got {n_max}")
-    mo = seed_mesh(d, f)
-    series = [c1_distance(mo)]
-    alive = [mo.alive_count()]
-    for _ in range(n_max):
-        mo = advance_mesh(mo, f, 1)
-        series.append(c1_distance(mo))
-        alive.append(mo.alive_count())
-    return FindKResult(
-        K=_first_settled(series, eps),
-        series=tuple(series),
-        alive_series=tuple(alive),
-        final_orbit=mo,
-    )
+    return _settle(_iterates(seed_mesh(d, f), f, n_max), eps)
 
 
 @dataclass(frozen=True)
@@ -326,6 +326,9 @@ class DominationReport:
         return worst
 
     def ok(self, tol: float = 1e-9) -> bool:
+        """All margins hold within tol; a report with no rows checked nothing and fails."""
+        if not (self.slice_rows or self.persistence_rows):
+            return False
         return self.worst_margin() >= -tol
 
     def to_dict(self) -> dict:
@@ -506,40 +509,28 @@ def annulus_experiment(
         raise ContractError(
             "mesh does not sample the boundary circles; x_box must span [y0, y1] inclusively"
         )
-    series = [c1_distance(mo)]
-    alive = [mo.alive_count()]
-    rows0 = [_circle_row(mo, edge0, y0, y_index)]
-    rows1 = [_circle_row(mo, edge1, y1, y_index)]
-    for _ in range(n_max):
-        mo = advance_mesh(mo, f, 1)
-        series.append(c1_distance(mo))
-        alive.append(mo.alive_count())
-        for indices, y_val, rows in ((edge0, y0, rows0), (edge1, y1, rows1)):
-            row = _circle_row(mo, indices, y_val, y_index)
-            if row[3] > 1e-10:
-                raise ModelInconsistencyError(
-                    f"boundary circle y={y_val} drifted by {row[3]:.3g} at iterate {mo.n}"
-                )
-            rows.append(row)
-    full = FindKResult(
-        K=_first_settled(series, eps),
-        series=tuple(series),
-        alive_series=tuple(alive),
-        final_orbit=mo,
-    )
+    rows0 = []
+    rows1 = []
 
-    def settle(rows):
-        settled = None
-        for r in reversed(rows):
-            if max(r[1], r[2], r[3]) <= eps:
-                settled = r[0]
-            else:
-                break
-        return settled
+    def tracked():
+        for orbit in _iterates(mo, f, n_max):
+            for indices, y_val, rows in ((edge0, y0, rows0), (edge1, y1, rows1)):
+                row = _circle_row(orbit, indices, y_val, y_index)
+                if row[3] > 1e-10:
+                    raise ModelInconsistencyError(
+                        f"boundary circle y={y_val} drifted by {row[3]:.3g} at iterate {orbit.n}"
+                    )
+                rows.append(row)
+            yield orbit
 
-    circles = (
-        CircleTrack(y_value=y0, rows=tuple(rows0), K_prime=settle(rows0)),
-        CircleTrack(y_value=y1, rows=tuple(rows1), K_prime=settle(rows1)),
+    full = _settle(tracked(), eps)
+    circles = tuple(
+        CircleTrack(
+            y_value=y_val,
+            rows=tuple(rows),
+            K_prime=_first_settled([(r[0], max(r[1], r[2], r[3])) for r in rows], eps),
+        )
+        for y_val, rows in ((y0, rows0), (y1, rows1))
     )
     return AnnulusReport(full=full, circles=circles)
 

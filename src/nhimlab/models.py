@@ -22,9 +22,6 @@ from .exceptions import ContractError
 from .geometry import TWO_PI, ChartTopology, Dimensions
 from .normalform import BoundSet, MapSpec, check_constants
 
-_SCALAR_DIMS = Dimensions(1, 1, 1)
-
-
 def _check_rates(lambda_s: float, lambda_u: float) -> float:
     if not (0.0 < lambda_s < 1.0 < lambda_u):
         raise ContractError(
@@ -33,27 +30,37 @@ def _check_rates(lambda_s: float, lambda_u: float) -> float:
     return max(lambda_s, 1.0 / lambda_u)
 
 
+def _constant_blocks(lambda_s: float, lambda_u: float, m: int = 1) -> dict:
+    """MapSpec fields for constant scalar normal blocks over an m-dim base:
+    dims, A_s, A_u and their vanishing x-derivatives, plus d_g = I and
+    d2_g = 0 (exact for a rigid base map; a factory with a curved g
+    overrides both)."""
+    a_s = np.array([[lambda_s]])
+    a_u = np.array([[lambda_u]])
+    return dict(
+        dims=Dimensions(1, 1, m),
+        A_s=lambda x: a_s,
+        A_u=lambda x: a_u,
+        d_A_s=lambda x: np.zeros((1, 1, m)),
+        d_A_u=lambda x: np.zeros((1, 1, m)),
+        d_g=lambda x: np.eye(m),
+        d2_g=lambda x: np.zeros((m, m, m)),
+    )
+
+
 def make_linear(lambda_s: float = 0.5, lambda_u: float = 2.0, omega: float = 0.0, rho: float = 0.5) -> MapSpec:
     """Zero-remainder reference map: constant normal blocks, rigid rotation."""
     lam = _check_rates(lambda_s, lambda_u)
-    a_s = np.array([[lambda_s]])
-    a_u = np.array([[lambda_u]])
     return MapSpec(
-        dims=_SCALAR_DIMS,
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=lam,
-        A_s=lambda x: a_s,
-        A_u=lambda x: a_u,
         g_map=lambda x: x + omega,
         r_map=lambda s, u, x: (np.zeros(1), np.zeros(1), np.zeros(1)),
         d_r=lambda s, u, x: np.zeros((3, 3)),
         d2_r=lambda s, u, x: np.zeros((3, 3, 3)),
-        d_A_s=lambda x: np.zeros((1, 1, 1)),
-        d_A_u=lambda x: np.zeros((1, 1, 1)),
-        d_g=lambda x: np.eye(1),
-        d2_g=lambda x: np.zeros((1, 1, 1)),
         name="linear",
+        **_constant_blocks(lambda_s, lambda_u),
     )
 
 
@@ -74,8 +81,6 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
             f"coupling c={c} with rho={rho} breaks {', '.join(broken)} "
             f"(k = 2*c*rho = {2.0 * c * rho:.6g})"
         )
-    a_s = np.array([[lambda_s]])
-    a_u = np.array([[lambda_u]])
 
     def r_map(s, u, x):
         w = c * s[0] * u[0]
@@ -92,21 +97,15 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
         return t
 
     return MapSpec(
-        dims=_SCALAR_DIMS,
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=lam,
-        A_s=lambda x: a_s,
-        A_u=lambda x: a_u,
         g_map=lambda x: np.asarray(x, dtype=float),
         r_map=r_map,
         d_r=d_r,
         d2_r=d2_r,
-        d_A_s=lambda x: np.zeros((1, 1, 1)),
-        d_A_u=lambda x: np.zeros((1, 1, 1)),
-        d_g=lambda x: np.eye(1),
-        d2_g=lambda x: np.zeros((1, 1, 1)),
         name="poly",
+        **_constant_blocks(lambda_s, lambda_u),
     )
 
 
@@ -178,26 +177,20 @@ def make_twist_annulus(
         t[1, 1, 1] = -2.0 * eps_twist * math.sin(ang)
         return t
 
-    a_s = np.array([[lambda_s]])
-    a_u = np.array([[lambda_u]])
     n = 4
+    blocks = _constant_blocks(lambda_s, lambda_u, m=2)
+    blocks.update(d_g=d_g if analytic_g else None, d2_g=d2_g if analytic_g else None)
     return MapSpec(
-        dims=Dimensions(1, 1, 2),
         topo=ChartTopology.of(("angle", "linear")),
         rho=rho,
         lam=lam,
-        A_s=lambda x: a_s,
-        A_u=lambda x: a_u,
         g_map=g_map,
         r_map=lambda s, u, x: (np.zeros(1), np.zeros(1), np.zeros(2)),
         d_r=lambda s, u, x: np.zeros((n, n)),
         d2_r=lambda s, u, x: np.zeros((n, n, n)),
-        d_A_s=lambda x: np.zeros((1, 1, 2)),
-        d_A_u=lambda x: np.zeros((1, 1, 2)),
-        d_g=d_g if analytic_g else None,
-        d2_g=d2_g if analytic_g else None,
         x_box=((0.0, TWO_PI), (y0, y1)),
         name="twist_annulus",
+        **blocks,
     )
 
 
@@ -210,8 +203,6 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
     """
     if condition not in ("b", "d"):
         raise ContractError(f"condition must be 'b' or 'd', got {condition!r}")
-    a_s = np.array([[0.5]])
-    a_u = np.array([[2.0]])
     row = 1 if condition == "b" else 2
 
     def r_map(s, u, x):
@@ -225,21 +216,15 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
         return jac
 
     return MapSpec(
-        dims=_SCALAR_DIMS,
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=0.5,
-        A_s=lambda x: a_s,
-        A_u=lambda x: a_u,
         g_map=lambda x: np.asarray(x, dtype=float),
         r_map=r_map,
         d_r=d_r,
         d2_r=lambda s, u, x: np.zeros((3, 3, 3)),
-        d_A_s=lambda x: np.zeros((1, 1, 1)),
-        d_A_u=lambda x: np.zeros((1, 1, 1)),
-        d_g=lambda x: np.eye(1),
-        d2_g=lambda x: np.zeros((1, 1, 1)),
         name=f"defective_{condition}",
+        **_constant_blocks(0.5, 2.0),
     )
 
 
@@ -311,7 +296,6 @@ class HamiltonianSpec:
     sigma_param: float = 1.0
     f_coeffs: tuple = DEFAULT_F_COEFFS
     g_coeffs: tuple = DEFAULT_G_COEFFS
-    energy: float = 0.0
     log_base: str = "natural"
 
     def __post_init__(self):
@@ -483,3 +467,74 @@ def pendulum_local_inverse(hs: HamiltonianSpec, s: float, u: float) -> tuple:
         raise ContractError("local hyperbolic coordinates need eps > 0")
     root = math.sqrt(hs.eps)
     return (root * (u - s), s + u)
+
+
+def _exponent_fit(hs: HamiltonianSpec, h: float, unstable: bool) -> float:
+    """Log-slope of the expanding (or contracting) saddle coordinate."""
+    delta = 1e-8
+    root = math.sqrt(hs.eps)
+    p0 = root * delta if unstable else -root * delta
+    st = FlowState(p=p0, q=delta, I=0.0, theta=0.0, J=0.0, phi=0.0)
+    t_span = 3.0 / root
+    stride = max(1, int(round(t_span / (40 * h))))
+    series = integrate_series(hs, st, h, n_blocks=40, stride=stride)
+    ts = np.arange(41) * (stride * h)
+    coord = 1 if unstable else 0
+    vals = [abs(pendulum_local_coords(hs, FlowState.from_array(row))[coord]) for row in series]
+    return float(np.polyfit(ts, np.log(np.asarray(vals)), 1)[0])
+
+
+def hamiltonian_audits(
+    hs: HamiltonianSpec, start: FlowState, h: float, returns: int, cyl_returns: int, fit_exponents: bool = True
+) -> tuple:
+    """The four integrator audits; returns (results, orbit).
+
+    1. energy drift of ``start`` over ``returns`` Poincare returns;
+    2. the cylinder {p = q = 0} at action start.I stays exactly invariant
+       over ``cyl_returns`` returns;
+    3. a free rotor (eps = mu = 0) advances theta by exactly 2*pi*I;
+    4. with ``fit_exponents``, the saddle exponents about (p, q) = (0, 0)
+       are fitted against +-sqrt(eps).
+
+    ``results`` holds the measured figures (``exponents`` only when fitted);
+    ``orbit`` lists (n, state, energy, drift) for n = 0..returns.  Judging
+    the figures against tolerances is left to the caller.
+    """
+    e0 = hamiltonian_energy(hs, start)
+    orbit = [(0, start, e0, 0.0)]
+    drift_max = 0.0
+    cur = start
+    for n in range(1, returns + 1):
+        cur, _ = poincare_map(hs, cur, h=h)
+        e_n = hamiltonian_energy(hs, cur)
+        drift_max = max(drift_max, abs(e_n - e0))
+        orbit.append((n, cur, e_n, e_n - e0))
+
+    cyl = FlowState(p=0.0, q=0.0, I=start.I, theta=0.3, J=0.0, phi=0.0)
+    cyl_residual = 0.0
+    for _ in range(cyl_returns):
+        cyl, _ = poincare_map(hs, cyl, h=h)
+        cyl_residual = max(cyl_residual, abs(cyl.p), min(cyl.q, TWO_PI - cyl.q))
+
+    free = HamiltonianSpec(eps=0.0, mu=0.0, nu=hs.nu, sigma_param=hs.sigma_param)
+    iret, _ = poincare_map(free, FlowState(p=0.0, q=0.0, I=0.17, theta=1.0, J=0.2, phi=0.0), h=h)
+    theta_err = abs(iret.theta - (1.0 + TWO_PI * 0.17) % TWO_PI)
+    theta_err = min(theta_err, TWO_PI - theta_err)
+
+    results = {
+        "energy_drift_max": drift_max,
+        "cylinder_residual": cyl_residual,
+        "integrable_theta_error": theta_err,
+    }
+    if fit_exponents:
+        root = math.sqrt(hs.eps)
+        u_rate = _exponent_fit(hs, h, unstable=True)
+        s_rate = _exponent_fit(hs, h, unstable=False)
+        results["exponents"] = {
+            "target": root,
+            "unstable_rate": u_rate,
+            "stable_rate": s_rate,
+            "unstable_rel_err": abs(u_rate - root) / root,
+            "stable_rel_err": abs(-s_rate - root) / root,
+        }
+    return results, orbit

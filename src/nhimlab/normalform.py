@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .exceptions import ContractError, OutOfNeighborhoodError
 from .geometry import (
@@ -176,20 +175,21 @@ def _fd_second(func, z: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _r_flat(f: MapSpec):
+    """The remainder r as a function of the concatenated coordinate z = (s, u, x)."""
+    return lambda z: f.r_concat(*f.dims.split(z))
+
+
 def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
     if f.d_r is not None:
         return np.asarray(f.d_r(s, u, x), dtype=float)
     dims = f.dims
 
-    def func(z):
-        zs, zu, zx = dims.split(z)
-        return f.r_concat(zs, zu, zx)
-
     def inside(z):
         zs, zu, _ = dims.split(z)
         return max(vec_sup_norm(zs), vec_sup_norm(zu)) < f.rho
 
-    return _fd_first(func, dims.join(s, u, x), h, inside=inside)
+    return _fd_first(_r_flat(f), dims.join(s, u, x), h, inside=inside)
 
 
 def _g_jacobian(f: MapSpec, x, h: float) -> np.ndarray:
@@ -204,16 +204,9 @@ def _a_tensor(f: MapSpec, which: str, x, h: float) -> np.ndarray:
     der = f.d_A_s if which == "s" else f.d_A_u
     if der is not None:
         return np.asarray(der(x), dtype=float)
-    x = np.asarray(x, dtype=float)
     size = f.dims.n_s if which == "s" else f.dims.n_u
-    out = np.empty((size, size, x.size))
-    for c in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[c] += h
-        xm[c] -= h
-        out[:, :, c] = (np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2.0 * h)
-    return out
+    cols = _fd_first(lambda z: np.asarray(fun(z), dtype=float).reshape(-1), x, h)
+    return cols.reshape(size, size, -1)
 
 
 def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
@@ -303,10 +296,40 @@ class ConditionReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+def _primes(count: int) -> list:
+    found = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found):
+            found.append(n)
+        n += 1
+    return found
+
+
 def _unit_samples(dim: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic low-discrepancy samples in the open unit cube."""
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return sampler.random(count)
+    """Deterministic low-discrepancy samples in the unit cube.
+
+    Scrambled Halton points (Owen, "A randomized Halton algorithm in R",
+    arXiv:1706.02808): coordinate i is the radical inverse of the point index
+    in the i-th prime base, with each digit position passed through its own
+    random permutation.  One permutation per digit that still changes a
+    double (base**-k > 2**-54) is drawn from ``default_rng(seed)``, so the
+    points match ``scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed)``
+    bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((count, dim))
+    for col, base in enumerate(_primes(dim)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(count)
+        b2r = 1.0 / base
+        for perm in perms:
+            out[:, col] += perm[q % base] * b2r
+            b2r /= base
+            q //= base
+    return out
 
 
 def _scale_normal(t: np.ndarray, rho: float) -> np.ndarray:
@@ -568,13 +591,7 @@ def _bound_grid(f: MapSpec, density: int, margin: float) -> np.ndarray:
 def _second_tensor(f: MapSpec, s, u, x, h2: float) -> np.ndarray:
     if f.d2_r is not None:
         return np.asarray(f.d2_r(s, u, x), dtype=float)
-    dims = f.dims
-
-    def func(z):
-        zs, zu, zx = dims.split(z)
-        return f.r_concat(zs, zu, zx)
-
-    return _fd_second(func, dims.join(s, u, x), h2)
+    return _fd_second(_r_flat(f), f.dims.join(s, u, x), h2)
 
 
 def _g_second_tensor(f: MapSpec, x, h2: float) -> np.ndarray:

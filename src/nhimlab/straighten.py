@@ -14,14 +14,15 @@ a new map spec with straightened invariant sets.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import DivergenceError, OutOfNeighborhoodError
+from .exceptions import ContractError, DivergenceError, OutOfNeighborhoodError
 from .geometry import TWO_PI, ChartPoint, ChartTopology, vec_sup_norm
-from .normalform import MapSpec, apply_map, _scale_manifold, _unit_samples
+from .normalform import MapSpec, apply_map, _fd_first, _scale_manifold, _unit_samples
 
 
 def _signed_x_diff(topo: ChartTopology, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,16 +80,18 @@ def straighten_inverse(
     if rho is not None and not q.in_ball(rho):
         raise OutOfNeighborhoodError(norm=q.normal_norm, rho=rho)
     if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    s = q.s.copy()
-    u = q.u.copy()
+        raise ContractError(f"tol must be positive, got {tol}")
     x = q.x
+    # the graph values of one sweep's residual are the next sweep's update
+    g_u = np.asarray(gp.G_u(q.u, x), dtype=float)
+    g_s = np.asarray(gp.G_s(q.s, x), dtype=float)
     for _ in range(max_iter):
-        s_next = q.s + np.asarray(gp.G_u(u, x), dtype=float)
-        u_next = q.u + np.asarray(gp.G_s(s, x), dtype=float)
-        s, u = s_next, u_next
-        res_s = s - np.asarray(gp.G_u(u, x), dtype=float) - q.s
-        res_u = u - np.asarray(gp.G_s(s, x), dtype=float) - q.u
+        s = q.s + g_u
+        u = q.u + g_s
+        g_u = np.asarray(gp.G_u(u, x), dtype=float)
+        g_s = np.asarray(gp.G_s(s, x), dtype=float)
+        res_s = s - g_u - q.s
+        res_u = u - g_s - q.u
         if max(vec_sup_norm(res_s), vec_sup_norm(res_u)) <= tol:
             return ChartPoint(s=s, u=u, x=x, topology=q.topology)
     raise DivergenceError(
@@ -108,26 +111,21 @@ def tangency_violation(gp: GraphPair, f: MapSpec, sample_count: int = 16, seed: 
     xs = _scale_manifold(_unit_samples(dims.m, sample_count, seed), f.x_ranges())
     zs = np.zeros(dims.n_s)
     zu = np.zeros(dims.n_u)
+
+    def graph(g, *args):
+        return np.atleast_1d(np.asarray(g(*args), dtype=float))
+
     worst = 0.0
     for x in xs:
-        worst = max(worst, vec_sup_norm(np.atleast_1d(np.asarray(gp.G_s(zs, x), dtype=float))))
-        worst = max(worst, vec_sup_norm(np.atleast_1d(np.asarray(gp.G_u(zu, x), dtype=float))))
-        for i in range(dims.n_s):
-            e = np.zeros(dims.n_s)
-            e[i] = h
-            diff = (np.asarray(gp.G_s(zs + e, x)) - np.asarray(gp.G_s(zs - e, x))) / (2 * h)
-            worst = max(worst, vec_sup_norm(np.atleast_1d(diff)))
-        for i in range(dims.n_u):
-            e = np.zeros(dims.n_u)
-            e[i] = h
-            diff = (np.asarray(gp.G_u(zu + e, x)) - np.asarray(gp.G_u(zu - e, x))) / (2 * h)
-            worst = max(worst, vec_sup_norm(np.atleast_1d(diff)))
-        for i in range(dims.m):
-            e = np.zeros(dims.m)
-            e[i] = h
-            diff_s = (np.asarray(gp.G_s(zs, x + e)) - np.asarray(gp.G_s(zs, x - e))) / (2 * h)
-            diff_u = (np.asarray(gp.G_u(zu, x + e)) - np.asarray(gp.G_u(zu, x - e))) / (2 * h)
-            worst = max(worst, vec_sup_norm(np.atleast_1d(diff_s)), vec_sup_norm(np.atleast_1d(diff_u)))
+        values = (
+            graph(gp.G_s, zs, x),
+            graph(gp.G_u, zu, x),
+            _fd_first(lambda v: graph(gp.G_s, v, x), zs, h),
+            _fd_first(lambda v: graph(gp.G_u, v, x), zu, h),
+            _fd_first(lambda v: graph(gp.G_s, zs, v), x, h),
+            _fd_first(lambda v: graph(gp.G_u, zu, v), x, h),
+        )
+        worst = max(worst, *(vec_sup_norm(v) for v in values))
     return worst
 
 
@@ -174,26 +172,32 @@ def conjugated_radius(f: MapSpec, gp: GraphPair, bisect_steps: int = 30) -> floa
     return lo
 
 
-def _conjugated_r(f: MapSpec, gp: GraphPair, forward: bool):
-    """Remainder of Phi o f o Phi^{-1} (forward) or Phi^{-1} o f o Phi, by subtraction."""
+def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: bool) -> MapSpec:
+    """Phi o f o Phi^{-1} (forward) or Phi^{-1} o f o Phi as a new map spec.
+
+    Only the remainder changes, computed by subtraction from the image; the
+    analytic remainder derivatives are dropped.
+    """
 
     def r_map(s, u, x):
         z = ChartPoint(s=np.atleast_1d(s), u=np.atleast_1d(u), x=np.atleast_1d(x), topology=f.topo)
         if forward:
-            p = straighten_inverse(gp, z, tol=1e-13, max_iter=200)
+            w = straighten_point(gp, apply_map(f, straighten_inverse(gp, z, tol=1e-13, max_iter=200)))
         else:
-            p = straighten_point(gp, z)
-        img = apply_map(f, p)
-        if forward:
-            w = straighten_point(gp, img)
-        else:
-            w = straighten_inverse(gp, img, tol=1e-13, max_iter=200)
+            w = straighten_inverse(gp, apply_map(f, straighten_point(gp, z)), tol=1e-13, max_iter=200)
         r_s = w.s - f.A_s(z.x) @ z.s
         r_u = w.u - f.A_u(z.x) @ z.u
         r_x = _signed_x_diff(f.topo, w.x, f.g_map(z.x))
         return (r_s, r_u, r_x)
 
-    return r_map
+    return dataclasses.replace(
+        f,
+        rho=conjugated_radius(f, gp) if radius is None else float(radius),
+        r_map=r_map,
+        d_r=None,
+        d2_r=None,
+        name=f"{f.name}_{'straightened' if forward else 'unstraightened'}",
+    )
 
 
 def conjugate_map(f: MapSpec, gp: GraphPair, radius: Optional[float] = None) -> MapSpec:
@@ -204,23 +208,7 @@ def conjugate_map(f: MapSpec, gp: GraphPair, radius: Optional[float] = None) -> 
     derivatives are carried over.  The new ball radius is found by bisection
     on corner samples unless the caller supplies one.
     """
-    rho_new = conjugated_radius(f, gp) if radius is None else float(radius)
-    return MapSpec(
-        dims=f.dims,
-        topo=f.topo,
-        rho=rho_new,
-        lam=f.lam,
-        A_s=f.A_s,
-        A_u=f.A_u,
-        g_map=f.g_map,
-        r_map=_conjugated_r(f, gp, forward=True),
-        d_A_s=f.d_A_s,
-        d_A_u=f.d_A_u,
-        d_g=f.d_g,
-        d2_g=f.d2_g,
-        x_box=f.x_box,
-        name=f"{f.name}_straightened",
-    )
+    return _conjugated(f, gp, radius, forward=True)
 
 
 def unstraighten_map(f: MapSpec, gp: GraphPair, radius: Optional[float] = None) -> MapSpec:
@@ -229,20 +217,4 @@ def unstraighten_map(f: MapSpec, gp: GraphPair, radius: Optional[float] = None) 
     Useful for building test inputs with known stable/unstable geometry;
     ``conjugate_map`` with the same pair undoes it.
     """
-    rho_new = conjugated_radius(f, gp) if radius is None else float(radius)
-    return MapSpec(
-        dims=f.dims,
-        topo=f.topo,
-        rho=rho_new,
-        lam=f.lam,
-        A_s=f.A_s,
-        A_u=f.A_u,
-        g_map=f.g_map,
-        r_map=_conjugated_r(f, gp, forward=False),
-        d_A_s=f.d_A_s,
-        d_A_u=f.d_A_u,
-        d_g=f.d_g,
-        d2_g=f.d2_g,
-        x_box=f.x_box,
-        name=f"{f.name}_unstraightened",
-    )
+    return _conjugated(f, gp, radius, forward=False)

@@ -102,15 +102,10 @@ def _push_frame(jac: np.ndarray, f: MapSpec, frame, require_unstable: bool) -> t
     return tuple(new_frame), stretch
 
 
-def step_jet(f: MapSpec, j: JetState, require_unstable: bool = True) -> tuple:
-    """One map step of the point and its frame.
-
-    Returns (JetState, InclinationRecord).  Raises EscapeError carrying the
-    surviving state when the image leaves the ball; with require_unstable,
-    any frame vector with zero unstable part raises DegenerateVectorError
-    before stepping.
-    """
-    q = apply_map(f, j.p)
+def _step(f: MapSpec, j: JetState, q: ChartPoint, require_unstable: bool, restricted: bool) -> tuple:
+    """Shared tail of one jet step to the image point q: escape check,
+    Jacobian (unstable-row couplings zeroed when ``restricted``), frame
+    push, and the step's record."""
     if not q.in_ball(f.rho):
         raise EscapeError(
             f"orbit left the rho={f.rho} ball at iterate {j.n + 1} "
@@ -118,6 +113,11 @@ def step_jet(f: MapSpec, j: JetState, require_unstable: bool = True) -> tuple:
             survivor=j,
         )
     jac = jacobian(f, j.p)
+    if restricted:
+        # zero the unstable-row couplings; they vanish analytically on {u = 0}
+        dims = f.dims
+        jac[dims.n_s : dims.n_s + dims.n_u, : dims.n_s] = 0.0
+        jac[dims.n_s : dims.n_s + dims.n_u, dims.n_s + dims.n_u :] = 0.0
     new_frame, stretch = _push_frame(jac, f, j.frame, require_unstable)
     inc_s, inc_x = _frame_inclinations(new_frame)
     nxt = JetState(p=q, frame=new_frame, n=j.n + 1)
@@ -130,6 +130,17 @@ def step_jet(f: MapSpec, j: JetState, require_unstable: bool = True) -> tuple:
         u_norm=vec_sup_norm(q.u) if q.u.size else 0.0,
     )
     return nxt, rec
+
+
+def step_jet(f: MapSpec, j: JetState, require_unstable: bool = True) -> tuple:
+    """One map step of the point and its frame.
+
+    Returns (JetState, InclinationRecord).  Raises EscapeError carrying the
+    surviving state when the image leaves the ball; with require_unstable,
+    any frame vector with zero unstable part raises DegenerateVectorError
+    before stepping.
+    """
+    return _step(f, j, apply_map(f, j.p), require_unstable, restricted=False)
 
 
 def stable_restricted_step(f: MapSpec, j: JetState) -> tuple:
@@ -150,29 +161,7 @@ def stable_restricted_step(f: MapSpec, j: JetState) -> tuple:
             f"stable slice is not invariant: |u| = {drift:.3g} after one step"
         )
     q = ChartPoint(s=q.s, u=np.zeros_like(q.u), x=q.x, topology=q.topology)
-    if not q.in_ball(f.rho):
-        raise EscapeError(
-            f"orbit left the rho={f.rho} ball at iterate {j.n + 1}",
-            survivor=j,
-        )
-    jac = jacobian(f, j.p)
-    dims = f.dims
-    # zero the unstable-row couplings; they vanish analytically on {u = 0}
-    jac = jac.copy()
-    jac[dims.n_s : dims.n_s + dims.n_u, : dims.n_s] = 0.0
-    jac[dims.n_s : dims.n_s + dims.n_u, dims.n_s + dims.n_u :] = 0.0
-    new_frame, stretch = _push_frame(jac, f, j.frame, require_unstable=False)
-    inc_s, inc_x = _frame_inclinations(new_frame)
-    nxt = JetState(p=q, frame=new_frame, n=j.n + 1)
-    rec = InclinationRecord(
-        n=nxt.n,
-        I_s=inc_s,
-        I_x=inc_x,
-        stretch=stretch,
-        s_norm=vec_sup_norm(q.s) if q.s.size else 0.0,
-        u_norm=0.0,
-    )
-    return nxt, rec
+    return _step(f, j, q, require_unstable=False, restricted=True)
 
 
 class InclinationBounds(NamedTuple):

@@ -23,14 +23,13 @@ from nhimlab import (
     conjugate_map,
     estimate_bounds,
     find_K,
-    hamiltonian_energy,
+    hamiltonian_audits,
     jacobian,
     make_default_disk,
     make_defective,
     make_linear,
     make_poly,
     make_twist_annulus,
-    poincare_map,
     sn_contraction_bound,
     stable_restricted_step,
     step_jet,
@@ -39,7 +38,6 @@ from nhimlab import (
     unstraighten_map,
     validate_conditions,
 )
-from nhimlab.cli import _exponent_fit
 from nhimlab.lambdalemma import DiskSpec
 
 TWO_PI = 2.0 * np.pi
@@ -226,31 +224,13 @@ def test_ac08_straightening_round_trip(capsys):
 def test_ac09_hamiltonian_audits(capsys):
     t0 = time.perf_counter()
     hs = HamiltonianSpec(eps=0.01, mu=0.001)
-    h = 1e-3
-
     st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.0, J=0.0, phi=0.0)
-    e0 = hamiltonian_energy(hs, st)
-    drift = 0.0
-    cur = st
-    for _ in range(10):
-        cur, _ = poincare_map(hs, cur, h=h)
-        drift = max(drift, abs(hamiltonian_energy(hs, cur) - e0))
-
-    cyl = FlowState(p=0.0, q=0.0, I=0.03, theta=0.3, J=0.0, phi=0.0)
-    residual = 0.0
-    for _ in range(100):
-        cyl, _ = poincare_map(hs, cyl, h=h)
-        residual = max(residual, abs(cyl.p), min(cyl.q, TWO_PI - cyl.q))
-
-    free = HamiltonianSpec(eps=0.0, mu=0.0)
-    ret, _ = poincare_map(free, FlowState(p=0.0, q=0.0, I=0.17, theta=1.0,
-                                          J=0.0, phi=0.0), h=h)
-    theta_err = abs(ret.theta - (1.0 + TWO_PI * 0.17) % TWO_PI)
-    theta_err = min(theta_err, TWO_PI - theta_err)
-
-    root = np.sqrt(hs.eps)
-    u_err = abs(_exponent_fit(hs, h, unstable=True) - root) / root
-    s_err = abs(-_exponent_fit(hs, h, unstable=False) - root) / root
+    res, _ = hamiltonian_audits(hs, st, h=1e-3, returns=10, cyl_returns=100)
+    drift = res["energy_drift_max"]
+    residual = res["cylinder_residual"]
+    theta_err = res["integrable_theta_error"]
+    u_err = res["exponents"]["unstable_rel_err"]
+    s_err = res["exponents"]["stable_rel_err"]
 
     elapsed = time.perf_counter() - t0
     ok = (drift <= 1e-8 and residual <= 1e-12 and theta_err <= 1e-10

@@ -203,3 +203,14 @@ def test_seed_override_is_recorded(tmp_path):
     code, out = run(tmp_path, "validate", cfg, extra=("--seed", "11", "--quiet"))
     assert code == 0
     assert read_json(out, "validate")["seed"] == 11
+
+
+def test_same_second_runs_with_different_seeds_keep_both_reports(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101T000000")
+    cfg = {"model": {"kind": "linear"}}
+    for seed in ("1", "2"):
+        code, out = run(tmp_path, "validate", cfg, extra=("--seed", seed, "--quiet"))
+        assert code == 0
+    reports = sorted(out.glob("validate_linear_*.json"))
+    assert len(reports) == 2
+    assert sorted(json.loads(p.read_text())["seed"] for p in reports) == [1, 2]

@@ -8,6 +8,7 @@ from nhimlab import (
     BoundSet,
     ContractError,
     DiskSpec,
+    DominationReport,
     EmptyMeshError,
     MeshOrbit,
     advance_mesh,
@@ -254,6 +255,13 @@ def test_verify_bound_domination_rejects_bad_budget():
     bad = BoundSet.from_constants(0.5, 0.6, 0.0, 0.0, 0.0, 0.5, 1e-2)
     with pytest.raises(ContractError):
         verify_bound_domination(const_disk(0.2, 2e-3), f, bad, n_max=5)
+
+
+def test_empty_domination_report_is_not_a_pass():
+    rep = DominationReport(slice_rows=(), persistence_rows=(), eps=1e-2, eps_s=0.0)
+    assert not rep.ok()
+    assert rep.to_dict()["worst_margin"] is None
+    assert DominationReport(slice_rows=((1, 0.1, None, 0.2),), persistence_rows=(), eps=1e-2, eps_s=0.0).ok()
 
 
 def test_domination_detects_broken_base_coupling():

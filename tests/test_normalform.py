@@ -20,6 +20,7 @@ from nhimlab import (
     make_twist_annulus,
     validate_conditions,
 )
+from nhimlab.normalform import _unit_samples
 
 
 def strip_analytic(f):
@@ -203,3 +204,12 @@ def test_x_ranges():
     assert list(f.x_ranges()) == [(0.0, 2 * np.pi)]
     tw = make_twist_annulus(0.05, 0.25, 1.75)
     assert list(tw.x_ranges()) == [(0.0, 2 * np.pi), (0.25, 1.75)]
+
+
+def test_unit_samples_match_scipy_halton():
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for dim in range(1, 9):
+        for seed in (0, 3, 11, 2**32 - 1):
+            for count in (1, 32, 256, 1000):
+                ref = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+                assert np.array_equal(_unit_samples(dim, count, seed), ref), (dim, seed, count)

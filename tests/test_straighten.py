@@ -3,6 +3,7 @@ import pytest
 
 import _refvals as rv
 from nhimlab import (
+    ContractError,
     DivergenceError,
     GraphPair,
     apply_map,
@@ -65,6 +66,28 @@ def test_straighten_inverse_oracle_fixed_point():
     p = straighten_inverse(square_pair(), q, tol=1e-13)
     assert abs(p.s[0] - rv.SQUARE_GRAPH_INV_005_015[0]) <= 1e-11
     assert abs(p.u[0] - rv.SQUARE_GRAPH_INV_005_015[1]) <= 1e-11
+
+
+def test_straighten_inverse_reuses_graph_values():
+    # each sweep evaluates each graph once: 2 initial calls + 2 per sweep, 17 sweeps
+    calls = []
+
+    def square(v, x):
+        calls.append(1)
+        return np.atleast_1d(v[0] ** 2)
+
+    f = make_linear(0.5, 2.0)
+    p = straighten_inverse(GraphPair(G_s=square, G_u=square), f.point([0.05], [0.15], [0.0]), tol=1e-13)
+    assert abs(p.s[0] - rv.SQUARE_GRAPH_INV_005_015[0]) <= 1e-11
+    assert abs(p.u[0] - rv.SQUARE_GRAPH_INV_005_015[1]) <= 1e-11
+    assert len(calls) == 36
+
+
+def test_straighten_inverse_rejects_nonpositive_tol():
+    f = make_linear(0.5, 2.0)
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ContractError):
+            straighten_inverse(square_pair(), f.point([0.05], [0.15], [0.0]), tol=tol)
 
 
 def test_straighten_round_trip_sampled():
