@@ -1,7 +1,10 @@
 """Hot loops for the Hamiltonian flow: jitted when numba is installed, else plain Python.
 
 The splitting integrator advances a 6-component state (p, q, I, theta, J, phi)
-through kick(h/2) / drift(h) / kick(h/2) compositions.  Both backends execute
+through kick(h/2) / drift(h) / kick(h/2) compositions.  The force is evaluated
+once per step (n_steps + 1 times per call): a kick moves only (p, I, J) and the
+force reads only (q, theta, phi), so the closing half kick of one step and the
+opening half kick of the next apply the same increments.  Both backends execute
 the same function body, so they agree by construction; ``tests/test_kernels.py``
 checks that bit for bit only when numba is installed.  Setting the environment
 variable ``NHIM_NUMBA=0`` before import selects the pure-Python fallback.
@@ -39,8 +42,8 @@ def _advance_impl(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2,
     jj = state[4]
     ph = state[5]
     half = 0.5 * h
-    for _ in range(n_steps):
-        # half kick
+    for step in range(n_steps + 1):
+        # force at (q, theta, phi), shared by the half kicks on either side
         sq = math.sin(q)
         cq = math.cos(q)
         gv = 0.0
@@ -64,40 +67,23 @@ def _advance_impl(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2,
             fth += fk1[i] * dmode
             fph += fk2[i] * dmode
         sq_pow = sq ** (alpha - 1)
-        p += half * (eps * sq - mu * alpha * sq_pow * cq * gv)
-        act += half * (-eps * fth - mu * sq_pow * sq * gth)
-        jj += half * (-eps * fph - mu * sq_pow * sq * gph)
-        # drift
+        kp = eps * sq - mu * alpha * sq_pow * cq * gv
+        ka = -eps * fth - mu * sq_pow * sq * gth
+        kj = -eps * fph - mu * sq_pow * sq * gph
+        if step > 0:
+            # closing half kick of the previous step
+            p += half * kp
+            act += half * ka
+            jj += half * kj
+        if step == n_steps:
+            break
+        # opening half kick, then drift
+        p += half * kp
+        act += half * ka
+        jj += half * kj
         q += h * p
         th += h * act
         ph += h
-        # half kick
-        sq = math.sin(q)
-        cq = math.cos(q)
-        gv = 0.0
-        gth = 0.0
-        gph = 0.0
-        for i in range(gk1.shape[0]):
-            arg = gk1[i] * th + gk2[i] * ph
-            ca = math.cos(arg)
-            sa = math.sin(arg)
-            gv += gc[i] * ca + gs[i] * sa
-            dmode = -gc[i] * sa + gs[i] * ca
-            gth += gk1[i] * dmode
-            gph += gk2[i] * dmode
-        fth = 0.0
-        fph = 0.0
-        for i in range(fk1.shape[0]):
-            arg = fk1[i] * th + fk2[i] * ph
-            ca = math.cos(arg)
-            sa = math.sin(arg)
-            dmode = -fc[i] * sa + fs[i] * ca
-            fth += fk1[i] * dmode
-            fph += fk2[i] * dmode
-        sq_pow = sq ** (alpha - 1)
-        p += half * (eps * sq - mu * alpha * sq_pow * cq * gv)
-        act += half * (-eps * fth - mu * sq_pow * sq * gth)
-        jj += half * (-eps * fph - mu * sq_pow * sq * gph)
     out = np.empty(6)
     out[0] = p
     out[1] = q

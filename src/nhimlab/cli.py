@@ -64,6 +64,16 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _field(cfg: dict, key: str, default, convert=float):
+    """Config field ``key`` (or ``default``) passed through ``convert``; a value
+    that does not convert is a config error naming the key, not a traceback."""
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"config key {key!r} has an invalid value {value!r}: {err}") from err
+
+
 def _resolve_out(args, cfg: dict) -> Path:
     out = args.out or cfg.get("out") or os.environ.get("NHIM_OUT") or "."
     path = Path(out)
@@ -136,11 +146,13 @@ def build_disk(dc: dict, f) -> DiskSpec:
         return make_default_disk(f)
     if not isinstance(dc, dict):
         raise ConfigError("disk config must be a JSON object")
-    mesh = int(dc.get("mesh_per_axis", 5))
+    mesh = _field(dc, "mesh_per_axis", 5, int)
     n_s, n_u, m = f.dims.n_s, f.dims.n_u, f.dims.m
-    const = np.full(n_s, float(dc.get("sigma_const", 0.6 * f.rho)))
-    u_coeffs = np.asarray(dc.get("sigma_u_coeffs", np.zeros((n_s, n_u))), dtype=float).reshape(n_s, n_u)
-    x_coeffs = np.asarray(dc.get("sigma_x_coeffs", np.zeros((n_s, m))), dtype=float).reshape(n_s, m)
+    const = np.full(n_s, _field(dc, "sigma_const", 0.6 * f.rho))
+    u_coeffs = _field(dc, "sigma_u_coeffs", np.zeros((n_s, n_u)),
+                       lambda v: np.asarray(v, dtype=float).reshape(n_s, n_u))
+    x_coeffs = _field(dc, "sigma_x_coeffs", np.zeros((n_s, m)),
+                       lambda v: np.asarray(v, dtype=float).reshape(n_s, m))
 
     def sigma(u, x):
         return const + u_coeffs @ u + x_coeffs @ x
@@ -149,26 +161,28 @@ def build_disk(dc: dict, f) -> DiskSpec:
         return u_coeffs, x_coeffs
 
     if "u_half" in dc:
-        half = float(dc["u_half"])
+        half = _field(dc, "u_half", None)
         u_box = tuple((-half, half) for _ in range(n_u))
     else:
-        u_box = tuple(tuple(b) for b in dc.get("u_box", [(-0.05, 0.05)] * n_u))
-    x_box = tuple(tuple(b) for b in dc.get("x_box", f.x_ranges()))
+        u_box = dc.get("u_box", [(-0.05, 0.05)] * n_u)
+    x_box = dc.get("x_box", f.x_ranges())
     try:
+        u_box = tuple(tuple(b) for b in u_box)
+        x_box = tuple(tuple(b) for b in x_box)
         return DiskSpec(sigma=sigma, u_box=u_box, x_box=x_box, mesh_per_axis=mesh, dsigma=dsigma)
-    except ContractError as err:
+    except (ContractError, TypeError, ValueError) as err:
         raise ConfigError(f"invalid disk config: {err}") from err
 
 
 def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     f = build_model(cfg.get("model"))
-    samples = int(cfg.get("samples", 256))
-    tol = float(cfg.get("tol", 1e-10))
+    samples = _field(cfg, "samples", 256, int)
+    tol = _field(cfg, "tol", 1e-10)
     report = validate_conditions(f, sample_count=samples, tol=tol, seed=seed)
     bounds = estimate_bounds(
         f,
-        grid_density=int(cfg.get("grid_density", 7)),
-        target_eps=float(cfg.get("target_eps", 1e-2)),
+        grid_density=_field(cfg, "grid_density", 7, int),
+        target_eps=_field(cfg, "target_eps", 1e-2),
     )
     constants = check_constants(bounds)
     payload = {
@@ -195,19 +209,17 @@ def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     f = build_model(cfg.get("model"))
-    report = validate_conditions(f, sample_count=int(cfg.get("samples", 128)), seed=seed)
+    samples = _field(cfg, "samples", 128, int)
+    eps = _field(cfg, "eps", 1e-2)
+    n_max = _field(cfg, "n_max", 30, int)
+    grid_density = _field(cfg, "grid_density", 7, int)
+    disk = build_disk(cfg.get("disk"), f)
+    report = validate_conditions(f, sample_count=samples, seed=seed)
     if not report.passed:
         if not quiet:
             print(f"lambda[{f.name}]: model fails structural validation", file=sys.stderr)
         return EXIT_PROPERTY
-    eps = float(cfg.get("eps", 1e-2))
-    n_max = int(cfg.get("n_max", 30))
-    bounds = estimate_bounds(
-        f,
-        grid_density=int(cfg.get("grid_density", 7)),
-        target_eps=eps,
-    )
-    disk = build_disk(cfg.get("disk"), f)
+    bounds = estimate_bounds(f, grid_density=grid_density, target_eps=eps)
     result = find_K(disk, f, eps=eps, n_max=n_max)
     domination = verify_bound_domination(disk, f, bounds, n_max=n_max)
     base = _stamp("lambda", f.name, cfg, seed)
@@ -246,9 +258,9 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         raise ConfigError("annulus experiment needs a twist model")
     mc.setdefault("kind", "twist")
     f = build_model(mc)
-    y0, y1 = float(mc["y0"]), float(mc["y1"])
-    eps = float(cfg.get("eps", 1e-2))
-    n_max = int(cfg.get("n_max", 40))
+    y0, y1 = _field(mc, "y0", None), _field(mc, "y1", None)
+    eps = _field(cfg, "eps", 1e-2)
+    n_max = _field(cfg, "n_max", 40, int)
     disk = build_disk(cfg.get("disk"), f)
     report = annulus_experiment(f, y0, y1, disk, eps=eps, n_max=n_max)
     base = _stamp("annulus", f.name, cfg, seed)
@@ -290,28 +302,31 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     hc = cfg.get("ham") or {}
     try:
         hs = HamiltonianSpec(
-            eps=float(hc.get("eps", 0.01)),
-            mu=float(hc.get("mu", 0.001)),
-            nu=float(hc.get("nu", 55.0)),
-            sigma_param=float(hc.get("sigma_param", 1.0)),
+            eps=_field(hc, "eps", 0.01),
+            mu=_field(hc, "mu", 0.001),
+            nu=_field(hc, "nu", 55.0),
+            sigma_param=_field(hc, "sigma_param", 1.0),
             log_base=hc.get("log_base", "natural"),
         )
     except ContractError as err:
         raise ConfigError(f"invalid Hamiltonian parameters: {err}") from err
-    h = float(hc.get("h", 1e-3))
-    n_returns = int(hc.get("returns", 10))
-    cyl_returns = int(hc.get("cyl_returns", 100))
+    h = _field(hc, "h", 1e-3)
+    n_returns = _field(hc, "returns", 10, int)
+    cyl_returns = _field(hc, "cyl_returns", 100, int)
+    tol_drift = _field(hc, "drift_tol", 1e-8)
+    tol_cyl = _field(hc, "cyl_tol", 1e-12)
+    fit_tol = _field(hc, "fit_rel_tol", 0.05)
     fit_exponents = bool(hc.get("fit_exponents", True))
     if fit_exponents and hs.eps == 0.0:
         raise ConfigError("exponent fit needs eps > 0; set fit_exponents false for eps = 0")
 
     sc = hc.get("seed_state") or {}
     st = FlowState(
-        p=float(sc.get("p", 0.05)),
-        q=float(sc.get("q", 0.1)),
-        I=float(sc.get("I", 0.03)),
-        theta=float(sc.get("theta", 0.0)),
-        J=float(sc.get("J", 0.0)),
+        p=_field(sc, "p", 0.05),
+        q=_field(sc, "q", 0.1),
+        I=_field(sc, "I", 0.03),
+        theta=_field(sc, "theta", 0.0),
+        J=_field(sc, "J", 0.0),
         phi=0.0,
     )
     results, orbit = hamiltonian_audits(hs, st, h, n_returns, cyl_returns, fit_exponents)
@@ -321,11 +336,8 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     ]
     drift_max = results["energy_drift_max"]
     cyl_residual = results["cylinder_residual"]
-    tol_drift = float(hc.get("drift_tol", 1e-8))
-    tol_cyl = float(hc.get("cyl_tol", 1e-12))
     ok = drift_max <= tol_drift and cyl_residual <= tol_cyl and results["integrable_theta_error"] <= 1e-10
     if fit_exponents:
-        fit_tol = float(hc.get("fit_rel_tol", 0.05))
         ok = ok and results["exponents"]["unstable_rel_err"] <= fit_tol
         ok = ok and results["exponents"]["stable_rel_err"] <= fit_tol
 
@@ -380,7 +392,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _field(cfg, "seed", 0, int)
         out_dir = _resolve_out(args, cfg)
         handler = {
             "validate": cmd_validate,

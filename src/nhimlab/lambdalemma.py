@@ -30,6 +30,7 @@ from .geometry import TWO_PI, ChartPoint, TangentVector, vec_sup_norm
 from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _fd_first, check_constants
 from .tangentflow import (
     JetState,
+    _frame_inclinations,
     stable_restricted_step,
     step_jet,
     sn_contraction_bound,
@@ -225,7 +226,7 @@ def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Dis
     c1 = 0.0
     for i in pool:
         jet = mo.jets[i]
-        c0 = max(c0, vec_sup_norm(jet.p.s) if jet.p.s.size else 0.0)
+        c0 = max(c0, vec_sup_norm(jet.p.s))
         for v in jet.frame:
             c1 = max(c1, _vector_gap(v))
     return C1Distance(n=mo.n, c0=c0, c1=c1)
@@ -384,9 +385,8 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
         notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
     per_node = []
     for jet in slice_jets:
-        ns0 = max(v.block_norms()[0] / v.block_norms()[1] for v in jet.frame)
-        nx0 = max(v.block_norms()[2] / v.block_norms()[1] for v in jet.frame)
-        s0 = vec_sup_norm(jet.p.s) if jet.p.s.size else 0.0
+        ns0, nx0 = _frame_inclinations(jet.frame)
+        s0 = vec_sup_norm(jet.p.s)
         rows = []
         cur = jet
         for n in range(1, n_max + 1):
@@ -422,7 +422,7 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
             if vec_sup_norm(jet.p.u) == 0.0:
                 continue
             cur = jet
-            s_now = vec_sup_norm(cur.p.s) if cur.p.s.size else 0.0
+            s_now = vec_sup_norm(cur.p.s)
             armed = [
                 inc is not None and s_now <= b.eps_s and inc[0] <= eps and inc[1] <= eps
                 for inc in (_vector_inclination(v) for v in cur.frame)

@@ -180,6 +180,11 @@ def _r_flat(f: MapSpec):
     return lambda z: f.r_concat(*f.dims.split(z))
 
 
+def _g_flat(f: MapSpec):
+    """The base map g with its value flattened to a vector."""
+    return lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1)
+
+
 def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
     if f.d_r is not None:
         return np.asarray(f.d_r(s, u, x), dtype=float)
@@ -195,7 +200,7 @@ def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
 def _g_jacobian(f: MapSpec, x, h: float) -> np.ndarray:
     if f.d_g is not None:
         return np.asarray(f.d_g(x), dtype=float)
-    return _fd_first(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, h)
+    return _fd_first(_g_flat(f), x, h)
 
 
 def _a_tensor(f: MapSpec, which: str, x, h: float) -> np.ndarray:
@@ -367,19 +372,23 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     zero_s = np.zeros(n_s)
     zero_u = np.zeros(n_u)
 
+    def sup(*blocks):
+        """Sup norm over all entries of the given blocks (scalars included)."""
+        return vec_sup_norm(np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks]))
+
     viol_a = 0.0
     viol_b = 0.0
     viol_c = 0.0
     viol_d = 0.0
     for i in range(sample_count):
         s_i, u_i, x_i = s_samp[i], u_samp[i], x_samp[i]
-        viol_a = max(viol_a, vec_sup_norm(np.concatenate([np.atleast_1d(np.asarray(b, dtype=float)) for b in f.r_map(zero_s, zero_u, x_i)])))
-        r_s_b, r_u_b, r_x_b = f.r_map(s_i, zero_u, x_i)
-        viol_b = max(viol_b, vec_sup_norm(np.atleast_1d(np.asarray(r_u_b, dtype=float))))
-        viol_d = max(viol_d, vec_sup_norm(np.atleast_1d(np.asarray(r_x_b, dtype=float))))
-        r_s_c, r_u_c, r_x_c = f.r_map(zero_s, u_i, x_i)
-        viol_c = max(viol_c, vec_sup_norm(np.atleast_1d(np.asarray(r_s_c, dtype=float))))
-        viol_d = max(viol_d, vec_sup_norm(np.atleast_1d(np.asarray(r_x_c, dtype=float))))
+        viol_a = max(viol_a, sup(*f.r_map(zero_s, zero_u, x_i)))
+        _, r_u_b, r_x_b = f.r_map(s_i, zero_u, x_i)
+        viol_b = max(viol_b, sup(r_u_b))
+        viol_d = max(viol_d, sup(r_x_b))
+        r_s_c, _, r_x_c = f.r_map(zero_s, u_i, x_i)
+        viol_c = max(viol_c, sup(r_s_c))
+        viol_d = max(viol_d, sup(r_x_c))
 
     viol_e = 0.0
     for i in range(sample_count):
@@ -402,28 +411,12 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     viol_bc = 0.0
     viol_dd = 0.0
     for i in range(deriv_count):
-        jac_stable = _r_jacobian(f, s_samp[i], zero_u, x_samp[i], FD_STEP_FIRST)
-        viol_bc = max(
-            viol_bc,
-            float(np.max(np.abs(jac_stable[sl_u, sl_s]))),
-            float(np.max(np.abs(jac_stable[sl_u, sl_x]))),
-        )
-        viol_dd = max(
-            viol_dd,
-            float(np.max(np.abs(jac_stable[sl_x, sl_s]))),
-            float(np.max(np.abs(jac_stable[sl_x, sl_x]))),
-        )
-        jac_unstable = _r_jacobian(f, zero_s, u_samp[i], x_samp[i], FD_STEP_FIRST)
-        viol_bc = max(
-            viol_bc,
-            float(np.max(np.abs(jac_unstable[sl_s, sl_u]))),
-            float(np.max(np.abs(jac_unstable[sl_s, sl_x]))),
-        )
-        viol_dd = max(
-            viol_dd,
-            float(np.max(np.abs(jac_unstable[sl_x, sl_u]))),
-            float(np.max(np.abs(jac_unstable[sl_x, sl_x]))),
-        )
+        # stable slice (s, 0, x) then unstable slice (0, u, x): the r-blocks of
+        # the other normal direction and of x must not move with `along` or x
+        for s_i, u_i, along, other in ((s_samp[i], zero_u, sl_s, sl_u), (zero_s, u_samp[i], sl_u, sl_s)):
+            jac = _r_jacobian(f, s_i, u_i, x_samp[i], FD_STEP_FIRST)
+            viol_bc = max(viol_bc, sup(jac[other, along]), sup(jac[other, sl_x]))
+            viol_dd = max(viol_dd, sup(jac[sl_x, along]), sup(jac[sl_x, sl_x]))
 
     checks = (
         ConditionCheck("a", "r(0,0,x) = 0: the manifold is invariant", viol_a, tol),
@@ -597,7 +590,7 @@ def _second_tensor(f: MapSpec, s, u, x, h2: float) -> np.ndarray:
 def _g_second_tensor(f: MapSpec, x, h2: float) -> np.ndarray:
     if f.d2_g is not None:
         return np.asarray(f.d2_g(x), dtype=float)
-    return _fd_second(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, h2)
+    return _fd_second(_g_flat(f), x, h2)
 
 
 def estimate_bounds(

@@ -126,8 +126,8 @@ def _step(f: MapSpec, j: JetState, q: ChartPoint, require_unstable: bool, restri
         I_s=inc_s,
         I_x=inc_x,
         stretch=stretch,
-        s_norm=vec_sup_norm(q.s) if q.s.size else 0.0,
-        u_norm=vec_sup_norm(q.u) if q.u.size else 0.0,
+        s_norm=vec_sup_norm(q.s),
+        u_norm=vec_sup_norm(q.u),
     )
     return nxt, rec
 

@@ -182,6 +182,26 @@ def test_ham_rejects_mu_above_eps(tmp_path):
     assert code == 2
 
 
+def test_non_numeric_samples_is_config_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "validate", {"model": {"kind": "linear"}, "samples": "many"})
+    assert code == 2
+    assert "'samples'" in capsys.readouterr().err
+
+
+def test_non_numeric_ham_tolerance_is_config_error_before_audits(tmp_path, capsys):
+    code, out = run(tmp_path, "ham", {"ham": {"drift_tol": "tight"}}, extra=("--quiet",))
+    assert code == 2
+    assert "'drift_tol'" in capsys.readouterr().err
+    assert not list(out.glob("ham_*"))
+
+
+def test_non_numeric_disk_box_is_config_error(tmp_path):
+    cfg = {"model": {"kind": "poly"}, "disk": {"u_box": [["a", 0.01]]}}
+    code, out = run(tmp_path, "lambda", cfg, extra=("--quiet",))
+    assert code == 2
+    assert not list(out.glob("lambda_*"))
+
+
 def test_out_dir_falls_back_to_env(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("NHIM_OUT", str(target))

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from nhimlab import HamiltonianSpec, FlowState
+from nhimlab import HamiltonianSpec, FlowState, ham_vector_field
 from nhimlab import _kernels
 
 
@@ -46,6 +46,39 @@ def test_sampled_rows_match_repeated_advance():
         for i in range(1, 7):
             state = advance(state, 1e-3, 40, *args)
             assert np.array_equal(rows[i], state)
+        # stride 1: each row is a one-step call, yet row i must equal a single
+        # i-step call (i = 0 included), so the half kicks between steps stay half
+        ones = sampled(Z0, 1e-3, 40, 1, *args)
+        for i in range(41):
+            assert np.array_equal(ones[i], advance(Z0, 1e-3, i, *args))
+
+
+def test_one_step_is_half_kick_drift_half_kick():
+    # sine terms and k2 != 0 in both tables, so every Fourier path is exercised
+    hs = HamiltonianSpec(
+        eps=0.01,
+        mu=0.001,
+        f_coeffs=((1, 0, 1.0, 0.3), (1, 1, 0.2, -0.4), (0, 2, 0.1, 0.25)),
+        g_coeffs=((0, 0, 1.0, 0.0), (1, -1, 0.3, 0.2), (2, 1, -0.1, 0.05)),
+    )
+    h = 1e-2
+    rng = np.random.default_rng(5)
+
+    def half_kick(z):
+        dz = ham_vector_field(hs, FlowState.from_array(z))
+        for k in (0, 2, 4):
+            z[k] += 0.5 * h * dz[k]
+
+    for _ in range(4):
+        z0 = np.array([rng.uniform(-0.05, 0.05), rng.uniform(0.1, 6.0), rng.uniform(-0.05, 0.05),
+                       rng.uniform(0.0, 6.0), rng.uniform(-0.2, 0.2), rng.uniform(0.0, 6.0)])
+        z = z0.copy()
+        half_kick(z)
+        z[1] += h * z[0]
+        z[3] += h * z[2]
+        z[5] += h
+        half_kick(z)
+        np.testing.assert_allclose(_kernels.advance_python(z0, h, 1, *hs.kernel_args()), z, rtol=1e-15, atol=1e-15)
 
 
 def test_backend_name():
