@@ -74,6 +74,17 @@ def _field(cfg: dict, key: str, default, convert=float):
         raise ConfigError(f"config key {key!r} has an invalid value {value!r}: {err}") from err
 
 
+def _section(cfg: dict, key: str, default=None):
+    """Config section ``key`` (``default`` when absent or null); a section
+    that is not a JSON object is a config error naming the key."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _resolve_out(args, cfg: dict) -> Path:
     out = args.out or cfg.get("out") or os.environ.get("NHIM_OUT") or "."
     path = Path(out)
@@ -100,7 +111,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def build_model(mc: dict):
-    if not isinstance(mc, dict) or "kind" not in mc:
+    if "kind" not in mc:
         raise ConfigError("config needs a model object with a 'kind' field")
     kind = mc["kind"]
     try:
@@ -144,8 +155,6 @@ def build_disk(dc: dict, f) -> DiskSpec:
     """Disk from config: constant or affine graphs only (JSON cannot carry code)."""
     if dc is None:
         return make_default_disk(f)
-    if not isinstance(dc, dict):
-        raise ConfigError("disk config must be a JSON object")
     mesh = _field(dc, "mesh_per_axis", 5, int)
     n_s, n_u, m = f.dims.n_s, f.dims.n_u, f.dims.m
     const = np.full(n_s, _field(dc, "sigma_const", 0.6 * f.rho))
@@ -175,7 +184,7 @@ def build_disk(dc: dict, f) -> DiskSpec:
 
 
 def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
-    f = build_model(cfg.get("model"))
+    f = build_model(_section(cfg, "model", {}))
     samples = _field(cfg, "samples", 256, int)
     tol = _field(cfg, "tol", 1e-10)
     report = validate_conditions(f, sample_count=samples, tol=tol, seed=seed)
@@ -208,12 +217,12 @@ def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 
 def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
-    f = build_model(cfg.get("model"))
+    f = build_model(_section(cfg, "model", {}))
     samples = _field(cfg, "samples", 128, int)
     eps = _field(cfg, "eps", 1e-2)
     n_max = _field(cfg, "n_max", 30, int)
     grid_density = _field(cfg, "grid_density", 7, int)
-    disk = build_disk(cfg.get("disk"), f)
+    disk = build_disk(_section(cfg, "disk"), f)
     report = validate_conditions(f, sample_count=samples, seed=seed)
     if not report.passed:
         if not quiet:
@@ -253,7 +262,7 @@ def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 
 def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
-    mc = cfg.get("model") or {}
+    mc = _section(cfg, "model", {})
     if mc.get("kind", "twist") != "twist":
         raise ConfigError("annulus experiment needs a twist model")
     mc.setdefault("kind", "twist")
@@ -261,7 +270,7 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     y0, y1 = _field(mc, "y0", None), _field(mc, "y1", None)
     eps = _field(cfg, "eps", 1e-2)
     n_max = _field(cfg, "n_max", 40, int)
-    disk = build_disk(cfg.get("disk"), f)
+    disk = build_disk(_section(cfg, "disk"), f)
     report = annulus_experiment(f, y0, y1, disk, eps=eps, n_max=n_max)
     base = _stamp("annulus", f.name, cfg, seed)
     csv_path = out_dir / f"{base}.csv"
@@ -299,7 +308,7 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 
 def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
-    hc = cfg.get("ham") or {}
+    hc = _section(cfg, "ham", {})
     try:
         hs = HamiltonianSpec(
             eps=_field(hc, "eps", 0.01),
@@ -320,7 +329,7 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     if fit_exponents and hs.eps == 0.0:
         raise ConfigError("exponent fit needs eps > 0; set fit_exponents false for eps = 0")
 
-    sc = hc.get("seed_state") or {}
+    sc = _section(hc, "seed_state", {})
     st = FlowState(
         p=_field(sc, "p", 0.05),
         q=_field(sc, "q", 0.1),

@@ -21,11 +21,8 @@ ANGLE = "angle"
 LINEAR = "linear"
 
 
-def _as_float_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    return arr
+def _as_float_vector(v) -> np.ndarray:
+    return np.asarray(v, dtype=float).reshape(-1)
 
 
 @dataclass(frozen=True)

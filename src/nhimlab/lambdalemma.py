@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,16 +27,17 @@ from .exceptions import (
     ModelInconsistencyError,
     OutOfNeighborhoodError,
 )
-from .geometry import TWO_PI, ChartPoint, TangentVector, vec_sup_norm
+from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector
 from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _fd_first, check_constants
 from .tangentflow import (
     JetState,
-    _frame_inclinations,
-    stable_restricted_step,
-    step_jet,
+    _block_norms,
+    _frame_inclination,
+    _inclinations,
+    _step,
+    _unit_rows,
     sn_contraction_bound,
     theoretical_inclination_bounds,
-    unit_frame,
 )
 
 
@@ -67,15 +69,40 @@ class DiskSpec:
                 raise ContractError(f"x_box sides must be nondegenerate, got [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshOrbit:
-    """Mesh nodes with jets, survivor flags, and death times (-1 = alive)."""
+    """Mesh nodes held as arrays, one row per node: base points (N, n) and
+    tangent frames (N, k, n) in (s, u, x) layout, with the node tags, survivor
+    flags and death times (-1 = alive).  A dead node keeps its last state
+    inside the ball.  ``dims`` and ``topo`` describe the chart of the rows.
+    """
 
     tags: tuple
-    jets: tuple
+    points: np.ndarray
+    frames: np.ndarray
     alive: tuple
     died_at: tuple
     n: int
+    dims: Dimensions
+    topo: ChartTopology
+
+    def __post_init__(self):
+        self.points.flags.writeable = False
+        self.frames.flags.writeable = False
+
+    @cached_property
+    def jets(self) -> tuple:
+        """Read-only JetState view of the rows, built on first use; a dead
+        node's jet is its last state, at iterate died_at - 1."""
+        split = self.dims.split
+        return tuple(
+            JetState(
+                p=ChartPoint(*split(z), self.topo),
+                frame=tuple(TangentVector(*split(v)) for v in F),
+                n=self.n if alive else died - 1,
+            )
+            for z, F, alive, died in zip(self.points, self.frames, self.alive, self.died_at)
+        )
 
     def alive_count(self) -> int:
         return sum(1 for a in self.alive if a)
@@ -138,98 +165,70 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
         _axis_nodes(lo, hi, d.mesh_per_axis, periodic=bool(f.topo.is_angle[i]))
         for i, (lo, hi) in enumerate(d.x_box)
     ]
-    axes = u_axes + x_axes
+    n_s, n_u, k = dims.n_s, dims.n_u, dims.n_u + dims.m
+    nodes = np.stack(np.meshgrid(*u_axes, *x_axes, indexing="ij"), axis=-1).reshape(-1, k)
+    points = np.empty((len(nodes), dims.n))
+    frames = np.zeros((len(nodes), k, dims.n))
     tags = []
-    jets = []
-    for idx in np.ndindex(*(len(a) for a in axes)):
-        u = np.array([u_axes[j][idx[j]] for j in range(dims.n_u)])
-        x = np.array([x_axes[i][idx[dims.n_u + i]] for i in range(dims.m)])
+    for row, (u, x) in enumerate(zip(nodes[:, :n_u], nodes[:, n_u:])):
         s = np.atleast_1d(np.asarray(d.sigma(u, x), dtype=float))
-        if s.shape != (dims.n_s,):
-            raise ContractError(f"sigma returned shape {s.shape}, expected ({dims.n_s},)")
-        p = ChartPoint(s=s, u=u, x=x, topology=f.topo)
-        if not p.in_ball(f.rho):
-            raise OutOfNeighborhoodError(norm=p.normal_norm, rho=f.rho)
-        du, dx = _sigma_partials(d, u, x)
-        frame = []
-        for j in range(dims.n_u):
-            e = np.zeros(dims.n_u)
-            e[j] = 1.0
-            frame.append(TangentVector(v_s=du[:, j].copy(), v_u=e, v_x=np.zeros(dims.m)))
-        for i in range(dims.m):
-            e = np.zeros(dims.m)
-            e[i] = 1.0
-            frame.append(TangentVector(v_s=dx[:, i].copy(), v_u=np.zeros(dims.n_u), v_x=e))
-        jets.append(JetState(p=p, frame=unit_frame(frame), n=0))
+        if s.shape != (n_s,):
+            raise ContractError(f"sigma returned shape {s.shape}, expected ({n_s},)")
+        norm = max(float(np.abs(s).max()), float(np.abs(u).max()))
+        if not norm < f.rho:
+            raise OutOfNeighborhoodError(norm=norm, rho=f.rho)
+        partials = np.concatenate(_sigma_partials(d, u, x), axis=1)
+        if partials.shape != (n_s, k):
+            raise ContractError(f"sigma partials have shape {partials.shape}, expected ({n_s}, {k})")
+        points[row] = np.concatenate([s, u, f.topo.canonicalize(x)])
+        frames[row, :, :n_s] = partials.T
         tags.append((tuple(u), tuple(x)))
-    return MeshOrbit(
-        tags=tuple(tags),
-        jets=tuple(jets),
-        alive=tuple(True for _ in jets),
-        died_at=tuple(-1 for _ in jets),
-        n=0,
-    )
+    frames[:, :, n_s:] = np.eye(k)
+    alive, died_at = (True,) * len(nodes), (-1,) * len(nodes)
+    return MeshOrbit(tuple(tags), points, _unit_rows(frames), alive, died_at, 0, dims, f.topo)
 
 
 def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:
     """Advance every alive node; escapes censor the node, keeping its last state."""
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
-    jets = list(mo.jets)
-    alive = list(mo.alive)
-    died_at = list(mo.died_at)
+    points, frames = mo.points.copy(), mo.frames.copy()
+    alive, died_at = list(mo.alive), list(mo.died_at)
     n = mo.n
     for _ in range(steps):
         n += 1
-        for i, jet in enumerate(jets):
+        for i in range(len(alive)):
             if not alive[i]:
                 continue
             try:
-                jets[i], _ = step_jet(f, jet, require_unstable=False)
-            except EscapeError as err:
-                jets[i] = err.survivor
+                points[i], frames[i], _ = _step(
+                    f, points[i], frames[i], n, require_unstable=False, restricted=False
+                )
+            except EscapeError:
                 alive[i] = False
                 died_at[i] = n
         if not any(alive):
-            raise EmptyMeshError(
-                f"every mesh node escaped by iterate {n}; narrow the disk u_box"
-            )
-    return MeshOrbit(tags=mo.tags, jets=tuple(jets), alive=tuple(alive), died_at=tuple(died_at), n=n)
-
-
-def _vector_gap(v: TangentVector) -> float:
-    """Per-vector distance from the unstable direction.
-
-    Vectors with an unstable part use the inclination pair max(|v_s|, |v_x|)/|v_u|;
-    vectors tangent to the base (v_u = 0) are measured by the slope |v_s|/|v_x|
-    they acquire over the manifold.  A vector with only a stable part is
-    infinitely far.
-    """
-    ns, nu, nx = v.block_norms()
-    if nu > 0.0:
-        return max(ns, nx) / nu
-    if nx > 0.0:
-        return ns / nx
-    return math.inf
+            raise EmptyMeshError(f"every mesh node escaped by iterate {n}; narrow the disk u_box")
+    return MeshOrbit(mo.tags, points, frames, tuple(alive), tuple(died_at), n, mo.dims, mo.topo)
 
 
 def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Distance:
     """c0 = sup |s|, c1 = sup of frame-vector gaps, over alive nodes.
 
-    ``indices`` restricts the reduction to a subset of nodes (boundary
-    submeshes in the annulus experiment).
+    A vector's gap is its distance from the unstable direction: with an
+    unstable part, the inclination pair max(|v_s|, |v_x|)/|v_u|; tangent to
+    the base (v_u = 0), the slope |v_s|/|v_x| it acquires over the manifold;
+    with only a stable part, inf.  ``indices`` restricts the reduction to a
+    subset of nodes (boundary submeshes in the annulus experiment).
     """
     pool = mo.alive_indices() if indices is None else [i for i in indices if mo.alive[i]]
     if not pool:
         raise EmptyMeshError("no alive mesh nodes to measure")
-    c0 = 0.0
-    c1 = 0.0
-    for i in pool:
-        jet = mo.jets[i]
-        c0 = max(c0, vec_sup_norm(jet.p.s))
-        for v in jet.frame:
-            c1 = max(c1, _vector_gap(v))
-    return C1Distance(n=mo.n, c0=c0, c1=c1)
+    ns, nu, nx = _block_norms(mo.dims, mo.frames[pool])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.where(nu > 0.0, np.maximum(ns, nx) / nu, np.where(nx > 0.0, ns / nx, math.inf))
+    c0 = float(np.abs(mo.points[pool, : mo.dims.n_s]).max())
+    return C1Distance(n=mo.n, c0=c0, c1=float(gaps.max()))
 
 
 @dataclass(frozen=True)
@@ -343,21 +342,6 @@ class DominationReport:
         }
 
 
-def _restricted_seed(jet: JetState) -> Optional[JetState]:
-    frame = [v for v in jet.frame if v.block_norms()[1] > 0.0]
-    if not frame:
-        return None
-    return JetState(p=jet.p, frame=tuple(frame), n=jet.n)
-
-
-def _vector_inclination(v: TangentVector) -> Optional[tuple]:
-    """(I_s, I_x) of a single vector, or None when it has no unstable part."""
-    ns, nu, nx = v.block_norms()
-    if nu == 0.0:
-        return None
-    return (ns / nu, nx / nu)
-
-
 def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) -> DominationReport:
     """Check every measured inclination against its closed-form bound.
 
@@ -371,45 +355,44 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     if broken:
         raise ContractError(f"constant budget violates {', '.join(broken)}")
     mo = seed_mesh(d, f)
+    dims = f.dims
+    su = dims.n_s + dims.n_u
     notes = []
 
+    def sup_s(z):
+        return float(np.abs(z[: dims.n_s]).max())
+
+    on_slice = [i for i in mo.alive_indices() if not np.abs(mo.points[i, dims.n_s : su]).any()]
+
     # regime 1: the stable slice, compared against the closed-form decay bounds
-    slice_jets = []
-    for i in mo.alive_indices():
-        jet = mo.jets[i]
-        if vec_sup_norm(jet.p.u) == 0.0:
-            restricted = _restricted_seed(jet)
-            if restricted is not None:
-                slice_jets.append(restricted)
-    if not slice_jets:
-        notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
     per_node = []
-    for jet in slice_jets:
-        ns0, nx0 = _frame_inclinations(jet.frame)
-        s0 = vec_sup_norm(jet.p.s)
+    for i in on_slice:
+        has_u = _block_norms(dims, mo.frames[i])[1] > 0.0
+        if not has_u.any():
+            continue
+        z, F = mo.points[i], mo.frames[i][has_u]
+        ns0, nx0 = _frame_inclination(dims, F)
+        s0 = sup_s(z)
         rows = []
-        cur = jet
         for n in range(1, n_max + 1):
             try:
-                cur, rec = stable_restricted_step(f, cur)
+                z, F, _ = _step(f, z, F, n, require_unstable=False, restricted=True)
             except EscapeError:
                 break
+            inc_s, inc_x = _frame_inclination(dims, F)
             bounds = theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0)
-            margin_x = bounds.bound_x - rec.I_x
-            margin_s = None if bounds.pre_asymptotic else bounds.bound_s - rec.I_s
-            margin_sn = sn_contraction_bound(b, n, s0) - rec.s_norm
+            margin_x = bounds.bound_x - inc_x
+            margin_s = None if bounds.pre_asymptotic else bounds.bound_s - inc_s
+            margin_sn = sn_contraction_bound(b, n, s0) - sup_s(z)
             rows.append((n, margin_x, margin_s, margin_sn))
         per_node.append(rows)
+    if not per_node:
+        notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
     slice_rows = []
-    if per_node:
-        depth = min(len(rows) for rows in per_node)
-        for j in range(depth):
-            n = per_node[0][j][0]
-            mx = min(rows[j][1] for rows in per_node)
-            ms_vals = [rows[j][2] for rows in per_node if rows[j][2] is not None]
-            ms = min(ms_vals) if ms_vals else None
-            msn = min(rows[j][3] for rows in per_node)
-            slice_rows.append((n, mx, ms, msn))
+    for rows in zip(*per_node):  # up to the depth every slice node reached
+        ms_vals = [r[2] for r in rows if r[2] is not None]
+        ms = min(ms_vals) if ms_vals else None
+        slice_rows.append((rows[0][0], min(r[1] for r in rows), ms, min(r[3] for r in rows)))
 
     # regime 2: off-slice survivors, checked per frame vector for persistence
     eps = b.target_eps
@@ -417,31 +400,19 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     if b.eps_s <= 0.0:
         notes.append("eps_s = 0: thin-slab persistence regime is empty for this budget")
     else:
-        for i in mo.alive_indices():
-            jet = mo.jets[i]
-            if vec_sup_norm(jet.p.u) == 0.0:
-                continue
-            cur = jet
-            s_now = vec_sup_norm(cur.p.s)
-            armed = [
-                inc is not None and s_now <= b.eps_s and inc[0] <= eps and inc[1] <= eps
-                for inc in (_vector_inclination(v) for v in cur.frame)
-            ]
+        for i in [i for i in mo.alive_indices() if i not in on_slice]:
+            z, F = mo.points[i], mo.frames[i]
+            inc_s, inc_x, has_u = _inclinations(dims, F)
+            armed = has_u & (sup_s(z) <= b.eps_s) & (inc_s <= eps) & (inc_x <= eps)
             for n in range(1, n_max + 1):
                 try:
-                    cur, rec = step_jet(f, cur, require_unstable=False)
+                    z, F, _ = _step(f, z, F, n, require_unstable=False, restricted=False)
                 except EscapeError:
                     break
-                incs = [_vector_inclination(v) for v in cur.frame]
-                for idx, inc in enumerate(incs):
-                    if armed[idx] and inc is not None:
-                        persistence_rows.append((n, eps - inc[1], eps - inc[0]))
-                    armed[idx] = (
-                        inc is not None
-                        and rec.s_norm <= b.eps_s
-                        and inc[0] <= eps
-                        and inc[1] <= eps
-                    )
+                inc_s, inc_x, has_u = _inclinations(dims, F)
+                for j in np.flatnonzero(armed & has_u):
+                    persistence_rows.append((n, eps - float(inc_x[j]), eps - float(inc_s[j])))
+                armed = has_u & (sup_s(z) <= b.eps_s) & (inc_s <= eps) & (inc_x <= eps)
     return DominationReport(
         slice_rows=tuple(slice_rows),
         persistence_rows=tuple(persistence_rows),
@@ -480,12 +451,8 @@ class AnnulusReport:
 
 def _circle_row(mo: MeshOrbit, indices, y_value: float, y_index: int):
     dist = c1_distance(mo, indices=indices)
-    y_dev = 0.0
-    for i in indices:
-        if not mo.alive[i]:
-            continue
-        y_dev = max(y_dev, abs(float(mo.jets[i].p.x[y_index]) - y_value))
-    return (mo.n, dist.c0, dist.c1, y_dev)
+    ys = mo.points[[i for i in indices if mo.alive[i]], mo.dims.n_s + mo.dims.n_u + y_index]
+    return (mo.n, dist.c0, dist.c1, float(np.abs(ys - y_value).max()))
 
 
 def annulus_experiment(

@@ -107,15 +107,20 @@ class MapSpec:
         return ranges
 
 
+def _image(f: MapSpec, s, u, x) -> tuple:
+    """The blocks (s', u', x') of f at (s, u, x); angles in x' are not yet wrapped."""
+    r_s, r_u, r_x = f.r_map(s, u, x)
+    s_new = f.A_s(x) @ s + np.asarray(r_s, dtype=float).reshape(-1)
+    u_new = f.A_u(x) @ u + np.asarray(r_u, dtype=float).reshape(-1)
+    x_new = np.asarray(f.g_map(x), dtype=float).reshape(-1) + np.asarray(r_x, dtype=float).reshape(-1)
+    return s_new, u_new, x_new
+
+
 def apply_map(f: MapSpec, p: ChartPoint) -> ChartPoint:
     """Evaluate f at p; raises if p leaves the working ball."""
     if not p.in_ball(f.rho):
         raise OutOfNeighborhoodError(p.normal_norm, f.rho)
-    r_s, r_u, r_x = f.r_map(p.s, p.u, p.x)
-    s_new = f.A_s(p.x) @ p.s + np.asarray(r_s, dtype=float).reshape(-1)
-    u_new = f.A_u(p.x) @ p.u + np.asarray(r_u, dtype=float).reshape(-1)
-    x_new = np.asarray(f.g_map(p.x), dtype=float).reshape(-1) + np.asarray(r_x, dtype=float).reshape(-1)
-    return ChartPoint(s_new, u_new, x_new, f.topo)
+    return ChartPoint(*_image(f, p.s, p.u, p.x), f.topo)
 
 
 def _fd_first(func, z: np.ndarray, h: float, inside=None) -> np.ndarray:
@@ -230,19 +235,18 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
         raise OutOfNeighborhoodError(p.normal_norm, f.rho)
     if h <= 0:
         raise ContractError(f"finite-difference step must be positive, got {h}")
-    dims = f.dims
-    n_s, n_u, m = dims.n_s, dims.n_u, dims.m
-    sl_s = slice(0, n_s)
-    sl_u = slice(n_s, n_s + n_u)
-    sl_x = slice(n_s + n_u, dims.n)
+    return _jacobian(f, p.s, p.u, p.x, h)
 
-    jac = _r_jacobian(f, p.s, p.u, p.x, h)
-    jac = np.array(jac, dtype=float)
-    jac[sl_s, sl_s] += f.A_s(p.x)
-    jac[sl_u, sl_u] += f.A_u(p.x)
-    jac[sl_x, sl_x] += _g_jacobian(f, p.x, h)
-    jac[sl_s, sl_x] += np.einsum("ijk,j->ik", _a_tensor(f, "s", p.x, h), p.s)
-    jac[sl_u, sl_x] += np.einsum("ijk,j->ik", _a_tensor(f, "u", p.x, h), p.u)
+
+def _jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
+    """The block Jacobian of f at (s, u, x), which must lie in the ball."""
+    a, b = f.dims.n_s, f.dims.n_s + f.dims.n_u  # the u block is a:b, the x block b:
+    jac = np.array(_r_jacobian(f, s, u, x, h), dtype=float)
+    jac[:a, :a] += f.A_s(x)
+    jac[a:b, a:b] += f.A_u(x)
+    jac[b:, b:] += _g_jacobian(f, x, h)
+    jac[:a, b:] += np.einsum("ijk,j->ik", _a_tensor(f, "s", x, h), s)
+    jac[a:b, b:] += np.einsum("ijk,j->ik", _a_tensor(f, "u", x, h), u)
     return jac
 
 

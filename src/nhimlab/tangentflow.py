@@ -21,9 +21,10 @@ from .exceptions import (
     DegenerateVectorError,
     EscapeError,
     ModelInconsistencyError,
+    OutOfNeighborhoodError,
 )
-from .geometry import ChartPoint, TangentVector, vec_sup_norm
-from .normalform import BoundSet, MapSpec, apply_map, jacobian
+from .geometry import ChartPoint, Dimensions, TangentVector, vec_sup_norm
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _image, _jacobian
 
 
 @dataclass(frozen=True)
@@ -59,77 +60,105 @@ class InclinationRecord:
     u_norm: float
 
 
+def _unit_rows(F: np.ndarray) -> np.ndarray:
+    """F with every row (last axis) rescaled to unit sup norm."""
+    norms = np.abs(F).max(axis=-1, keepdims=True)
+    if not norms.all():
+        raise DegenerateVectorError("cannot normalize a zero tangent vector")
+    return F * (1.0 / norms)
+
+
 def unit_frame(vectors: Sequence[TangentVector]) -> tuple:
     """Rescale each vector to unit sup norm."""
-    out = []
-    for v in vectors:
-        norm = v.sup_norm()
-        if norm == 0.0:
-            raise DegenerateVectorError("cannot normalize a zero tangent vector")
-        out.append(v.scaled(1.0 / norm))
-    return tuple(out)
-
-
-def _frame_inclinations(frame: Sequence[TangentVector]) -> tuple:
-    inc_s = -math.inf
-    inc_x = -math.inf
-    for v in frame:
-        ns, nu, nx = v.block_norms()
-        if nu == 0.0:
-            continue
-        inc_s = max(inc_s, ns / nu)
-        inc_x = max(inc_x, nx / nu)
-    if inc_s == -math.inf:
-        return math.inf, math.inf
-    return inc_s, inc_x
-
-
-def _push_frame(jac: np.ndarray, f: MapSpec, frame, require_unstable: bool) -> tuple:
-    new_frame = []
-    stretch = math.inf
-    for v in frame:
-        _, nu, _ = v.block_norms()
-        if nu == 0.0 and require_unstable:
-            raise DegenerateVectorError("frame vector has zero unstable component")
-        w = jac @ v.as_array()
-        w_s, w_u, w_x = f.dims.split(w)
-        if nu > 0.0:
-            stretch = min(stretch, vec_sup_norm(w_u) / nu)
-        scale = max(abs(w).max(), 0.0)
-        if scale == 0.0:
-            raise DegenerateVectorError("frame vector annihilated by the Jacobian")
-        new_frame.append(TangentVector(v_s=w_s / scale, v_u=w_u / scale, v_x=w_x / scale))
-    return tuple(new_frame), stretch
-
-
-def _step(f: MapSpec, j: JetState, q: ChartPoint, require_unstable: bool, restricted: bool) -> tuple:
-    """Shared tail of one jet step to the image point q: escape check,
-    Jacobian (unstable-row couplings zeroed when ``restricted``), frame
-    push, and the step's record."""
-    if not q.in_ball(f.rho):
-        raise EscapeError(
-            f"orbit left the rho={f.rho} ball at iterate {j.n + 1} "
-            f"(normal norm {q.normal_norm:.6g})",
-            survivor=j,
-        )
-    jac = jacobian(f, j.p)
-    if restricted:
-        # zero the unstable-row couplings; they vanish analytically on {u = 0}
-        dims = f.dims
-        jac[dims.n_s : dims.n_s + dims.n_u, : dims.n_s] = 0.0
-        jac[dims.n_s : dims.n_s + dims.n_u, dims.n_s + dims.n_u :] = 0.0
-    new_frame, stretch = _push_frame(jac, f, j.frame, require_unstable)
-    inc_s, inc_x = _frame_inclinations(new_frame)
-    nxt = JetState(p=q, frame=new_frame, n=j.n + 1)
-    rec = InclinationRecord(
-        n=nxt.n,
-        I_s=inc_s,
-        I_x=inc_x,
-        stretch=stretch,
-        s_norm=vec_sup_norm(q.s),
-        u_norm=vec_sup_norm(q.u),
+    return tuple(
+        TangentVector(*np.split(_unit_rows(v.as_array()), [v.v_s.size, v.v_s.size + v.v_u.size]))
+        for v in vectors
     )
-    return nxt, rec
+
+
+def _block_norms(dims: Dimensions, F: np.ndarray) -> tuple:
+    """Sup norms (|v_s|, |v_u|, |v_x|) of every row (last axis) of F."""
+    a = np.abs(F)
+    su = dims.n_s + dims.n_u
+    return a[..., : dims.n_s].max(axis=-1), a[..., dims.n_s : su].max(axis=-1), a[..., su:].max(axis=-1)
+
+
+def _inclinations(dims: Dimensions, F: np.ndarray) -> tuple:
+    """Per-row (|v_s|/|v_u|, |v_x|/|v_u|) of the frame rows F and the mask of
+    rows with v_u != 0; rows without an unstable part get inf."""
+    ns, nu, nx = _block_norms(dims, F)
+    has_u = nu > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(has_u, ns / nu, math.inf), np.where(has_u, nx / nu, math.inf), has_u
+
+
+def _frame_inclination(dims: Dimensions, F: np.ndarray) -> tuple:
+    """(I_s, I_x) of a frame: sups over its rows with v_u != 0, inf when none."""
+    inc_s, inc_x, has_u = _inclinations(dims, F)
+    if not has_u.any():
+        return math.inf, math.inf
+    return float(inc_s[has_u].max()), float(inc_x[has_u].max())
+
+
+def _step(f: MapSpec, z: np.ndarray, F: np.ndarray, n: int, require_unstable: bool, restricted: bool) -> tuple:
+    """One map step of the point z = (s, u, x) and its frame rows F (k x n
+    array) to iterate n: the only place a jet is advanced.
+
+    Returns (image, pushed frame with unit rows, stretch).  Raises
+    EscapeError without a survivor when the image leaves the ball.  When
+    ``restricted`` the image must stay on {u = 0} (drift above 1e-12 is model
+    inconsistency; the rest is snapped to 0) and the Jacobian's unstable-row
+    couplings are zeroed, since they vanish analytically there.
+    """
+    dims = f.dims
+    su = dims.n_s + dims.n_u
+    norm = float(np.abs(z[:su]).max())
+    if not norm < f.rho:
+        raise OutOfNeighborhoodError(norm, f.rho)
+    s, u, x = z[: dims.n_s], z[dims.n_s : su], z[su:]
+    s_new, u_new, x_new = _image(f, s, u, x)
+    if restricted:
+        drift = float(np.abs(u_new).max())
+        if drift > 1e-12:
+            raise ModelInconsistencyError(f"stable slice is not invariant: |u| = {drift:.3g} after one step")
+        u_new = np.zeros_like(u_new)
+    q = np.concatenate([s_new, u_new, f.topo.canonicalize(x_new)])
+    q_norm = float(np.abs(q[:su]).max())
+    if not q_norm < f.rho:
+        raise EscapeError(f"orbit left the rho={f.rho} ball at iterate {n} (normal norm {q_norm:.6g})")
+    jac = _jacobian(f, s, u, x, FD_STEP_FIRST)
+    if restricted:
+        jac[dims.n_s : su, : dims.n_s] = 0.0
+        jac[dims.n_s : su, su:] = 0.0
+    _, nu, _ = _block_norms(dims, F)
+    if require_unstable and not nu.all():
+        raise DegenerateVectorError("frame vector has zero unstable component")
+    W = np.empty_like(F)
+    for i in range(len(F)):
+        W[i] = jac @ F[i]  # one product per row: a batched product rounds differently
+    has_u = nu > 0.0
+    stretch = math.inf
+    if has_u.any():
+        stretch = float((_block_norms(dims, W[has_u])[1] / nu[has_u]).min())
+    scale = np.abs(W).max(axis=1, keepdims=True)
+    if not scale.all():
+        raise DegenerateVectorError("frame vector annihilated by the Jacobian")
+    return q, W / scale, stretch
+
+
+def _jet_step(f: MapSpec, j: JetState, require_unstable: bool, restricted: bool) -> tuple:
+    """``_step`` on a JetState, returning (JetState, InclinationRecord)."""
+    dims = f.dims
+    frame = np.array([v.as_array() for v in j.frame])
+    try:
+        q, F, stretch = _step(f, j.p.as_array(), frame, j.n + 1, require_unstable, restricted)
+    except EscapeError as err:
+        err.survivor = j
+        raise
+    s, u, x = dims.split(q)
+    nxt = JetState(ChartPoint(s, u, x, f.topo), tuple(TangentVector(*dims.split(w)) for w in F), j.n + 1)
+    inc_s, inc_x = _frame_inclination(dims, F)
+    return nxt, InclinationRecord(nxt.n, inc_s, inc_x, stretch, float(np.abs(s).max()), float(np.abs(u).max()))
 
 
 def step_jet(f: MapSpec, j: JetState, require_unstable: bool = True) -> tuple:
@@ -138,9 +167,9 @@ def step_jet(f: MapSpec, j: JetState, require_unstable: bool = True) -> tuple:
     Returns (JetState, InclinationRecord).  Raises EscapeError carrying the
     surviving state when the image leaves the ball; with require_unstable,
     any frame vector with zero unstable part raises DegenerateVectorError
-    before stepping.
+    before its push.
     """
-    return _step(f, j, apply_map(f, j.p), require_unstable, restricted=False)
+    return _jet_step(f, j, require_unstable, restricted=False)
 
 
 def stable_restricted_step(f: MapSpec, j: JetState) -> tuple:
@@ -154,14 +183,7 @@ def stable_restricted_step(f: MapSpec, j: JetState) -> tuple:
     """
     if vec_sup_norm(j.p.u) != 0.0:
         raise ContractError("stable_restricted_step needs a base point with u = 0 exactly")
-    q = apply_map(f, j.p)
-    drift = vec_sup_norm(q.u)
-    if drift > 1e-12:
-        raise ModelInconsistencyError(
-            f"stable slice is not invariant: |u| = {drift:.3g} after one step"
-        )
-    q = ChartPoint(s=q.s, u=np.zeros_like(q.u), x=q.x, topology=q.topology)
-    return _step(f, j, q, require_unstable=False, restricted=True)
+    return _jet_step(f, j, require_unstable=False, restricted=True)
 
 
 class InclinationBounds(NamedTuple):

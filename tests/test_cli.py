@@ -202,6 +202,22 @@ def test_non_numeric_disk_box_is_config_error(tmp_path):
     assert not list(out.glob("lambda_*"))
 
 
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("ham", {"ham": [1]}, "ham"),
+        ("ham", {"ham": {"seed_state": [0.1]}}, "seed_state"),
+        ("annulus", {"model": [1]}, "model"),
+        ("annulus", {"model": "twist"}, "model"),
+    ],
+)
+def test_section_that_is_not_an_object_is_config_error(tmp_path, capsys, command, cfg, key):
+    code, out = run(tmp_path, command, cfg, extra=("--quiet",))
+    assert code == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not list(out.glob(f"{command}_*"))
+
+
 def test_out_dir_falls_back_to_env(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("NHIM_OUT", str(target))

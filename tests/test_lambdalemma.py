@@ -10,6 +10,7 @@ from nhimlab import (
     DiskSpec,
     DominationReport,
     EmptyMeshError,
+    EscapeError,
     MeshOrbit,
     advance_mesh,
     annulus_experiment,
@@ -22,6 +23,7 @@ from nhimlab import (
     make_poly,
     make_twist_annulus,
     seed_mesh,
+    step_jet,
     verify_bound_domination,
 )
 
@@ -115,10 +117,43 @@ def test_advance_mesh_raises_when_everything_escapes():
     mo = seed_mesh(const_disk(0.3, 0.1), f)
     # keep only one mortal node
     keep = next(i for i, j in enumerate(mo.jets) if j.p.u[0] == 0.1)
-    solo = MeshOrbit(tags=(mo.tags[keep],), jets=(mo.jets[keep],),
-                     alive=(True,), died_at=(-1,), n=0)
+    solo = MeshOrbit(tags=(mo.tags[keep],), points=mo.points[keep : keep + 1],
+                     frames=mo.frames[keep : keep + 1], alive=(True,), died_at=(-1,), n=0,
+                     dims=mo.dims, topo=mo.topo)
     with pytest.raises(EmptyMeshError):
         advance_mesh(solo, f, steps=5)
+
+
+TWIST = make_twist_annulus(0.05, 0.0, 1.0)
+# no dsigma: the seed frames of this disk come from finite differences
+TILTED_FD = DiskSpec(sigma=lambda u, x: np.atleast_1d(0.3 + 0.1 * u[0] + 0.02 * np.sin(x[0])),
+                     u_box=((-0.05, 0.05),), x_box=((0.0, TWO_PI),), mesh_per_axis=5)
+
+
+@pytest.mark.parametrize(
+    "f, d",
+    [
+        (make_poly(0.05), const_disk(0.2, 0.05)),
+        (TWIST, make_default_disk(TWIST, n_target=4)),
+        (make_poly(0.05), TILTED_FD),
+    ],
+    ids=["poly", "twist", "tilted-fd"],
+)
+def test_mesh_is_the_one_row_case(f, d):
+    steps = 8
+    mesh = advance_mesh(seed_mesh(d, f), f, steps=steps)
+    assert 0 < mesh.alive_count() < len(mesh.alive)
+    for i, jet in enumerate(seed_mesh(d, f).jets):
+        died = -1
+        for n in range(1, steps + 1):
+            try:
+                jet, _ = step_jet(f, jet, require_unstable=False)
+            except EscapeError as err:
+                jet, died = err.survivor, n
+                break
+        assert mesh.died_at[i] == died
+        assert np.array_equal(mesh.points[i], jet.p.as_array())
+        assert np.array_equal(mesh.frames[i], np.array([v.as_array() for v in jet.frame]))
 
 
 def test_c1_distance_index_filter():
