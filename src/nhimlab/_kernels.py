@@ -6,8 +6,12 @@ once per step (n_steps + 1 times per call): a kick moves only (p, I, J) and the
 force reads only (q, theta, phi), so the closing half kick of one step and the
 opening half kick of the next apply the same increments.  Both backends execute
 the same function body, so they agree by construction; ``tests/test_kernels.py``
-checks that bit for bit only when numba is installed.  Setting the environment
-variable ``NHIM_NUMBA=0`` before import selects the pure-Python fallback.
+checks that bit for bit only when numba is installed.  numba takes the state
+and the mode tables as arrays; the pure-Python fallback converts them, and the
+scalars, to Python floats, ints and lists once per call, because the
+interpreted loop runs several times faster on those than on numpy scalars.
+Setting the environment variable ``NHIM_NUMBA=0`` before import selects the
+pure-Python fallback.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def _advance_impl(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2,
         gv = 0.0
         gth = 0.0
         gph = 0.0
-        for i in range(gk1.shape[0]):
+        for i in range(len(gk1)):
             arg = gk1[i] * th + gk2[i] * ph
             ca = math.cos(arg)
             sa = math.sin(arg)
@@ -59,7 +63,7 @@ def _advance_impl(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2,
             gph += gk2[i] * dmode
         fth = 0.0
         fph = 0.0
-        for i in range(fk1.shape[0]):
+        for i in range(len(fk1)):
             arg = fk1[i] * th + fk2[i] * ph
             ca = math.cos(arg)
             sa = math.sin(arg)
@@ -94,7 +98,19 @@ def _advance_impl(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2,
     return out
 
 
-advance_python = _advance_impl
+def advance_python(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2, gc, gs):
+    """The shared body on Python floats, ints and lists instead of numpy scalars.
+
+    Interpreted arithmetic on Python scalars is several times cheaper, and
+    each operation rounds the same, so the orbit is bit-identical.
+    """
+    return _advance_impl(
+        [float(v) for v in state], float(h), int(n_steps), float(eps), float(mu), int(alpha),
+        [int(k) for k in fk1], [int(k) for k in fk2], [float(c) for c in fc], [float(c) for c in fs],
+        [int(k) for k in gk1], [int(k) for k in gk2], [float(c) for c in gc], [float(c) for c in gs],
+    )
+
+
 if HAVE_NUMBA:
     advance_numba = numba.njit(cache=True)(_advance_impl)
 

@@ -9,6 +9,7 @@ derivative tensors use the same "max over output row, sum over inputs" rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -82,9 +83,12 @@ class ChartTopology:
     def m(self) -> int:
         return len(self.kinds)
 
-    @property
+    @cached_property
     def is_angle(self) -> np.ndarray:
-        return np.array([k == ANGLE for k in self.kinds], dtype=bool)
+        """Read-only mask of the angle coordinates, built on first use."""
+        mask = np.array([k == ANGLE for k in self.kinds], dtype=bool)
+        mask.flags.writeable = False
+        return mask
 
     def canonicalize(self, x) -> np.ndarray:
         """Wrap angle coordinates into [0, 2*pi); leave linear ones untouched."""

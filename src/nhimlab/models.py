@@ -397,19 +397,27 @@ def ham_vector_field(hs: HamiltonianSpec, st: FlowState) -> np.ndarray:
     )
 
 
+def _step_size(h, upper: float = math.inf) -> float:
+    """``h`` as a float; a step that is not finite or not in (0, upper] is a
+    ContractError, never a NaN orbit or a conversion error further down."""
+    h = float(h)
+    if not (math.isfinite(h) and 0.0 < h <= upper):
+        raise ContractError(f"step size must be a finite number in (0, {upper}], got {h}")
+    return h
+
+
 def symplectic_step(hs: HamiltonianSpec, st: FlowState, h: float) -> FlowState:
     """One kick(h/2)-drift(h)-kick(h/2) step of the separable splitting."""
-    if h <= 0:
-        raise ContractError(f"step size must be positive, got {h}")
-    out = _kernels.advance(st.as_array(), float(h), 1, *hs.kernel_args())
+    out = _kernels.advance(st.as_array(), _step_size(h), 1, *hs.kernel_args())
     return FlowState.from_array(out)
 
 
 def integrate(hs: HamiltonianSpec, st: FlowState, h: float, n_steps: int) -> FlowState:
     """n_steps splitting steps in one kernel call."""
-    if h <= 0 or n_steps < 0:
-        raise ContractError("need h > 0 and n_steps >= 0")
-    out = _kernels.advance(st.as_array(), float(h), int(n_steps), *hs.kernel_args())
+    h = _step_size(h)
+    if n_steps < 0:
+        raise ContractError(f"need n_steps >= 0, got {n_steps}")
+    out = _kernels.advance(st.as_array(), h, int(n_steps), *hs.kernel_args())
     return FlowState.from_array(out)
 
 
@@ -419,9 +427,10 @@ def integrate_series(hs: HamiltonianSpec, st: FlowState, h: float, n_blocks: int
     Rows are kernel output: angles accumulate without wrapping, which is what
     growth-rate fits and drift audits want.
     """
-    if h <= 0 or n_blocks < 0 or stride < 1:
-        raise ContractError("need h > 0, n_blocks >= 0, stride >= 1")
-    return _kernels.advance_sampled(st.as_array(), float(h), int(n_blocks), int(stride), *hs.kernel_args())
+    h = _step_size(h)
+    if n_blocks < 0 or stride < 1:
+        raise ContractError(f"need n_blocks >= 0 and stride >= 1, got {n_blocks} and {stride}")
+    return _kernels.advance_sampled(st.as_array(), h, int(n_blocks), int(stride), *hs.kernel_args())
 
 
 def poincare_map(hs: HamiltonianSpec, st: FlowState, h: float = 1e-3) -> tuple:
@@ -433,13 +442,12 @@ def poincare_map(hs: HamiltonianSpec, st: FlowState, h: float = 1e-3) -> tuple:
     """
     if abs(st.phi) > 1e-12 and abs(st.phi - TWO_PI) > 1e-12:
         raise ContractError(f"state must start on the section phi=0, got phi={st.phi}")
-    if h <= 0 or h > TWO_PI:
-        raise ContractError(f"step size must lie in (0, 2*pi], got {h}")
+    h = _step_size(h, TWO_PI)
     e0 = hamiltonian_energy(hs, st)
     args = hs.kernel_args()
     n_full = int(math.floor(TWO_PI / h))
     rem = TWO_PI - n_full * h
-    arr = _kernels.advance(st.as_array(), float(h), n_full, *args)
+    arr = _kernels.advance(st.as_array(), h, n_full, *args)
     if rem > 0.0:
         arr = _kernels.advance(arr, float(rem), 1, *args)
     ret = FlowState.from_array(arr)
@@ -498,8 +506,12 @@ def hamiltonian_audits(
 
     ``results`` holds the measured figures (``exponents`` only when fitted);
     ``orbit`` lists (n, state, energy, drift) for n = 0..returns.  Judging
-    the figures against tolerances is left to the caller.
+    the figures against tolerances is left to the caller.  Both return counts
+    must be at least 1: a drift or residual measured over no returns is 0.0
+    and would pass any tolerance.
     """
+    if returns < 1 or cyl_returns < 1:
+        raise ContractError(f"need returns >= 1 and cyl_returns >= 1, got {returns} and {cyl_returns}")
     e0 = hamiltonian_energy(hs, start)
     orbit = [(0, start, e0, 0.0)]
     drift_max = 0.0

@@ -182,6 +182,27 @@ def test_ham_rejects_mu_above_eps(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_ham_non_finite_step_is_config_error(tmp_path, h):
+    # json writes and reads NaN and Infinity, so such a config reaches the audits
+    cfg = {"ham": {"h": h, "returns": 2, "cyl_returns": 2, "fit_exponents": False}}
+    code, out = run(tmp_path, "ham", cfg, extra=("--quiet",))
+    assert code == 2
+    assert not list(out.glob("ham_*"))
+
+
+@pytest.mark.parametrize("counts", [
+    {"returns": 0, "cyl_returns": 0},
+    {"returns": -1, "cyl_returns": 3},
+    {"returns": 3, "cyl_returns": -1},
+])
+def test_ham_empty_audit_is_config_error(tmp_path, counts):
+    cfg = {"ham": {"h": 4e-3, "fit_exponents": False, **counts}}
+    code, out = run(tmp_path, "ham", cfg, extra=("--quiet",))
+    assert code == 2
+    assert not list(out.glob("ham_*"))
+
+
 def test_non_numeric_samples_is_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "validate", {"model": {"kind": "linear"}, "samples": "many"})
     assert code == 2

@@ -111,6 +111,16 @@ def test_topology_validation():
     assert not ChartTopology.lines(2).is_angle.any()
 
 
+def test_topology_angle_mask_is_built_once_and_read_only():
+    topo = ChartTopology.of(("angle", "linear"))
+    mask = topo.is_angle
+    assert mask is topo.is_angle
+    assert mask.tolist() == [True, False]
+    with pytest.raises(ValueError):
+        mask[1] = True
+    assert topo.canonicalize([7.0, 7.0]).tolist() == [7.0 - TWO_PI, 7.0]
+
+
 def test_chart_point_norm_and_ball():
     p = ChartPoint([0.1, -0.3], [0.2], [1.0], ChartTopology.lines(1))
     assert p.normal_norm == 0.3

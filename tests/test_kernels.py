@@ -11,6 +11,13 @@ from nhimlab import _kernels
 
 
 HS = HamiltonianSpec(eps=0.01, mu=0.001)
+# sine terms and k2 != 0 in both tables, so every Fourier path is exercised
+HS_SINE = HamiltonianSpec(
+    eps=0.01,
+    mu=0.001,
+    f_coeffs=((1, 0, 1.0, 0.3), (1, 1, 0.2, -0.4), (0, 2, 0.1, 0.25)),
+    g_coeffs=((0, 0, 1.0, 0.0), (1, -1, 0.3, 0.2), (2, 1, -0.1, 0.05)),
+)
 Z0 = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0).as_array()
 
 
@@ -53,14 +60,24 @@ def test_sampled_rows_match_repeated_advance():
             assert np.array_equal(ones[i], advance(Z0, 1e-3, i, *args))
 
 
+def test_python_scalars_match_array_scalars():
+    # advance_python converts its arguments to Python scalars and lists; the
+    # shared body called directly on the numpy state and kernel_args() arrays
+    # is the array path, and every operation must round the same on both
+    for hs in (HS, HS_SINE):
+        args = hs.kernel_args()
+        for h in (1e-3, 2.5e-4, 0.3):
+            for n in (0, 1, 137, 1000):
+                z = Z0.copy()
+                out = _kernels.advance_python(z, h, n, *args)
+                assert isinstance(out, np.ndarray)
+                assert out.dtype == np.float64 and out.shape == (6,)
+                assert out.tobytes() == _kernels._advance_impl(Z0, h, n, *args).tobytes()
+                assert z.tobytes() == Z0.tobytes()
+
+
 def test_one_step_is_half_kick_drift_half_kick():
-    # sine terms and k2 != 0 in both tables, so every Fourier path is exercised
-    hs = HamiltonianSpec(
-        eps=0.01,
-        mu=0.001,
-        f_coeffs=((1, 0, 1.0, 0.3), (1, 1, 0.2, -0.4), (0, 2, 0.1, 0.25)),
-        g_coeffs=((0, 0, 1.0, 0.0), (1, -1, 0.3, 0.2), (2, 1, -0.1, 0.05)),
-    )
+    hs = HS_SINE
     h = 1e-2
     rng = np.random.default_rng(5)
 

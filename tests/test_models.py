@@ -13,6 +13,7 @@ from nhimlab import (
     apply_map,
     contact_order,
     ham_vector_field,
+    hamiltonian_audits,
     hamiltonian_energy,
     integrate,
     integrate_series,
@@ -176,6 +177,28 @@ def test_step_validation_and_integrable_exactness():
     assert out.I == st.I and out.J == st.J and out.p == 0.0 and out.q == 0.0
     assert out.theta == st.theta + 1e-3 * st.I  # single exact drift
     assert out.phi == 1e-3
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_non_finite_step_is_contract_error(h):
+    hs = HamiltonianSpec(eps=0.01, mu=0.001)
+    st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0)
+    with pytest.raises(ContractError):
+        symplectic_step(hs, st, h)
+    with pytest.raises(ContractError):
+        integrate(hs, st, h, 3)
+    with pytest.raises(ContractError):
+        integrate_series(hs, st, h, n_blocks=2, stride=3)
+    with pytest.raises(ContractError):
+        poincare_map(hs, st, h=h)
+
+
+@pytest.mark.parametrize("returns, cyl_returns", [(0, 5), (3, 0), (-1, 5), (3, -2)])
+def test_empty_audit_is_contract_error(returns, cyl_returns):
+    hs = HamiltonianSpec(eps=0.01, mu=0.001)
+    st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0)
+    with pytest.raises(ContractError):
+        hamiltonian_audits(hs, st, 4e-3, returns, cyl_returns, fit_exponents=False)
 
 
 def test_cylinder_invariant_under_steps():
