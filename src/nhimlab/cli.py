@@ -92,14 +92,6 @@ def _resolve_out(args, cfg: dict) -> Path:
     return path
 
 
-def _stamp(experiment: str, model: str, cfg: dict, seed: int) -> str:
-    """Output file stem: experiment, model, start second, and a short hash of
-    the resolved config and seed, so runs started in the same second with
-    different inputs do not overwrite each other."""
-    key = json.dumps({"config": cfg, "seed": seed}, sort_keys=True).encode("utf-8")
-    return f"{experiment}_{model}_{time.strftime('%Y%m%dT%H%M%S')}_{hashlib.sha256(key).hexdigest()[:8]}"
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -110,45 +102,48 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _report(out_dir: Path, experiment: str, model: str, cfg: dict, seed: int, payload: dict,
+            csv_header=None, csv_rows=()) -> tuple:
+    """Write ``payload`` in the experiment/config/seed envelope as
+    ``<stem>.json``, and ``csv_rows`` under ``csv_header`` as ``<stem>.csv``
+    when a header is given; returns (json_path, csv_path or None).
+
+    The stem is experiment, model, start second, and a short hash of the
+    resolved config and seed, so runs started in the same second with
+    different inputs do not overwrite each other."""
+    key = json.dumps({"config": cfg, "seed": seed}, sort_keys=True).encode("utf-8")
+    base = f"{experiment}_{model}_{time.strftime('%Y%m%dT%H%M%S')}_{hashlib.sha256(key).hexdigest()[:8]}"
+    csv_path = None
+    if csv_header is not None:
+        csv_path = out_dir / f"{base}.csv"
+        _write_csv(csv_path, csv_header, csv_rows)
+    json_path = out_dir / f"{base}.json"
+    _write_json(json_path, {"experiment": experiment, "config": cfg, "seed": seed, **payload})
+    return json_path, csv_path
+
+
+# kind -> (factory, config keys it takes, defaults the CLI adds); every other
+# default is the factory's own
+MODELS = {
+    "linear": (make_linear, ("lambda_s", "lambda_u", "omega", "rho"), {}),
+    "poly": (make_poly, ("c", "lambda_s", "lambda_u", "rho"), {"c": 0.05}),
+    "twist": (make_twist_annulus, ("eps_twist", "y0", "y1", "lambda_s", "lambda_u", "rho"), {"eps_twist": 0.05}),
+    "defective": (make_defective, ("condition", "amp", "rho"), {}),
+}
+
+
 def build_model(mc: dict):
     if "kind" not in mc:
         raise ConfigError("config needs a model object with a 'kind' field")
     kind = mc["kind"]
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    factory, keys, defaults = MODELS[kind]
+    params = {**defaults, **{key: mc[key] for key in keys if key in mc}}
     try:
-        if kind == "linear":
-            return make_linear(
-                lambda_s=mc.get("lambda_s", 0.5),
-                lambda_u=mc.get("lambda_u", 2.0),
-                omega=mc.get("omega", 0.0),
-                rho=mc.get("rho", 0.5),
-            )
-        if kind == "poly":
-            return make_poly(
-                c=mc.get("c", 0.05),
-                lambda_s=mc.get("lambda_s", 0.5),
-                lambda_u=mc.get("lambda_u", 2.0),
-                rho=mc.get("rho", 0.5),
-            )
-        if kind == "twist":
-            return make_twist_annulus(
-                eps_twist=mc.get("eps_twist", 0.05),
-                y0=mc["y0"],
-                y1=mc["y1"],
-                lambda_s=mc.get("lambda_s", 0.5),
-                lambda_u=mc.get("lambda_u", 2.0),
-                rho=mc.get("rho", 0.5),
-            )
-        if kind == "defective":
-            return make_defective(
-                condition=mc.get("condition", "b"),
-                amp=mc.get("amp", 0.025),
-                rho=mc.get("rho", 0.5),
-            )
-    except KeyError as err:
-        raise ConfigError(f"model kind {kind!r} is missing parameter {err}") from err
+        return factory(**params)
     except (ContractError, TypeError, ValueError) as err:
         raise ConfigError(f"invalid parameters for model {kind!r}: {err}") from err
-    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def build_disk(dc: dict, f) -> DiskSpec:
@@ -195,16 +190,11 @@ def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     )
     constants = check_constants(bounds)
     payload = {
-        "experiment": "validate",
-        "config": cfg,
-        "seed": seed,
         "conditions": report.to_dict(),
         "bounds": bounds.to_dict(),
-        "constants": [{"name": c.name, "holds": c.holds, "slack": c.slack} for c in constants],
+        "constants": [c.to_dict() for c in constants],
     }
-    base = _stamp("validate", f.name, cfg, seed)
-    json_path = out_dir / f"{base}.json"
-    _write_json(json_path, payload)
+    json_path, _ = _report(out_dir, "validate", f.name, cfg, seed, payload)
     ok = report.passed and all(c.holds for c in constants)
     if not quiet:
         status = "pass" if ok else "FAIL"
@@ -231,28 +221,18 @@ def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     bounds = estimate_bounds(f, grid_density=grid_density, target_eps=eps)
     result = find_K(disk, f, eps=eps, n_max=n_max)
     domination = verify_bound_domination(disk, f, bounds, n_max=n_max)
-    base = _stamp("lambda", f.name, cfg, seed)
-    csv_path = out_dir / f"{base}.csv"
-    _write_csv(
-        csv_path,
-        "n,c0,c1,value,alive",
-        (
-            f"{c.n},{_fmt(c.c0)},{_fmt(c.c1)},{_fmt(c.value)},{alive}"
-            for c, alive in zip(result.series, result.alive_series)
-        ),
-    )
     payload = {
-        "experiment": "lambda",
-        "config": cfg,
-        "seed": seed,
         "eps": eps,
         "n_max": n_max,
         "bounds": bounds.to_dict(),
         "domination": domination.to_dict(),
         **result.to_dict(),
     }
-    json_path = out_dir / f"{base}.json"
-    _write_json(json_path, payload)
+    rows = (
+        f"{c.n},{_fmt(c.c0)},{_fmt(c.c1)},{_fmt(c.value)},{alive}"
+        for c, alive in zip(result.series, result.alive_series)
+    )
+    json_path, csv_path = _report(out_dir, "lambda", f.name, cfg, seed, payload, "n,c0,c1,value,alive", rows)
     if not quiet:
         print(f"lambda[{f.name}]: K={result.K} worst_margin={domination.worst_margin():.3g}")
         print(f"  wrote {json_path} and {csv_path}")
@@ -272,32 +252,15 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     n_max = _field(cfg, "n_max", 40, int)
     disk = build_disk(_section(cfg, "disk"), f)
     report = annulus_experiment(f, y0, y1, disk, eps=eps, n_max=n_max)
-    base = _stamp("annulus", f.name, cfg, seed)
-    csv_path = out_dir / f"{base}.csv"
-    rows = []
-    for c, alive in zip(report.full.series, report.full.alive_series):
-        r0 = report.circles[0].rows[c.n]
-        r1 = report.circles[1].rows[c.n]
-        rows.append(
-            f"{c.n},{_fmt(c.c0)},{_fmt(c.c1)},{alive},"
-            f"{_fmt(r0[1])},{_fmt(r0[2])},{_fmt(r0[3])},"
-            f"{_fmt(r1[1])},{_fmt(r1[2])},{_fmt(r1[3])}"
-        )
-    _write_csv(
-        csv_path,
-        "n,c0,c1,alive,edge0_c0,edge0_c1,edge0_ydev,edge1_c0,edge1_c1,edge1_ydev",
-        rows,
+    rows = (
+        f"{c.n},{_fmt(c.c0)},{_fmt(c.c1)},{alive},"
+        + ",".join(_fmt(ct.rows[c.n][j]) for ct in report.circles for j in (1, 2, 3))
+        for c, alive in zip(report.full.series, report.full.alive_series)
     )
-    payload = {
-        "experiment": "annulus",
-        "config": cfg,
-        "seed": seed,
-        "eps": eps,
-        "n_max": n_max,
-        **report.to_dict(),
-    }
-    json_path = out_dir / f"{base}.json"
-    _write_json(json_path, payload)
+    json_path, csv_path = _report(
+        out_dir, "annulus", f.name, cfg, seed, {"eps": eps, "n_max": n_max, **report.to_dict()},
+        "n,c0,c1,alive,edge0_c0,edge0_c1,edge0_ydev,edge1_c0,edge1_c1,edge1_ydev", rows,
+    )
     k_primes = [ct.K_prime for ct in report.circles]
     if not quiet:
         print(f"annulus[{f.name}]: K={report.full.K} K'={k_primes}")
@@ -309,14 +272,12 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     hc = _section(cfg, "ham", {})
+    # nu, sigma_param and log_base default to HamiltonianSpec's own values
+    optional = {key: _field(hc, key, None) for key in ("nu", "sigma_param") if key in hc}
+    if "log_base" in hc:
+        optional["log_base"] = hc["log_base"]
     try:
-        hs = HamiltonianSpec(
-            eps=_field(hc, "eps", 0.01),
-            mu=_field(hc, "mu", 0.001),
-            nu=_field(hc, "nu", 55.0),
-            sigma_param=_field(hc, "sigma_param", 1.0),
-            log_base=hc.get("log_base", "natural"),
-        )
+        hs = HamiltonianSpec(eps=_field(hc, "eps", 0.01), mu=_field(hc, "mu", 0.001), **optional)
     except ContractError as err:
         raise ConfigError(f"invalid Hamiltonian parameters: {err}") from err
     h = _field(hc, "h", 1e-3)
@@ -350,13 +311,7 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         ok = ok and results["exponents"]["unstable_rel_err"] <= fit_tol
         ok = ok and results["exponents"]["stable_rel_err"] <= fit_tol
 
-    base = _stamp("ham", "pendulum_rotors", cfg, seed)
-    csv_path = out_dir / f"{base}.csv"
-    _write_csv(csv_path, "n,p,q,I,theta,J,phi,energy,drift", rows)
     payload = {
-        "experiment": "ham",
-        "config": cfg,
-        "seed": seed,
         "spec": {
             "eps": hs.eps,
             "mu": hs.mu,
@@ -368,8 +323,9 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         "results": results,
         "passed": ok,
     }
-    json_path = out_dir / f"{base}.json"
-    _write_json(json_path, payload)
+    json_path, csv_path = _report(
+        out_dir, "ham", "pendulum_rotors", cfg, seed, payload, "n,p,q,I,theta,J,phi,energy,drift", rows
+    )
     if not quiet:
         status = "pass" if ok else "FAIL"
         print(

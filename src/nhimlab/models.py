@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -256,7 +256,8 @@ DEFAULT_F_COEFFS = ((1, 0, 1.0, 0.0), (0, 1, 1.0, 0.0))  # cos(theta) + cos(phi)
 DEFAULT_G_COEFFS = ((1, 0, 1.0, 0.0), (1, -1, 1.0, 0.0))  # cos(theta) + cos(theta - phi)
 
 
-def _coeff_tables(coeffs):
+def _coeff_tables(coeffs) -> tuple:
+    """Read-only (k1, k2, cos_coeff, sin_coeff) arrays of a Fourier table."""
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ContractError("Fourier table rows must be (k1, k2, cos_coeff, sin_coeff)")
@@ -264,12 +265,15 @@ def _coeff_tables(coeffs):
     k2 = arr[:, 1].astype(np.int64)
     if not (np.all(k1 == arr[:, 0]) and np.all(k2 == arr[:, 1])):
         raise ContractError("Fourier mode numbers k1, k2 must be integers")
-    return k1, k2, np.ascontiguousarray(arr[:, 2]), np.ascontiguousarray(arr[:, 3])
+    tables = (k1, k2, np.ascontiguousarray(arr[:, 2]), np.ascontiguousarray(arr[:, 3]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _fourier(coeffs, theta: float, phi: float):
-    """(value, d/dtheta, d/dphi) of a finite Fourier sum."""
-    k1, k2, c, s = _coeff_tables(coeffs)
+def _fourier(tables, theta: float, phi: float):
+    """(value, d/dtheta, d/dphi) of a finite Fourier sum given as ``_coeff_tables``."""
+    k1, k2, c, s = tables
     arg = k1 * theta + k2 * phi
     ca = np.cos(arg)
     sa = np.sin(arg)
@@ -288,6 +292,7 @@ class HamiltonianSpec:
     f and g are finite Fourier tables in the two rotor angles; the coupling
     exponent (``contact_order``) is derived from (nu, sigma_param) and is
     always an even integer >= 2, which keeps {p = q = 0} exactly invariant.
+    The tables are checked and built into arrays once, at construction.
     """
 
     eps: float
@@ -297,6 +302,7 @@ class HamiltonianSpec:
     f_coeffs: tuple = DEFAULT_F_COEFFS
     g_coeffs: tuple = DEFAULT_G_COEFFS
     log_base: str = "natural"
+    _kernel_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eps < 0:
@@ -311,18 +317,21 @@ class HamiltonianSpec:
                 "is meant to be a higher-order perturbation",
                 stacklevel=2,
             )
-        _coeff_tables(self.f_coeffs)
-        _coeff_tables(self.g_coeffs)
-        contact_order(self.nu, self.sigma_param, self.log_base)
+        tables = _coeff_tables(self.f_coeffs) + _coeff_tables(self.g_coeffs)
+        order = contact_order(self.nu, self.sigma_param, self.log_base)
+        object.__setattr__(self, "_kernel_args", (self.eps, self.mu, order) + tables)
 
     @property
     def contact_order(self) -> int:
-        return contact_order(self.nu, self.sigma_param, self.log_base)
+        return self._kernel_args[2]
 
     def kernel_args(self) -> tuple:
-        fk1, fk2, fc, fs = _coeff_tables(self.f_coeffs)
-        gk1, gk2, gc, gs = _coeff_tables(self.g_coeffs)
-        return (self.eps, self.mu, self.contact_order, fk1, fk2, fc, fs, gk1, gk2, gc, gs)
+        """(eps, mu, contact_order, fk1, fk2, fc, fs, gk1, gk2, gc, gs) for the kernels."""
+        return self._kernel_args
+
+    def _tables(self) -> tuple:
+        """The f and g tables as ``_coeff_tables``."""
+        return self._kernel_args[3:7], self._kernel_args[7:]
 
 
 def _canonical_angle(a: float) -> float:
@@ -364,8 +373,9 @@ class FlowState:
 
 
 def hamiltonian_energy(hs: HamiltonianSpec, st: FlowState) -> float:
-    fval, _, _ = _fourier(hs.f_coeffs, st.theta, st.phi)
-    gval, _, _ = _fourier(hs.g_coeffs, st.theta, st.phi)
+    f_tables, g_tables = hs._tables()
+    fval, _, _ = _fourier(f_tables, st.theta, st.phi)
+    gval, _, _ = _fourier(g_tables, st.theta, st.phi)
     order = hs.contact_order
     return (
         0.5 * st.p * st.p
@@ -382,8 +392,9 @@ def ham_vector_field(hs: HamiltonianSpec, st: FlowState) -> np.ndarray:
     order = hs.contact_order
     sq = math.sin(st.q)
     cq = math.cos(st.q)
-    _, f_th, f_ph = _fourier(hs.f_coeffs, st.theta, st.phi)
-    g_val, g_th, g_ph = _fourier(hs.g_coeffs, st.theta, st.phi)
+    f_tables, g_tables = hs._tables()
+    _, f_th, f_ph = _fourier(f_tables, st.theta, st.phi)
+    g_val, g_th, g_ph = _fourier(g_tables, st.theta, st.phi)
     sq_pow = sq ** (order - 1)
     return np.array(
         [
@@ -406,6 +417,20 @@ def _step_size(h, upper: float = math.inf) -> float:
     return h
 
 
+def _count(n, name: str, minimum: int = 0) -> int:
+    """``n`` as an int; a count that is NaN, infinite, not integral or below
+    ``minimum`` is a ContractError, never a conversion error or a silently
+    truncated count."""
+    try:
+        value = int(n)
+        integral = value == n
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < minimum:
+        raise ContractError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return value
+
+
 def symplectic_step(hs: HamiltonianSpec, st: FlowState, h: float) -> FlowState:
     """One kick(h/2)-drift(h)-kick(h/2) step of the separable splitting."""
     out = _kernels.advance(st.as_array(), _step_size(h), 1, *hs.kernel_args())
@@ -414,10 +439,7 @@ def symplectic_step(hs: HamiltonianSpec, st: FlowState, h: float) -> FlowState:
 
 def integrate(hs: HamiltonianSpec, st: FlowState, h: float, n_steps: int) -> FlowState:
     """n_steps splitting steps in one kernel call."""
-    h = _step_size(h)
-    if n_steps < 0:
-        raise ContractError(f"need n_steps >= 0, got {n_steps}")
-    out = _kernels.advance(st.as_array(), h, int(n_steps), *hs.kernel_args())
+    out = _kernels.advance(st.as_array(), _step_size(h), _count(n_steps, "n_steps"), *hs.kernel_args())
     return FlowState.from_array(out)
 
 
@@ -428,9 +450,8 @@ def integrate_series(hs: HamiltonianSpec, st: FlowState, h: float, n_blocks: int
     growth-rate fits and drift audits want.
     """
     h = _step_size(h)
-    if n_blocks < 0 or stride < 1:
-        raise ContractError(f"need n_blocks >= 0 and stride >= 1, got {n_blocks} and {stride}")
-    return _kernels.advance_sampled(st.as_array(), h, int(n_blocks), int(stride), *hs.kernel_args())
+    n_blocks, stride = _count(n_blocks, "n_blocks"), _count(stride, "stride", 1)
+    return _kernels.advance_sampled(st.as_array(), h, n_blocks, stride, *hs.kernel_args())
 
 
 def poincare_map(hs: HamiltonianSpec, st: FlowState, h: float = 1e-3) -> tuple:
@@ -510,8 +531,7 @@ def hamiltonian_audits(
     must be at least 1: a drift or residual measured over no returns is 0.0
     and would pass any tolerance.
     """
-    if returns < 1 or cyl_returns < 1:
-        raise ContractError(f"need returns >= 1 and cyl_returns >= 1, got {returns} and {cyl_returns}")
+    returns, cyl_returns = _count(returns, "returns", 1), _count(cyl_returns, "cyl_returns", 1)
     e0 = hamiltonian_energy(hs, start)
     orbit = [(0, start, e0, 0.0)]
     drift_max = 0.0

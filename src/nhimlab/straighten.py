@@ -45,8 +45,6 @@ class GraphPair:
 
     G_s: Callable[[np.ndarray, np.ndarray], np.ndarray]
     G_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d_G_s: Optional[Callable] = None
-    d_G_u: Optional[Callable] = None
 
     @classmethod
     def zero(cls, n_s: int, n_u: int) -> "GraphPair":

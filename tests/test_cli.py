@@ -271,3 +271,39 @@ def test_same_second_runs_with_different_seeds_keep_both_reports(tmp_path, monke
     reports = sorted(out.glob("validate_linear_*.json"))
     assert len(reports) == 2
     assert sorted(json.loads(p.read_text())["seed"] for p in reports) == [1, 2]
+
+
+def test_validate_and_lambda_go_through_the_module_seams(tmp_path, monkeypatch):
+    # the benchmark replaces cli.build_model and wraps cli._write_json and
+    # cli._write_csv, so every subcommand must look them up at call time
+    calls = []
+    for name in ("build_model", "_write_json", "_write_csv"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    code, _ = run(tmp_path, "validate", {"model": {"kind": "linear"}}, extra=("--quiet",))
+    assert code == 0
+    assert calls == ["build_model", "_write_json"]
+    calls.clear()
+    cfg = {"model": {"kind": "poly"}, "n_max": 10, "samples": 16, "grid_density": 3,
+           "disk": {"sigma_const": 0.2, "u_half": 0.01, "mesh_per_axis": 3}}
+    code, _ = run(tmp_path, "lambda", cfg, extra=("--quiet",))
+    assert code == 0
+    assert calls == ["build_model", "_write_csv", "_write_json"]
+
+
+@pytest.mark.parametrize(
+    "command, model",
+    [
+        ("validate", {"kind": [1]}),
+        ("validate", {"kind": None}),
+        ("validate", {"kind": "twist", "y1": 0.8}),
+        ("annulus", {"kind": "twist", "y1": 0.8}),
+    ],
+)
+def test_bad_model_kind_or_missing_twist_edge_is_config_error(tmp_path, capsys, command, model):
+    code, out = run(tmp_path, command, {"model": model}, extra=("--quiet",))
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob(f"{command}_*"))

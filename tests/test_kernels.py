@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nhimlab import HamiltonianSpec, FlowState, ham_vector_field
+from nhimlab import HamiltonianSpec, FlowState, ham_vector_field, hamiltonian_energy
 from nhimlab import _kernels
 
 
@@ -96,6 +98,46 @@ def test_one_step_is_half_kick_drift_half_kick():
         z[5] += h
         half_kick(z)
         np.testing.assert_allclose(_kernels.advance_python(z0, h, 1, *hs.kernel_args()), z, rtol=1e-15, atol=1e-15)
+
+
+def _rebuilt_fourier(coeffs, theta, phi):
+    # the Fourier sum with its tables rebuilt from the coefficients on every
+    # call, the way energies and fields were evaluated before the spec stored them
+    arr = np.asarray(coeffs, dtype=float)
+    k1, k2 = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+    c, s = np.ascontiguousarray(arr[:, 2]), np.ascontiguousarray(arr[:, 3])
+    arg = k1 * theta + k2 * phi
+    ca, sa = np.cos(arg), np.sin(arg)
+    dmode = -c * sa + s * ca
+    return float(np.sum(c * ca + s * sa)), float(np.sum(k1 * dmode)), float(np.sum(k2 * dmode))
+
+
+@pytest.mark.parametrize("hs", [HS, HS_SINE, dataclasses.replace(HS_SINE, g_coeffs=HS.g_coeffs)])
+def test_stored_fourier_tables_match_rebuilt(hs):
+    assert hs.kernel_args() is hs.kernel_args()
+    assert all(not table.flags.writeable for table in hs.kernel_args()[3:])
+    order = hs.contact_order
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        st = FlowState.from_array(rng.uniform(-3.0, 3.0, 6))
+        f, f_th, f_ph = _rebuilt_fourier(hs.f_coeffs, st.theta, st.phi)
+        g, g_th, g_ph = _rebuilt_fourier(hs.g_coeffs, st.theta, st.phi)
+        sq, cq = math.sin(st.q), math.cos(st.q)
+        energy = (0.5 * st.p * st.p + 0.5 * st.I * st.I + st.J + hs.eps * (cq - 1.0)
+                  + hs.eps * f + hs.mu * sq ** order * g)
+        sq_pow = sq ** (order - 1)
+        field = [hs.eps * sq - hs.mu * order * sq_pow * cq * g, st.p,
+                 -hs.eps * f_th - hs.mu * sq_pow * sq * g_th, st.I,
+                 -hs.eps * f_ph - hs.mu * sq_pow * sq * g_ph, 1.0]
+        assert hamiltonian_energy(hs, st) == energy
+        assert ham_vector_field(hs, st).tobytes() == np.array(field).tobytes()
+
+
+def test_stored_tables_take_no_part_in_eq_hash_or_repr():
+    twin = HamiltonianSpec(eps=0.01, mu=0.001)
+    assert twin == HS and hash(twin) == hash(HS) and repr(twin) == repr(HS)
+    assert "kernel_args" not in repr(HS)
+    assert HS_SINE != HS
 
 
 def test_backend_name():

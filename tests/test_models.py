@@ -193,6 +193,32 @@ def test_non_finite_step_is_contract_error(h):
         poincare_map(hs, st, h=h)
 
 
+@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, 2.5, -1, "3", None])
+def test_bad_count_is_contract_error(count):
+    # NaN and inf used to raise ValueError/OverflowError from int(), 2.5 or a
+    # stride of 1.5 ran silently truncated, and a fractional audit count
+    # raised TypeError from range()
+    hs = HamiltonianSpec(eps=0.01, mu=0.001)
+    st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0)
+    with pytest.raises(ContractError, match="n_steps"):
+        integrate(hs, st, 1e-3, count)
+    with pytest.raises(ContractError, match="n_blocks"):
+        integrate_series(hs, st, 1e-3, n_blocks=count, stride=1)
+    with pytest.raises(ContractError, match="stride"):
+        integrate_series(hs, st, 1e-3, n_blocks=2, stride=count)
+    with pytest.raises(ContractError, match="returns"):
+        hamiltonian_audits(hs, st, 4e-3, count, 3, fit_exponents=False)
+
+
+def test_stride_below_one_and_integral_float_counts():
+    hs = HamiltonianSpec(eps=0.01, mu=0.001)
+    st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0)
+    with pytest.raises(ContractError, match="stride"):
+        integrate_series(hs, st, 1e-3, n_blocks=2, stride=0)
+    assert integrate(hs, st, 1e-3, 4.0) == integrate(hs, st, 1e-3, 4)
+    assert np.array_equal(integrate_series(hs, st, 1e-3, 2.0, 3.0), integrate_series(hs, st, 1e-3, 2, 3))
+
+
 @pytest.mark.parametrize("returns, cyl_returns", [(0, 5), (3, 0), (-1, 5), (3, -2)])
 def test_empty_audit_is_contract_error(returns, cyl_returns):
     hs = HamiltonianSpec(eps=0.01, mu=0.001)
