@@ -126,7 +126,7 @@ class ChartPoint:
     @property
     def normal_norm(self) -> float:
         """max(|s|_sup, |u|_sup), the norm deciding membership in B_rho."""
-        return max(vec_sup_norm(self.s), vec_sup_norm(self.u))
+        return _normal_norm(self.s, self.u)
 
     def in_ball(self, rho: float) -> bool:
         return self.normal_norm < rho
@@ -168,6 +168,11 @@ def vec_sup_norm(v) -> float:
     if arr.size == 0:
         raise ContractError("sup norm of an empty vector is undefined")
     return float(np.max(np.abs(arr)))
+
+
+def _normal_norm(s: np.ndarray, u: np.ndarray) -> float:
+    """max(|s|_sup, |u|_sup) as one reduction, so a NaN in either block is NaN (never in a ball)."""
+    return float(np.abs(np.concatenate((s, u))).max())
 
 
 def mat_row_sup_norm(a) -> float:

@@ -32,6 +32,7 @@ from .geometry import (
     ChartPoint,
     ChartTopology,
     Dimensions,
+    _normal_norm,
     mat_row_sup_norm,
     tensor_row_sup_norm,
     vec_sup_norm,
@@ -116,11 +117,17 @@ def _image(f: MapSpec, s, u, x) -> tuple:
     return s_new, u_new, x_new
 
 
+def _ball_image(f: MapSpec, s, u, x) -> tuple:
+    """``_image`` behind the ball check of ``apply_map``."""
+    norm = _normal_norm(s, u)
+    if not norm < f.rho:
+        raise OutOfNeighborhoodError(norm, f.rho)
+    return _image(f, s, u, x)
+
+
 def apply_map(f: MapSpec, p: ChartPoint) -> ChartPoint:
     """Evaluate f at p; raises if p leaves the working ball."""
-    if not p.in_ball(f.rho):
-        raise OutOfNeighborhoodError(p.normal_norm, f.rho)
-    return ChartPoint(*_image(f, p.s, p.u, p.x), f.topo)
+    return ChartPoint(*_ball_image(f, p.s, p.u, p.x), f.topo)
 
 
 def _fd_first(func, z: np.ndarray, h: float, inside=None) -> np.ndarray:
@@ -196,8 +203,7 @@ def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
     dims = f.dims
 
     def inside(z):
-        zs, zu, _ = dims.split(z)
-        return max(vec_sup_norm(zs), vec_sup_norm(zu)) < f.rho
+        return _normal_norm(*dims.split(z)[:2]) < f.rho
 
     return _fd_first(_r_flat(f), dims.join(s, u, x), h, inside=inside)
 

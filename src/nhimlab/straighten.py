@@ -9,28 +9,32 @@ slices.  The coordinate change
 flattens them onto {s = 0} and {u = 0}.  Phi is inverted by fixed-point
 iteration (its derivative is the identity on the manifold, so the iteration
 contracts on a sub-ball), and a map can be conjugated through Phi to produce
-a new map spec with straightened invariant sets.
+a new map spec with straightened invariant sets.  One array core on the flat
+blocks, ``_phi`` and ``_inverse``, does the work: the public functions wrap it
+for ``ChartPoint``s as ``apply_map`` wraps ``normalform._image``, and the
+conjugated remainder and the radius bisection call it directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .exceptions import ContractError, DivergenceError, OutOfNeighborhoodError
-from .geometry import TWO_PI, ChartPoint, ChartTopology, vec_sup_norm
-from .normalform import MapSpec, apply_map, _fd_first, _scale_manifold, _unit_samples
+from .geometry import TWO_PI, ChartPoint, ChartTopology, _as_float_vector, _normal_norm, vec_sup_norm
+from .normalform import MapSpec, _ball_image, _fd_first, _scale_manifold, _unit_samples
 
 
 def _signed_x_diff(topo: ChartTopology, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-coordinate a - b, wrapped to (-pi, pi] on angle coordinates."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    for i in range(d.shape[0]):
-        if topo.is_angle[i]:
-            d[i] = -((-d[i] + np.pi) % TWO_PI - np.pi)
+    mask = topo.is_angle
+    d[mask] = -((-d[mask] + np.pi) % TWO_PI - np.pi)
     return d
 
 
@@ -51,12 +55,35 @@ class GraphPair:
         return cls(G_s=lambda s, x: np.zeros(n_u), G_u=lambda u, x: np.zeros(n_s))
 
 
+def _phi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple:
+    """The (s, u) blocks of Phi(s, u, x); x is left as it is."""
+    return s - np.asarray(gp.G_u(u, x), dtype=float), u - np.asarray(gp.G_s(s, x), dtype=float)
+
+
+def _inverse(gp: GraphPair, q_s: np.ndarray, q_u: np.ndarray, x: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """The (s, u) blocks of Phi^{-1}(q_s, q_u, x) by the sweeps of ``straighten_inverse``; the
+    residual's two blocks are tested as one reduction, so a NaN in either never converges."""
+    # the graph values of one sweep's residual are the next sweep's update
+    g_u = np.asarray(gp.G_u(q_u, x), dtype=float)
+    g_s = np.asarray(gp.G_s(q_s, x), dtype=float)
+    for _ in range(max_iter):
+        s = q_s + g_u
+        u = q_u + g_s
+        g_u = np.asarray(gp.G_u(u, x), dtype=float)
+        g_s = np.asarray(gp.G_s(s, x), dtype=float)
+        if _normal_norm(s - g_u - q_s, u - g_s - q_u) <= tol:
+            return s, u
+    raise DivergenceError(
+        f"straightening inverse did not reach tol={tol} in {max_iter} iterations "
+        f"at |s|={np.abs(q_s).max():.3g}, |u|={np.abs(q_u).max():.3g}"
+    )
+
+
 def straighten_point(gp: GraphPair, p: ChartPoint, rho: Optional[float] = None) -> ChartPoint:
     """Apply Phi; with ``rho`` given, points outside the ball are rejected."""
     if rho is not None and not p.in_ball(rho):
         raise OutOfNeighborhoodError(norm=p.normal_norm, rho=rho)
-    s = p.s - np.asarray(gp.G_u(p.u, p.x), dtype=float)
-    u = p.u - np.asarray(gp.G_s(p.s, p.x), dtype=float)
+    s, u = _phi(gp, p.s, p.u, p.x)
     return ChartPoint(s=s, u=u, x=p.x, topology=p.topology)
 
 
@@ -79,23 +106,8 @@ def straighten_inverse(
         raise OutOfNeighborhoodError(norm=q.normal_norm, rho=rho)
     if tol <= 0:
         raise ContractError(f"tol must be positive, got {tol}")
-    x = q.x
-    # the graph values of one sweep's residual are the next sweep's update
-    g_u = np.asarray(gp.G_u(q.u, x), dtype=float)
-    g_s = np.asarray(gp.G_s(q.s, x), dtype=float)
-    for _ in range(max_iter):
-        s = q.s + g_u
-        u = q.u + g_s
-        g_u = np.asarray(gp.G_u(u, x), dtype=float)
-        g_s = np.asarray(gp.G_s(s, x), dtype=float)
-        res_s = s - g_u - q.s
-        res_u = u - g_s - q.u
-        if max(vec_sup_norm(res_s), vec_sup_norm(res_u)) <= tol:
-            return ChartPoint(s=s, u=u, x=x, topology=q.topology)
-    raise DivergenceError(
-        f"straightening inverse did not reach tol={tol} in {max_iter} iterations "
-        f"at |s|={vec_sup_norm(q.s):.3g}, |u|={vec_sup_norm(q.u):.3g}"
-    )
+    s, u = _inverse(gp, q.s, q.u, q.x, tol, max_iter)
+    return ChartPoint(s=s, u=u, x=q.x, topology=q.topology)
 
 
 def tangency_violation(gp: GraphPair, f: MapSpec, sample_count: int = 16, seed: int = 0, h: float = 1e-6) -> float:
@@ -127,27 +139,18 @@ def tangency_violation(gp: GraphPair, f: MapSpec, sample_count: int = 16, seed: 
     return worst
 
 
-def _corner_points(f: MapSpec, rho: float, n_x: int = 5, seed: int = 3) -> list:
-    # corners of the sup-norm ball at a handful of base points
-    xs = _scale_manifold(_unit_samples(f.dims.m, n_x, seed), f.x_ranges())
-    sign_sets_s = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_s)]
-    sign_sets_u = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_u)]
-    corners = []
-    for x in xs:
-        for ss in sign_sets_s:
-            for su in sign_sets_u:
-                corners.append(ChartPoint(s=rho * ss, u=rho * su, x=x, topology=f.topo))
-    return corners
-
-
 def _inverse_reaches(gp: GraphPair, f: MapSpec, rho_try: float) -> bool:
-    """True when the inverse iteration lands every corner of B_rho_try inside B_rho."""
-    for q in _corner_points(f, rho_try):
+    """True when the inverse iteration lands every corner of B_rho_try, at a
+    handful of base points, inside B_rho."""
+    xs = _scale_manifold(_unit_samples(f.dims.m, 5, 3), f.x_ranges())
+    signs_s = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_s)]
+    signs_u = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_u)]
+    for x, ss, su in itertools.product(xs, signs_s, signs_u):
         try:
-            p = straighten_inverse(gp, q, tol=1e-12, max_iter=200)
+            s, u = _inverse(gp, rho_try * ss, rho_try * su, f.topo.canonicalize(x), tol=1e-12, max_iter=200)
         except DivergenceError:
             return False
-        if not p.in_ball(f.rho):
+        if not _normal_norm(s, u) < f.rho:
             return False
     return True
 
@@ -176,17 +179,16 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
     Only the remainder changes, computed by subtraction from the image; the
     analytic remainder derivatives are dropped.
     """
+    inverse = functools.partial(_inverse, tol=1e-13, max_iter=200)
+    first, last = (inverse, _phi) if forward else (_phi, inverse)
 
     def r_map(s, u, x):
-        z = ChartPoint(s=np.atleast_1d(s), u=np.atleast_1d(u), x=np.atleast_1d(x), topology=f.topo)
-        if forward:
-            w = straighten_point(gp, apply_map(f, straighten_inverse(gp, z, tol=1e-13, max_iter=200)))
-        else:
-            w = straighten_inverse(gp, apply_map(f, straighten_point(gp, z)), tol=1e-13, max_iter=200)
-        r_s = w.s - f.A_s(z.x) @ z.s
-        r_u = w.u - f.A_u(z.x) @ z.u
-        r_x = _signed_x_diff(f.topo, w.x, f.g_map(z.x))
-        return (r_s, r_u, r_x)
+        # x is wrapped where a new point enters: the argument and the image of f
+        s, u, x = _as_float_vector(s), _as_float_vector(u), f.topo.canonicalize(x)
+        w_s, w_u, w_x = _ball_image(f, *first(gp, s, u, x), x)
+        w_x = f.topo.canonicalize(w_x)
+        w_s, w_u = last(gp, w_s, w_u, w_x)
+        return (w_s - f.A_s(x) @ s, w_u - f.A_u(x) @ u, _signed_x_diff(f.topo, w_x, f.g_map(x)))
 
     return dataclasses.replace(
         f,

@@ -20,7 +20,7 @@ from nhimlab import (
     make_twist_annulus,
     validate_conditions,
 )
-from nhimlab.normalform import _unit_samples
+from nhimlab.normalform import _r_jacobian, _unit_samples
 
 
 def strip_analytic(f):
@@ -79,6 +79,19 @@ def test_apply_map_rejects_points_outside_ball():
     f = make_linear(0.5, 2.0, rho=0.5)
     with pytest.raises(OutOfNeighborhoodError):
         apply_map(f, f.point([0.5], [0.0], [0.0]))
+
+
+@pytest.mark.parametrize("block", ["s", "u"])
+def test_nan_in_either_block_is_outside_the_ball(block):
+    f = make_linear(0.5, 2.0, rho=0.5)
+    s, u = ([math.nan], [0.1]) if block == "s" else ([0.1], [math.nan])
+    p = f.point(s, u, [0.3])
+    assert not p.in_ball(0.5)
+    with pytest.raises(OutOfNeighborhoodError):
+        apply_map(f, p)
+    # the finite-difference probe refuses it too instead of differencing NaNs
+    with pytest.raises(ContractError):
+        _r_jacobian(strip_analytic(f), np.array(s), np.array(u), np.array([0.3]), 1e-6)
 
 
 def test_validate_conditions_linear_exact():

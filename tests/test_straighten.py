@@ -1,21 +1,32 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import _refvals as rv
 from nhimlab import (
+    ChartPoint,
+    ChartTopology,
     ContractError,
+    Dimensions,
     DivergenceError,
     GraphPair,
+    MapSpec,
+    OutOfNeighborhoodError,
     apply_map,
     conjugate_map,
     conjugated_radius,
     make_linear,
+    make_poly,
     straighten_inverse,
     straighten_point,
     tangency_violation,
     unstraighten_map,
     validate_conditions,
 )
+from nhimlab.straighten import _signed_x_diff
+
+TWO_PI = 2.0 * np.pi
 
 
 def square_pair():
@@ -194,3 +205,138 @@ def test_conjugated_remainder_respects_angle_seam():
     # base advance stays the rigid rotation: no spurious full-period jump
     diff = (w.x[0] - (p.x[0] + 0.3)) % (2 * np.pi)
     assert min(diff, 2 * np.pi - diff) <= 1e-9
+
+
+@pytest.mark.parametrize("nan_graph", ["G_s", "G_u"])
+def test_straighten_inverse_nan_in_either_block_never_converges(nan_graph):
+    # with G_s NaN and G_u zero the s residual is exactly 0 and the u residual NaN
+    nan = lambda v, x: np.array([np.nan])
+    zero = lambda v, x: np.zeros(1)
+    gp = GraphPair(G_s=nan, G_u=zero) if nan_graph == "G_s" else GraphPair(G_s=zero, G_u=nan)
+    f = make_linear(0.5, 2.0)
+    with pytest.raises(DivergenceError):
+        straighten_inverse(gp, f.point([0.05], [0.15], [0.0]), max_iter=20)
+
+
+def loop_signed_x_diff(topo, a, b):
+    # the per-coordinate wrap the vectorised one must reproduce bit for bit
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    for i in range(d.shape[0]):
+        if topo.is_angle[i]:
+            d[i] = -((-d[i] + np.pi) % TWO_PI - np.pi)
+    return d
+
+
+def test_signed_x_diff_matches_per_coordinate_wrap():
+    topo = ChartTopology.of(("angle", "linear"))
+    near_pi = [np.nextafter(v, t) for v in (np.pi, -np.pi) for t in (-np.inf, np.inf)] + [np.pi, -np.pi]
+    diffs = near_pi + [v + e for v in (np.pi, -np.pi, 3 * np.pi) for e in (-1e-9, 1e-9)] + [0.0, -0.0, 7.5]
+    rng = np.random.default_rng(11)
+    diffs += list(rng.uniform(-20.0, 20.0, size=200))
+    for b in ([1.3, -0.4], [TWO_PI - 1e-12, 5.0]):
+        for d in diffs:
+            a = np.array(b) + d
+            got = _signed_x_diff(topo, a, b)
+            want = loop_signed_x_diff(topo, a, b)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            assert -np.pi < got[0] <= np.pi
+            assert got[1] == a[1] - b[1]
+
+
+def public_remainder(f, gp, forward):
+    """The conjugated remainder composed from the public wrappers."""
+
+    def r_map(s, u, x):
+        z = ChartPoint(s=np.atleast_1d(s), u=np.atleast_1d(u), x=np.atleast_1d(x), topology=f.topo)
+        if forward:
+            w = straighten_point(gp, apply_map(f, straighten_inverse(gp, z, tol=1e-13, max_iter=200)))
+        else:
+            w = straighten_inverse(gp, apply_map(f, straighten_point(gp, z)), tol=1e-13, max_iter=200)
+        return (w.s - f.A_s(z.x) @ z.s, w.u - f.A_u(z.x) @ z.u, loop_signed_x_diff(f.topo, w.x, f.g_map(z.x)))
+
+    return r_map
+
+
+def two_one_map():
+    # n_s = 2, n_u = 1, an x-dependent stable block and a remainder in every block
+    return MapSpec(
+        dims=Dimensions(2, 1, 1),
+        topo=ChartTopology.angles(1),
+        rho=0.2,
+        lam=0.5,
+        A_s=lambda x: np.array([[0.4, 0.05 * np.cos(x[0])], [0.0, 0.45]]),
+        A_u=lambda x: np.array([[2.5]]),
+        g_map=lambda x: x + 0.7,
+        r_map=lambda s, u, x: (0.05 * s * u[0], np.array([0.05 * s[0] * u[0]]), np.array([0.02 * s[1] * u[0]])),
+    )
+
+
+def two_one_pair():
+    return GraphPair(
+        G_s=lambda s, x: np.array([s[0] * s[1] + s[1] ** 2 * np.sin(x[0])]),
+        G_u=lambda u, x: np.array([u[0] ** 2, 0.5 * u[0] ** 2 * np.cos(x[0])]),
+    )
+
+
+def conjugated_cases():
+    sq = square_pair()
+    poly = make_poly(0.05, rho=0.3)
+    base = make_linear(0.5, 2.0, omega=0.3, rho=0.3)
+    bent = unstraighten_map(base, sq)
+    ref_bent = dataclasses.replace(bent, r_map=public_remainder(base, sq, forward=False))
+    yield "poly forward", conjugate_map(poly, sq, radius=0.2), public_remainder(poly, sq, True)
+    yield "poly backward", unstraighten_map(poly, sq, radius=0.2), public_remainder(poly, sq, False)
+    yield "AC8 round trip", conjugate_map(bent, sq), public_remainder(ref_bent, sq, True)
+    two_one, pair = two_one_map(), two_one_pair()
+    yield "n_s=2 forward", conjugate_map(two_one, pair, radius=0.1), public_remainder(two_one, pair, True)
+    yield "n_s=2 backward", unstraighten_map(two_one, pair, radius=0.1), public_remainder(two_one, pair, False)
+
+
+def test_conjugated_remainder_is_the_public_composition_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for label, g, reference in conjugated_cases():
+        n_s, n_u = g.dims.n_s, g.dims.n_u
+        r = 0.5 * g.rho
+        xs = [-1e-7, TWO_PI - 1e-12, 0.0, 7.0] + list(rng.uniform(0.0, TWO_PI, size=12))
+        for x in xs:
+            s, u = rng.uniform(-r, r, size=n_s), rng.uniform(-r, r, size=n_u)
+            got = g.r_map(s, u, np.array([x]))
+            want = reference(s, u, np.array([x]))
+            for block_got, block_want in zip(got, want):
+                assert np.array_equal(block_got, block_want), (label, s, u, x)
+
+
+def test_conjugated_remainder_keeps_its_errors():
+    f = make_linear(0.5, 2.0, rho=0.3)
+    sq = square_pair()
+    # the inverse image of (0.24, 0.24) is about (0.4, 0.4), outside B_0.3
+    g = conjugate_map(f, sq, radius=0.3)
+    with pytest.raises(OutOfNeighborhoodError) as got:
+        g.r_map(np.array([0.24]), np.array([0.24]), np.array([1.0]))
+    with pytest.raises(OutOfNeighborhoodError) as want:
+        public_remainder(f, sq, True)(np.array([0.24]), np.array([0.24]), np.array([1.0]))
+    assert (got.value.norm, got.value.rho) == (want.value.norm, want.value.rho)
+    with pytest.raises(OutOfNeighborhoodError):
+        apply_map(g, g.point([0.24], [0.24], [1.0]))
+    slope3 = GraphPair(
+        G_s=lambda s, x: np.atleast_1d(3.0 * s[0]),
+        G_u=lambda u, x: np.atleast_1d(3.0 * u[0]),
+    )
+    for g in (conjugate_map(f, slope3, radius=0.3), unstraighten_map(f, slope3, radius=0.3)):
+        with pytest.raises(DivergenceError):
+            g.r_map(np.array([0.01]), np.array([0.01]), np.array([1.0]))
+
+
+def test_conjugated_radius_is_pinned():
+    # float.hex values of the radii found by the bisection on ChartPoint corners
+    f = make_linear(0.5, 2.0, rho=0.3)
+    sq = square_pair()
+    assert conjugated_radius(f, sq) == float.fromhex("0x1.ae147ad99999ep-3")
+    assert conjugated_radius(unstraighten_map(f, sq), sq) == float.fromhex("0x1.53c3610d73eadp-3")
+    double = GraphPair(
+        G_s=lambda s, x: np.atleast_1d(2.0 * s[0] ** 2),
+        G_u=lambda u, x: np.atleast_1d(2.0 * u[0] ** 2),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # corners beyond the radius diverge to inf
+        r = conjugated_radius(make_linear(0.5, 2.0, rho=0.5), double)
+    assert r == float.fromhex("0x1.fa839aa000000p-4")
