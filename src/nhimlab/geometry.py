@@ -95,12 +95,17 @@ class ChartTopology:
         x = _as_float_vector(x).copy()
         if x.size != self.m:
             raise ContractError(f"expected {self.m} manifold coordinates, got {x.size}")
-        mask = self.is_angle
-        wrapped = np.mod(x[mask], TWO_PI)
-        # np.mod can round a tiny negative argument up to the full period
-        wrapped[wrapped >= TWO_PI] = 0.0
-        x[mask] = wrapped
-        return x
+        return _wrap_angles(x, self.is_angle)
+
+
+def _wrap_angles(X: np.ndarray, is_angle: np.ndarray) -> np.ndarray:
+    """Wrap the angle coordinates of a vector, or of each row of X, into [0, 2*pi) in place."""
+    coords = X.T  # coordinates first: a view, and plain boolean indexing, for both shapes
+    wrapped = np.mod(coords[is_angle], TWO_PI)
+    # np.mod can round a tiny negative argument up to the full period
+    wrapped[wrapped >= TWO_PI] = 0.0
+    coords[is_angle] = wrapped
+    return X
 
 
 def _frozen_array(v) -> np.ndarray:
@@ -168,6 +173,14 @@ def vec_sup_norm(v) -> float:
     if arr.size == 0:
         raise ContractError("sup norm of an empty vector is undefined")
     return float(np.max(np.abs(arr)))
+
+
+def _max_keep_nan(acc: float, *values: float) -> float:
+    """max(acc, *values), but a NaN anywhere is kept: Python's max drops a NaN that is not first."""
+    for v in values:
+        if v > acc or v != v:
+            acc = v
+    return acc
 
 
 def _normal_norm(s: np.ndarray, u: np.ndarray) -> float:

@@ -1,14 +1,14 @@
 """Transversal-disk experiments: iterate a mesh, measure C^1 closeness, find K.
 
 A disk transversal to the stable set is given as a graph s = sigma(u, x) over
-a box containing u = 0.  Its mesh is pushed forward with tangent frames;
-nodes leaving the neighborhood are censored, which realizes the
-intersect-with-U trimming of the iterated disk.  Closeness to the unstable
-set is measured in C^0 (sup of |s|) and C^1 (frame inclinations); the first
-iterate from which both stay below a tolerance is the experiment's K.  A
-boundary-tracking variant handles annuli whose edge circles are invariant,
-and a domination report compares every measured inclination against the
-closed-form bounds.
+a box containing u = 0.  Its mesh is pushed forward with tangent frames,
+every alive node in one array step per iterate; nodes leaving the
+neighborhood are censored (the intersect-with-U trimming of the disk).
+Closeness to the unstable set is measured in C^0 (sup of |s|) and C^1 (frame
+inclinations); the first iterate from which both stay below a tolerance is
+the experiment's K.  A boundary-tracking variant handles annuli whose edge
+circles are invariant, and a domination report compares every measured
+inclination against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .exceptions import (
     ContractError,
     EmptyMeshError,
-    EscapeError,
     ModelInconsistencyError,
     OutOfNeighborhoodError,
 )
@@ -193,23 +192,32 @@ def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
     points, frames = mo.points.copy(), mo.frames.copy()
-    alive, died_at = list(mo.alive), list(mo.died_at)
+    alive, died_at = np.array(mo.alive), np.array(mo.died_at)
     n = mo.n
     for _ in range(steps):
         n += 1
-        for i in range(len(alive)):
-            if not alive[i]:
-                continue
-            try:
-                points[i], frames[i], _ = _step(
-                    f, points[i], frames[i], n, require_unstable=False, restricted=False
-                )
-            except EscapeError:
-                alive[i] = False
-                died_at[i] = n
-        if not any(alive):
+        rows = np.flatnonzero(alive)
+        points[rows], frames[rows], _, escaped, _ = _step(
+            f, points[rows], frames[rows], require_unstable=False, restricted=False
+        )
+        alive[rows[escaped]] = False
+        died_at[rows[escaped]] = n
+        if not alive.any():
             raise EmptyMeshError(f"every mesh node escaped by iterate {n}; narrow the disk u_box")
-    return MeshOrbit(mo.tags, points, frames, tuple(alive), tuple(died_at), n, mo.dims, mo.topo)
+    return MeshOrbit(mo.tags, points, frames, tuple(alive.tolist()), tuple(died_at.tolist()), n, mo.dims, mo.topo)
+
+
+def _survivors(f: MapSpec, Z: np.ndarray, F: np.ndarray, n_max: int, restricted: bool):
+    """The rows Z, F themselves (n = 0), then their survivors at each iterate through n_max, as
+    (n, input indices of the rows, their points, their frames); a row drops out at its escape."""
+    live = np.arange(len(Z))
+    yield 0, live, Z, F
+    for n in range(1, n_max + 1):
+        Z, F, _, escaped, _ = _step(f, Z, F, require_unstable=False, restricted=restricted)
+        live, Z, F = live[~escaped], Z[~escaped], F[~escaped]
+        if not len(live):
+            return
+        yield n, live, Z, F
 
 
 def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Distance:
@@ -356,36 +364,35 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
         raise ContractError(f"constant budget violates {', '.join(broken)}")
     mo = seed_mesh(d, f)
     dims = f.dims
-    su = dims.n_s + dims.n_u
     notes = []
 
-    def sup_s(z):
-        return float(np.abs(z[: dims.n_s]).max())
+    def sup_s(Z):
+        return np.abs(Z[:, : dims.n_s]).max(axis=1)
 
-    on_slice = [i for i in mo.alive_indices() if not np.abs(mo.points[i, dims.n_s : su]).any()]
+    on_slice = [i for i in mo.alive_indices() if not np.abs(mo.points[i, dims.n_s : dims.n_s + dims.n_u]).any()]
 
-    # regime 1: the stable slice, compared against the closed-form decay bounds
-    per_node = []
+    # regime 1: the stable slice, compared against the closed-form decay bounds;
+    # nodes whose frames point out of the slice in the same rows step together
+    groups = {}
     for i in on_slice:
         has_u = _block_norms(dims, mo.frames[i])[1] > 0.0
-        if not has_u.any():
-            continue
-        z, F = mo.points[i], mo.frames[i][has_u]
-        ns0, nx0 = _frame_inclination(dims, F)
-        s0 = sup_s(z)
-        rows = []
-        for n in range(1, n_max + 1):
-            try:
-                z, F, _ = _step(f, z, F, n, require_unstable=False, restricted=True)
-            except EscapeError:
-                break
-            inc_s, inc_x = _frame_inclination(dims, F)
-            bounds = theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0)
-            margin_x = bounds.bound_x - inc_x
-            margin_s = None if bounds.pre_asymptotic else bounds.bound_s - inc_s
-            margin_sn = sn_contraction_bound(b, n, s0) - sup_s(z)
-            rows.append((n, margin_x, margin_s, margin_sn))
-        per_node.append(rows)
+        if has_u.any():
+            groups.setdefault(has_u.tobytes(), (has_u, []))[1].append(i)
+    rows_of = {}
+    for has_u, nodes in groups.values():
+        orbit = _survivors(f, mo.points[nodes], mo.frames[nodes][:, has_u], n_max, restricted=True)
+        _, _, Z, F = next(orbit)
+        starts = [(*_frame_inclination(dims, Fj), s0) for Fj, s0 in zip(F, sup_s(Z).tolist())]
+        rows_of.update((i, []) for i in nodes)
+        for n, live, Z, F in orbit:
+            for j, Fj, s_n in zip(live, F, sup_s(Z).tolist()):
+                ns0, nx0, s0 = starts[j]
+                inc_s, inc_x = _frame_inclination(dims, Fj)
+                bounds = theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0)
+                margin_s = None if bounds.pre_asymptotic else bounds.bound_s - inc_s
+                margin_sn = sn_contraction_bound(b, n, s0) - s_n
+                rows_of[nodes[j]].append((n, bounds.bound_x - inc_x, margin_s, margin_sn))
+    per_node = [rows_of[i] for i in on_slice if i in rows_of]
     if not per_node:
         notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
     slice_rows = []
@@ -400,19 +407,15 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     if b.eps_s <= 0.0:
         notes.append("eps_s = 0: thin-slab persistence regime is empty for this budget")
     else:
-        for i in [i for i in mo.alive_indices() if i not in on_slice]:
-            z, F = mo.points[i], mo.frames[i]
+        nodes = [i for i in mo.alive_indices() if i not in on_slice]
+        rows_of = [[] for _ in nodes]
+        was_armed = np.zeros(mo.frames[nodes].shape[:2], dtype=bool)
+        for n, live, Z, F in _survivors(f, mo.points[nodes], mo.frames[nodes], n_max, restricted=False):
             inc_s, inc_x, has_u = _inclinations(dims, F)
-            armed = has_u & (sup_s(z) <= b.eps_s) & (inc_s <= eps) & (inc_x <= eps)
-            for n in range(1, n_max + 1):
-                try:
-                    z, F, _ = _step(f, z, F, n, require_unstable=False, restricted=False)
-                except EscapeError:
-                    break
-                inc_s, inc_x, has_u = _inclinations(dims, F)
-                for j in np.flatnonzero(armed & has_u):
-                    persistence_rows.append((n, eps - float(inc_x[j]), eps - float(inc_s[j])))
-                armed = has_u & (sup_s(z) <= b.eps_s) & (inc_s <= eps) & (inc_x <= eps)
+            for r, j in zip(*np.nonzero(was_armed[live] & has_u)):
+                rows_of[live[r]].append((n, eps - float(inc_x[r, j]), eps - float(inc_s[r, j])))
+            was_armed[live] = has_u & (sup_s(Z) <= b.eps_s)[:, None] & (inc_s <= eps) & (inc_x <= eps)
+        persistence_rows = [row for rows in rows_of for row in rows]
     return DominationReport(
         slice_rows=tuple(slice_rows),
         persistence_rows=tuple(persistence_rows),

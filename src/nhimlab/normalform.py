@@ -32,6 +32,7 @@ from .geometry import (
     ChartPoint,
     ChartTopology,
     Dimensions,
+    _max_keep_nan,
     _normal_norm,
     mat_row_sup_norm,
     tensor_row_sup_norm,
@@ -392,26 +393,26 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     viol_d = 0.0
     for i in range(sample_count):
         s_i, u_i, x_i = s_samp[i], u_samp[i], x_samp[i]
-        viol_a = max(viol_a, sup(*f.r_map(zero_s, zero_u, x_i)))
+        viol_a = _max_keep_nan(viol_a, sup(*f.r_map(zero_s, zero_u, x_i)))
         _, r_u_b, r_x_b = f.r_map(s_i, zero_u, x_i)
-        viol_b = max(viol_b, sup(r_u_b))
-        viol_d = max(viol_d, sup(r_x_b))
+        viol_b = _max_keep_nan(viol_b, sup(r_u_b))
+        viol_d = _max_keep_nan(viol_d, sup(r_x_b))
         r_s_c, _, r_x_c = f.r_map(zero_s, u_i, x_i)
-        viol_c = max(viol_c, sup(r_s_c))
-        viol_d = max(viol_d, sup(r_x_c))
+        viol_c = _max_keep_nan(viol_c, sup(r_s_c))
+        viol_d = _max_keep_nan(viol_d, sup(r_x_c))
 
     viol_e = 0.0
     for i in range(sample_count):
         x_i = x_samp[i]
-        viol_e = max(viol_e, mat_row_sup_norm(f.A_s(x_i)) - f.lam)
+        viol_e = _max_keep_nan(viol_e, mat_row_sup_norm(f.A_s(x_i)) - f.lam)
         a_u = np.asarray(f.A_u(x_i), dtype=float)
         try:
             inv = np.linalg.inv(a_u)
         except np.linalg.LinAlgError:
             viol_e = math.inf
             continue
-        viol_e = max(viol_e, mat_row_sup_norm(inv) - f.lam)
-    viol_e = max(viol_e, 0.0)
+        viol_e = _max_keep_nan(viol_e, mat_row_sup_norm(inv) - f.lam)
+    viol_e = _max_keep_nan(viol_e, 0.0)
 
     # First-order consequences, on a smaller derivative sample.
     deriv_count = min(sample_count, 32)
@@ -425,8 +426,8 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
         # the other normal direction and of x must not move with `along` or x
         for s_i, u_i, along, other in ((s_samp[i], zero_u, sl_s, sl_u), (zero_s, u_samp[i], sl_u, sl_s)):
             jac = _r_jacobian(f, s_i, u_i, x_samp[i], FD_STEP_FIRST)
-            viol_bc = max(viol_bc, sup(jac[other, along]), sup(jac[other, sl_x]))
-            viol_dd = max(viol_dd, sup(jac[sl_x, along]), sup(jac[sl_x, sl_x]))
+            viol_bc = _max_keep_nan(viol_bc, sup(jac[other, along]), sup(jac[other, sl_x]))
+            viol_dd = _max_keep_nan(viol_dd, sup(jac[sl_x, along]), sup(jac[sl_x, sl_x]))
 
     checks = (
         ConditionCheck("a", "r(0,0,x) = 0: the manifold is invariant", viol_a, tol),
@@ -640,18 +641,20 @@ def estimate_bounds(
     seen_x = set()
     for row in grid:
         s_i, u_i, x_i = dims.split(row)
-        k = max(k, mat_row_sup_norm(_r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)))
+        k = _max_keep_nan(k, mat_row_sup_norm(_r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)))
         t2 = _second_tensor(f, s_i, u_i, x_i, h2)
         for rows in row_blocks:
             for sig in ("s", "u", "x"):
                 for sig2 in ("u", "x"):
-                    c_listed = max(c_listed, tensor_row_sup_norm(t2[rows, col_blocks[sig], col_blocks[sig2]]))
-                c_excluded = max(c_excluded, tensor_row_sup_norm(t2[rows, col_blocks[sig], sl_s]))
+                    c_listed = _max_keep_nan(
+                        c_listed, tensor_row_sup_norm(t2[rows, col_blocks[sig], col_blocks[sig2]])
+                    )
+                c_excluded = _max_keep_nan(c_excluded, tensor_row_sup_norm(t2[rows, col_blocks[sig], sl_s]))
         x_key = x_i.tobytes()
         if x_key not in seen_x:
             seen_x.add(x_key)
-            c_tilde = max(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, h2)))
-            d_bound = max(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
+            c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, h2)))
+            d_bound = _max_keep_nan(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
     return BoundSet.from_constants(
         lam=f.lam,
         k=k,

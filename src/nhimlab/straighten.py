@@ -26,7 +26,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ContractError, DivergenceError, OutOfNeighborhoodError
-from .geometry import TWO_PI, ChartPoint, ChartTopology, _as_float_vector, _normal_norm, vec_sup_norm
+from .geometry import (
+    TWO_PI, ChartPoint, ChartTopology, _as_float_vector, _max_keep_nan, _normal_norm, vec_sup_norm
+)
 from .normalform import MapSpec, _ball_image, _fd_first, _scale_manifold, _unit_samples
 
 
@@ -135,7 +137,7 @@ def tangency_violation(gp: GraphPair, f: MapSpec, sample_count: int = 16, seed: 
             _fd_first(lambda v: graph(gp.G_s, zs, v), x, h),
             _fd_first(lambda v: graph(gp.G_u, zu, v), x, h),
         )
-        worst = max(worst, *(vec_sup_norm(v) for v in values))
+        worst = _max_keep_nan(worst, *(vec_sup_norm(v) for v in values))
     return worst
 
 

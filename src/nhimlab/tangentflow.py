@@ -1,9 +1,11 @@
 """Orbit propagation with tangent frames, inclinations, and closed-form bounds.
 
 A jet is a base point plus a frame of tangent vectors pushed forward by the
-block Jacobian.  Frames are renormalized to unit sup norm after every step
-(inclinations are scale-free, and the unstable part would otherwise overflow
-within a few dozen iterates); the stretch factor is recorded before the
+block Jacobian.  One private array step advances many jets at once (a mesh
+calls it once per iterate over its alive nodes, a lone jet is its one-row
+case); only the map's callables run per row.  Frames are renormalized to unit
+sup norm after every step (inclinations are scale-free, and the unstable part
+would otherwise overflow); the stretch factor is recorded before the
 renormalization.  The closed-form decay bounds live here too so experiments
 can compare measured inclinations against them term by term.
 """
@@ -23,7 +25,7 @@ from .exceptions import (
     ModelInconsistencyError,
     OutOfNeighborhoodError,
 )
-from .geometry import ChartPoint, Dimensions, TangentVector, vec_sup_norm
+from .geometry import ChartPoint, Dimensions, TangentVector, _wrap_angles, vec_sup_norm
 from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _image, _jacobian
 
 
@@ -100,65 +102,67 @@ def _frame_inclination(dims: Dimensions, F: np.ndarray) -> tuple:
     return float(inc_s[has_u].max()), float(inc_x[has_u].max())
 
 
-def _step(f: MapSpec, z: np.ndarray, F: np.ndarray, n: int, require_unstable: bool, restricted: bool) -> tuple:
-    """One map step of the point z = (s, u, x) and its frame rows F (k x n
-    array) to iterate n: the only place a jet is advanced.
+def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, restricted: bool) -> tuple:
+    """One map step of the points Z = (s, u, x) (N x n) and their frames F (N x k x n).
 
-    Returns (image, pushed frame with unit rows, stretch).  Raises
-    EscapeError without a survivor when the image leaves the ball.  When
-    ``restricted`` the image must stay on {u = 0} (drift above 1e-12 is model
-    inconsistency; the rest is snapped to 0) and the Jacobian's unstable-row
-    couplings are zeroed, since they vanish analytically there.
+    Only the MapSpec callables run per row (the images, then the Jacobians of
+    the rows still in the ball).  Returns (images, pushed unit-row frames,
+    stretches, escaped mask, image normal norms); an escaped row keeps its
+    input state.  ``restricted`` keeps the images on {u = 0} (drift above
+    1e-12 is model inconsistency, the rest snaps to 0) and zeroes the
+    Jacobians' unstable-row couplings, which vanish analytically there.
     """
     dims = f.dims
-    su = dims.n_s + dims.n_u
-    norm = float(np.abs(z[:su]).max())
-    if not norm < f.rho:
-        raise OutOfNeighborhoodError(norm, f.rho)
-    s, u, x = z[: dims.n_s], z[dims.n_s : su], z[su:]
-    s_new, u_new, x_new = _image(f, s, u, x)
+    a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
+    norms = np.abs(Z[:, :b]).max(axis=1)
+    outside = norms[~(norms < f.rho)]
+    if outside.size:
+        raise OutOfNeighborhoodError(float(outside[0]), f.rho)
+    Q = np.array([np.concatenate(_image(f, z[:a], z[a:b], z[b:])) for z in Z]).reshape(Z.shape)
     if restricted:
-        drift = float(np.abs(u_new).max())
-        if drift > 1e-12:
-            raise ModelInconsistencyError(f"stable slice is not invariant: |u| = {drift:.3g} after one step")
-        u_new = np.zeros_like(u_new)
-    q = np.concatenate([s_new, u_new, f.topo.canonicalize(x_new)])
-    q_norm = float(np.abs(q[:su]).max())
-    if not q_norm < f.rho:
-        raise EscapeError(f"orbit left the rho={f.rho} ball at iterate {n} (normal norm {q_norm:.6g})")
-    jac = _jacobian(f, s, u, x, FD_STEP_FIRST)
+        drift = np.abs(Q[:, a:b]).max(axis=1)
+        leaks = drift[drift > 1e-12]
+        if leaks.size:
+            raise ModelInconsistencyError(f"stable slice is not invariant: |u| = {leaks[0]:.3g} after one step")
+        Q[:, a:b] = 0.0
+    _wrap_angles(Q[:, b:], f.topo.is_angle)
+    q_norms = np.abs(Q[:, :b]).max(axis=1)
+    escaped = ~(q_norms < f.rho)
+    live = np.flatnonzero(~escaped)
+    J = np.array([_jacobian(f, z[:a], z[a:b], z[b:], FD_STEP_FIRST) for z in Z[live]]).reshape(-1, dims.n, dims.n)
     if restricted:
-        jac[dims.n_s : su, : dims.n_s] = 0.0
-        jac[dims.n_s : su, su:] = 0.0
-    _, nu, _ = _block_norms(dims, F)
+        J[:, a:b, :a] = 0.0
+        J[:, a:b, b:] = 0.0
+    F_live = F[live]
+    _, nu, _ = _block_norms(dims, F_live)
     if require_unstable and not nu.all():
         raise DegenerateVectorError("frame vector has zero unstable component")
-    W = np.empty_like(F)
-    for i in range(len(F)):
-        W[i] = jac @ F[i]  # one product per row: a batched product rounds differently
-    has_u = nu > 0.0
-    stretch = math.inf
-    if has_u.any():
-        stretch = float((_block_norms(dims, W[has_u])[1] / nu[has_u]).min())
-    scale = np.abs(W).max(axis=1, keepdims=True)
+    # one gemv per frame row, the routine of jac @ v; F @ J.T or einsum rounds differently
+    W = np.matmul(J[:, None], F_live[..., None])[..., 0]
+    stretch = np.full(len(Z), math.nan)
+    nu_w = _block_norms(dims, W)[1]
+    stretch[live] = np.divide(nu_w, nu, out=np.full_like(nu, math.inf), where=nu > 0.0).min(axis=1)
+    scale = np.abs(W).max(axis=-1, keepdims=True)
     if not scale.all():
         raise DegenerateVectorError("frame vector annihilated by the Jacobian")
-    return q, W / scale, stretch
+    Q[escaped] = Z[escaped]
+    frames = F.copy()
+    frames[live] = W / scale
+    return Q, frames, stretch, escaped, q_norms
 
 
 def _jet_step(f: MapSpec, j: JetState, require_unstable: bool, restricted: bool) -> tuple:
-    """``_step`` on a JetState, returning (JetState, InclinationRecord)."""
+    """``_step`` on one JetState, returning (JetState, InclinationRecord)."""
     dims = f.dims
     frame = np.array([v.as_array() for v in j.frame])
-    try:
-        q, F, stretch = _step(f, j.p.as_array(), frame, j.n + 1, require_unstable, restricted)
-    except EscapeError as err:
-        err.survivor = j
-        raise
-    s, u, x = dims.split(q)
-    nxt = JetState(ChartPoint(s, u, x, f.topo), tuple(TangentVector(*dims.split(w)) for w in F), j.n + 1)
+    Q, F, stretch, escaped, q_norms = _step(f, j.p.as_array()[None], frame[None], require_unstable, restricted)
+    n = j.n + 1
+    if escaped[0]:
+        raise EscapeError(f"orbit left the rho={f.rho} ball at iterate {n} (normal norm {q_norms[0]:.6g})", j)
+    (s, u, x), F, stretch = dims.split(Q[0]), F[0], float(stretch[0])
+    nxt = JetState(ChartPoint(s, u, x, f.topo), tuple(TangentVector(*dims.split(w)) for w in F), n)
     inc_s, inc_x = _frame_inclination(dims, F)
-    return nxt, InclinationRecord(nxt.n, inc_s, inc_x, stretch, float(np.abs(s).max()), float(np.abs(u).max()))
+    return nxt, InclinationRecord(n, inc_s, inc_x, stretch, float(np.abs(s).max()), float(np.abs(u).max()))
 
 
 def step_jet(f: MapSpec, j: JetState, require_unstable: bool = True) -> tuple:

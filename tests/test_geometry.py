@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from nhimlab import (
     tensor_row_sup_norm,
     vec_sup_norm,
 )
+from nhimlab.geometry import _max_keep_nan, _wrap_angles
 
 TWO_PI = 2.0 * np.pi
 
@@ -161,3 +164,21 @@ def test_angle_distance_symmetric_and_bounded(a, b):
     d2 = manifold_distance([b], [a], topo)
     assert np.isclose(d1, d2, atol=1e-9)
     assert d1 <= np.pi + 1e-9
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6), st.integers(0, 6))
+def test_max_keep_nan(values, at):
+    assert _max_keep_nan(*values) is max(values)  # the same object, so the same bits
+    values.insert(min(at, len(values)), math.nan)
+    assert math.isnan(_max_keep_nan(*values))
+
+
+def test_wrapping_rows_is_canonicalize_per_row():
+    topo = ChartTopology.of(("angle", "linear", "angle"))
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-20.0, 20.0, size=(50, 3))
+    X[:3] = [[-1e-17, -1e-17, TWO_PI], [-0.0, 7.0, -TWO_PI], [TWO_PI - 1e-16, 0.0, 4 * TWO_PI]]
+    wrapped = _wrap_angles(X.copy(), topo.is_angle)
+    expected = np.array([topo.canonicalize(x) for x in X])
+    assert np.array_equal(wrapped.view(np.int64), expected.view(np.int64))
+    assert wrapped[0, 0] == 0.0 and wrapped[0, 1] == -1e-17

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -7,11 +8,14 @@ import pytest
 from nhimlab import (
     BoundSet,
     ContractError,
+    DegenerateVectorError,
     DiskSpec,
     DominationReport,
     EmptyMeshError,
     EscapeError,
+    JetState,
     MeshOrbit,
+    OutOfNeighborhoodError,
     advance_mesh,
     annulus_experiment,
     c1_distance,
@@ -23,7 +27,10 @@ from nhimlab import (
     make_poly,
     make_twist_annulus,
     seed_mesh,
+    sn_contraction_bound,
+    stable_restricted_step,
     step_jet,
+    theoretical_inclination_bounds,
     verify_bound_domination,
 )
 
@@ -360,3 +367,116 @@ def test_make_default_disk_geometry():
     assert d.sigma(np.zeros(1), np.zeros(2))[0] == 0.6 * f.rho
     with pytest.raises(ContractError):
         make_default_disk(f, sigma_level=f.rho)
+
+
+# a constant base map has a zero x block, which annihilates the (0, 0, 1) frame rows
+FLAT_BASE = dataclasses.replace(make_linear(0.5, 2.0), g_map=lambda x: np.zeros(1), d_g=lambda x: np.zeros((1, 1)))
+U_INTO_X = dataclasses.replace(
+    make_linear(0.5, 2.0),
+    r_map=lambda s, u, x: (np.zeros(1), np.zeros(1), 0.1 * u),
+    d_r=lambda s, u, x: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.1, 0.0]]),
+)
+
+
+def _inclination(v):
+    """(|v_s|/|v_u|, |v_x|/|v_u|, v_u != 0) of one tangent vector."""
+    ns, nu, nx = v.block_norms()
+    return (ns / nu, nx / nu, True) if nu > 0.0 else (math.inf, math.inf, False)
+
+
+def per_node_domination(d, f, b, n_max):
+    """verify_bound_domination's rows rebuilt one node at a time from the public
+    jet steps, with the death iterate of every off-slice node."""
+    eps, jets = b.target_eps, seed_mesh(d, f).jets
+    on_slice = [i for i, j in enumerate(jets) if not j.p.u.any()]
+    per_node = []
+    for i in on_slice:
+        vectors = tuple(v for v in jets[i].frame if _inclination(v)[2])
+        if not vectors:
+            continue
+        jet = JetState(jets[i].p, vectors, 0)
+        I0_s = max(_inclination(v)[0] for v in vectors)
+        I0_x = max(_inclination(v)[1] for v in vectors)
+        s0 = float(np.abs(jet.p.s).max())
+        rows = []
+        for n in range(1, n_max + 1):
+            try:
+                jet, rec = stable_restricted_step(f, jet)
+            except EscapeError:
+                break
+            bd = theoretical_inclination_bounds(b, n, I0_x=I0_x, I0_s=I0_s, s0=s0)
+            margin_s = None if bd.pre_asymptotic else bd.bound_s - rec.I_s
+            rows.append((n, bd.bound_x - rec.I_x, margin_s, sn_contraction_bound(b, n, s0) - rec.s_norm))
+        per_node.append(rows)
+    slice_rows = []
+    for rows in zip(*per_node):
+        ms = [r[2] for r in rows if r[2] is not None]
+        slice_rows.append((rows[0][0], min(r[1] for r in rows), min(ms) if ms else None, min(r[3] for r in rows)))
+
+    def armed(jet):
+        s_sup = float(np.abs(jet.p.s).max())
+        return [has_u and s_sup <= b.eps_s and inc_s <= eps and inc_x <= eps
+                for inc_s, inc_x, has_u in map(_inclination, jet.frame)]
+
+    persistence_rows, deaths = [], []
+    for jet in [j for i, j in enumerate(jets) if i not in on_slice]:
+        was_armed, died = armed(jet), -1
+        for n in range(1, n_max + 1):
+            try:
+                jet, _ = step_jet(f, jet, require_unstable=False)
+            except EscapeError:
+                died = n
+                break
+            for was, (inc_s, inc_x, has_u) in zip(was_armed, map(_inclination, jet.frame)):
+                if was and has_u:
+                    persistence_rows.append((n, eps - inc_x, eps - inc_s))
+            was_armed = armed(jet)
+        deaths.append(died)
+    return tuple(slice_rows), tuple(persistence_rows), deaths
+
+
+@pytest.mark.parametrize(
+    "f, d, n_max",
+    [
+        (make_poly(0.05), const_disk(0.2, 2e-3), 12),
+        (TWIST, make_default_disk(TWIST, n_target=4, sigma_level=0.05), 12),
+        # u nodes at 0.025 and 0.05 leave the ball at different iterates
+        (make_poly(0.05), const_disk(0.004, 0.05), 12),
+        # r_x = 0.1 u feeds v_x from v_u: armed frame rows tilt past eps and disarm
+        (U_INTO_X, const_disk(0.004, 0.05), 12),
+    ],
+    ids=["poly", "twist", "mortal", "disarming"],
+)
+def test_domination_matches_per_node_reference(f, d, n_max):
+    b = estimate_bounds(f, grid_density=5)
+    rep = verify_bound_domination(d, f, b, n_max)
+    slice_rows, persistence_rows, deaths = per_node_domination(d, f, b, n_max)
+    assert slice_rows and persistence_rows
+    assert rep.slice_rows == slice_rows
+    assert rep.persistence_rows == persistence_rows
+    assert len({n for n in deaths if n > 0}) >= 2  # off-slice nodes die at different iterates
+
+
+def test_domination_pushes_only_the_unstable_pointing_slice_rows():
+    # the slice regime drops the annihilated x row before stepping; a one-node
+    # disk has no off-slice nodes
+    d, b = const_disk(0.3, 0.1, mesh=1), estimate_bounds(make_linear(0.5, 2.0), grid_density=5)
+    rep = verify_bound_domination(d, FLAT_BASE, b, n_max=6)
+    assert len(rep.slice_rows) == 6 and not rep.persistence_rows
+    assert (rep.slice_rows, rep.persistence_rows) == per_node_domination(d, FLAT_BASE, b, 6)[:2]
+
+
+def test_advance_mesh_keeps_its_errors():
+    f = make_linear(0.5, 2.0)
+    mo = seed_mesh(const_disk(0.3, 0.1), f)
+    with pytest.raises(DegenerateVectorError, match="annihilated"):
+        advance_mesh(mo, FLAT_BASE)
+    points = mo.points.copy()
+    points[3, 0] = 0.9
+    with pytest.raises(OutOfNeighborhoodError) as err:
+        advance_mesh(dataclasses.replace(mo, points=points), f)
+    assert err.value.norm == 0.9 and err.value.rho == f.rho
+    # a remainder shift in s pushes every node, the u = 0 one too, out in one step
+    shifted = dataclasses.replace(f, r_map=lambda s, u, x: (np.ones(1), np.zeros(1), np.zeros(1)))
+    with pytest.raises(EmptyMeshError):
+        advance_mesh(mo, shifted)

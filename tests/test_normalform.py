@@ -226,3 +226,23 @@ def test_unit_samples_match_scipy_halton():
             for count in (1, 32, 256, 1000):
                 ref = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
                 assert np.array_equal(_unit_samples(dim, count, seed), ref), (dim, seed, count)
+
+
+def nan_remainder():
+    nan = np.full(1, np.nan)
+    return dataclasses.replace(make_linear(), r_map=lambda s, u, x: (nan, nan, nan), d_r=None, d2_r=None)
+
+
+def test_validate_conditions_fails_on_nan_remainder():
+    rep = validate_conditions(nan_remainder(), sample_count=16)
+    assert not rep.passed
+    for name in ("a", "b", "c", "d", "derivatives_bc", "derivatives_d"):
+        assert math.isnan(rep.check(name).max_violation) and not rep.check(name).passed
+    assert rep.check("e").passed  # the normal blocks are finite
+
+
+def test_estimate_bounds_keeps_nan_remainder():
+    b = estimate_bounds(nan_remainder(), grid_density=2)
+    assert math.isnan(b.k) and math.isnan(b.C)
+    assert not (b.lk1_ok or b.lk2_ok or b.slab_ok)
+    assert not any(c.holds for c in check_constants(b))

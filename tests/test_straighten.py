@@ -340,3 +340,10 @@ def test_conjugated_radius_is_pinned():
     with np.errstate(over="ignore", invalid="ignore"):  # corners beyond the radius diverge to inf
         r = conjugated_radius(make_linear(0.5, 2.0, rho=0.5), double)
     assert r == float.fromhex("0x1.fa839aa000000p-4")
+
+
+@pytest.mark.parametrize("which", ["G_s", "G_u"])
+def test_tangency_violation_keeps_nan(which):
+    graphs = {"G_s": lambda s, x: np.atleast_1d(s[0] ** 2), "G_u": lambda u, x: np.atleast_1d(u[0] ** 2)}
+    graphs[which] = lambda v, x: np.array([np.nan])
+    assert np.isnan(tangency_violation(GraphPair(**graphs), make_linear(0.5, 2.0)))

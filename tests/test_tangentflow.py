@@ -225,3 +225,30 @@ def test_records_to_csv():
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == 0.25 and float(first[2]) == 0.5
+
+
+def _wide_entries(rng, shape):
+    """Signed magnitudes log-uniform over 1e-300..1e300, with signed zeros mixed in."""
+    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    zeros = rng.random(shape)
+    out[zeros < 0.1] = 0.0
+    out[zeros > 0.9] = -0.0
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 7, 130])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_frame_push_is_the_per_row_product_bit_for_bit(N, k, n):
+    # the mesh step pushes every frame row of every node in one stacked matmul;
+    # it must round exactly as one jac @ v per row
+    rng = np.random.default_rng([N, k, n])
+    for _ in range(100):
+        J, F = _wide_entries(rng, (N, n, n)), _wide_entries(rng, (N, k, n))
+        with np.errstate(all="ignore"):  # products overflow to inf and inf - inf is NaN, by design
+            stacked = np.matmul(J[:, None], F[..., None])[..., 0]
+            looped = np.empty_like(stacked)
+            for i in range(N):
+                for r in range(k):
+                    looped[i, r] = J[i] @ F[i, r]
+        assert np.array_equal(stacked.view(np.int64), looped.view(np.int64))
