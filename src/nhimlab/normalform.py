@@ -198,15 +198,15 @@ def _g_flat(f: MapSpec):
     return lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1)
 
 
+def _in_ball(f: MapSpec):
+    """Membership of a concatenated coordinate z = (s, u, x) in f's working ball."""
+    return lambda z: _normal_norm(*f.dims.split(z)[:2]) < f.rho
+
+
 def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
     if f.d_r is not None:
         return np.asarray(f.d_r(s, u, x), dtype=float)
-    dims = f.dims
-
-    def inside(z):
-        return _normal_norm(*dims.split(z)[:2]) < f.rho
-
-    return _fd_first(_r_flat(f), dims.join(s, u, x), h, inside=inside)
+    return _fd_first(_r_flat(f), f.dims.join(s, u, x), h, inside=_in_ball(f))
 
 
 def _g_jacobian(f: MapSpec, x, h: float) -> np.ndarray:
@@ -247,14 +247,24 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
 
 def _jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
     """The block Jacobian of f at (s, u, x), which must lie in the ball."""
-    a, b = f.dims.n_s, f.dims.n_s + f.dims.n_u  # the u block is a:b, the x block b:
     jac = np.array(_r_jacobian(f, s, u, x, h), dtype=float)
-    jac[:a, :a] += f.A_s(x)
-    jac[a:b, a:b] += f.A_u(x)
-    jac[b:, b:] += _g_jacobian(f, x, h)
-    jac[:a, b:] += np.einsum("ijk,j->ik", _a_tensor(f, "s", x, h), s)
-    jac[a:b, b:] += np.einsum("ijk,j->ik", _a_tensor(f, "u", x, h), u)
+    for rows, cols, block in _linear_blocks(f, s, u, x, h):
+        jac[rows, cols] += block
     return jac
+
+
+def _linear_blocks(f: MapSpec, s, u, x, h: float) -> tuple:
+    """The (rows, cols, block) pieces that ``_jacobian`` adds to the Jacobian of r at (s, u, x):
+    A_s, A_u, d_x g, (d_x A_s) s and (d_x A_u) u."""
+    a, b = f.dims.n_s, f.dims.n_s + f.dims.n_u  # the u block is a:b, the x block b:
+    sl_s, sl_u, sl_x = slice(None, a), slice(a, b), slice(b, None)
+    return (
+        (sl_s, sl_s, f.A_s(x)),
+        (sl_u, sl_u, f.A_u(x)),
+        (sl_x, sl_x, _g_jacobian(f, x, h)),
+        (sl_s, sl_x, np.einsum("ijk,j->ik", _a_tensor(f, "s", x, h), s)),
+        (sl_u, sl_x, np.einsum("ijk,j->ik", _a_tensor(f, "u", x, h), u)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +501,10 @@ class BoundSet:
             mu_star = 1.0 / denom
             branch_x = eps * (gap / mu_star) * (1.0 - k * mu_star / gap) / (C + 1.0 + eps * (C_tilde + C + 1.0))
             branch_s = eps * (1.0 - (lam + k) * mu_star / gap) / (C + 1.0 + (2.0 * C + 1.0) * eps)
-            eps_s = max(0.0, min(branch_x, branch_s, rho))
+            if math.isnan(branch_x) or math.isnan(branch_s):
+                eps_s = math.nan  # min/max would drop it and read an unknown slab as an empty one
+            else:
+                eps_s = max(0.0, min(branch_x, branch_s, rho))
         return cls(
             lam=lam,
             k=k,

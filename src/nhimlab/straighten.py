@@ -12,7 +12,10 @@ contracts on a sub-ball), and a map can be conjugated through Phi to produce
 a new map spec with straightened invariant sets.  One array core on the flat
 blocks, ``_phi`` and ``_inverse``, does the work: the public functions wrap it
 for ``ChartPoint``s as ``apply_map`` wraps ``normalform._image``, and the
-conjugated remainder and the radius bisection call it directly.
+conjugated remainder and the radius bisection call it directly.  The
+conjugated map carries derivatives: its Jacobian is the chain rule through
+DPhi (the identity minus central differences of the closed-form graphs), and
+its second derivatives are central differences of that Jacobian.
 """
 
 from __future__ import annotations
@@ -29,7 +32,17 @@ from .exceptions import ContractError, DivergenceError, OutOfNeighborhoodError
 from .geometry import (
     TWO_PI, ChartPoint, ChartTopology, _as_float_vector, _max_keep_nan, _normal_norm, vec_sup_norm
 )
-from .normalform import MapSpec, _ball_image, _fd_first, _scale_manifold, _unit_samples
+from .normalform import (
+    FD_STEP_FIRST,
+    MapSpec,
+    _ball_image,
+    _fd_first,
+    _in_ball,
+    _jacobian,
+    _linear_blocks,
+    _scale_manifold,
+    _unit_samples,
+)
 
 
 def _signed_x_diff(topo: ChartTopology, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,6 +125,34 @@ def straighten_inverse(
     return ChartPoint(s=s, u=u, x=q.x, topology=q.topology)
 
 
+def _graph(g, *args) -> np.ndarray:
+    return np.atleast_1d(np.asarray(g(*args), dtype=float))
+
+
+def _graph_derivatives(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray, h: float) -> tuple:
+    """Central differences of the closed-form graphs at (s, u, x):
+    d_s G_s, d_u G_u, d_x G_s and d_x G_u."""
+    return (
+        _fd_first(lambda v: _graph(gp.G_s, v, x), s, h),
+        _fd_first(lambda v: _graph(gp.G_u, v, x), u, h),
+        _fd_first(lambda v: _graph(gp.G_s, s, v), x, h),
+        _fd_first(lambda v: _graph(gp.G_u, u, v), x, h),
+    )
+
+
+def _dphi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """DPhi at (s, u, x): the identity minus the graph derivatives.  Only the
+    closed-form graphs are differenced, never the inverse."""
+    ds_gs, du_gu, dx_gs, dx_gu = _graph_derivatives(gp, s, u, x, FD_STEP_FIRST)
+    a, b = s.size, s.size + u.size  # the u block is a:b, the x block b:
+    d = np.eye(b + x.size)
+    d[:a, a:b] -= du_gu
+    d[:a, b:] -= dx_gu
+    d[a:b, :a] -= ds_gs
+    d[a:b, b:] -= dx_gs
+    return d
+
+
 def tangency_violation(gp: GraphPair, f: MapSpec, sample_count: int = 16, seed: int = 0, h: float = 1e-6) -> float:
     """Sup over sampled base points of the graph values and first derivatives at 0.
 
@@ -123,20 +164,9 @@ def tangency_violation(gp: GraphPair, f: MapSpec, sample_count: int = 16, seed: 
     xs = _scale_manifold(_unit_samples(dims.m, sample_count, seed), f.x_ranges())
     zs = np.zeros(dims.n_s)
     zu = np.zeros(dims.n_u)
-
-    def graph(g, *args):
-        return np.atleast_1d(np.asarray(g(*args), dtype=float))
-
     worst = 0.0
     for x in xs:
-        values = (
-            graph(gp.G_s, zs, x),
-            graph(gp.G_u, zu, x),
-            _fd_first(lambda v: graph(gp.G_s, v, x), zs, h),
-            _fd_first(lambda v: graph(gp.G_u, v, x), zu, h),
-            _fd_first(lambda v: graph(gp.G_s, zs, v), x, h),
-            _fd_first(lambda v: graph(gp.G_u, zu, v), x, h),
-        )
+        values = (_graph(gp.G_s, zs, x), _graph(gp.G_u, zu, x), *_graph_derivatives(gp, zs, zu, x, h))
         worst = _max_keep_nan(worst, *(vec_sup_norm(v) for v in values))
     return worst
 
@@ -178,36 +208,67 @@ def conjugated_radius(f: MapSpec, gp: GraphPair, bisect_steps: int = 30) -> floa
 def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: bool) -> MapSpec:
     """Phi o f o Phi^{-1} (forward) or Phi^{-1} o f o Phi as a new map spec.
 
-    Only the remainder changes, computed by subtraction from the image; the
-    analytic remainder derivatives are dropped.
+    Only the remainder and its derivatives change.  The remainder is the
+    image less the linear part.  Its Jacobian is the chain rule through DPhi,
+    taken at the points on f's side of the conjugacy: at z = Phi^{-1}(w),
+    D(Phi o f o Phi^{-1})(w) = DPhi(f(z)) Df(z) DPhi(z)^{-1}, and
+    D(Phi^{-1} o f o Phi)(y) = DPhi(F(y))^{-1} Df(Phi(y)) DPhi(y), less the
+    linear part.  Df is f's own block Jacobian, so a wrapped conjugated map
+    chains through both layers.  The second derivatives are central
+    differences of that Jacobian (one-sided at the ball's edge), symmetrized.
     """
     inverse = functools.partial(_inverse, tol=1e-13, max_iter=200)
     first, last = (inverse, _phi) if forward else (_phi, inverse)
 
-    def r_map(s, u, x):
-        # x is wrapped where a new point enters: the argument and the image of f
+    def compose(s, u, x):
+        """The argument, its image (z_s, z_u) under ``first``, and f's image w of that; x is
+        wrapped where a new point enters: the argument and the image of f."""
         s, u, x = _as_float_vector(s), _as_float_vector(u), f.topo.canonicalize(x)
-        w_s, w_u, w_x = _ball_image(f, *first(gp, s, u, x), x)
-        w_x = f.topo.canonicalize(w_x)
+        z_s, z_u = first(gp, s, u, x)
+        w_s, w_u, w_x = _ball_image(f, z_s, z_u, x)
+        return s, u, x, z_s, z_u, w_s, w_u, f.topo.canonicalize(w_x)
+
+    def r_map(s, u, x):
+        s, u, x, _, _, w_s, w_u, w_x = compose(s, u, x)
         w_s, w_u = last(gp, w_s, w_u, w_x)
         return (w_s - f.A_s(x) @ s, w_u - f.A_u(x) @ u, _signed_x_diff(f.topo, w_x, f.g_map(x)))
 
-    return dataclasses.replace(
+    def d_r(s, u, x):
+        s, u, x, z_s, z_u, w_s, w_u, w_x = compose(s, u, x)
+        jac = _jacobian(f, z_s, z_u, x, FD_STEP_FIRST)
+        if forward:  # DPhi(w) Df(z) DPhi(z)^-1, the right factor by a solve on the transposes
+            jac = _dphi(gp, w_s, w_u, w_x) @ np.linalg.solve(_dphi(gp, z_s, z_u, x).T, jac.T).T
+        else:  # DPhi(Phi^-1(w))^-1 Df(z) DPhi(s, u, x)
+            jac = np.linalg.solve(_dphi(gp, *last(gp, w_s, w_u, w_x), w_x), jac @ _dphi(gp, s, u, x))
+        for rows, cols, block in _linear_blocks(f, s, u, x, FD_STEP_FIRST):
+            jac[rows, cols] -= block
+        return jac
+
+    def d2_r(s, u, x):
+        dims = f.dims
+        t = _fd_first(lambda z: d_r(*dims.split(z)).reshape(-1), dims.join(s, u, x), FD_STEP_FIRST,
+                      inside=_in_ball(conjugated))
+        t = t.reshape(dims.n, dims.n, dims.n)  # T[i, j, k] = d_k of d_r[i, j]
+        return 0.5 * (t + t.transpose(0, 2, 1))
+
+    conjugated = dataclasses.replace(
         f,
         rho=conjugated_radius(f, gp) if radius is None else float(radius),
         r_map=r_map,
-        d_r=None,
-        d2_r=None,
+        d_r=d_r,
+        d2_r=d2_r,
         name=f"{f.name}_{'straightened' if forward else 'unstraightened'}",
     )
+    return conjugated
 
 
 def conjugate_map(f: MapSpec, gp: GraphPair, radius: Optional[float] = None) -> MapSpec:
     """Wrap Phi o f o Phi^{-1} as a new map spec on a possibly smaller ball.
 
     The linear data (normal blocks, base map) is unchanged; only the
-    remainder differs, and it is evaluated pointwise so no analytic
-    derivatives are carried over.  The new ball radius is found by bisection
+    remainder differs.  It is evaluated pointwise, and its Jacobian is the
+    chain rule through DPhi and f's own Jacobian rather than a finite
+    difference across the inverse.  The new ball radius is found by bisection
     on corner samples unless the caller supplies one.
     """
     return _conjugated(f, gp, radius, forward=True)

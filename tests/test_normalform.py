@@ -246,3 +246,34 @@ def test_estimate_bounds_keeps_nan_remainder():
     assert math.isnan(b.k) and math.isnan(b.C)
     assert not (b.lk1_ok or b.lk2_ok or b.slab_ok)
     assert not any(c.holds for c in check_constants(b))
+
+
+def reference_slab(lam, k, C, C_tilde, rho, eps):
+    """(mu_star, eps_s) by the slab formula as it reads for finite constants."""
+    gap = 1.0 / lam - k
+    denom = 1.0 - ((2.0 * k + C * rho) / gap) * eps
+    if denom <= 0.0:
+        return math.inf, 0.0
+    mu_star = 1.0 / denom
+    branch_x = eps * (gap / mu_star) * (1.0 - k * mu_star / gap) / (C + 1.0 + eps * (C_tilde + C + 1.0))
+    branch_s = eps * (1.0 - (lam + k) * mu_star / gap) / (C + 1.0 + (2.0 * C + 1.0) * eps)
+    return mu_star, max(0.0, min(branch_x, branch_s, rho))
+
+
+def test_nan_budget_reads_an_unknown_slab():
+    for k, C in ((math.nan, math.nan), (0.05, math.nan), (math.nan, 0.05)):
+        b = BoundSet.from_constants(lam=0.5, k=k, C=C, C_tilde=0.0, D=0.0, rho=0.3, target_eps=1e-2)
+        assert math.isnan(b.eps_s) and math.isnan(b.delta) and math.isnan(b.mu_star), (k, C)
+        assert not b.slab_ok
+    # finite constants keep their bits, clamped and capped branches included
+    rng = np.random.default_rng(3)
+    cases = [(0.9, 0.05, 0.0, 0.0, 0.5, 12.0), (0.5, 1e-6, 0.0, 0.0, 1e-4, 0.9), (0.5, 0.05, 0.05, 0.0, 0.5, 1e-2)]
+    cases += [(0.5, 1.5, 0.1, 0.0, 0.3, 0.5), (0.9, 0.2, 0.0, 0.0, 0.5, 0.5)]
+    for _ in range(200):
+        lam, k, C, C_tilde, rho = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0), *rng.uniform(0.0, 2.0, size=3)
+        cases.append((lam, k, C, C_tilde, rho, 10.0 ** rng.uniform(-4.0, 0.0)))
+    for lam, k, C, C_tilde, rho, eps in cases:
+        b = BoundSet.from_constants(lam=lam, k=k, C=C, C_tilde=C_tilde, D=0.0, rho=rho, target_eps=eps)
+        mu_star, eps_s = reference_slab(lam, k, C, C_tilde, rho, eps)
+        assert (b.mu_star, b.eps_s, b.delta) == (mu_star, eps_s, (C + 1.0) * eps_s)
+        assert not math.isnan(b.eps_s)

@@ -10,12 +10,15 @@ from nhimlab import (
     ContractError,
     Dimensions,
     DivergenceError,
+    estimate_bounds,
+    find_K,
     GraphPair,
     MapSpec,
     OutOfNeighborhoodError,
     apply_map,
     conjugate_map,
     conjugated_radius,
+    make_default_disk,
     make_linear,
     make_poly,
     straighten_inverse,
@@ -23,7 +26,9 @@ from nhimlab import (
     tangency_violation,
     unstraighten_map,
     validate_conditions,
+    verify_bound_domination,
 )
+from nhimlab.normalform import FD_STEP_FIRST, FD_STEP_SECOND, _fd_first, _fd_second, _r_flat, _r_jacobian
 from nhimlab.straighten import _signed_x_diff
 
 TWO_PI = 2.0 * np.pi
@@ -347,3 +352,99 @@ def test_tangency_violation_keeps_nan(which):
     graphs = {"G_s": lambda s, x: np.atleast_1d(s[0] ** 2), "G_u": lambda u, x: np.atleast_1d(u[0] ** 2)}
     graphs[which] = lambda v, x: np.array([np.nan])
     assert np.isnan(tangency_violation(GraphPair(**graphs), make_linear(0.5, 2.0)))
+
+
+def wavy_pair():
+    # a stable graph that moves with the base point
+    return GraphPair(
+        G_s=lambda s, x: np.atleast_1d(s[0] ** 2 * (1.0 + 0.1 * np.cos(x[0]))),
+        G_u=lambda u, x: np.atleast_1d(u[0] ** 2),
+    )
+
+
+def differentiated_cases():
+    for name, base in (("poly", make_poly(0.05, rho=0.3)), ("linear", make_linear(0.5, 2.0, rho=0.3))):
+        for pair_name, pair in (("square", square_pair()), ("wavy", wavy_pair())):
+            yield f"{name} {pair_name} forward", conjugate_map(base, pair, radius=0.15)
+            yield f"{name} {pair_name} backward", unstraighten_map(base, pair, radius=0.15)
+            yield f"{name} {pair_name} round trip", conjugate_map(unstraighten_map(base, pair), pair)
+    yield "n_s=2 forward", conjugate_map(two_one_map(), two_one_pair(), radius=0.1)
+    yield "n_s=2 backward", unstraighten_map(two_one_map(), two_one_pair(), radius=0.1)
+
+
+def sample_points(g, rng, count):
+    r = 0.8 * g.rho
+    for _ in range(count):
+        yield rng.uniform(-r, r, size=g.dims.n_s), rng.uniform(-r, r, size=g.dims.n_u), rng.uniform(0.0, TWO_PI, size=1)
+
+
+def test_conjugated_d_r_is_the_derivative_of_r_map():
+    rng = np.random.default_rng(13)
+    for label, g in differentiated_cases():
+        for s, u, x in sample_points(g, rng, 8):
+            got = g.d_r(s, u, x)
+            want = _fd_first(_r_flat(g), g.dims.join(s, u, x), FD_STEP_FIRST)
+            assert got.shape == (g.dims.n, g.dims.n)
+            assert np.abs(got - want).max() <= 1e-8, (label, s, u, x)
+
+
+def test_conjugated_d2_r_is_symmetric_and_the_second_derivative_of_r_map():
+    rng = np.random.default_rng(17)
+    for label, g in differentiated_cases():
+        for s, u, x in sample_points(g, rng, 2):
+            got = g.d2_r(s, u, x)
+            assert np.array_equal(got, got.transpose(0, 2, 1)), label
+            # central second differences across the 1e-13 inverse carry ~1e-5 of noise
+            want = _fd_second(_r_flat(g), g.dims.join(s, u, x), FD_STEP_SECOND)
+            assert np.abs(got - want).max() <= 1e-4, (label, s, u, x)
+
+
+def test_conjugated_d2_r_reaches_the_edge_of_the_ball():
+    # the bound grid runs to the edge once both derivatives exist: one-sided there.  With zero
+    # graphs and the base's radius, a probe past the edge would leave the base's ball and raise.
+    poly = make_poly(0.05, rho=0.3)
+    g = unstraighten_map(poly, GraphPair.zero(1, 1), radius=poly.rho)
+    edge = g.rho * (1.0 - 1e-9)
+    for s, u in ((edge, edge), (-edge, 0.0), (0.0, -edge)):
+        z = (np.array([s]), np.array([u]), np.array([1.0]))
+        assert np.abs(g.d2_r(*z) - poly.d2_r(*z)).max() <= 1e-8
+    assert estimate_bounds(g, grid_density=2).C == pytest.approx(poly.d2_r(*z).max(), rel=1e-8)
+    g = conjugate_map(poly, square_pair(), radius=0.15)
+    edge = g.rho * (1.0 - 1e-9)
+    inner = g.rho * (1.0 - 1e-4)  # far enough inside for central differences
+    for s, u in ((1, 1), (-1, 0), (0, 1)):
+        got = g.d2_r(np.array([s * edge]), np.array([u * edge]), np.array([1.0]))
+        want = g.d2_r(np.array([s * inner]), np.array([u * inner]), np.array([1.0]))
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
+    b = estimate_bounds(g, grid_density=2)
+    assert np.isfinite(b.k) and np.isfinite(b.C)
+
+
+def test_conjugating_by_zero_graphs_keeps_the_base_derivatives():
+    rng = np.random.default_rng(19)
+    poly = make_poly(0.05, rho=0.3)
+    for wrap in (conjugate_map, unstraighten_map):
+        g = wrap(poly, GraphPair.zero(1, 1), radius=0.3)
+        for s, u, x in sample_points(g, rng, 8):
+            assert np.abs(g.d_r(s, u, x) - poly.d_r(s, u, x)).max() <= 1e-15
+            assert np.abs(g.d2_r(s, u, x) - poly.d2_r(s, u, x)).max() <= 1e-8
+        two_one = two_one_map()  # no analytic d_r: the base Jacobian is its own finite difference
+        g = wrap(two_one, GraphPair.zero(2, 1), radius=0.1)
+        for s, u, x in sample_points(g, rng, 8):
+            assert np.abs(g.d_r(s, u, x) - _r_jacobian(two_one, s, u, x, FD_STEP_FIRST)).max() <= 1e-15
+
+
+def test_ac8_straightened_map_meets_its_exact_budget():
+    # the round trip of a linear map has remainder zero, and its derivatives now read zero too
+    gp = square_pair()
+    f = conjugate_map(unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp), gp)
+    report = validate_conditions(f, sample_count=128, tol=1e-8)
+    assert report.check("derivatives_bc").max_violation <= 1e-12
+    bounds = estimate_bounds(f, grid_density=2)
+    assert bounds.k <= 1e-12
+    disk = make_default_disk(f, bounds, n_target=6, mesh_per_axis=3)
+    assert find_K(disk, f, eps=1e-2, n_max=12).found
+    domination = verify_bound_domination(disk, f, bounds, n_max=12)
+    assert domination.slice_rows and domination.persistence_rows
+    assert domination.ok()
