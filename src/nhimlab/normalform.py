@@ -43,6 +43,10 @@ from .geometry import (
 FD_STEP_FIRST = 1e-6
 FD_STEP_SECOND = 1e-4
 
+# Grid rows whose derivatives estimate_bounds holds at once: 1.8 MB of
+# second-derivative tensors at n = 6, whatever the grid's size.
+BOUND_ROWS = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class MapSpec:
@@ -79,7 +83,7 @@ class MapSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if not self.rho > 0:  # a NaN radius fails this too
             raise ContractError(f"rho must be positive, got {self.rho}")
         if not (0.0 < self.lam < 1.0):
             raise ContractError(f"lambda must lie in (0, 1), got {self.lam}")
@@ -246,24 +250,44 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
 
 
 def _jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
-    """The block Jacobian of f at (s, u, x), which must lie in the ball."""
-    jac = np.array(_r_jacobian(f, s, u, x, h), dtype=float)
-    for rows, cols, block in _linear_blocks(f, s, u, x, h):
-        jac[rows, cols] += block
+    """The block Jacobian of f at (s, u, x), which must lie in the ball: the one-row case of ``_jacobians``."""
+    return _jacobians(f, np.concatenate((s, u, x))[None], h)[0]
+
+
+def _jacobians(f: MapSpec, Z: np.ndarray, h: float) -> np.ndarray:
+    """The block Jacobians (N x n x n) of f at the rows (s, u, x) of Z (N x n), which must lie in the ball.
+
+    The callables run row by row, the Jacobians of r first, then the linear
+    blocks.  Each block addition runs once over the stack; the five blocks
+    touch disjoint entries, so every row has the bits of its own sum.
+    """
+    dims = f.dims
+    a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
+    jac = np.empty((len(Z), dims.n, dims.n))
+    for i, z in enumerate(Z):
+        jac[i] = _r_jacobian(f, z[:a], z[a:b], z[b:], h)
+    for rows, cols, block in _linear_blocks(f, Z, h):
+        jac[:, rows, cols] += block
     return jac
 
 
-def _linear_blocks(f: MapSpec, s, u, x, h: float) -> tuple:
-    """The (rows, cols, block) pieces that ``_jacobian`` adds to the Jacobian of r at (s, u, x):
-    A_s, A_u, d_x g, (d_x A_s) s and (d_x A_u) u."""
-    a, b = f.dims.n_s, f.dims.n_s + f.dims.n_u  # the u block is a:b, the x block b:
+def _linear_blocks(f: MapSpec, Z: np.ndarray, h: float) -> tuple:
+    """The (rows, cols, blocks) pieces that ``_jacobians`` adds to the Jacobians of r at the rows
+    (s, u, x) of Z: A_s, A_u, d_x g, (d_x A_s) s and (d_x A_u) u, each stacked over the rows."""
+    n_s, n_u, m, rows = f.dims.n_s, f.dims.n_u, f.dims.m, len(Z)
+    a, b = n_s, n_s + n_u  # the u block is a:b, the x block b:
     sl_s, sl_u, sl_x = slice(None, a), slice(a, b), slice(b, None)
+    a_s, a_u, d_g = np.empty((rows, n_s, n_s)), np.empty((rows, n_u, n_u)), np.empty((rows, m, m))
+    d_a_s, d_a_u = np.empty((rows, n_s, n_s, m)), np.empty((rows, n_u, n_u, m))
+    for i, x in enumerate(Z[:, b:]):
+        a_s[i], a_u[i], d_g[i] = f.A_s(x), f.A_u(x), _g_jacobian(f, x, h)
+        d_a_s[i], d_a_u[i] = _a_tensor(f, "s", x, h), _a_tensor(f, "u", x, h)
     return (
-        (sl_s, sl_s, f.A_s(x)),
-        (sl_u, sl_u, f.A_u(x)),
-        (sl_x, sl_x, _g_jacobian(f, x, h)),
-        (sl_s, sl_x, np.einsum("ijk,j->ik", _a_tensor(f, "s", x, h), s)),
-        (sl_u, sl_x, np.einsum("ijk,j->ik", _a_tensor(f, "u", x, h), u)),
+        (sl_s, sl_s, a_s),
+        (sl_u, sl_u, a_u),
+        (sl_x, sl_x, d_g),
+        (sl_s, sl_x, np.einsum("nijk,nj->nik", d_a_s, Z[:, sl_s])),
+        (sl_u, sl_x, np.einsum("nijk,nj->nik", d_a_u, Z[:, sl_u])),
     )
 
 
@@ -631,43 +655,59 @@ def estimate_bounds(
     monotone under grid-density doubling.  Whether the
     measured k actually satisfies the standing inequalities is reported by
     ``check_constants`` / the BoundSet flags, never raised.
+
+    The derivatives run row by row in grid order, as the per-x C~ and D
+    terms do, so the first row that raises is the first grid row that does.
+    k, C and ``c_excluded`` are then one ``tensor_row_sup_norm`` per block
+    over stacks of at most ``BOUND_ROWS`` rows.  Each |.|-sum still runs
+    along one output row's flattened block, and the max is exact and keeps
+    a NaN from any row, so the constants have the bits of a per-row pass.
     """
     if grid_density < 2:
         raise ContractError("grid_density must be at least 2 per axis")
     if target_eps <= 0:
         raise ContractError("target_eps must be positive")
     dims = f.dims
-    n_s, n_u = dims.n_s, dims.n_u
-    sl_s = slice(0, n_s)
-    sl_u = slice(n_s, n_s + n_u)
-    sl_x = slice(n_s + n_u, dims.n)
+    n = dims.n
+    sl_s = slice(0, dims.n_s)
+    sl_u = slice(dims.n_s, dims.n_s + dims.n_u)
+    sl_x = slice(dims.n_s + dims.n_u, n)
     margin = 0.0 if (f.d_r is not None and f.d2_r is not None) else 2.5 * h2
     grid = _bound_grid(f, grid_density, margin)
+
+    def row_sup(t: np.ndarray, *index) -> float:
+        """``tensor_row_sup_norm`` over the blocks t[row][index] of all stacked rows at once,
+        their output rows stacked as the rows of one tensor."""
+        block = t[(slice(None), *index)]
+        return tensor_row_sup_norm(block.reshape(-1, *block.shape[2:]))
 
     k = 0.0
     c_listed = 0.0
     c_excluded = 0.0
     c_tilde = 0.0
     d_bound = 0.0
-    row_blocks = (sl_s, sl_x)  # i in {s, x}
-    col_blocks = {"s": sl_s, "u": sl_u, "x": sl_x}
+    # (i, sigma, sigma') for i in {s, x}, sigma in {s, u, x}: sigma' in {u, x} is C, sigma' = s is excluded
+    listed = [(rows, sig, sig2) for rows in (sl_s, sl_x) for sig in (sl_s, sl_u, sl_x) for sig2 in (sl_u, sl_x)]
+    excluded = [(rows, sig, sl_s) for rows in (sl_s, sl_x) for sig in (sl_s, sl_u, sl_x)]
+    size = min(BOUND_ROWS, len(grid))
+    jacs = np.empty((size, n, n))
+    tensors = np.empty((size, n, n, n))
     seen_x = set()
-    for row in grid:
-        s_i, u_i, x_i = dims.split(row)
-        k = _max_keep_nan(k, mat_row_sup_norm(_r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)))
-        t2 = _second_tensor(f, s_i, u_i, x_i, h2)
-        for rows in row_blocks:
-            for sig in ("s", "u", "x"):
-                for sig2 in ("u", "x"):
-                    c_listed = _max_keep_nan(
-                        c_listed, tensor_row_sup_norm(t2[rows, col_blocks[sig], col_blocks[sig2]])
-                    )
-                c_excluded = _max_keep_nan(c_excluded, tensor_row_sup_norm(t2[rows, col_blocks[sig], sl_s]))
-        x_key = x_i.tobytes()
-        if x_key not in seen_x:
-            seen_x.add(x_key)
-            c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, h2)))
-            d_bound = _max_keep_nan(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
+    for start in range(0, len(grid), size):
+        chunk = grid[start : start + size]
+        for i, row in enumerate(chunk):
+            s_i, u_i, x_i = dims.split(row)
+            jacs[i] = _r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)
+            tensors[i] = _second_tensor(f, s_i, u_i, x_i, h2)
+            x_key = x_i.tobytes()
+            if x_key not in seen_x:
+                seen_x.add(x_key)
+                c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, h2)))
+                d_bound = _max_keep_nan(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
+        jac, t2 = jacs[: len(chunk)], tensors[: len(chunk)]
+        k = _max_keep_nan(k, row_sup(jac))
+        c_listed = _max_keep_nan(c_listed, *(row_sup(t2, *index) for index in listed))
+        c_excluded = _max_keep_nan(c_excluded, *(row_sup(t2, *index) for index in excluded))
     return BoundSet.from_constants(
         lam=f.lam,
         k=k,

@@ -240,8 +240,8 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
             jac = _dphi(gp, w_s, w_u, w_x) @ np.linalg.solve(_dphi(gp, z_s, z_u, x).T, jac.T).T
         else:  # DPhi(Phi^-1(w))^-1 Df(z) DPhi(s, u, x)
             jac = np.linalg.solve(_dphi(gp, *last(gp, w_s, w_u, w_x), w_x), jac @ _dphi(gp, s, u, x))
-        for rows, cols, block in _linear_blocks(f, s, u, x, FD_STEP_FIRST):
-            jac[rows, cols] -= block
+        for rows, cols, block in _linear_blocks(f, np.concatenate((s, u, x))[None], FD_STEP_FIRST):
+            jac[rows, cols] -= block[0]
         return jac
 
     def d2_r(s, u, x):

@@ -26,7 +26,7 @@ from .exceptions import (
     OutOfNeighborhoodError,
 )
 from .geometry import ChartPoint, Dimensions, TangentVector, _wrap_angles, vec_sup_norm
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _image, _jacobian
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _image, _jacobians
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,9 @@ def _frame_inclination(dims: Dimensions, F: np.ndarray) -> tuple:
 def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, restricted: bool) -> tuple:
     """One map step of the points Z = (s, u, x) (N x n) and their frames F (N x k x n).
 
-    Only the MapSpec callables run per row (the images, then the Jacobians of
-    the rows still in the ball).  Returns (images, pushed unit-row frames,
+    Only the MapSpec callables run per row (the images, then the Jacobian
+    pieces of the rows still in the ball, which ``normalform._jacobians``
+    assembles once over the stack).  Returns (images, pushed unit-row frames,
     stretches, escaped mask, image normal norms); an escaped row keeps its
     input state.  ``restricted`` keeps the images on {u = 0} (drift above
     1e-12 is model inconsistency, the rest snaps to 0) and zeroes the
@@ -129,7 +130,7 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     q_norms = np.abs(Q[:, :b]).max(axis=1)
     escaped = ~(q_norms < f.rho)
     live = np.flatnonzero(~escaped)
-    J = np.array([_jacobian(f, z[:a], z[a:b], z[b:], FD_STEP_FIRST) for z in Z[live]]).reshape(-1, dims.n, dims.n)
+    J = _jacobians(f, Z[live], FD_STEP_FIRST)
     if restricted:
         J[:, a:b, :a] = 0.0
         J[:, a:b, b:] = 0.0
