@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, ModelInconsistencyError
+from .geometry import _count
 from .lambdalemma import (
     DiskSpec,
     annulus_experiment,
@@ -72,6 +73,12 @@ def _field(cfg: dict, key: str, default, convert=float):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"config key {key!r} has an invalid value {value!r}: {err}") from err
+
+
+def _count_field(cfg: dict, key: str, default: int) -> int:
+    """``_field`` for a count: a value that is not a whole number is a config
+    error, never truncated."""
+    return _field(cfg, key, default, lambda value: _count(value, key))
 
 
 def _section(cfg: dict, key: str, default=None):
@@ -150,7 +157,7 @@ def build_disk(dc: dict, f) -> DiskSpec:
     """Disk from config: constant or affine graphs only (JSON cannot carry code)."""
     if dc is None:
         return make_default_disk(f)
-    mesh = _field(dc, "mesh_per_axis", 5, int)
+    mesh = _count_field(dc, "mesh_per_axis", 5)
     n_s, n_u, m = f.dims.n_s, f.dims.n_u, f.dims.m
     const = np.full(n_s, _field(dc, "sigma_const", 0.6 * f.rho))
     u_coeffs = _field(dc, "sigma_u_coeffs", np.zeros((n_s, n_u)),
@@ -180,12 +187,12 @@ def build_disk(dc: dict, f) -> DiskSpec:
 
 def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     f = build_model(_section(cfg, "model", {}))
-    samples = _field(cfg, "samples", 256, int)
+    samples = _count_field(cfg, "samples", 256)
     tol = _field(cfg, "tol", 1e-10)
     report = validate_conditions(f, sample_count=samples, tol=tol, seed=seed)
     bounds = estimate_bounds(
         f,
-        grid_density=_field(cfg, "grid_density", 7, int),
+        grid_density=_count_field(cfg, "grid_density", 7),
         target_eps=_field(cfg, "target_eps", 1e-2),
     )
     constants = check_constants(bounds)
@@ -208,10 +215,10 @@ def cmd_validate(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     f = build_model(_section(cfg, "model", {}))
-    samples = _field(cfg, "samples", 128, int)
+    samples = _count_field(cfg, "samples", 128)
     eps = _field(cfg, "eps", 1e-2)
-    n_max = _field(cfg, "n_max", 30, int)
-    grid_density = _field(cfg, "grid_density", 7, int)
+    n_max = _count_field(cfg, "n_max", 30)
+    grid_density = _count_field(cfg, "grid_density", 7)
     disk = build_disk(_section(cfg, "disk"), f)
     report = validate_conditions(f, sample_count=samples, seed=seed)
     if not report.passed:
@@ -249,7 +256,7 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     f = build_model(mc)
     y0, y1 = _field(mc, "y0", None), _field(mc, "y1", None)
     eps = _field(cfg, "eps", 1e-2)
-    n_max = _field(cfg, "n_max", 40, int)
+    n_max = _count_field(cfg, "n_max", 40)
     disk = build_disk(_section(cfg, "disk"), f)
     report = annulus_experiment(f, y0, y1, disk, eps=eps, n_max=n_max)
     rows = (
@@ -281,8 +288,8 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     except ContractError as err:
         raise ConfigError(f"invalid Hamiltonian parameters: {err}") from err
     h = _field(hc, "h", 1e-3)
-    n_returns = _field(hc, "returns", 10, int)
-    cyl_returns = _field(hc, "cyl_returns", 100, int)
+    n_returns = _count_field(hc, "returns", 10)
+    cyl_returns = _count_field(hc, "cyl_returns", 100)
     tol_drift = _field(hc, "drift_tol", 1e-8)
     tol_cyl = _field(hc, "cyl_tol", 1e-12)
     fit_tol = _field(hc, "fit_rel_tol", 0.05)

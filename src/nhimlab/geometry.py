@@ -108,6 +108,20 @@ def _wrap_angles(X: np.ndarray, is_angle: np.ndarray) -> np.ndarray:
     return X
 
 
+def _count(n, name: str, minimum: int = 0) -> int:
+    """``n`` as an int; a count that is NaN, infinite, not integral or below
+    ``minimum`` is a ContractError, never a conversion error or a silently
+    truncated count."""
+    try:
+        value = int(n)
+        integral = value == n
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < minimum:
+        raise ContractError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return value
+
+
 def _frozen_array(v) -> np.ndarray:
     arr = np.array(v, dtype=float).reshape(-1)
     arr.flags.writeable = False
@@ -156,15 +170,9 @@ class TangentVector:
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.v_s, self.v_u, self.v_x])
 
-    def sup_norm(self) -> float:
-        return vec_sup_norm(self.as_array())
-
     def block_norms(self) -> tuple[float, float, float]:
         """(|v_s|, |v_u|, |v_x|), each a sup norm; empty-block guard not needed."""
         return (vec_sup_norm(self.v_s), vec_sup_norm(self.v_u), vec_sup_norm(self.v_x))
-
-    def scaled(self, factor: float) -> "TangentVector":
-        return TangentVector(self.v_s * factor, self.v_u * factor, self.v_x * factor)
 
 
 def vec_sup_norm(v) -> float:
@@ -210,16 +218,3 @@ def tensor_row_sup_norm(t) -> float:
         return float(np.max(np.abs(arr)))
     flat = np.abs(arr).reshape(arr.shape[0], -1)
     return float(np.max(np.sum(flat, axis=1)))
-
-
-def manifold_distance(x1, x2, topo: ChartTopology) -> float:
-    """Sup distance on the manifold factor honoring per-coordinate topology."""
-    a = _as_float_vector(x1)
-    b = _as_float_vector(x2)
-    if a.size != b.size or a.size != topo.m:
-        raise ContractError(f"expected two vectors of length {topo.m}, got {a.size} and {b.size}")
-    diff = np.abs(a - b)
-    wrap = np.mod(diff, TWO_PI)
-    circ = np.minimum(wrap, TWO_PI - wrap)
-    per_coord = np.where(topo.is_angle, circ, diff)
-    return float(np.max(per_coord))

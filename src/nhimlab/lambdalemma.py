@@ -26,7 +26,7 @@ from .exceptions import (
     ModelInconsistencyError,
     OutOfNeighborhoodError,
 )
-from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector
+from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _normal_norm
 from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _fd_first, check_constants
 from .tangentflow import (
     JetState,
@@ -56,8 +56,7 @@ class DiskSpec:
     dsigma: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.mesh_per_axis < 1:
-            raise ContractError(f"mesh_per_axis must be >= 1, got {self.mesh_per_axis}")
+        object.__setattr__(self, "mesh_per_axis", _count(self.mesh_per_axis, "mesh_per_axis", 1))
         object.__setattr__(self, "u_box", tuple((float(a), float(b)) for a, b in self.u_box))
         object.__setattr__(self, "x_box", tuple((float(a), float(b)) for a, b in self.x_box))
         for lo, hi in self.u_box:
@@ -173,7 +172,7 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
         s = np.atleast_1d(np.asarray(d.sigma(u, x), dtype=float))
         if s.shape != (n_s,):
             raise ContractError(f"sigma returned shape {s.shape}, expected ({n_s},)")
-        norm = max(float(np.abs(s).max()), float(np.abs(u).max()))
+        norm = _normal_norm(s, u)
         if not norm < f.rho:
             raise OutOfNeighborhoodError(norm=norm, rho=f.rho)
         partials = np.concatenate(_sigma_partials(d, u, x), axis=1)
@@ -189,8 +188,7 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
 
 def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:
     """Advance every alive node; escapes censor the node, keeping its last state."""
-    if steps < 1:
-        raise ContractError(f"steps must be >= 1, got {steps}")
+    steps = _count(steps, "steps", 1)
     points, frames = mo.points.copy(), mo.frames.copy()
     alive, died_at = np.array(mo.alive), np.array(mo.died_at)
     n = mo.n
@@ -302,8 +300,7 @@ def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
-    if n_max < 0:
-        raise ContractError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _count(n_max, "n_max")
     return _settle(_iterates(seed_mesh(d, f), f, n_max), eps)
 
 
@@ -359,6 +356,7 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     either the model's structural conditions or the constant estimates, so
     they are reported rather than raised.
     """
+    n_max = _count(n_max, "n_max")
     broken = [c.name for c in check_constants(b) if not c.holds]
     if broken:
         raise ContractError(f"constant budget violates {', '.join(broken)}")
@@ -471,6 +469,7 @@ def annulus_experiment(
         raise ContractError("annulus experiment needs base coordinates (angle, action)")
     if not y0 < y1:
         raise ContractError(f"need y0 < y1, got {y0}, {y1}")
+    n_max = _count(n_max, "n_max")
     y_index = 1
     mo = seed_mesh(d, f)
     edge0 = [i for i, tag in enumerate(mo.tags) if tag[1][y_index] == y0]

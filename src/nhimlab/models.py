@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import ContractError
-from .geometry import TWO_PI, ChartTopology, Dimensions
+from .geometry import TWO_PI, ChartTopology, Dimensions, _count
 from .normalform import BoundSet, MapSpec, check_constants
 
 def _check_rates(lambda_s: float, lambda_u: float) -> float:
@@ -415,20 +415,6 @@ def _step_size(h, upper: float = math.inf) -> float:
     if not (math.isfinite(h) and 0.0 < h <= upper):
         raise ContractError(f"step size must be a finite number in (0, {upper}], got {h}")
     return h
-
-
-def _count(n, name: str, minimum: int = 0) -> int:
-    """``n`` as an int; a count that is NaN, infinite, not integral or below
-    ``minimum`` is a ContractError, never a conversion error or a silently
-    truncated count."""
-    try:
-        value = int(n)
-        integral = value == n
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or value < minimum:
-        raise ContractError(f"{name} must be an integer >= {minimum}, got {n!r}")
-    return value
 
 
 def symplectic_step(hs: HamiltonianSpec, st: FlowState, h: float) -> FlowState:

@@ -19,7 +19,6 @@ budget (k, C, C~, D, ...) that the inclination estimates run on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,6 +31,7 @@ from .geometry import (
     ChartPoint,
     ChartTopology,
     Dimensions,
+    _count,
     _max_keep_nan,
     _normal_norm,
     mat_row_sup_norm,
@@ -39,7 +39,7 @@ from .geometry import (
     vec_sup_norm,
 )
 
-# Central-difference defaults: balance truncation against roundoff at 64 bit.
+# Central-difference steps: balance truncation against roundoff at 64 bit.
 FD_STEP_FIRST = 1e-6
 FD_STEP_SECOND = 1e-4
 
@@ -94,10 +94,6 @@ class MapSpec:
 
     def point(self, s, u, x) -> ChartPoint:
         return ChartPoint(np.atleast_1d(s), np.atleast_1d(u), np.atleast_1d(x), self.topo)
-
-    def r_concat(self, s, u, x) -> np.ndarray:
-        r_s, r_u, r_x = self.r_map(s, u, x)
-        return self.dims.join(r_s, r_u, r_x)
 
     def x_ranges(self) -> list:
         """Per-coordinate sampling ranges: angles get [0, 2*pi), linear
@@ -194,7 +190,7 @@ def _fd_second(func, z: np.ndarray, h: float) -> np.ndarray:
 
 def _r_flat(f: MapSpec):
     """The remainder r as a function of the concatenated coordinate z = (s, u, x)."""
-    return lambda z: f.r_concat(*f.dims.split(z))
+    return lambda z: f.dims.join(*f.r_map(*f.dims.split(z)))
 
 
 def _g_flat(f: MapSpec):
@@ -342,9 +338,6 @@ class ConditionReport:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def _primes(count: int) -> list:
     found = []
@@ -402,8 +395,7 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     The derivative consequences are the slice identities d_s r_u = d_x r_u = 0
     on {u=0}, d_u r_s = d_x r_s = 0 on {s=0}, and the matching r_x blocks.
     """
-    if sample_count < 1:
-        raise ContractError("sample_count must be at least 1")
+    sample_count = _count(sample_count, "sample_count", 1)
     if tol <= 0:
         raise ContractError("tol must be positive")
     dims = f.dims
@@ -577,9 +569,6 @@ class BoundSet:
             "lk2_ok": self.lk2_ok,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ConstraintCheck:
@@ -593,13 +582,11 @@ class ConstraintCheck:
 
 def check_constants(b: BoundSet) -> tuple:
     """Evaluate the four standing inequalities with their numeric slack."""
-    lk1 = 1.0 - (b.lam + b.k)
-    lk2 = b.gap - 1.0
     rate = (b.k + b.lam) - b.k / b.gap
     contraction = 1.0 - ((b.lam + b.k) / b.gap) * b.mu_star
     return (
-        ConstraintCheck("lambda_plus_k_below_one", 0.0 < b.lam + b.k < 1.0, lk1),
-        ConstraintCheck("inverse_gap_above_one", lk2 > 0.0, lk2),
+        ConstraintCheck("lambda_plus_k_below_one", b.lk1_ok, 1.0 - (b.lam + b.k)),
+        ConstraintCheck("inverse_gap_above_one", b.lk2_ok, b.gap - 1.0),
         ConstraintCheck("inclination_rate_below_budget", rate > 0.0, rate),
         ConstraintCheck("slab_contraction", contraction > 0.0, contraction),
     )
@@ -641,12 +628,7 @@ def _g_second_tensor(f: MapSpec, x, h2: float) -> np.ndarray:
     return _fd_second(_g_flat(f), x, h2)
 
 
-def estimate_bounds(
-    f: MapSpec,
-    grid_density: int = 7,
-    target_eps: float = 1e-2,
-    h2: float = FD_STEP_SECOND,
-) -> BoundSet:
+def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2) -> BoundSet:
     """Sample the constant budget on a regular grid and derive the slab.
 
     k is the sup of ||Dr||; C sups the second derivatives of r_s and r_x over
@@ -663,8 +645,7 @@ def estimate_bounds(
     along one output row's flattened block, and the max is exact and keeps
     a NaN from any row, so the constants have the bits of a per-row pass.
     """
-    if grid_density < 2:
-        raise ContractError("grid_density must be at least 2 per axis")
+    grid_density = _count(grid_density, "grid_density", 2)
     if target_eps <= 0:
         raise ContractError("target_eps must be positive")
     dims = f.dims
@@ -672,7 +653,7 @@ def estimate_bounds(
     sl_s = slice(0, dims.n_s)
     sl_u = slice(dims.n_s, dims.n_s + dims.n_u)
     sl_x = slice(dims.n_s + dims.n_u, n)
-    margin = 0.0 if (f.d_r is not None and f.d2_r is not None) else 2.5 * h2
+    margin = 0.0 if (f.d_r is not None and f.d2_r is not None) else 2.5 * FD_STEP_SECOND
     grid = _bound_grid(f, grid_density, margin)
 
     def row_sup(t: np.ndarray, *index) -> float:
@@ -698,11 +679,11 @@ def estimate_bounds(
         for i, row in enumerate(chunk):
             s_i, u_i, x_i = dims.split(row)
             jacs[i] = _r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)
-            tensors[i] = _second_tensor(f, s_i, u_i, x_i, h2)
+            tensors[i] = _second_tensor(f, s_i, u_i, x_i, FD_STEP_SECOND)
             x_key = x_i.tobytes()
             if x_key not in seen_x:
                 seen_x.add(x_key)
-                c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, h2)))
+                c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, FD_STEP_SECOND)))
                 d_bound = _max_keep_nan(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
         jac, t2 = jacs[: len(chunk)], tensors[: len(chunk)]
         k = _max_keep_nan(k, row_sup(jac))

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import ContractError, DivergenceError, OutOfNeighborhoodError
+from .exceptions import ContractError, DivergenceError
 from .geometry import (
     TWO_PI, ChartPoint, ChartTopology, _as_float_vector, _max_keep_nan, _normal_norm, vec_sup_norm
 )
@@ -94,21 +94,13 @@ def _inverse(gp: GraphPair, q_s: np.ndarray, q_u: np.ndarray, x: np.ndarray, tol
     )
 
 
-def straighten_point(gp: GraphPair, p: ChartPoint, rho: Optional[float] = None) -> ChartPoint:
-    """Apply Phi; with ``rho`` given, points outside the ball are rejected."""
-    if rho is not None and not p.in_ball(rho):
-        raise OutOfNeighborhoodError(norm=p.normal_norm, rho=rho)
+def straighten_point(gp: GraphPair, p: ChartPoint) -> ChartPoint:
+    """Apply Phi to a chart point."""
     s, u = _phi(gp, p.s, p.u, p.x)
     return ChartPoint(s=s, u=u, x=p.x, topology=p.topology)
 
 
-def straighten_inverse(
-    gp: GraphPair,
-    q: ChartPoint,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    rho: Optional[float] = None,
-) -> ChartPoint:
+def straighten_inverse(gp: GraphPair, q: ChartPoint, tol: float = 1e-12, max_iter: int = 100) -> ChartPoint:
     """Solve Phi(p) = q by the fixed-point iteration
 
         s <- q_s + G_u(u, x),   u <- q_u + G_s(s, x),
@@ -117,8 +109,6 @@ def straighten_inverse(
     there.  Raises DivergenceError when the residual fails to reach ``tol``
     within ``max_iter`` sweeps (the point is too far out for this pair).
     """
-    if rho is not None and not q.in_ball(rho):
-        raise OutOfNeighborhoodError(norm=q.normal_norm, rho=rho)
     if tol <= 0:
         raise ContractError(f"tol must be positive, got {tol}")
     s, u = _inverse(gp, q.s, q.u, q.x, tol, max_iter)
@@ -153,20 +143,20 @@ def _dphi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndar
     return d
 
 
-def tangency_violation(gp: GraphPair, f: MapSpec, sample_count: int = 16, seed: int = 0, h: float = 1e-6) -> float:
-    """Sup over sampled base points of the graph values and first derivatives at 0.
+def tangency_violation(gp: GraphPair, f: MapSpec) -> float:
+    """Sup over 16 sampled base points of the graph values and first derivatives at 0.
 
     Zero for an admissible pair; anything materially positive means the
     graphs are not tangent to the model slices and Phi will not straighten
     cleanly.
     """
     dims = f.dims
-    xs = _scale_manifold(_unit_samples(dims.m, sample_count, seed), f.x_ranges())
+    xs = _scale_manifold(_unit_samples(dims.m, 16, 0), f.x_ranges())
     zs = np.zeros(dims.n_s)
     zu = np.zeros(dims.n_u)
     worst = 0.0
     for x in xs:
-        values = (_graph(gp.G_s, zs, x), _graph(gp.G_u, zu, x), *_graph_derivatives(gp, zs, zu, x, h))
+        values = (_graph(gp.G_s, zs, x), _graph(gp.G_u, zu, x), *_graph_derivatives(gp, zs, zu, x, FD_STEP_FIRST))
         worst = _max_keep_nan(worst, *(vec_sup_norm(v) for v in values))
     return worst
 
@@ -187,12 +177,12 @@ def _inverse_reaches(gp: GraphPair, f: MapSpec, rho_try: float) -> bool:
     return True
 
 
-def conjugated_radius(f: MapSpec, gp: GraphPair, bisect_steps: int = 30) -> float:
-    """Largest ball radius (up to bisection resolution) on which Phi inverts cleanly."""
+def conjugated_radius(f: MapSpec, gp: GraphPair) -> float:
+    """Largest ball radius (up to 30 bisection steps) on which Phi inverts cleanly."""
     if _inverse_reaches(gp, f, f.rho):
         return f.rho
     lo, hi = 0.0, f.rho
-    for _ in range(bisect_steps):
+    for _ in range(30):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

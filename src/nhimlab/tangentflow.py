@@ -242,36 +242,3 @@ def stretch_lower_bound(b: BoundSet, eps: float) -> StretchBound:
     """
     refined = 1.0 / b.lam - b.k - b.k * eps - (b.k + b.C * b.rho) * eps
     return StretchBound(refined=refined, floor=1.0 / b.lam - 2.0 * b.k)
-
-
-def ratio_identity_check(v_prev: TangentVector, v_next: TangentVector) -> tuple:
-    """Both sides of the norm-ratio factorization, quadratic combination.
-
-    With |v|^2 = |v_s|^2 + |v_u|^2 + |v_x|^2 (sup norm per block, root sum of
-    squares across blocks),
-
-        |v'|/|v| = (|v'_u|/|v_u|) * sqrt(1 + I'_s^2 + I'_x^2) / sqrt(1 + I_s^2 + I_x^2)
-
-    holds exactly; the pair (lhs, rhs) is returned for comparison.  Note the
-    quadratic combination here differs from the sup norm used elsewhere; both
-    diagnostics are intentional.
-    """
-    ps, pu, px = v_prev.block_norms()
-    ns, nu, nx = v_next.block_norms()
-    if pu == 0.0 or nu == 0.0:
-        raise DegenerateVectorError("ratio identity needs nonzero unstable components")
-    lhs = math.sqrt(ns * ns + nu * nu + nx * nx) / math.sqrt(ps * ps + pu * pu + px * px)
-    rhs = (nu / pu) * math.sqrt(1.0 + (ns / nu) ** 2 + (nx / nu) ** 2) / math.sqrt(
-        1.0 + (ps / pu) ** 2 + (px / pu) ** 2
-    )
-    return lhs, rhs
-
-
-def records_to_csv(records: Sequence[InclinationRecord]) -> str:
-    """CSV text with columns n, I_s, I_x, stretch, s_norm, u_norm."""
-    lines = ["n,I_s,I_x,stretch,s_norm,u_norm"]
-    for r in records:
-        lines.append(
-            f"{r.n},{r.I_s:.17g},{r.I_x:.17g},{r.stretch:.17g},{r.s_norm:.17g},{r.u_norm:.17g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,0 +1,124 @@
+"""The public interface: every exported name has a user, and every count is
+checked the same way at the API and in the CLI."""
+
+import ast
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nhimlab
+from nhimlab import (
+    BoundSet,
+    ContractError,
+    DiskSpec,
+    advance_mesh,
+    annulus_experiment,
+    cli,
+    estimate_bounds,
+    find_K,
+    make_default_disk,
+    make_linear,
+    make_twist_annulus,
+    seed_mesh,
+    validate_conditions,
+    verify_bound_domination,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# exported names whose only user today is outside src/, perfbench/ and tools/
+ROLES = {
+    "stretch_lower_bound": "ROADMAP item 4: the growth floor of the certified K bound",
+    "ham_vector_field": "ROADMAP item 5: the flow behind the Poincare return map",
+    "integrate": "ROADMAP item 5: the flow behind the Poincare return map",
+    "symplectic_step": "ROADMAP item 5: the flow behind the Poincare return map",
+    "pendulum_local_inverse": "ROADMAP item 5: the saddle chart of the return map",
+    "straighten_point": "test oracle: Phi in the conjugated remainder's bit-for-bit test",
+    "unit_frame": "test oracle: builds the frames of the acceptance checks",
+}
+
+
+def _without_definition(text, name):
+    """Module text less the top-level def or class of ``name``, decorators included."""
+    lines = text.splitlines(keepends=True)
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            del lines[start - 1 : node.end_lineno]
+            break
+    return "".join(lines)
+
+
+def test_every_public_name_has_a_user():
+    modules = [p.read_text() for p in sorted((ROOT / "src" / "nhimlab").glob("*.py")) if p.name != "__init__.py"]
+    outside = "".join(p.read_text() for d in ("perfbench", "tools") for p in sorted((ROOT / d).glob("*.py")))
+    assert set(ROLES) <= set(nhimlab.__all__)
+    unused = []
+    for name in nhimlab.__all__:
+        word = re.compile(rf"\b{name}\b")
+        if name in ROLES or word.search(outside) or any(word.search(_without_definition(t, name)) for t in modules):
+            continue
+        unused.append(name)
+    assert not unused, f"exported but used nowhere: {unused}"
+
+
+LINEAR = make_linear(0.5, 2.0)
+DISK = make_default_disk(LINEAR)
+TWIST = make_twist_annulus(0.05, 0.0, 1.0)
+BUDGET = BoundSet.from_constants(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
+
+API_COUNTS = {
+    "DiskSpec.mesh_per_axis": lambda n: DiskSpec(
+        sigma=lambda u, x: np.zeros(1), u_box=((-0.01, 0.01),), x_box=((0.0, 1.0),), mesh_per_axis=n
+    ),
+    "validate_conditions.sample_count": lambda n: validate_conditions(LINEAR, sample_count=n),
+    "estimate_bounds.grid_density": lambda n: estimate_bounds(LINEAR, grid_density=n),
+    "find_K.n_max": lambda n: find_K(DISK, LINEAR, 1e-2, n),
+    "verify_bound_domination.n_max": lambda n: verify_bound_domination(DISK, LINEAR, BUDGET, n),
+    "annulus_experiment.n_max": lambda n: annulus_experiment(TWIST, 0.0, 1.0, make_default_disk(TWIST), 1e-2, n),
+    "advance_mesh.steps": lambda n: advance_mesh(seed_mesh(DISK, LINEAR), LINEAR, n),
+}
+
+CLI_COUNTS = {
+    "validate.samples": lambda n: ("validate", {"model": {"kind": "linear"}, "samples": n}),
+    "validate.grid_density": lambda n: ("validate", {"model": {"kind": "linear"}, "grid_density": n}),
+    "lambda.n_max": lambda n: ("lambda", {"model": {"kind": "linear"}, "n_max": n}),
+    "lambda.disk.mesh_per_axis": lambda n: ("lambda", {"model": {"kind": "linear"}, "disk": {"mesh_per_axis": n}}),
+    "annulus.n_max": lambda n: ("annulus", {"model": {"kind": "twist", "y0": 0.2, "y1": 0.8}, "n_max": n}),
+    "ham.returns": lambda n: ("ham", {"ham": {"returns": n, "fit_exponents": False}}),
+    "ham.cyl_returns": lambda n: ("ham", {"ham": {"cyl_returns": n, "fit_exponents": False}}),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, math.nan])
+@pytest.mark.parametrize("entry", [*API_COUNTS, *CLI_COUNTS])
+def test_a_count_that_is_not_a_whole_number_is_refused(entry, count, tmp_path, capsys):
+    # the API raises a ContractError naming the count, never a TypeError from
+    # range or linspace; the CLI exits 2 (config error) naming the key and
+    # writes nothing, never truncating 2.5 to 2
+    key = entry.split(".")[-1]
+    if entry in API_COUNTS:
+        with pytest.raises(ContractError, match=key):
+            API_COUNTS[entry](count)
+        return
+    command, cfg = CLI_COUNTS[entry](count)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+    assert not list(out.glob("*"))
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_a_whole_float_count_is_its_int(tmp_path):
+    mesh = DiskSpec(sigma=DISK.sigma, u_box=DISK.u_box, x_box=DISK.x_box, mesh_per_axis=5.0).mesh_per_axis
+    assert type(mesh) is int and mesh == 5
+    assert find_K(DISK, LINEAR, 1e-2, 3.0).to_dict() == find_K(DISK, LINEAR, 1e-2, 3).to_dict()
+    assert validate_conditions(LINEAR, sample_count=4.0).to_dict() == validate_conditions(LINEAR, sample_count=4).to_dict()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"kind": "linear"}, "samples": 16.0, "grid_density": 3.0}))
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK

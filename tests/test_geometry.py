@@ -11,7 +11,6 @@ from nhimlab import (
     ContractError,
     Dimensions,
     TangentVector,
-    manifold_distance,
     mat_row_sup_norm,
     tensor_row_sup_norm,
     vec_sup_norm,
@@ -138,32 +137,6 @@ def test_chart_point_norm_and_ball():
 def test_tangent_vector_blocks():
     v = TangentVector([1.0, -2.0], [0.5], [0.0, 3.0])
     assert v.block_norms() == (2.0, 0.5, 3.0)
-    assert v.sup_norm() == 3.0
-    w = v.scaled(0.5)
-    assert w.block_norms() == (1.0, 0.25, 1.5)
-
-
-def test_manifold_distance():
-    lin = ChartTopology.lines(1)
-    ang = ChartTopology.angles(1)
-    assert manifold_distance([0.2], [0.5], lin) == 0.3 or np.isclose(
-        manifold_distance([0.2], [0.5], lin), 0.3)
-    assert np.isclose(manifold_distance([0.1], [TWO_PI - 0.1], ang), 0.2)
-    assert manifold_distance([1.3], [1.3], ang) == 0.0
-    mixed = ChartTopology.of(["angle", "linear"])
-    d = manifold_distance([0.1, 0.0], [TWO_PI - 0.1, 0.05], mixed)
-    assert np.isclose(d, 0.2)
-    with pytest.raises(ContractError):
-        manifold_distance([0.1], [0.1, 0.2], ang)
-
-
-@given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
-def test_angle_distance_symmetric_and_bounded(a, b):
-    topo = ChartTopology.angles(1)
-    d1 = manifold_distance([a], [b], topo)
-    d2 = manifold_distance([b], [a], topo)
-    assert np.isclose(d1, d2, atol=1e-9)
-    assert d1 <= np.pi + 1e-9
 
 
 @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6), st.integers(0, 6))

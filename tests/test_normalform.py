@@ -104,7 +104,7 @@ def test_validate_conditions_linear_exact():
 def test_validate_conditions_poly_passes():
     report = validate_conditions(make_poly(0.05), sample_count=128)
     assert report.passed
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["passed"] is True
     names = {c["name"] for c in payload["checks"]}
     assert {"a", "b", "c", "d", "e"} <= names

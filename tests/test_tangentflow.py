@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import _refvals as rv
 from nhimlab import (
@@ -15,8 +13,6 @@ from nhimlab import (
     make_defective,
     make_linear,
     make_poly,
-    ratio_identity_check,
-    records_to_csv,
     sn_contraction_bound,
     stable_restricted_step,
     step_jet,
@@ -175,56 +171,6 @@ def test_stretch_lower_bound():
     assert np.isclose(got.floor, 1.9, atol=1e-12)
     b0 = BoundSet.from_constants(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
     assert stretch_lower_bound(b0, 0.1).refined == 2.0
-
-
-def test_ratio_identity_pure_unstable():
-    lhs, rhs = ratio_identity_check(
-        TangentVector([0.0], [1.0], [0.0]), TangentVector([0.0], [2.0], [0.0]))
-    assert lhs == 2.0 and rhs == 2.0
-
-
-def test_ratio_identity_oracle():
-    lhs, rhs = ratio_identity_check(
-        TangentVector([1.0], [1.0], [1.0]), TangentVector([0.5], [2.0], [1.0]))
-    assert np.isclose(lhs, rhs, rtol=1e-14)
-    assert np.isclose(lhs, rv.RATIO_LHS_111_0521, rtol=1e-14)
-
-
-def test_ratio_identity_scale_invariant():
-    a = TangentVector([1.0], [1.0], [1.0])
-    b = TangentVector([0.5], [2.0], [1.0])
-    lhs, rhs = ratio_identity_check(a, b)
-    lhs7, rhs7 = ratio_identity_check(a.scaled(4.0), b.scaled(4.0))
-    assert np.isclose(lhs7, lhs, rtol=1e-15) and np.isclose(rhs7, rhs, rtol=1e-15)
-
-
-def test_ratio_identity_rejects_degenerate():
-    with pytest.raises(DegenerateVectorError):
-        ratio_identity_check(TangentVector([1.0], [0.0], [0.0]),
-                             TangentVector([0.5], [0.0], [0.0]))
-
-
-@given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
-def test_ratio_identity_property(vals):
-    a = TangentVector([vals[0]], [vals[1] + 11.0], [vals[2]])
-    b = TangentVector([vals[3]], [vals[4] + 11.0], [vals[5]])
-    lhs, rhs = ratio_identity_check(a, b)
-    assert np.isclose(lhs, rhs, rtol=1e-11, atol=1e-11)
-
-
-def test_records_to_csv():
-    j = jet(LINEAR, [0.3], [0.0], [0.7], [([1.0], [1.0], [1.0])])
-    recs = []
-    for _ in range(3):
-        j, rec = step_jet(LINEAR, j)
-        recs.append(rec)
-    text = records_to_csv(recs)
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,I_s,I_x,stretch,s_norm,u_norm"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == 0.25 and float(first[2]) == 0.5
 
 
 def _wide_entries(rng, shape):

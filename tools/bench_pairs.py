@@ -11,6 +11,16 @@ the runs of both sides, their medians and quartiles, and how many pairs the
 change wins and loses (ties count for neither); also the failed operations,
 whether every run passed its checks, the backend, the machine, and
 ``wc -l src/nhimlab/*.py`` of both sides.  Standard library only.
+
+Each end-to-end metric of ``BENCHMARK.json`` (all lower-is-better) gets a
+``verdict`` against its ``bound``: ``worse`` when the change's median over
+the parent's, less 1, exceeds the bound; ``unresolved`` when the parent's
+quartile spread over its median exceeds the bound and the change does not
+win every pair; ``better`` when the change wins at least nine pairs in ten
+and its median undercuts the parent's by more than the parent's quartile
+spread; ``level`` otherwise.  After writing the record the tool exits 1 when
+a verdict is ``worse``, a run failed its checks, or the change failed more
+operations than the parent on a workload.
 """
 
 import argparse
@@ -75,7 +85,29 @@ def machine():
     }
 
 
-def workload_record(parent, workload, seeds, seconds, backends):
+def end_to_end_bounds():
+    """name -> bound of the end-to-end metrics in BENCHMARK.json."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if any(m["better"] != "lower" for m in metrics):
+        sys.exit("verdicts assume lower is better for every end-to-end metric")
+    return {m["name"]: m["bound"] for m in metrics}
+
+
+def verdict(metric, bound):
+    """``worse``, ``unresolved``, ``better`` or ``level`` for one metric record, as in the module docstring."""
+    parent, change = metric["parent"], metric["change"]
+    spread = parent["q3"] - parent["q1"]
+    pairs = len(metric["parent_runs"])
+    if metric["change_over_parent"] > bound:
+        return "worse"
+    if spread / parent["median"] > bound and metric["change_wins"] < pairs:
+        return "unresolved"
+    if metric["change_wins"] >= 0.9 * pairs and parent["median"] - change["median"] > spread:
+        return "better"
+    return "level"
+
+
+def workload_record(parent, workload, seeds, seconds, backends, bounds):
     sides = {"parent": [], "change": []}
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -100,6 +132,9 @@ def workload_record(parent, workload, seeds, seconds, backends):
             "parent_runs": runs["parent"],
             "change_runs": runs["change"],
         }
+        if name in bounds:
+            metrics[name]["bound"] = bounds[name]
+            metrics[name]["verdict"] = verdict(metrics[name], bounds[name])
     return {
         "pairs": len(seeds),
         "seeds": seeds,
@@ -112,6 +147,19 @@ def workload_record(parent, workload, seeds, seconds, backends):
         },
         "correct": {side: all(r["correct"] for r in results) for side, results in sides.items()},
     }
+
+
+def regressions(workloads):
+    """What makes the change fail: worse verdicts, runs that failed their checks, more failed operations."""
+    problems = []
+    for w, rec in workloads.items():
+        problems += [f"{w} {name} is worse than the parent by {m['change_over_parent']:+.1%} (bound {m['bound']:.0%})"
+                     for name, m in rec["metrics"].items() if m.get("verdict") == "worse"]
+        problems += [f"{w}: a {side} run failed its checks" for side, ok in rec["correct"].items() if not ok]
+        failed = {side: sum(rec["failed_ops"][side]) for side in ("parent", "change")}
+        if failed["change"] > failed["parent"]:
+            problems.append(f"{w}: the change failed {failed['change']} operations, the parent {failed['parent']}")
+    return problems
 
 
 def main():
@@ -129,8 +177,10 @@ def main():
     if not (parent / "perfbench" / "run.py").is_file():
         sys.exit(f"no perfbench/run.py under {parent}")
 
-    backends = set()
-    workloads = {w: workload_record(parent, w, args.seeds, args.seconds, backends) for w in args.workloads.split(",")}
+    backends, bounds = set(), end_to_end_bounds()
+    workloads = {
+        w: workload_record(parent, w, args.seeds, args.seconds, backends, bounds) for w in args.workloads.split(",")
+    }
     seeds = f"{args.seeds[0]}..{args.seeds[-1]}"
     record = {
         "change": args.change,
@@ -140,7 +190,8 @@ def main():
             "the parent first on odd seeds and the change first on even seeds, one run at a time, each "
             "side in its own checkout. Medians and quartiles are statistics.median and "
             "statistics.quantiles(n=4) over the runs of each side; change_wins counts pairs where the "
-            "change reads lower, ties counting for neither."
+            "change reads lower, ties counting for neither. Each end-to-end metric's verdict is judged "
+            "against its bound in BENCHMARK.json, as the docstring of tools/bench_pairs.py sets out."
         ),
         "backend": ",".join(sorted(backends)),
         "machine": machine(),
@@ -151,6 +202,10 @@ def main():
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    problems = regressions(workloads)
+    for problem in problems:
+        print(f"regression: {problem}", file=sys.stderr)
+    sys.exit(1 if problems else 0)
 
 
 if __name__ == "__main__":

@@ -108,7 +108,6 @@ emit(
     f(1 / lam - k - k * mp.mpf(0.1) - (k + C * mp.mpf(0.5)) * mp.mpf(0.1)),
     "lam=0.5 k=C=0.05 rho=0.5 eps=0.1",
 )
-emit("RATIO_LHS_111_0521", f(mp.sqrt(mp.mpf(5.25) / 3)), "v=(1,1,1) -> (0.5,2,1)")
 
 # --- poly map pointwise -----------------------------------------------------
 c05 = mp.mpf(0.05)
