@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _field(cfg, "seed", 0, int)
+        seed = _count(args.seed, "seed") if args.seed is not None else _count_field(cfg, "seed", 0)
         out_dir = _resolve_out(args, cfg)
         handler = {
             "validate": cmd_validate,

@@ -70,15 +70,15 @@ class DiskSpec:
 @dataclass(frozen=True, eq=False)
 class MeshOrbit:
     """Mesh nodes held as arrays, one row per node: base points (N, n) and
-    tangent frames (N, k, n) in (s, u, x) layout, with the node tags, survivor
-    flags and death times (-1 = alive).  A dead node keeps its last state
-    inside the ball.  ``dims`` and ``topo`` describe the chart of the rows.
+    tangent frames (N, k, n) in (s, u, x) layout, with the node tags and
+    death times (-1 = alive), the one record of which nodes survive.  A dead
+    node keeps its last state inside the ball.  ``dims`` and ``topo``
+    describe the chart of the rows.
     """
 
     tags: tuple
     points: np.ndarray
     frames: np.ndarray
-    alive: tuple
     died_at: tuple
     n: int
     dims: Dimensions
@@ -89,6 +89,11 @@ class MeshOrbit:
         self.frames.flags.writeable = False
 
     @cached_property
+    def alive(self) -> tuple:
+        """Survivor flags, one per node, read off ``died_at``."""
+        return tuple(d < 0 for d in self.died_at)
+
+    @cached_property
     def jets(self) -> tuple:
         """Read-only JetState view of the rows, built on first use; a dead
         node's jet is its last state, at iterate died_at - 1."""
@@ -97,9 +102,9 @@ class MeshOrbit:
             JetState(
                 p=ChartPoint(*split(z), self.topo),
                 frame=tuple(TangentVector(*split(v)) for v in F),
-                n=self.n if alive else died - 1,
+                n=self.n if died < 0 else died - 1,
             )
-            for z, F, alive, died in zip(self.points, self.frames, self.alive, self.died_at)
+            for z, F, died in zip(self.points, self.frames, self.died_at)
         )
 
     def alive_count(self) -> int:
@@ -178,31 +183,31 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
         partials = np.concatenate(_sigma_partials(d, u, x), axis=1)
         if partials.shape != (n_s, k):
             raise ContractError(f"sigma partials have shape {partials.shape}, expected ({n_s}, {k})")
+        if not np.isfinite(partials).all():  # a NaN value already failed the ball check
+            raise ContractError(f"sigma partials are not finite at u={u}, x={x}")
         points[row] = np.concatenate([s, u, f.topo.canonicalize(x)])
         frames[row, :, :n_s] = partials.T
         tags.append((tuple(u), tuple(x)))
     frames[:, :, n_s:] = np.eye(k)
-    alive, died_at = (True,) * len(nodes), (-1,) * len(nodes)
-    return MeshOrbit(tuple(tags), points, _unit_rows(frames), alive, died_at, 0, dims, f.topo)
+    return MeshOrbit(tuple(tags), points, _unit_rows(frames), (-1,) * len(nodes), 0, dims, f.topo)
 
 
 def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:
     """Advance every alive node; escapes censor the node, keeping its last state."""
     steps = _count(steps, "steps", 1)
     points, frames = mo.points.copy(), mo.frames.copy()
-    alive, died_at = np.array(mo.alive), np.array(mo.died_at)
+    died_at = np.array(mo.died_at)
     n = mo.n
     for _ in range(steps):
         n += 1
-        rows = np.flatnonzero(alive)
+        rows = np.flatnonzero(died_at < 0)
         points[rows], frames[rows], _, escaped, _ = _step(
             f, points[rows], frames[rows], require_unstable=False, restricted=False
         )
-        alive[rows[escaped]] = False
         died_at[rows[escaped]] = n
-        if not alive.any():
+        if escaped.all():
             raise EmptyMeshError(f"every mesh node escaped by iterate {n}; narrow the disk u_box")
-    return MeshOrbit(mo.tags, points, frames, tuple(alive.tolist()), tuple(died_at.tolist()), n, mo.dims, mo.topo)
+    return MeshOrbit(mo.tags, points, frames, tuple(died_at.tolist()), n, mo.dims, mo.topo)
 
 
 def _survivors(f: MapSpec, Z: np.ndarray, F: np.ndarray, n_max: int, restricted: bool):
@@ -370,34 +375,26 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     on_slice = [i for i in mo.alive_indices() if not np.abs(mo.points[i, dims.n_s : dims.n_s + dims.n_u]).any()]
 
     # regime 1: the stable slice, compared against the closed-form decay bounds;
-    # nodes whose frames point out of the slice in the same rows step together
-    groups = {}
-    for i in on_slice:
-        has_u = _block_norms(dims, mo.frames[i])[1] > 0.0
-        if has_u.any():
-            groups.setdefault(has_u.tobytes(), (has_u, []))[1].append(i)
-    rows_of = {}
-    for has_u, nodes in groups.values():
-        orbit = _survivors(f, mo.points[nodes], mo.frames[nodes][:, has_u], n_max, restricted=True)
+    # a seeded frame's rows j < n_u carry e_j in the u block and the others none,
+    # so those rows are the ones pointing out of the slice
+    slice_rows = []
+    if not on_slice:
+        notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
+    else:
+        orbit = _survivors(f, mo.points[on_slice], mo.frames[on_slice, : dims.n_u], n_max, restricted=True)
         _, _, Z, F = next(orbit)
         starts = [(*_frame_inclination(dims, Fj), s0) for Fj, s0 in zip(F, sup_s(Z).tolist())]
-        rows_of.update((i, []) for i in nodes)
         for n, live, Z, F in orbit:
-            for j, Fj, s_n in zip(live, F, sup_s(Z).tolist()):
-                ns0, nx0, s0 = starts[j]
+            if len(live) < len(on_slice):  # rows run up to the depth every slice node reached
+                break
+            rows = []
+            for (ns0, nx0, s0), Fj, s_n in zip(starts, F, sup_s(Z).tolist()):
                 inc_s, inc_x = _frame_inclination(dims, Fj)
                 bounds = theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0)
                 margin_s = None if bounds.pre_asymptotic else bounds.bound_s - inc_s
-                margin_sn = sn_contraction_bound(b, n, s0) - s_n
-                rows_of[nodes[j]].append((n, bounds.bound_x - inc_x, margin_s, margin_sn))
-    per_node = [rows_of[i] for i in on_slice if i in rows_of]
-    if not per_node:
-        notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
-    slice_rows = []
-    for rows in zip(*per_node):  # up to the depth every slice node reached
-        ms_vals = [r[2] for r in rows if r[2] is not None]
-        ms = min(ms_vals) if ms_vals else None
-        slice_rows.append((rows[0][0], min(r[1] for r in rows), ms, min(r[3] for r in rows)))
+                rows.append((bounds.bound_x - inc_x, margin_s, sn_contraction_bound(b, n, s0) - s_n))
+            ms_vals = [r[1] for r in rows if r[1] is not None]
+            slice_rows.append((n, min(r[0] for r in rows), min(ms_vals) if ms_vals else None, min(r[2] for r in rows)))
 
     # regime 2: off-slice survivors, checked per frame vector for persistence
     eps = b.target_eps

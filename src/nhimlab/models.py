@@ -74,7 +74,7 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
     if c < 0:
         raise ContractError(f"coupling c must be nonnegative, got {c}")
     lam = _check_rates(lambda_s, lambda_u)
-    probe = BoundSet.from_constants(lam=lam, k=2.0 * c * rho, C=c, C_tilde=0.0, D=0.0, rho=rho, target_eps=1e-2)
+    probe = BoundSet(lam=lam, k=2.0 * c * rho, C=c, C_tilde=0.0, D=0.0, rho=rho, target_eps=1e-2)
     broken = [chk.name for chk in check_constants(probe) if not chk.holds]
     if broken:
         raise ContractError(
@@ -115,7 +115,6 @@ def make_twist_annulus(
     y1: float,
     lambda_s: float = 0.5,
     lambda_u: float = 2.0,
-    omega_fn=None,
     rho: float = 0.5,
 ) -> MapSpec:
     """Twist map on the annulus T x [y0, y1] with exactly invariant edges.
@@ -130,25 +129,11 @@ def make_twist_annulus(
         raise ContractError(f"need y0 < y1, got y0={y0}, y1={y1}")
     lam = _check_rates(lambda_s, lambda_u)
 
-    if omega_fn is None:
-        omega = lambda y: TWO_PI * y
-        omega_d1 = lambda y: TWO_PI
-        analytic_g = True
-    else:
-        omega = omega_fn
-        omega_d1 = lambda y: (omega(y + 1e-6) - omega(y - 1e-6)) / 2e-6
-        analytic_g = False
-
-    y_grid = np.linspace(y0, y1, 101)
-    slopes = np.array([omega_d1(y) for y in y_grid])
-    if np.min(np.abs(slopes)) < 1e-9:
-        raise ContractError("twist condition fails: omega'(y) vanishes on [y0, y1]")
-
     def g_map(x):
         ang, y = float(x[0]), float(x[1])
         bump = (y - y0) * (y1 - y)
         return np.array(
-            [ang + omega(y) + eps_twist * bump * math.cos(ang), y + eps_twist * bump * math.sin(ang)]
+            [ang + TWO_PI * y + eps_twist * bump * math.cos(ang), y + eps_twist * bump * math.sin(ang)]
         )
 
     def d_g(x):
@@ -157,7 +142,7 @@ def make_twist_annulus(
         dbump = y0 + y1 - 2.0 * y
         return np.array(
             [
-                [1.0 - eps_twist * bump * math.sin(ang), omega_d1(y) + eps_twist * dbump * math.cos(ang)],
+                [1.0 - eps_twist * bump * math.sin(ang), TWO_PI + eps_twist * dbump * math.cos(ang)],
                 [eps_twist * bump * math.cos(ang), 1.0 + eps_twist * dbump * math.sin(ang)],
             ]
         )
@@ -179,7 +164,7 @@ def make_twist_annulus(
 
     n = 4
     blocks = _constant_blocks(lambda_s, lambda_u, m=2)
-    blocks.update(d_g=d_g if analytic_g else None, d2_g=d2_g if analytic_g else None)
+    blocks.update(d_g=d_g, d2_g=d2_g)
     return MapSpec(
         topo=ChartTopology.of(("angle", "linear")),
         rho=rho,

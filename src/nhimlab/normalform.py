@@ -20,7 +20,7 @@ budget (k, C, C~, D, ...) that the inclination estimates run on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -396,6 +396,7 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     on {u=0}, d_u r_s = d_x r_s = 0 on {s=0}, and the matching r_x blocks.
     """
     sample_count = _count(sample_count, "sample_count", 1)
+    seed = _count(seed, "seed")
     if tol <= 0:
         raise ContractError("tol must be positive")
     dims = f.dims
@@ -473,14 +474,17 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Measured constants of one map plus the derived slab quantities.
+    """Measured constants of one map plus the slab quantities derived from them.
 
-    ``eps_s`` is the half-width of the stable slab on which the persistence
-    argument runs, chosen as the infimum of the two admissible branches
-    (capped at rho); ``delta = (C+1) eps_s`` bounds the slice-vanishing first
-    derivatives there, and ``mu_star`` is the inclination-denominator factor
-    at the stored ``target_eps``.  ``c_excluded`` reports the second-derivative
-    mass of the (sigma' = s) blocks, which the budget deliberately leaves out.
+    Only the constants are given; ``mu_star``, ``eps_s`` and ``delta`` are
+    computed from them at construction, so ``dataclasses.replace`` recomputes
+    them too.  ``eps_s`` is the half-width of the stable slab on which the
+    persistence argument runs, chosen as the infimum of the two admissible
+    branches (capped at rho); ``delta = (C+1) eps_s`` bounds the
+    slice-vanishing first derivatives there, and ``mu_star`` is the
+    inclination-denominator factor at ``target_eps``.  ``c_excluded`` reports
+    the second-derivative mass of the (sigma' = s) blocks, which the budget
+    deliberately leaves out.
     """
 
     lam: float
@@ -489,51 +493,29 @@ class BoundSet:
     C_tilde: float
     D: float
     rho: float
-    eps_s: float
-    delta: float
-    mu_star: float
     target_eps: float
     c_excluded: float = 0.0
+    mu_star: float = field(init=False)
+    eps_s: float = field(init=False)
+    delta: float = field(init=False)
 
-    @classmethod
-    def from_constants(
-        cls,
-        lam: float,
-        k: float,
-        C: float,
-        C_tilde: float,
-        D: float,
-        rho: float,
-        target_eps: float,
-        c_excluded: float = 0.0,
-    ) -> "BoundSet":
-        gap = 1.0 / lam - k
-        eps = target_eps
-        denom = 1.0 - ((2.0 * k + C * rho) / gap) * eps
+    def __post_init__(self):
+        lam, k, C, eps, gap = self.lam, self.k, self.C, self.target_eps, self.gap
+        denom = 1.0 - ((2.0 * k + C * self.rho) / gap) * eps
         if denom <= 0.0:
             mu_star = math.inf
             eps_s = 0.0
         else:
             mu_star = 1.0 / denom
-            branch_x = eps * (gap / mu_star) * (1.0 - k * mu_star / gap) / (C + 1.0 + eps * (C_tilde + C + 1.0))
+            branch_x = eps * (gap / mu_star) * (1.0 - k * mu_star / gap) / (C + 1.0 + eps * (self.C_tilde + C + 1.0))
             branch_s = eps * (1.0 - (lam + k) * mu_star / gap) / (C + 1.0 + (2.0 * C + 1.0) * eps)
             if math.isnan(branch_x) or math.isnan(branch_s):
                 eps_s = math.nan  # min/max would drop it and read an unknown slab as an empty one
             else:
-                eps_s = max(0.0, min(branch_x, branch_s, rho))
-        return cls(
-            lam=lam,
-            k=k,
-            C=C,
-            C_tilde=C_tilde,
-            D=D,
-            rho=rho,
-            eps_s=eps_s,
-            delta=(C + 1.0) * eps_s,
-            mu_star=mu_star,
-            target_eps=eps,
-            c_excluded=c_excluded,
-        )
+                eps_s = max(0.0, min(branch_x, branch_s, self.rho))
+        object.__setattr__(self, "mu_star", mu_star)
+        object.__setattr__(self, "eps_s", eps_s)
+        object.__setattr__(self, "delta", (C + 1.0) * eps_s)
 
     @property
     def gap(self) -> float:
@@ -616,16 +598,16 @@ def _bound_grid(f: MapSpec, density: int, margin: float) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _second_tensor(f: MapSpec, s, u, x, h2: float) -> np.ndarray:
+def _second_tensor(f: MapSpec, s, u, x) -> np.ndarray:
     if f.d2_r is not None:
         return np.asarray(f.d2_r(s, u, x), dtype=float)
-    return _fd_second(_r_flat(f), f.dims.join(s, u, x), h2)
+    return _fd_second(_r_flat(f), f.dims.join(s, u, x), FD_STEP_SECOND)
 
 
-def _g_second_tensor(f: MapSpec, x, h2: float) -> np.ndarray:
+def _g_second_tensor(f: MapSpec, x) -> np.ndarray:
     if f.d2_g is not None:
         return np.asarray(f.d2_g(x), dtype=float)
-    return _fd_second(_g_flat(f), x, h2)
+    return _fd_second(_g_flat(f), x, FD_STEP_SECOND)
 
 
 def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2) -> BoundSet:
@@ -679,17 +661,17 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
         for i, row in enumerate(chunk):
             s_i, u_i, x_i = dims.split(row)
             jacs[i] = _r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)
-            tensors[i] = _second_tensor(f, s_i, u_i, x_i, FD_STEP_SECOND)
+            tensors[i] = _second_tensor(f, s_i, u_i, x_i)
             x_key = x_i.tobytes()
             if x_key not in seen_x:
                 seen_x.add(x_key)
-                c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, FD_STEP_SECOND)))
+                c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i)))
                 d_bound = _max_keep_nan(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
         jac, t2 = jacs[: len(chunk)], tensors[: len(chunk)]
         k = _max_keep_nan(k, row_sup(jac))
         c_listed = _max_keep_nan(c_listed, *(row_sup(t2, *index) for index in listed))
         c_excluded = _max_keep_nan(c_excluded, *(row_sup(t2, *index) for index in excluded))
-    return BoundSet.from_constants(
+    return BoundSet(
         lam=f.lam,
         k=k,
         C=c_listed,

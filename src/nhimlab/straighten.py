@@ -161,32 +161,32 @@ def tangency_violation(gp: GraphPair, f: MapSpec) -> float:
     return worst
 
 
-def _inverse_reaches(gp: GraphPair, f: MapSpec, rho_try: float) -> bool:
-    """True when the inverse iteration lands every corner of B_rho_try, at a
-    handful of base points, inside B_rho."""
-    xs = _scale_manifold(_unit_samples(f.dims.m, 5, 3), f.x_ranges())
+def conjugated_radius(f: MapSpec, gp: GraphPair) -> float:
+    """Largest ball radius (up to 30 bisection steps) on which Phi inverts cleanly: the inverse
+    iteration lands every corner of the ball, at a handful of base points, inside B_rho."""
+    xs = [f.topo.canonicalize(x) for x in _scale_manifold(_unit_samples(f.dims.m, 5, 3), f.x_ranges())]
     signs_s = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_s)]
     signs_u = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_u)]
-    for x, ss, su in itertools.product(xs, signs_s, signs_u):
-        try:
-            s, u = _inverse(gp, rho_try * ss, rho_try * su, f.topo.canonicalize(x), tol=1e-12, max_iter=200)
-        except DivergenceError:
-            return False
-        if not _normal_norm(s, u) < f.rho:
-            return False
-    return True
+    probes = list(itertools.product(xs, signs_s, signs_u))
 
+    def reaches(radius: float) -> bool:
+        for x, ss, su in probes:
+            try:
+                s, u = _inverse(gp, radius * ss, radius * su, x, tol=1e-12, max_iter=200)
+            except DivergenceError:
+                return False
+            if not _normal_norm(s, u) < f.rho:
+                return False
+        return True
 
-def conjugated_radius(f: MapSpec, gp: GraphPair) -> float:
-    """Largest ball radius (up to 30 bisection steps) on which Phi inverts cleanly."""
-    if _inverse_reaches(gp, f, f.rho):
+    if reaches(f.rho):
         return f.rho
     lo, hi = 0.0, f.rho
     for _ in range(30):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _inverse_reaches(gp, f, mid):
+        if reaches(mid):
             lo = mid
         else:
             hi = mid

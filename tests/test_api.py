@@ -69,13 +69,14 @@ def test_every_public_name_has_a_user():
 LINEAR = make_linear(0.5, 2.0)
 DISK = make_default_disk(LINEAR)
 TWIST = make_twist_annulus(0.05, 0.0, 1.0)
-BUDGET = BoundSet.from_constants(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
+BUDGET = BoundSet(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
 
 API_COUNTS = {
     "DiskSpec.mesh_per_axis": lambda n: DiskSpec(
         sigma=lambda u, x: np.zeros(1), u_box=((-0.01, 0.01),), x_box=((0.0, 1.0),), mesh_per_axis=n
     ),
     "validate_conditions.sample_count": lambda n: validate_conditions(LINEAR, sample_count=n),
+    "validate_conditions.seed": lambda n: validate_conditions(LINEAR, sample_count=8, seed=n),
     "estimate_bounds.grid_density": lambda n: estimate_bounds(LINEAR, grid_density=n),
     "find_K.n_max": lambda n: find_K(DISK, LINEAR, 1e-2, n),
     "verify_bound_domination.n_max": lambda n: verify_bound_domination(DISK, LINEAR, BUDGET, n),
@@ -86,6 +87,7 @@ API_COUNTS = {
 CLI_COUNTS = {
     "validate.samples": lambda n: ("validate", {"model": {"kind": "linear"}, "samples": n}),
     "validate.grid_density": lambda n: ("validate", {"model": {"kind": "linear"}, "grid_density": n}),
+    "validate.seed": lambda n: ("validate", {"model": {"kind": "linear"}, "seed": n}),
     "lambda.n_max": lambda n: ("lambda", {"model": {"kind": "linear"}, "n_max": n}),
     "lambda.disk.mesh_per_axis": lambda n: ("lambda", {"model": {"kind": "linear"}, "disk": {"mesh_per_axis": n}}),
     "annulus.n_max": lambda n: ("annulus", {"model": {"kind": "twist", "y0": 0.2, "y1": 0.8}, "n_max": n}),
@@ -94,7 +96,7 @@ CLI_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("count", [2.5, math.nan])
+@pytest.mark.parametrize("count", [2.5, math.nan, -1])
 @pytest.mark.parametrize("entry", [*API_COUNTS, *CLI_COUNTS])
 def test_a_count_that_is_not_a_whole_number_is_refused(entry, count, tmp_path, capsys):
     # the API raises a ContractError naming the count, never a TypeError from
@@ -112,6 +114,18 @@ def test_a_count_that_is_not_a_whole_number_is_refused(entry, count, tmp_path, c
     assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
     assert not list(out.glob("*"))
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_a_negative_seed_flag_is_refused(tmp_path, capsys):
+    # the flag is an int to argparse; its range is the count check's, an
+    # invalid input (exit 2), never a numpy traceback (exit 1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"kind": "linear"}}))
+    out = tmp_path / "out"
+    argv = ["validate", "--config", str(path), "--out", str(out), "--seed", "-1", "--quiet"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert not list(out.glob("*"))
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_a_whole_float_count_is_its_int(tmp_path):

@@ -99,6 +99,25 @@ def test_seed_mesh_fd_frames_close_to_analytic():
     assert abs(c1_distance(mo).c1 - 0.1) <= 1e-9
 
 
+def test_seed_mesh_refuses_a_non_finite_disk():
+    # a NaN frame has no unstable part for the domination check to push, and
+    # a NaN value no place in the ball: both are refused, never seeded
+    f = make_poly(0.05)
+    good = const_disk(0.2, 2e-3)
+    with pytest.raises(OutOfNeighborhoodError):
+        seed_mesh(dataclasses.replace(good, sigma=lambda u, x: np.atleast_1d(math.nan)), f)
+    dsigmas = (
+        lambda u, x: (np.full((1, 1), math.nan), np.zeros((1, 1))),
+        lambda u, x: (np.zeros((1, 1)), np.full((1, 1), math.inf if x[0] > 3.0 else 0.0)),  # at some nodes only
+    )
+    bad_disks = [dataclasses.replace(good, dsigma=dsigma) for dsigma in dsigmas]
+    for bad in bad_disks:
+        with pytest.raises(ContractError, match="partials are not finite"):
+            seed_mesh(bad, f)
+    with pytest.raises(ContractError, match="partials are not finite"):
+        verify_bound_domination(bad_disks[0], f, BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2), n_max=3)
+
+
 def test_advance_mesh_censoring():
     f = make_linear(0.5, 2.0)
     mo = seed_mesh(const_disk(0.3, 0.1), f)
@@ -125,7 +144,7 @@ def test_advance_mesh_raises_when_everything_escapes():
     # keep only one mortal node
     keep = next(i for i, j in enumerate(mo.jets) if j.p.u[0] == 0.1)
     solo = MeshOrbit(tags=(mo.tags[keep],), points=mo.points[keep : keep + 1],
-                     frames=mo.frames[keep : keep + 1], alive=(True,), died_at=(-1,), n=0,
+                     frames=mo.frames[keep : keep + 1], died_at=(-1,), n=0,
                      dims=mo.dims, topo=mo.topo)
     with pytest.raises(EmptyMeshError):
         advance_mesh(solo, f, steps=5)
@@ -294,7 +313,7 @@ def test_verify_bound_domination_poly():
 
 def test_verify_bound_domination_rejects_bad_budget():
     f = make_poly(0.05)
-    bad = BoundSet.from_constants(0.5, 0.6, 0.0, 0.0, 0.0, 0.5, 1e-2)
+    bad = BoundSet(0.5, 0.6, 0.0, 0.0, 0.0, 0.5, 1e-2)
     with pytest.raises(ContractError):
         verify_bound_domination(const_disk(0.2, 2e-3), f, bad, n_max=5)
 

@@ -164,26 +164,26 @@ def test_estimate_bounds_monotone_under_refinement():
 
 
 def test_check_constants_slacks():
-    b = BoundSet.from_constants(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
     checks = {c.name: c for c in check_constants(b)}
     assert all(c.holds for c in checks.values())
     assert np.isclose(checks["lambda_plus_k_below_one"].slack, 0.45, atol=1e-12)
 
 
 def test_check_constants_detects_rate_violation():
-    b = BoundSet.from_constants(0.5, 0.6, 0.0, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.6, 0.0, 0.0, 0.0, 0.5, 1e-2)
     checks = {c.name: c for c in check_constants(b)}
     assert not checks["lambda_plus_k_below_one"].holds
     assert checks["lambda_plus_k_below_one"].slack < 0.0
 
 
 def test_budget_oracle_values():
-    b = BoundSet.from_constants(0.9, 0.05, 0.0, 0.0, 0.0, 0.5, 0.1)
+    b = BoundSet(0.9, 0.05, 0.0, 0.0, 0.0, 0.5, 0.1)
     assert np.isclose(b.mu_star, rv.MU_STAR_09_005, rtol=1e-13)
     checks = {c.name: c for c in check_constants(b)}
     assert np.isclose(checks["slab_contraction"].slack, rv.CONTRACTION_09_005, rtol=1e-12)
 
-    poly = BoundSet.from_constants(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
+    poly = BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
     assert np.isclose(poly.mu_star, rv.POLY_MU_STAR, rtol=1e-13)
     assert np.isclose(poly.eps_s, rv.POLY_EPS_S, rtol=1e-13)
     # the stable branch is the binding one for this budget
@@ -193,19 +193,19 @@ def test_budget_oracle_values():
 
 
 def test_budget_degenerate_denominator():
-    b = BoundSet.from_constants(0.9, 0.05, 0.0, 0.0, 0.0, 0.5, 12.0)
+    b = BoundSet(0.9, 0.05, 0.0, 0.0, 0.0, 0.5, 12.0)
     assert math.isinf(b.mu_star)
     assert b.eps_s == 0.0
     assert not b.slab_ok
 
 
 def test_slab_width_capped_by_rho():
-    b = BoundSet.from_constants(0.5, 1e-6, 0.0, 0.0, 0.0, 1e-4, 0.9)
+    b = BoundSet(0.5, 1e-6, 0.0, 0.0, 0.0, 1e-4, 0.9)
     assert b.eps_s <= b.rho
 
 
 def test_boundset_serialization():
-    b = BoundSet.from_constants(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
     d = b.to_dict()
     assert d["lambda"] == 0.5 and d["k"] == 0.05
     assert d["lk1_ok"] is True and d["lk2_ok"] is True
@@ -262,7 +262,7 @@ def reference_slab(lam, k, C, C_tilde, rho, eps):
 
 def test_nan_budget_reads_an_unknown_slab():
     for k, C in ((math.nan, math.nan), (0.05, math.nan), (math.nan, 0.05)):
-        b = BoundSet.from_constants(lam=0.5, k=k, C=C, C_tilde=0.0, D=0.0, rho=0.3, target_eps=1e-2)
+        b = BoundSet(lam=0.5, k=k, C=C, C_tilde=0.0, D=0.0, rho=0.3, target_eps=1e-2)
         assert math.isnan(b.eps_s) and math.isnan(b.delta) and math.isnan(b.mu_star), (k, C)
         assert not b.slab_ok
     # finite constants keep their bits, clamped and capped branches included
@@ -273,7 +273,19 @@ def test_nan_budget_reads_an_unknown_slab():
         lam, k, C, C_tilde, rho = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0), *rng.uniform(0.0, 2.0, size=3)
         cases.append((lam, k, C, C_tilde, rho, 10.0 ** rng.uniform(-4.0, 0.0)))
     for lam, k, C, C_tilde, rho, eps in cases:
-        b = BoundSet.from_constants(lam=lam, k=k, C=C, C_tilde=C_tilde, D=0.0, rho=rho, target_eps=eps)
+        b = BoundSet(lam=lam, k=k, C=C, C_tilde=C_tilde, D=0.0, rho=rho, target_eps=eps)
         mu_star, eps_s = reference_slab(lam, k, C, C_tilde, rho, eps)
         assert (b.mu_star, b.eps_s, b.delta) == (mu_star, eps_s, (C + 1.0) * eps_s)
         assert not math.isnan(b.eps_s)
+
+
+def test_replace_rederives_the_slab():
+    b = BoundSet(lam=0.5, k=0.05, C=0.05, C_tilde=0.0, D=0.0, rho=0.5, target_eps=1e-2)
+    for k in (0.0, 0.2, 1.5):
+        new = dataclasses.replace(b, k=k)
+        mu_star, eps_s = reference_slab(0.5, k, 0.05, 0.0, 0.5, 1e-2)
+        assert (new.mu_star, new.eps_s, new.delta) == (mu_star, eps_s, (0.05 + 1.0) * eps_s), k
+    assert dataclasses.replace(b, k=0.2).eps_s != b.eps_s
+    # the slab is not an argument, so it cannot disagree with the constants
+    with pytest.raises(TypeError):
+        BoundSet(lam=0.5, k=0.05, C=0.05, C_tilde=0.0, D=0.0, rho=0.5, target_eps=1e-2, eps_s=0.1)

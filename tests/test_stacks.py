@@ -98,20 +98,20 @@ def jacobian_by_rows(f, z, h):
     return jac
 
 
-def bounds_by_rows(f, grid_density=7, target_eps=1e-2, h2=FD_STEP_SECOND):
+def bounds_by_rows(f, grid_density=7, target_eps=1e-2):
     """``estimate_bounds`` as one pass of per-row norms over the grid."""
     dims = f.dims
     sl_s = slice(0, dims.n_s)
     sl_u = slice(dims.n_s, dims.n_s + dims.n_u)
     sl_x = slice(dims.n_s + dims.n_u, dims.n)
-    margin = 0.0 if (f.d_r is not None and f.d2_r is not None) else 2.5 * h2
+    margin = 0.0 if (f.d_r is not None and f.d2_r is not None) else 2.5 * FD_STEP_SECOND
     k = c_listed = c_excluded = c_tilde = d_bound = 0.0
     col_blocks = {"s": sl_s, "u": sl_u, "x": sl_x}
     seen_x = set()
     for row in _bound_grid(f, grid_density, margin):
         s_i, u_i, x_i = dims.split(row)
         k = _max_keep_nan(k, mat_row_sup_norm(_r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)))
-        t2 = _second_tensor(f, s_i, u_i, x_i, h2)
+        t2 = _second_tensor(f, s_i, u_i, x_i)
         for rows in (sl_s, sl_x):
             for sig in ("s", "u", "x"):
                 for sig2 in ("u", "x"):
@@ -122,9 +122,9 @@ def bounds_by_rows(f, grid_density=7, target_eps=1e-2, h2=FD_STEP_SECOND):
         x_key = x_i.tobytes()
         if x_key not in seen_x:
             seen_x.add(x_key)
-            c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i, h2)))
+            c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i)))
             d_bound = _max_keep_nan(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
-    return BoundSet.from_constants(
+    return BoundSet(
         lam=f.lam, k=k, C=c_listed, C_tilde=c_tilde, D=d_bound, rho=f.rho, target_eps=target_eps,
         c_excluded=c_excluded,
     )

@@ -122,7 +122,7 @@ def test_two_jacobian_routes_agree_on_slice():
 
 
 def test_inclination_bounds_oracle():
-    b = BoundSet.from_constants(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
     got = theoretical_inclination_bounds(b, 10, I0_x=1.0, I0_s=1.0, s0=0.3)
     assert not got.pre_asymptotic
     assert np.isclose(got.bound_x, rv.BOUND_X_N10, rtol=1e-13)
@@ -130,7 +130,7 @@ def test_inclination_bounds_oracle():
 
 
 def test_inclination_bounds_pre_asymptotic():
-    b = BoundSet.from_constants(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
     for n in (0, 1):
         got = theoretical_inclination_bounds(b, n, I0_x=0.2, I0_s=0.7, s0=0.3)
         assert got.pre_asymptotic
@@ -141,7 +141,7 @@ def test_inclination_bounds_pre_asymptotic():
 
 def test_inclination_bounds_linear_model_collapse():
     # k = C = 0: the x-inclination bound vanishes identically for n >= 2
-    b = BoundSet.from_constants(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
     got = theoretical_inclination_bounds(b, 5, I0_x=1.0, I0_s=1.0, s0=0.3)
     assert got.bound_x == 0.0
     # with no x-inclination to shed, the s bound is the pure geometric ratio
@@ -150,26 +150,26 @@ def test_inclination_bounds_linear_model_collapse():
 
 
 def test_inclination_bounds_reject_bad_budget():
-    b = BoundSet.from_constants(0.5, 0.6, 0.0, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.6, 0.0, 0.0, 0.0, 0.5, 1e-2)
     with pytest.raises(ContractError):
         theoretical_inclination_bounds(b, 5, 1.0, 1.0, 0.3)
 
 
 def test_sn_contraction_bound():
-    b = BoundSet.from_constants(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
     assert sn_contraction_bound(b, 0, 0.3) == 0.3
     assert np.isclose(sn_contraction_bound(b, 5, 0.3), rv.SN_BOUND_N5, rtol=1e-13)
     # the linear model attains the bound exactly (k = 0)
-    b0 = BoundSet.from_constants(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
+    b0 = BoundSet(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
     assert sn_contraction_bound(b0, 10, 0.3) == 0.3 * 0.5 ** 10
 
 
 def test_stretch_lower_bound():
-    b = BoundSet.from_constants(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
+    b = BoundSet(0.5, 0.05, 0.05, 0.0, 0.0, 0.5, 1e-2)
     got = stretch_lower_bound(b, 0.1)
     assert np.isclose(got.refined, rv.STRETCH_REFINED_01, atol=1e-12)
     assert np.isclose(got.floor, 1.9, atol=1e-12)
-    b0 = BoundSet.from_constants(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
+    b0 = BoundSet(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
     assert stretch_lower_bound(b0, 0.1).refined == 2.0
 
 

@@ -1,9 +1,11 @@
 """Interleaved parent/change benchmark pairs, written as one BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --pr 15 --seeds 100-109 \
-        --change "what the change does" [--workloads lambda-mesh,...] [--seconds 10]
+        --change "what the change does" [--workloads lambda-mesh,...]
 
-For every workload and seed it runs ``perfbench/run.py --trace 0`` once in
+The workloads and the run length (``run_seconds``) are the ones
+``BENCHMARK.json`` declares; ``--workloads`` picks some of them.  For every
+workload and seed it runs ``perfbench/run.py --trace 0`` once in
 the parent checkout and once in this one, one run at a time: the parent
 first on odd seeds, the change first on even seeds.  Each side measures its
 own ``src/nhimlab``.  The record holds, per workload and end-to-end metric,
@@ -33,7 +35,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("lambda-mesh", "ham-returns", "budget-straightened")
 
 
 def seed_list(text):
@@ -85,9 +86,9 @@ def machine():
     }
 
 
-def end_to_end_bounds():
-    """name -> bound of the end-to-end metrics in BENCHMARK.json."""
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+def end_to_end_bounds(spec):
+    """name -> bound of the end-to-end metrics in the BENCHMARK.json record ``spec``."""
+    metrics = spec["end_to_end"]
     if any(m["better"] != "lower" for m in metrics):
         sys.exit("verdicts assume lower is better for every end-to-end metric")
     return {m["name"]: m["bound"] for m in metrics}
@@ -168,23 +169,27 @@ def main():
     ap.add_argument("--pr", required=True, type=int, help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--seeds", required=True, type=seed_list, help="e.g. 100-109 or 3,5,8")
     ap.add_argument("--change", required=True, help="one sentence on what the change does")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--workloads", help="comma-separated subset of the workloads in BENCHMARK.json (default: all)")
     args = ap.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    chosen = names if args.workloads is None else args.workloads.split(",")
+    unknown = [w for w in chosen if w not in names]
+    if unknown:
+        sys.exit(f"BENCHMARK.json lists no workload {', '.join(unknown)}; it lists {', '.join(names)}")
+    seconds = spec["run_seconds"]
     parent = args.parent.resolve()
     if len(args.seeds) < 2:
         sys.exit("need at least two seeds for quartiles")
     if not (parent / "perfbench" / "run.py").is_file():
         sys.exit(f"no perfbench/run.py under {parent}")
 
-    backends, bounds = set(), end_to_end_bounds()
-    workloads = {
-        w: workload_record(parent, w, args.seeds, args.seconds, backends, bounds) for w in args.workloads.split(",")
-    }
+    backends, bounds = set(), end_to_end_bounds(spec)
+    workloads = {w: workload_record(parent, w, args.seeds, seconds, backends, bounds) for w in chosen}
     seeds = f"{args.seeds[0]}..{args.seeds[-1]}"
     record = {
         "change": args.change,
-        "command": f"python3 perfbench/run.py --workload <w> --seed <{seeds}> --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload <w> --seed <{seeds}> --seconds {seconds:g} --trace 0",
         "method": (
             f"{len(args.seeds)} interleaved parent/change pairs per workload, by tools/bench_pairs.py: "
             "the parent first on odd seeds and the change first on even seeds, one run at a time, each "
