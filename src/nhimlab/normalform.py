@@ -19,6 +19,7 @@ budget (k, C, C~, D, ...) that the inclination estimates run on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -109,26 +110,27 @@ class MapSpec:
         return ranges
 
 
-def _image(f: MapSpec, s, u, x) -> tuple:
-    """The blocks (s', u', x') of f at (s, u, x); angles in x' are not yet wrapped."""
-    r_s, r_u, r_x = f.r_map(s, u, x)
+def _image(f: MapSpec, s, u, x, r: Optional[tuple] = None) -> tuple:
+    """The blocks (s', u', x') of f at (s, u, x), from the remainder triple ``r`` when given and from
+    ``f.r_map`` otherwise; angles in x' are not yet wrapped."""
+    r_s, r_u, r_x = f.r_map(s, u, x) if r is None else r
     s_new = f.A_s(x) @ s + np.asarray(r_s, dtype=float).reshape(-1)
     u_new = f.A_u(x) @ u + np.asarray(r_u, dtype=float).reshape(-1)
     x_new = np.asarray(f.g_map(x), dtype=float).reshape(-1) + np.asarray(r_x, dtype=float).reshape(-1)
     return s_new, u_new, x_new
 
 
-def _ball_image(f: MapSpec, s, u, x) -> tuple:
-    """``_image`` behind the ball check of ``apply_map``."""
+def _check_ball(f: MapSpec, s, u) -> None:
+    """The ball check of ``apply_map``: raises unless the normal part (s, u) lies in f's ball."""
     norm = _normal_norm(s, u)
     if not norm < f.rho:
         raise OutOfNeighborhoodError(norm, f.rho)
-    return _image(f, s, u, x)
 
 
 def apply_map(f: MapSpec, p: ChartPoint) -> ChartPoint:
     """Evaluate f at p; raises if p leaves the working ball."""
-    return ChartPoint(*_ball_image(f, p.s, p.u, p.x), f.topo)
+    _check_ball(f, p.s, p.u)
+    return ChartPoint(*_image(f, p.s, p.u, p.x), f.topo)
 
 
 def _fd_first(func, z: np.ndarray, h: float, inside=None) -> np.ndarray:
@@ -209,6 +211,48 @@ def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
     return _fd_first(_r_flat(f), f.dims.join(s, u, x), h, inside=_in_ball(f))
 
 
+@dataclass(frozen=True)
+class _View:
+    """``r_map``, ``d_r`` or ``d2_r`` of a map whose remainder and its derivatives at a point come
+    from one evaluation: ``evaluate(s, u, x)`` returns an object with the remainder triple ``r`` and
+    the methods ``jacobian()`` and ``second()``, and the view reads the one named by ``part``."""
+
+    evaluate: Callable
+    part: str
+
+    def __call__(self, s, u, x):
+        point = self.evaluate(s, u, x)
+        return point.r if self.part == "r" else getattr(point, self.part)()
+
+
+class _Given:
+    """f at one point through its callables as given: reading ``r`` runs ``r_map``, ``jacobian()``
+    runs ``d_r`` and ``second()`` runs ``d2_r``, each by differences of ``r_map`` when absent."""
+
+    def __init__(self, f: MapSpec, s, u, x):
+        self.f, self.s, self.u, self.x = f, s, u, x
+
+    @property
+    def r(self) -> tuple:
+        return self.f.r_map(self.s, self.u, self.x)
+
+    def jacobian(self) -> np.ndarray:
+        return _r_jacobian(self.f, self.s, self.u, self.x, FD_STEP_FIRST)
+
+    def second(self) -> np.ndarray:
+        return _second_tensor(self.f, self.s, self.u, self.x)
+
+
+def _evaluator(f: MapSpec, *reads: str) -> Callable:
+    """(s, u, x) -> f's remainder there with its derivatives on demand, for a caller that reads f's
+    callables ``reads``: their one shared evaluation when all are views of the same one, otherwise
+    ``_Given``, which reads each callable as it is (after a ``dataclasses.replace``, say)."""
+    views = [getattr(f, name) for name in reads]
+    if all(isinstance(v, _View) and v.evaluate is views[0].evaluate for v in views):
+        return views[0].evaluate
+    return functools.partial(_Given, f)
+
+
 def _g_jacobian(f: MapSpec, x, h: float) -> np.ndarray:
     if f.d_g is not None:
         return np.asarray(f.d_g(x), dtype=float)
@@ -250,10 +294,11 @@ def _jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
     return _jacobians(f, np.concatenate((s, u, x))[None], h)[0]
 
 
-def _jacobians(f: MapSpec, Z: np.ndarray, h: float) -> np.ndarray:
+def _jacobians(f: MapSpec, Z: np.ndarray, h: float, r_jacs: Optional[list] = None) -> np.ndarray:
     """The block Jacobians (N x n x n) of f at the rows (s, u, x) of Z (N x n), which must lie in the ball.
 
-    The callables run row by row, the Jacobians of r first, then the linear
+    The callables run row by row, the Jacobians of r first (unless the
+    caller has them already, one per row in ``r_jacs``), then the linear
     blocks.  Each block addition runs once over the stack; the five blocks
     touch disjoint entries, so every row has the bits of its own sum.
     """
@@ -261,7 +306,7 @@ def _jacobians(f: MapSpec, Z: np.ndarray, h: float) -> np.ndarray:
     a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
     jac = np.empty((len(Z), dims.n, dims.n))
     for i, z in enumerate(Z):
-        jac[i] = _r_jacobian(f, z[:a], z[a:b], z[b:], h)
+        jac[i] = _r_jacobian(f, z[:a], z[a:b], z[b:], h) if r_jacs is None else r_jacs[i]
     for rows, cols, block in _linear_blocks(f, Z, h):
         jac[:, rows, cols] += block
     return jac
@@ -414,6 +459,10 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
         """Sup norm over all entries of the given blocks (scalars included)."""
         return vec_sup_norm(np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks]))
 
+    # the first derivative samples keep their slice evaluations for the derivative checks below
+    deriv_count = min(sample_count, 32)
+    evaluate = _evaluator(f, "r_map", "d_r")
+    slices = []
     viol_a = 0.0
     viol_b = 0.0
     viol_c = 0.0
@@ -421,12 +470,16 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     for i in range(sample_count):
         s_i, u_i, x_i = s_samp[i], u_samp[i], x_samp[i]
         viol_a = _max_keep_nan(viol_a, sup(*f.r_map(zero_s, zero_u, x_i)))
-        _, r_u_b, r_x_b = f.r_map(s_i, zero_u, x_i)
+        on_s = evaluate(s_i, zero_u, x_i)
+        _, r_u_b, r_x_b = on_s.r
         viol_b = _max_keep_nan(viol_b, sup(r_u_b))
         viol_d = _max_keep_nan(viol_d, sup(r_x_b))
-        r_s_c, _, r_x_c = f.r_map(zero_s, u_i, x_i)
+        on_u = evaluate(zero_s, u_i, x_i)
+        r_s_c, _, r_x_c = on_u.r
         viol_c = _max_keep_nan(viol_c, sup(r_s_c))
         viol_d = _max_keep_nan(viol_d, sup(r_x_c))
+        if i < deriv_count:
+            slices.append((on_s, on_u))
 
     viol_e = 0.0
     for i in range(sample_count):
@@ -442,17 +495,16 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     viol_e = _max_keep_nan(viol_e, 0.0)
 
     # First-order consequences, on a smaller derivative sample.
-    deriv_count = min(sample_count, 32)
     sl_s = slice(0, n_s)
     sl_u = slice(n_s, n_s + n_u)
     sl_x = slice(n_s + n_u, dims.n)
     viol_bc = 0.0
     viol_dd = 0.0
-    for i in range(deriv_count):
+    for on_s, on_u in slices:
         # stable slice (s, 0, x) then unstable slice (0, u, x): the r-blocks of
         # the other normal direction and of x must not move with `along` or x
-        for s_i, u_i, along, other in ((s_samp[i], zero_u, sl_s, sl_u), (zero_s, u_samp[i], sl_u, sl_s)):
-            jac = _r_jacobian(f, s_i, u_i, x_samp[i], FD_STEP_FIRST)
+        for point, along, other in ((on_s, sl_s, sl_u), (on_u, sl_u, sl_s)):
+            jac = point.jacobian()
             viol_bc = _max_keep_nan(viol_bc, sup(jac[other, along]), sup(jac[other, sl_x]))
             viol_dd = _max_keep_nan(viol_dd, sup(jac[sl_x, along]), sup(jac[sl_x, sl_x]))
 
@@ -656,12 +708,14 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
     jacs = np.empty((size, n, n))
     tensors = np.empty((size, n, n, n))
     seen_x = set()
+    evaluate = _evaluator(f, "d_r", "d2_r")
     for start in range(0, len(grid), size):
         chunk = grid[start : start + size]
         for i, row in enumerate(chunk):
             s_i, u_i, x_i = dims.split(row)
-            jacs[i] = _r_jacobian(f, s_i, u_i, x_i, FD_STEP_FIRST)
-            tensors[i] = _second_tensor(f, s_i, u_i, x_i)
+            point = evaluate(s_i, u_i, x_i)
+            jacs[i] = point.jacobian()
+            tensors[i] = point.second()
             x_key = x_i.tobytes()
             if x_key not in seen_x:
                 seen_x.add(x_key)

@@ -35,13 +35,16 @@ from .geometry import (
 from .normalform import (
     FD_STEP_FIRST,
     MapSpec,
-    _ball_image,
+    _check_ball,
+    _evaluator,
     _fd_first,
+    _image,
     _in_ball,
-    _jacobian,
+    _jacobians,
     _linear_blocks,
     _scale_manifold,
     _unit_samples,
+    _View,
 )
 
 
@@ -198,55 +201,62 @@ def conjugated_radius(f: MapSpec, gp: GraphPair) -> float:
 def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: bool) -> MapSpec:
     """Phi o f o Phi^{-1} (forward) or Phi^{-1} o f o Phi as a new map spec.
 
-    Only the remainder and its derivatives change.  The remainder is the
-    image less the linear part.  Its Jacobian is the chain rule through DPhi,
-    taken at the points on f's side of the conjugacy: at z = Phi^{-1}(w),
+    Only the remainder and its derivatives change, and all three are views of
+    one evaluation per point, which runs the first map, f and the last map
+    once and keeps what the derivatives need.  The remainder is the image
+    less the linear part.  Its Jacobian is the chain rule through DPhi, taken
+    at the points on f's side of the conjugacy: at z = Phi^{-1}(w),
     D(Phi o f o Phi^{-1})(w) = DPhi(f(z)) Df(z) DPhi(z)^{-1}, and
     D(Phi^{-1} o f o Phi)(y) = DPhi(F(y))^{-1} Df(Phi(y)) DPhi(y), less the
-    linear part.  Df is f's own block Jacobian, so a wrapped conjugated map
-    chains through both layers.  The second derivatives are central
+    linear part.  Df is f's own block Jacobian, from the same evaluation of f
+    that gave f's image, so a wrapped conjugated map chains through both
+    layers and solves its inverse once.  The second derivatives are central
     differences of that Jacobian (one-sided at the ball's edge), symmetrized.
     """
     inverse = functools.partial(_inverse, tol=1e-13, max_iter=200)
     first, last = (inverse, _phi) if forward else (_phi, inverse)
+    evaluate_f = _evaluator(f, "r_map", "d_r", "d2_r")
 
-    def compose(s, u, x):
-        """The argument, its image (z_s, z_u) under ``first``, and f's image w of that; x is
-        wrapped where a new point enters: the argument and the image of f."""
-        s, u, x = _as_float_vector(s), _as_float_vector(u), f.topo.canonicalize(x)
-        z_s, z_u = first(gp, s, u, x)
-        w_s, w_u, w_x = _ball_image(f, z_s, z_u, x)
-        return s, u, x, z_s, z_u, w_s, w_u, f.topo.canonicalize(w_x)
+    class Point:
+        """One evaluation at (s, u, x): the argument p, its image z under ``first``, f's evaluation
+        at z and its image w, w's image v under ``last``, and the remainder ``r``.  x is wrapped
+        where a new point enters: the argument and w."""
 
-    def r_map(s, u, x):
-        s, u, x, _, _, w_s, w_u, w_x = compose(s, u, x)
-        w_s, w_u = last(gp, w_s, w_u, w_x)
-        return (w_s - f.A_s(x) @ s, w_u - f.A_u(x) @ u, _signed_x_diff(f.topo, w_x, f.g_map(x)))
+        def __init__(self, s, u, x):
+            self.p = s, u, x = _as_float_vector(s), _as_float_vector(u), f.topo.canonicalize(x)
+            self.z = z_s, z_u = first(gp, s, u, x)
+            _check_ball(f, z_s, z_u)
+            self.f_at_z = evaluate_f(z_s, z_u, x)
+            w_s, w_u, w_x = _image(f, z_s, z_u, x, self.f_at_z.r)
+            self.w = w_s, w_u, w_x = w_s, w_u, f.topo.canonicalize(w_x)
+            self.v = v_s, v_u = last(gp, w_s, w_u, w_x)
+            self.r = (v_s - f.A_s(x) @ s, v_u - f.A_u(x) @ u, _signed_x_diff(f.topo, w_x, f.g_map(x)))
 
-    def d_r(s, u, x):
-        s, u, x, z_s, z_u, w_s, w_u, w_x = compose(s, u, x)
-        jac = _jacobian(f, z_s, z_u, x, FD_STEP_FIRST)
-        if forward:  # DPhi(w) Df(z) DPhi(z)^-1, the right factor by a solve on the transposes
-            jac = _dphi(gp, w_s, w_u, w_x) @ np.linalg.solve(_dphi(gp, z_s, z_u, x).T, jac.T).T
-        else:  # DPhi(Phi^-1(w))^-1 Df(z) DPhi(s, u, x)
-            jac = np.linalg.solve(_dphi(gp, *last(gp, w_s, w_u, w_x), w_x), jac @ _dphi(gp, s, u, x))
-        for rows, cols, block in _linear_blocks(f, np.concatenate((s, u, x))[None], FD_STEP_FIRST):
-            jac[rows, cols] -= block[0]
-        return jac
+        def jacobian(self):
+            (s, u, x), (z_s, z_u), w_x = self.p, self.z, self.w[2]
+            jac = _jacobians(f, np.concatenate((z_s, z_u, x))[None], FD_STEP_FIRST, [self.f_at_z.jacobian()])[0]
+            if forward:  # DPhi(w) Df(z) DPhi(z)^-1, the right factor by a solve on the transposes
+                jac = _dphi(gp, *self.w) @ np.linalg.solve(_dphi(gp, z_s, z_u, x).T, jac.T).T
+            else:  # DPhi(Phi^-1(w))^-1 Df(z) DPhi(s, u, x)
+                jac = np.linalg.solve(_dphi(gp, *self.v, w_x), jac @ _dphi(gp, s, u, x))
+            for rows, cols, block in _linear_blocks(f, np.concatenate(self.p)[None], FD_STEP_FIRST):
+                jac[rows, cols] -= block[0]
+            return jac
 
-    def d2_r(s, u, x):
-        dims = f.dims
-        t = _fd_first(lambda z: d_r(*dims.split(z)).reshape(-1), dims.join(s, u, x), FD_STEP_FIRST,
-                      inside=_in_ball(conjugated))
-        t = t.reshape(dims.n, dims.n, dims.n)  # T[i, j, k] = d_k of d_r[i, j]
-        return 0.5 * (t + t.transpose(0, 2, 1))
+        def second(self):
+            dims = f.dims
+            t = _fd_first(lambda z: d_r(*dims.split(z)).reshape(-1), np.concatenate(self.p), FD_STEP_FIRST,
+                          inside=_in_ball(conjugated))
+            t = t.reshape(dims.n, dims.n, dims.n)  # T[i, j, k] = d_k of d_r[i, j]
+            return 0.5 * (t + t.transpose(0, 2, 1))
 
+    d_r = _View(Point, "jacobian")
     conjugated = dataclasses.replace(
         f,
         rho=conjugated_radius(f, gp) if radius is None else float(radius),
-        r_map=r_map,
+        r_map=_View(Point, "r"),
         d_r=d_r,
-        d2_r=d2_r,
+        d2_r=_View(Point, "second"),
         name=f"{f.name}_{'straightened' if forward else 'unstraightened'}",
     )
     return conjugated
