@@ -332,6 +332,23 @@ def _linear_blocks(f: MapSpec, Z: np.ndarray, h: float) -> tuple:
     )
 
 
+def _linear_second(f: MapSpec, s, u, x) -> np.ndarray:
+    """D^2 of the linear part (A_s(x) s, A_u(x) u, g(x)) at (s, u, x) as T[i, j, k]: d_x A in the
+    (s, x) and (u, x) pairs, (d_x d_x A) s and (d_x d_x A) u from central differences of
+    ``_a_tensor`` in x, and the second derivatives of g in the x rows."""
+    dims = f.dims
+    a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
+    t = np.zeros((dims.n, dims.n, dims.n))
+    for which, rows, v in (("s", slice(None, a), s), ("u", slice(a, b), u)):
+        d_a = _a_tensor(f, which, x, FD_STEP_FIRST)  # d_a[i, j, k] = d A[i, j] / d x_k
+        dd_a = _fd_first(lambda y: _a_tensor(f, which, y, FD_STEP_FIRST).reshape(-1), x, FD_STEP_SECOND)
+        t[rows, rows, b:] = d_a
+        t[rows, b:, rows] = d_a.transpose(0, 2, 1)
+        t[rows, b:, b:] = np.einsum("ijkl,j->ikl", dd_a.reshape(*d_a.shape, -1), v)
+    t[b:, b:, b:] = _g_second_tensor(f, x)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Condition validation
 

@@ -15,7 +15,10 @@ for ``ChartPoint``s as ``apply_map`` wraps ``normalform._image``, and the
 conjugated remainder and the radius bisection call it directly.  The
 conjugated map carries derivatives: its Jacobian is the chain rule through
 DPhi (the identity minus central differences of the closed-form graphs), and
-its second derivatives are central differences of that Jacobian.
+its second derivatives are the second-order chain rule through D^2 Phi
+(minus central second differences of the graphs) and f's own second
+derivatives.  The remainder and both derivatives at a point come from one
+evaluation, which solves each inverse once.
 """
 
 from __future__ import annotations
@@ -34,14 +37,16 @@ from .geometry import (
 )
 from .normalform import (
     FD_STEP_FIRST,
+    FD_STEP_SECOND,
     MapSpec,
     _check_ball,
     _evaluator,
     _fd_first,
+    _fd_second,
     _image,
-    _in_ball,
     _jacobians,
     _linear_blocks,
+    _linear_second,
     _scale_manifold,
     _unit_samples,
     _View,
@@ -146,6 +151,25 @@ def _dphi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndar
     return d
 
 
+def _d2phi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D^2 Phi at (s, u, x) as T[i, j, k]: minus central second differences of the closed-form graphs,
+    G_u over (u, x) in the s rows and G_s over (s, x) in the u rows; every other entry is zero."""
+    a, b = s.size, s.size + u.size  # the u block is a:b, the x block b:
+    n = b + x.size
+    d = np.zeros((n, n, n))
+    d[:a, a:, a:] = -_fd_second(lambda v: _graph(gp.G_u, v[: u.size], v[u.size :]), np.concatenate((u, x)),
+                                FD_STEP_SECOND)
+    sx = np.r_[:a, b:n]
+    d[np.ix_(np.arange(a, b), sx, sx)] = -_fd_second(lambda v: _graph(gp.G_s, v[:a], v[a:]), np.concatenate((s, x)),
+                                                     FD_STEP_SECOND)
+    return d
+
+
+def _pull(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The bilinear map t (T[i, j, k]) with both arguments mapped by m first: t[m a, m b]."""
+    return np.einsum("iab,aj,bk->ijk", t, m, m)
+
+
 def tangency_violation(gp: GraphPair, f: MapSpec) -> float:
     """Sup over 16 sampled base points of the graph values and first derivatives at 0.
 
@@ -210,8 +234,17 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
     D(Phi^{-1} o f o Phi)(y) = DPhi(F(y))^{-1} Df(Phi(y)) DPhi(y), less the
     linear part.  Df is f's own block Jacobian, from the same evaluation of f
     that gave f's image, so a wrapped conjugated map chains through both
-    layers and solves its inverse once.  The second derivatives are central
-    differences of that Jacobian (one-sided at the ball's edge), symmetrized.
+    layers and solves its inverse once.  The second derivatives are the
+    second-order chain rule: with Psi = Phi^{-1}, P = DPsi(p) and M = Df(z) P,
+
+        D2(Phi o f o Psi)[a, b] = D2Phi(w)[M a, M b] + DPhi(w) (D2f(z)[P a, P b] + Df(z) D2Psi(p)[a, b]),
+        D2Psi(p)[a, b] = -P D2Phi(z)[P a, P b],
+
+    and its mirror for Psi o f o Phi, less the second derivatives of the
+    linear part, symmetrized.  D2f is f's own remainder tensor plus its
+    linear part's, so a wrapped conjugated map chains through both layers
+    here too.  Nothing is differenced across the inverse, so the tensor
+    needs no probe outside the ball.
     """
     inverse = functools.partial(_inverse, tol=1e-13, max_iter=200)
     first, last = (inverse, _phi) if forward else (_phi, inverse)
@@ -232,34 +265,52 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
             self.v = v_s, v_u = last(gp, w_s, w_u, w_x)
             self.r = (v_s - f.A_s(x) @ s, v_u - f.A_u(x) @ u, _signed_x_diff(f.topo, w_x, f.g_map(x)))
 
-        def jacobian(self):
-            (s, u, x), (z_s, z_u), w_x = self.p, self.z, self.w[2]
-            jac = _jacobians(f, np.concatenate((z_s, z_u, x))[None], FD_STEP_FIRST, [self.f_at_z.jacobian()])[0]
+        @functools.cached_property
+        def chain(self):
+            """f's block Jacobian at z, then DPhi at the outer and the inner point of the chain rule:
+            w and z (forward), v and p (backward)."""
+            (s, u, x), (z_s, z_u) = self.p, self.z
+            df = _jacobians(f, np.concatenate((z_s, z_u, x))[None], FD_STEP_FIRST, [self.f_at_z.jacobian()])[0]
+            if forward:
+                return df, _dphi(gp, *self.w), _dphi(gp, z_s, z_u, x)
+            return df, _dphi(gp, *self.v, self.w[2]), _dphi(gp, s, u, x)
+
+        def full_jacobian(self):
+            df, outer, inner = self.chain
             if forward:  # DPhi(w) Df(z) DPhi(z)^-1, the right factor by a solve on the transposes
-                jac = _dphi(gp, *self.w) @ np.linalg.solve(_dphi(gp, z_s, z_u, x).T, jac.T).T
-            else:  # DPhi(Phi^-1(w))^-1 Df(z) DPhi(s, u, x)
-                jac = np.linalg.solve(_dphi(gp, *self.v, w_x), jac @ _dphi(gp, s, u, x))
+                return outer @ np.linalg.solve(inner.T, df.T).T
+            return np.linalg.solve(outer, df @ inner)  # DPhi(v)^-1 Df(z) DPhi(p)
+
+        def jacobian(self):
+            jac = self.full_jacobian()
             for rows, cols, block in _linear_blocks(f, np.concatenate(self.p)[None], FD_STEP_FIRST):
                 jac[rows, cols] -= block[0]
             return jac
 
         def second(self):
-            dims = f.dims
-            t = _fd_first(lambda z: d_r(*dims.split(z)).reshape(-1), np.concatenate(self.p), FD_STEP_FIRST,
-                          inside=_in_ball(conjugated))
-            t = t.reshape(dims.n, dims.n, dims.n)  # T[i, j, k] = d_k of d_r[i, j]
+            df, outer, inner = self.chain
+            n = f.dims.n
+            d2f = self.f_at_z.second() + _linear_second(f, *self.z, self.p[2])
+            if forward:  # D2Phi(w)[M., M.] + DPhi(w) (D2f(z)[P., P.] - M D2Phi(z)[P., P.]), P = DPhi(z)^-1, M = Df P
+                p_inv = np.linalg.inv(inner)
+                m = df @ p_inv
+                t = _pull(d2f, p_inv) - np.einsum("ia,ajk->ijk", m, _pull(_d2phi(gp, *self.z, self.p[2]), p_inv))
+                t = _pull(_d2phi(gp, *self.w), m) + np.einsum("ia,ajk->ijk", outer, t)
+            else:  # DPhi(v)^-1 (D2f(z)[E., E.] + Df D2Phi(p) - D2Phi(v)[J., J.]), E = DPhi(p), J = the full Jacobian
+                t = _pull(d2f, inner) + np.einsum("ia,ajk->ijk", df, _d2phi(gp, *self.p))
+                t -= _pull(_d2phi(gp, *self.v, self.w[2]), self.full_jacobian())
+                t = np.linalg.solve(outer, t.reshape(n, n * n)).reshape(n, n, n)
+            t -= _linear_second(f, *self.p)
             return 0.5 * (t + t.transpose(0, 2, 1))
 
-    d_r = _View(Point, "jacobian")
-    conjugated = dataclasses.replace(
+    return dataclasses.replace(
         f,
         rho=conjugated_radius(f, gp) if radius is None else float(radius),
         r_map=_View(Point, "r"),
-        d_r=d_r,
+        d_r=_View(Point, "jacobian"),
         d2_r=_View(Point, "second"),
         name=f"{f.name}_{'straightened' if forward else 'unstraightened'}",
     )
-    return conjugated
 
 
 def conjugate_map(f: MapSpec, gp: GraphPair, radius: Optional[float] = None) -> MapSpec:

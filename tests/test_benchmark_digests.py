@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = {
     "lambda-mesh": "2d849937e04a94c77ee7928abed8dd40eb74417c63e5d1f5b66649f255372d86",
     "ham-returns": "c2e1eeecd1cff3748b72a0b20f2d4573c49aedc09cd4f2c4e7bf7e28c07b6602",
-    "budget-straightened": "ae6af801d364d115a8c14d46f5f73e186af4ee2dc8528114c73a52757b842178",
+    "budget-straightened": "d58a13e0b3d0802e0b36f8b1b9c1e93aee4fc532f8fa70c87e749761baffdc35",
 }
 
 
