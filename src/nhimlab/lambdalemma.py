@@ -297,14 +297,19 @@ def _settle(orbits, eps: float) -> FindKResult:
     )
 
 
+def _check_eps(eps: float) -> None:
+    """The closeness threshold of ``find_K`` and ``annulus_experiment`` must be positive."""
+    if not eps > 0:  # a NaN eps fails this too
+        raise ContractError(f"eps must be positive, got {eps}")
+
+
 def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
     """Smallest iterate from which the mesh stays C^1 eps-close through n_max.
 
     Not finding one within the horizon is a result (K = None), not an error;
     the caller sees the full distance series either way.
     """
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     n_max = _count(n_max, "n_max")
     return _settle(_iterates(seed_mesh(d, f), f, n_max), eps)
 
@@ -466,6 +471,7 @@ def annulus_experiment(
         raise ContractError("annulus experiment needs base coordinates (angle, action)")
     if not y0 < y1:
         raise ContractError(f"need y0 < y1, got {y0}, {y1}")
+    _check_eps(eps)
     n_max = _count(n_max, "n_max")
     y_index = 1
     mo = seed_mesh(d, f)

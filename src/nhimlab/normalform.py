@@ -284,7 +284,7 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
     """
     if not p.in_ball(f.rho):
         raise OutOfNeighborhoodError(p.normal_norm, f.rho)
-    if h <= 0:
+    if not h > 0:  # a NaN step fails this too
         raise ContractError(f"finite-difference step must be positive, got {h}")
     return _jacobian(f, p.s, p.u, p.x, h)
 
@@ -459,8 +459,8 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     """
     sample_count = _count(sample_count, "sample_count", 1)
     seed = _count(seed, "seed")
-    if tol <= 0:
-        raise ContractError("tol must be positive")
+    if not tol > 0:  # a NaN tolerance fails this too
+        raise ContractError(f"tol must be positive, got {tol}")
     dims = f.dims
     n_s, n_u, m = dims.n_s, dims.n_u, dims.m
     ranges = f.x_ranges()
@@ -697,8 +697,8 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
     a NaN from any row, so the constants have the bits of a per-row pass.
     """
     grid_density = _count(grid_density, "grid_density", 2)
-    if target_eps <= 0:
-        raise ContractError("target_eps must be positive")
+    if not target_eps > 0:  # a NaN target fails this too
+        raise ContractError(f"target_eps must be positive, got {target_eps}")
     dims = f.dims
     n = dims.n
     sl_s = slice(0, dims.n_s)

@@ -117,7 +117,7 @@ def straighten_inverse(gp: GraphPair, q: ChartPoint, tol: float = 1e-12, max_ite
     there.  Raises DivergenceError when the residual fails to reach ``tol``
     within ``max_iter`` sweeps (the point is too far out for this pair).
     """
-    if tol <= 0:
+    if not tol > 0:  # a NaN tolerance fails this too
         raise ContractError(f"tol must be positive, got {tol}")
     s, u = _inverse(gp, q.s, q.u, q.x, tol, max_iter)
     return ChartPoint(s=s, u=u, x=q.x, topology=q.topology)

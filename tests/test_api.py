@@ -18,12 +18,15 @@ from nhimlab import (
     advance_mesh,
     annulus_experiment,
     cli,
+    GraphPair,
     estimate_bounds,
     find_K,
+    jacobian,
     make_default_disk,
     make_linear,
     make_twist_annulus,
     seed_mesh,
+    straighten_inverse,
     validate_conditions,
     verify_bound_domination,
 )
@@ -136,3 +139,34 @@ def test_a_whole_float_count_is_its_int(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"kind": "linear"}, "samples": 16.0, "grid_density": 3.0}))
     assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK
+
+
+SQUARE = GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2), G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
+
+# a positive tolerance, threshold or step given as NaN: each used to pass a `<= 0` guard
+API_POSITIVES = {
+    "validate_conditions.tol": lambda v: validate_conditions(LINEAR, sample_count=8, tol=v),
+    "estimate_bounds.target_eps": lambda v: estimate_bounds(LINEAR, grid_density=2, target_eps=v),
+    "find_K.eps": lambda v: find_K(DISK, LINEAR, eps=v, n_max=3),
+    "annulus_experiment.eps": lambda v: annulus_experiment(TWIST, 0.0, 1.0, make_default_disk(TWIST), v, 3),
+    "straighten_inverse.tol": lambda v: straighten_inverse(SQUARE, LINEAR.point([0.05], [0.15], [0.0]), tol=v),
+    "jacobian.h": lambda v: jacobian(LINEAR, LINEAR.point([0.05], [0.15], [0.0]), h=v),
+}
+
+
+@pytest.mark.parametrize("entry", API_POSITIVES)
+def test_a_nan_where_a_positive_number_belongs_is_refused(entry):
+    # before: a report failing on NaN violations, a NaN slab, K = None, 100
+    # sweeps ending in a DivergenceError, and a Jacobian of NaN differences
+    with pytest.raises(ContractError, match="must be positive, got nan"):
+        API_POSITIVES[entry](math.nan)
+
+
+def test_a_nan_tolerance_in_a_validate_config_is_invalid_input(tmp_path, capsys):
+    # json writes and reads NaN, so the tolerance reaches validate_conditions
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"kind": "linear"}, "tol": math.nan}))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+    assert not list(out.glob("*"))
+    assert "invalid input: tol must be positive, got nan" in capsys.readouterr().err

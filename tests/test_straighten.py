@@ -28,8 +28,20 @@ from nhimlab import (
     validate_conditions,
     verify_bound_domination,
 )
-from nhimlab.normalform import FD_STEP_FIRST, FD_STEP_SECOND, _fd_first, _fd_second, _r_flat, _r_jacobian
+from nhimlab import straighten
+from nhimlab.geometry import tensor_row_sup_norm
+from nhimlab.normalform import (
+    FD_STEP_FIRST,
+    FD_STEP_SECOND,
+    _bound_grid,
+    _fd_first,
+    _fd_second,
+    _in_ball,
+    _r_flat,
+    _r_jacobian,
+)
 from nhimlab.straighten import _signed_x_diff
+from nhimlab.tangentflow import _step
 
 TWO_PI = 2.0 * np.pi
 
@@ -448,3 +460,138 @@ def test_ac8_straightened_map_meets_its_exact_budget():
     domination = verify_bound_domination(disk, f, bounds, n_max=12)
     assert domination.slice_rows and domination.persistence_rows
     assert domination.ok()
+
+
+def d2_r_by_differences(g, s, u, x):
+    """The conjugated d2_r as it was taken before the chain rule: central differences of d_r,
+    one-sided at the ball's edge, symmetrized."""
+    n = g.dims.n
+    t = _fd_first(lambda z: g.d_r(*g.dims.split(z)).reshape(-1), g.dims.join(s, u, x), FD_STEP_FIRST,
+                  inside=_in_ball(g)).reshape(n, n, n)
+    return 0.5 * (t + t.transpose(0, 2, 1))
+
+
+def test_conjugated_d2_r_matches_the_central_difference_of_d_r():
+    # the differences carry up to ~4e-6 of noise on entries of size ~10, hence the relative 1e-6
+    rng = np.random.default_rng(23)
+    for label, g in differentiated_cases():
+        for s, u, x in sample_points(g, rng, 3):
+            got = g.d2_r(s, u, x)
+            want = d2_r_by_differences(g, s, u, x)
+            assert np.abs(got - want).max() <= 1e-6 * max(1.0, np.abs(want).max()), (label, s, u, x)
+
+
+def test_ac8_d2_r_reads_no_larger_than_the_difference_of_d_r():
+    # the round trip's remainder is zero, so every entry of either tensor is error
+    gp = square_pair()
+    g = conjugate_map(unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp), gp)
+    for row in _bound_grid(g, 2, 0.0):  # the grid estimate_bounds samples once both derivatives exist
+        s, u, x = g.dims.split(row)
+        got, old = g.d2_r(s, u, x), d2_r_by_differences(g, s, u, x)
+        assert np.abs(got).max() <= np.abs(old).max(), row
+        assert tensor_row_sup_norm(got) <= tensor_row_sup_norm(old), row
+    assert estimate_bounds(g, grid_density=2).C <= 1e-13
+
+
+def counted_inverse(monkeypatch):
+    """A list that gains one entry per call of straighten._inverse; maps built after this count."""
+    calls = []
+    inverse = straighten._inverse
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(straighten, "_inverse", counted)
+    return calls
+
+
+def ac8_map():
+    gp = square_pair()
+    return conjugate_map(unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp), gp)
+
+
+def test_one_point_of_the_ac8_map_solves_each_inverse_once(monkeypatch):
+    # the outer Phi^-1 and the inner map's Phi^-1 of its image: one call each, whichever
+    # derivative is asked for, and the inner Jacobian reuses the inner inverse
+    calls = counted_inverse(monkeypatch)
+    g = ac8_map()
+    z = (np.array([0.05]), np.array([-0.03]), np.array([1.0]))
+    for read in (g.r_map, g.d_r, g.d2_r):
+        calls.clear()
+        read(*z)
+        assert len(calls) == 2, read
+    Z = np.array([[0.05, -0.03, 1.0], [0.0, 0.08, 6.0], [-0.1, 0.0, 3.0], [0.02, 0.02, 0.5]])
+    F = np.tile([[0.1, 1.0, 0.0], [0.0, 1.0, 0.2]], (len(Z), 1, 1))
+    calls.clear()
+    _, _, _, escaped, _ = _step(g, Z, F, require_unstable=True, restricted=False)
+    assert not escaped.any()
+    assert len(calls) == 2 * len(Z)  # the images; the Jacobians of the live rows reuse them
+
+
+def test_the_ac8_solve_sequence_stays_within_its_inverse_count(monkeypatch):
+    # the sequence of test_ac8_straightened_map_meets_its_exact_budget: 768 validation (3 evaluations
+    # per sample, the derivative samples reusing two), 36 bound grid rows, 156 each for find_K and the
+    # domination check; 2058 before one evaluation per point and the chain-rule d2_r
+    calls = counted_inverse(monkeypatch)
+    f = ac8_map()
+    calls.clear()  # the radius bisection is set-up
+    validate_conditions(f, sample_count=128, tol=1e-8)
+    bounds = estimate_bounds(f, grid_density=2)
+    disk = make_default_disk(f, bounds, n_target=6, mesh_per_axis=3)
+    find_K(disk, f, eps=1e-2, n_max=12)
+    verify_bound_domination(disk, f, bounds, n_max=12)
+    assert len(calls) <= 1116
+
+
+def offset_remainder(g):
+    """g's remainder with 1e-3 added to r_s: nonzero on the unstable slice."""
+    return lambda s, u, x: tuple(b + d for b, d in zip(g.r_map(s, u, x), (1e-3, 0.0, 0.0)))
+
+
+def offset_jacobian(g):
+    """g's remainder Jacobian with 1e-2 added to d_u r_s: nonzero on the unstable slice."""
+    bump = np.zeros((g.dims.n, g.dims.n))
+    bump[0, 1] = 1e-2
+    return lambda s, u, x: g.d_r(s, u, x) + bump
+
+
+def as_given(h):
+    """h with each remainder callable behind a plain function, so nothing can share an evaluation."""
+    return dataclasses.replace(
+        h,
+        r_map=lambda s, u, x: h.r_map(s, u, x),
+        d_r=lambda s, u, x: h.d_r(s, u, x),
+        d2_r=lambda s, u, x: h.d2_r(s, u, x),
+    )
+
+
+@pytest.mark.parametrize("replaced", ["r_map", "d_r"])
+def test_a_replaced_callable_of_a_conjugated_map_is_read_as_given(replaced):
+    # the bisected radius is too wide for the wavy pair at x = 0, where the grid's corners lie
+    g = conjugate_map(unstraighten_map(make_linear(0.5, 2.0, omega=0.3, rho=0.3), wavy_pair()), wavy_pair(), 0.12)
+    other = offset_remainder(g) if replaced == "r_map" else offset_jacobian(g)
+    h = dataclasses.replace(g, **{replaced: other})
+    plain = as_given(h)
+    rng = np.random.default_rng(29)
+    Z = np.column_stack([rng.uniform(-0.05, 0.05, (6, 2)), rng.uniform(0.0, TWO_PI, 6)])
+    F = np.tile([[0.1, 1.0, 0.0], [0.0, 1.0, 0.2]], (len(Z), 1, 1))
+    got = _step(h, Z, F, require_unstable=True, restricted=False)
+    for a, b in zip(got, _step(plain, Z, F, require_unstable=True, restricted=False)):
+        assert np.array_equal(a, b, equal_nan=True)
+    # the replacement is what moved: the images with r_map, the pushed frames with d_r
+    unchanged = 1 if replaced == "r_map" else 0
+    assert np.array_equal(got[unchanged], _step(g, Z, F, True, False)[unchanged])
+    assert not np.array_equal(got[1 - unchanged], _step(g, Z, F, True, False)[1 - unchanged])
+
+    report = validate_conditions(h, sample_count=40, tol=1e-8)
+    assert report.to_dict() == validate_conditions(plain, sample_count=40, tol=1e-8).to_dict()
+    moved, kept = ("c", "derivatives_bc") if replaced == "r_map" else ("derivatives_bc", "c")
+    assert report.check(moved).max_violation >= (1e-3 if replaced == "r_map" else 1e-2)
+    assert report.check(kept).max_violation <= 1e-8
+
+    bounds = estimate_bounds(h, grid_density=2)
+    assert repr(bounds.to_dict()) == repr(estimate_bounds(plain, grid_density=2).to_dict())
+    clean = estimate_bounds(g, grid_density=2)
+    assert bounds.C == clean.C
+    assert (bounds.k == clean.k) if replaced == "r_map" else (bounds.k >= 1e-2)
