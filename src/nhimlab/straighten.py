@@ -261,7 +261,8 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
             _check_ball(f, z_s, z_u)
             self.f_at_z = evaluate_f(z_s, z_u, x)
             w_s, w_u, w_x = _image(f, z_s, z_u, x, self.f_at_z.r)
-            self.w = w_s, w_u, w_x = w_s, w_u, f.topo.canonicalize(w_x)
+            w_x = f.topo.canonicalize(w_x)
+            self.w = w_s, w_u, w_x
             self.v = v_s, v_u = last(gp, w_s, w_u, w_x)
             self.r = (v_s - f.A_s(x) @ s, v_u - f.A_u(x) @ u, _signed_x_diff(f.topo, w_x, f.g_map(x)))
 
@@ -289,14 +290,16 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
 
         def second(self):
             df, outer, inner = self.chain
-            n = f.dims.n
-            d2f = self.f_at_z.second() + _linear_second(f, *self.z, self.p[2])
-            if forward:  # D2Phi(w)[M., M.] + DPhi(w) (D2f(z)[P., P.] - M D2Phi(z)[P., P.]), P = DPhi(z)^-1, M = Df P
+            n, x = f.dims.n, self.p[2]
+            d2f = self.f_at_z.second() + _linear_second(f, *self.z, x)  # D2f(z), the linear part's included
+            if forward:
+                # D2Phi(w)[M., M.] + DPhi(w) (D2f(z)[P., P.] - M D2Phi(z)[P., P.]), P = DPhi(z)^-1, M = Df(z) P
                 p_inv = np.linalg.inv(inner)
                 m = df @ p_inv
-                t = _pull(d2f, p_inv) - np.einsum("ia,ajk->ijk", m, _pull(_d2phi(gp, *self.z, self.p[2]), p_inv))
+                t = _pull(d2f, p_inv) - np.einsum("ia,ajk->ijk", m, _pull(_d2phi(gp, *self.z, x), p_inv))
                 t = _pull(_d2phi(gp, *self.w), m) + np.einsum("ia,ajk->ijk", outer, t)
-            else:  # DPhi(v)^-1 (D2f(z)[E., E.] + Df D2Phi(p) - D2Phi(v)[J., J.]), E = DPhi(p), J = the full Jacobian
+            else:
+                # DPhi(v)^-1 (D2f(z)[E., E.] + Df(z) D2Phi(p) - D2Phi(v)[J., J.]), E = DPhi(p), J = the full Jacobian
                 t = _pull(d2f, inner) + np.einsum("ia,ajk->ijk", df, _d2phi(gp, *self.p))
                 t -= _pull(_d2phi(gp, *self.v, self.w[2]), self.full_jacobian())
                 t = np.linalg.solve(outer, t.reshape(n, n * n)).reshape(n, n, n)
