@@ -243,14 +243,20 @@ class _Given:
         return _second_tensor(self.f, self.s, self.u, self.x)
 
 
-def _evaluator(f: MapSpec, *reads: str) -> Callable:
-    """(s, u, x) -> f's remainder there with its derivatives on demand, for a caller that reads f's
-    callables ``reads``: their one shared evaluation when all are views of the same one, otherwise
-    ``_Given``, which reads each callable as it is (after a ``dataclasses.replace``, say)."""
+def _shared_evaluation(f: MapSpec, *reads: str) -> Optional[Callable]:
+    """The one evaluation that f's callables ``reads`` are all views of, or None when they are not
+    (plain functions, or views of different evaluations after a ``dataclasses.replace``)."""
     views = [getattr(f, name) for name in reads]
     if all(isinstance(v, _View) and v.evaluate is views[0].evaluate for v in views):
         return views[0].evaluate
-    return functools.partial(_Given, f)
+    return None
+
+
+def _evaluator(f: MapSpec, *reads: str) -> Callable:
+    """(s, u, x) -> f's remainder there with its derivatives on demand, for a caller that reads f's
+    callables ``reads``: their shared evaluation when there is one, otherwise ``_Given``, which
+    reads each callable as it is."""
+    return _shared_evaluation(f, *reads) or functools.partial(_Given, f)
 
 
 def _g_jacobian(f: MapSpec, x, h: float) -> np.ndarray:
@@ -286,12 +292,7 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
         raise OutOfNeighborhoodError(p.normal_norm, f.rho)
     if not h > 0:  # a NaN step fails this too
         raise ContractError(f"finite-difference step must be positive, got {h}")
-    return _jacobian(f, p.s, p.u, p.x, h)
-
-
-def _jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
-    """The block Jacobian of f at (s, u, x), which must lie in the ball: the one-row case of ``_jacobians``."""
-    return _jacobians(f, np.concatenate((s, u, x))[None], h)[0]
+    return _jacobians(f, p.as_array()[None], h)[0]
 
 
 def _jacobians(f: MapSpec, Z: np.ndarray, h: float, r_jacs: Optional[list] = None) -> np.ndarray:

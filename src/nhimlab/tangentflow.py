@@ -26,7 +26,7 @@ from .exceptions import (
     OutOfNeighborhoodError,
 )
 from .geometry import ChartPoint, Dimensions, TangentVector, _wrap_angles, vec_sup_norm
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _evaluator, _image, _jacobians
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _image, _jacobians, _shared_evaluation
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,13 @@ def _frame_inclination(dims: Dimensions, F: np.ndarray) -> tuple:
 def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, restricted: bool) -> tuple:
     """One map step of the points Z = (s, u, x) (N x n) and their frames F (N x k x n).
 
-    Only the MapSpec callables run per row: one evaluation of every row
-    gives its image, then the rows still in the ball give their remainder
-    Jacobians from that same evaluation and the linear pieces, which
-    ``normalform._jacobians`` assembles once over the stack.  Returns (images, pushed unit-row frames,
-    stretches, escaped mask, image normal norms); an escaped row keeps its
-    input state.  ``restricted`` keeps the images on {u = 0} (drift above
+    Only the MapSpec callables run per row: first the images of all rows,
+    then the Jacobian pieces of the rows still in the ball, which
+    ``normalform._jacobians`` assembles once over the stack.  When r_map and
+    d_r are views of one evaluation (a conjugated map), each row is
+    evaluated once and its remainder Jacobian comes from that evaluation.
+    Returns (images, pushed unit-row frames, stretches, escaped mask, image
+    normal norms); an escaped row keeps its input state.  ``restricted`` keeps the images on {u = 0} (drift above
     1e-12 is model inconsistency, the rest snaps to 0) and zeroes the
     Jacobians' unstable-row couplings, which vanish analytically there.
     """
@@ -120,10 +121,13 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     outside = norms[~(norms < f.rho)]
     if outside.size:
         raise OutOfNeighborhoodError(float(outside[0]), f.rho)
-    evaluate = _evaluator(f, "r_map", "d_r")
-    points = [evaluate(z[:a], z[a:b], z[b:]) for z in Z]
-    Q = np.array([np.concatenate(_image(f, z[:a], z[a:b], z[b:], p.r)) for z, p in zip(Z, points)])
-    Q = Q.reshape(Z.shape)
+    evaluate = _shared_evaluation(f, "r_map", "d_r")
+    if evaluate is None:  # each callable as given, and no object per row
+        images = [_image(f, z[:a], z[a:b], z[b:]) for z in Z]
+    else:
+        points = [evaluate(z[:a], z[a:b], z[b:]) for z in Z]
+        images = [_image(f, z[:a], z[a:b], z[b:], p.r) for z, p in zip(Z, points)]
+    Q = np.array([np.concatenate(image) for image in images]).reshape(Z.shape)
     if restricted:
         drift = np.abs(Q[:, a:b]).max(axis=1)
         leaks = drift[drift > 1e-12]
@@ -134,7 +138,8 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     q_norms = np.abs(Q[:, :b]).max(axis=1)
     escaped = ~(q_norms < f.rho)
     live = np.flatnonzero(~escaped)
-    J = _jacobians(f, Z[live], FD_STEP_FIRST, [points[i].jacobian() for i in live])
+    r_jacs = None if evaluate is None else [points[i].jacobian() for i in live]
+    J = _jacobians(f, Z[live], FD_STEP_FIRST, r_jacs)
     if restricted:
         J[:, a:b, :a] = 0.0
         J[:, a:b, b:] = 0.0
