@@ -15,10 +15,10 @@ from nhimlab import (
     BoundSet,
     ContractError,
     DiskSpec,
+    GraphPair,
     advance_mesh,
     annulus_experiment,
     cli,
-    GraphPair,
     estimate_bounds,
     find_K,
     jacobian,

@@ -481,10 +481,14 @@ def test_conjugated_d2_r_matches_the_central_difference_of_d_r():
             assert np.abs(got - want).max() <= 1e-6 * max(1.0, np.abs(want).max()), (label, s, u, x)
 
 
+def ac8_map():
+    gp = square_pair()
+    return conjugate_map(unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp), gp)
+
+
 def test_ac8_d2_r_reads_no_larger_than_the_difference_of_d_r():
     # the round trip's remainder is zero, so every entry of either tensor is error
-    gp = square_pair()
-    g = conjugate_map(unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp), gp)
+    g = ac8_map()
     for row in _bound_grid(g, 2, 0.0):  # the grid estimate_bounds samples once both derivatives exist
         s, u, x = g.dims.split(row)
         got, old = g.d2_r(s, u, x), d2_r_by_differences(g, s, u, x)
@@ -504,11 +508,6 @@ def counted_inverse(monkeypatch):
 
     monkeypatch.setattr(straighten, "_inverse", counted)
     return calls
-
-
-def ac8_map():
-    gp = square_pair()
-    return conjugate_map(unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp), gp)
 
 
 def test_one_point_of_the_ac8_map_solves_each_inverse_once(monkeypatch):
