@@ -20,7 +20,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import ContractError
 from .geometry import TWO_PI, ChartTopology, Dimensions, _count
-from .normalform import BoundSet, MapSpec, check_constants
+from .normalform import BoundSet, MapSpec, _Stacked, check_constants
+
 
 def _check_rates(lambda_s: float, lambda_u: float) -> float:
     if not (0.0 < lambda_s < 1.0 < lambda_u):
@@ -34,17 +35,31 @@ def _constant_blocks(lambda_s: float, lambda_u: float, m: int = 1) -> dict:
     """MapSpec fields for constant scalar normal blocks over an m-dim base:
     dims, A_s, A_u and their vanishing x-derivatives, plus d_g = I and
     d2_g = 0 (exact for a rigid base map; a factory with a curved g
-    overrides both)."""
+    overrides both).  All but d2_g carry their stacked forms."""
     a_s = np.array([[lambda_s]])
     a_u = np.array([[lambda_u]])
+    eye = np.eye(m)
     return dict(
         dims=Dimensions(1, 1, m),
-        A_s=lambda x: a_s,
-        A_u=lambda x: a_u,
-        d_A_s=lambda x: np.zeros((1, 1, m)),
-        d_A_u=lambda x: np.zeros((1, 1, m)),
-        d_g=lambda x: np.eye(m),
+        A_s=_Stacked(lambda x: a_s, lambda X: a_s[None].repeat(len(X), 0)),
+        A_u=_Stacked(lambda x: a_u, lambda X: a_u[None].repeat(len(X), 0)),
+        d_A_s=_Stacked(lambda x: np.zeros((1, 1, m)), lambda X: np.zeros((len(X), 1, 1, m))),
+        d_A_u=_Stacked(lambda x: np.zeros((1, 1, m)), lambda X: np.zeros((len(X), 1, 1, m))),
+        d_g=_Stacked(lambda x: eye.copy(), lambda X: eye[None].repeat(len(X), 0)),
         d2_g=lambda x: np.zeros((m, m, m)),
+    )
+
+
+def _zero_remainder(n_s: int, n_u: int, m: int) -> dict:
+    """MapSpec fields r_map, d_r and d2_r of the zero remainder, the first two with stacked forms."""
+    n = n_s + n_u + m
+    return dict(
+        r_map=_Stacked(
+            lambda s, u, x: (np.zeros(n_s), np.zeros(n_u), np.zeros(m)),
+            lambda S, U, X: (np.zeros((len(S), n_s)), np.zeros((len(S), n_u)), np.zeros((len(S), m))),
+        ),
+        d_r=_Stacked(lambda s, u, x: np.zeros((n, n)), lambda S, U, X: np.zeros((len(S), n, n))),
+        d2_r=lambda s, u, x: np.zeros((n, n, n)),
     )
 
 
@@ -55,11 +70,9 @@ def make_linear(lambda_s: float = 0.5, lambda_u: float = 2.0, omega: float = 0.0
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=lam,
-        g_map=lambda x: x + omega,
-        r_map=lambda s, u, x: (np.zeros(1), np.zeros(1), np.zeros(1)),
-        d_r=lambda s, u, x: np.zeros((3, 3)),
-        d2_r=lambda s, u, x: np.zeros((3, 3, 3)),
+        g_map=_Stacked(lambda x: x + omega, lambda X: X + omega),
         name="linear",
+        **_zero_remainder(1, 1, 1),
         **_constant_blocks(lambda_s, lambda_u),
     )
 
@@ -86,9 +99,17 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
         w = c * s[0] * u[0]
         return (np.array([w]), np.array([w]), np.array([w]))
 
+    def r_rows(S, U, X):
+        w = c * S[:, :1] * U[:, :1]
+        return (w, w.copy(), w.copy())
+
     def d_r(s, u, x):
         row = np.array([c * u[0], c * s[0], 0.0])
         return np.tile(row, (3, 1))
+
+    def d_r_rows(S, U, X):
+        row = np.column_stack((c * U[:, 0], c * S[:, 0], np.zeros(len(S))))
+        return row[:, None].repeat(3, 1)
 
     def d2_r(s, u, x):
         t = np.zeros((3, 3, 3))
@@ -100,9 +121,9 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=lam,
-        g_map=lambda x: np.asarray(x, dtype=float),
-        r_map=r_map,
-        d_r=d_r,
+        g_map=_Stacked(lambda x: np.asarray(x, dtype=float), lambda X: np.array(X, dtype=float)),
+        r_map=_Stacked(r_map, r_rows),
+        d_r=_Stacked(d_r, d_r_rows),
         d2_r=d2_r,
         name="poly",
         **_constant_blocks(lambda_s, lambda_u),
@@ -136,6 +157,13 @@ def make_twist_annulus(
             [ang + TWO_PI * y + eps_twist * bump * math.cos(ang), y + eps_twist * bump * math.sin(ang)]
         )
 
+    def g_rows(X):
+        ang, y = X[:, 0], X[:, 1]
+        bump = (y - y0) * (y1 - y)
+        return np.column_stack(
+            (ang + TWO_PI * y + eps_twist * bump * np.cos(ang), y + eps_twist * bump * np.sin(ang))
+        )
+
     def d_g(x):
         ang, y = float(x[0]), float(x[1])
         bump = (y - y0) * (y1 - y)
@@ -145,6 +173,19 @@ def make_twist_annulus(
                 [1.0 - eps_twist * bump * math.sin(ang), TWO_PI + eps_twist * dbump * math.cos(ang)],
                 [eps_twist * bump * math.cos(ang), 1.0 + eps_twist * dbump * math.sin(ang)],
             ]
+        )
+
+    def d_g_rows(X):
+        ang, y = X[:, 0], X[:, 1]
+        bump = (y - y0) * (y1 - y)
+        dbump = y0 + y1 - 2.0 * y
+        cos, sin = np.cos(ang), np.sin(ang)
+        return np.stack(
+            (
+                np.column_stack((1.0 - eps_twist * bump * sin, TWO_PI + eps_twist * dbump * cos)),
+                np.column_stack((eps_twist * bump * cos, 1.0 + eps_twist * dbump * sin)),
+            ),
+            axis=1,
         )
 
     def d2_g(x):
@@ -162,19 +203,16 @@ def make_twist_annulus(
         t[1, 1, 1] = -2.0 * eps_twist * math.sin(ang)
         return t
 
-    n = 4
     blocks = _constant_blocks(lambda_s, lambda_u, m=2)
-    blocks.update(d_g=d_g, d2_g=d2_g)
+    blocks.update(d_g=_Stacked(d_g, d_g_rows), d2_g=d2_g)
     return MapSpec(
         topo=ChartTopology.of(("angle", "linear")),
         rho=rho,
         lam=lam,
-        g_map=g_map,
-        r_map=lambda s, u, x: (np.zeros(1), np.zeros(1), np.zeros(2)),
-        d_r=lambda s, u, x: np.zeros((n, n)),
-        d2_r=lambda s, u, x: np.zeros((n, n, n)),
+        g_map=_Stacked(g_map, g_rows),
         x_box=((0.0, TWO_PI), (y0, y1)),
         name="twist_annulus",
+        **_zero_remainder(1, 1, 2),
         **blocks,
     )
 
@@ -195,18 +233,21 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
         out[row] = np.array([amp * s[0]])
         return tuple(out)
 
-    def d_r(s, u, x):
-        jac = np.zeros((3, 3))
-        jac[row, 0] = amp
-        return jac
+    def r_rows(S, U, X):
+        out = [np.zeros((len(S), 1)), np.zeros((len(S), 1)), np.zeros((len(S), 1))]
+        out[row] = amp * S[:, :1]
+        return tuple(out)
+
+    jac = np.zeros((3, 3))
+    jac[row, 0] = amp
 
     return MapSpec(
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=0.5,
-        g_map=lambda x: np.asarray(x, dtype=float),
-        r_map=r_map,
-        d_r=d_r,
+        g_map=_Stacked(lambda x: np.asarray(x, dtype=float), lambda X: np.array(X, dtype=float)),
+        r_map=_Stacked(r_map, r_rows),
+        d_r=_Stacked(lambda s, u, x: jac.copy(), lambda S, U, X: jac[None].repeat(len(S), 0)),
         d2_r=lambda s, u, x: np.zeros((3, 3, 3)),
         name=f"defective_{condition}",
         **_constant_blocks(0.5, 2.0),
@@ -257,14 +298,23 @@ def _coeff_tables(coeffs) -> tuple:
 
 
 def _fourier(tables, theta: float, phi: float):
-    """(value, d/dtheta, d/dphi) of a finite Fourier sum given as ``_coeff_tables``."""
-    k1, k2, c, s = tables
-    arg = k1 * theta + k2 * phi
-    ca = np.cos(arg)
-    sa = np.sin(arg)
-    val = float(np.sum(c * ca + s * sa))
-    dmode = -c * sa + s * ca
-    return val, float(np.sum(k1 * dmode)), float(np.sum(k2 * dmode))
+    """(value, d/dtheta, d/dphi) of a finite Fourier sum given as ``_coeff_tables``.
+
+    A plain-float loop over the modes, as ``_kernels.advance_python`` runs:
+    on two- or three-mode tables numpy's per-call overhead would cost more
+    than the sums.  Each sum accumulates mode by mode, which is the order of
+    ``np.sum`` below eight terms.
+    """
+    val = d_theta = d_phi = 0.0
+    for k1, k2, c, s in zip(*(t.tolist() for t in tables)):
+        arg = k1 * theta + k2 * phi
+        ca = math.cos(arg)
+        sa = math.sin(arg)
+        val += c * ca + s * sa
+        dmode = -c * sa + s * ca
+        d_theta += k1 * dmode
+        d_phi += k2 * dmode
+    return val, d_theta, d_phi
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,10 @@ class MapSpec:
     ``d_A_s``/``d_A_u`` are (n_s, n_s, m)/(n_u, n_u, m) tensors of
     d A / d x_k, and ``d_g``/``d2_g`` differentiate the manifold map.
     Everything must be pure; evaluation order is never guaranteed.
+
+    A mesh step evaluates a user's callables once per row.  The built-in
+    maps of ``models`` carry a stacked form of each callable the step reads,
+    so their meshes are evaluated once per iterate, with the same bits.
     """
 
     dims: Dimensions
@@ -110,14 +114,75 @@ class MapSpec:
         return ranges
 
 
+@dataclass(frozen=True)
+class _Stacked:
+    """A callable of a built-in map with its stacked form.  Calling it runs ``one``, the one-point
+    callable; ``rows`` takes the same arguments with a leading row axis and returns new arrays
+    stacked along it (for ``r_map`` the three blocks, each N x block), each row with the bits of
+    ``one`` there.  The mesh step reads ``rows``, so it evaluates such a callable once per iterate."""
+
+    one: Callable
+    rows: Callable
+
+    def __call__(self, *args):
+        return self.one(*args)
+
+
+def _rows(fn, shape: tuple, *args, one: Optional[Callable] = None) -> np.ndarray:
+    """``fn`` at every row of the stacked arguments ``args``, as a new (N, *shape) stack: one call of
+    its stacked form when it has one, otherwise one call of ``one`` (default ``fn``) per row."""
+    if isinstance(fn, _Stacked):
+        return fn.rows(*args)
+    one = fn if one is None else one
+    out = np.empty((len(args[0]), *shape))
+    for i, row in enumerate(zip(*args)):
+        out[i] = one(*row)
+    return out
+
+
+def _columns(dims: Dimensions, Z: np.ndarray) -> tuple:
+    """The s, u and x columns of the rows of Z, as views."""
+    a, b = dims.n_s, dims.n_s + dims.n_u
+    return Z[:, :a], Z[:, a:b], Z[:, b:]
+
+
 def _image(f: MapSpec, s, u, x, r: Optional[tuple] = None) -> tuple:
     """The blocks (s', u', x') of f at (s, u, x), from the remainder triple ``r`` when given and from
-    ``f.r_map`` otherwise; angles in x' are not yet wrapped."""
+    ``f.r_map`` otherwise; angles in x' are not yet wrapped.  ``_images`` is its stacked form."""
     r_s, r_u, r_x = f.r_map(s, u, x) if r is None else r
     s_new = f.A_s(x) @ s + np.asarray(r_s, dtype=float).reshape(-1)
     u_new = f.A_u(x) @ u + np.asarray(r_u, dtype=float).reshape(-1)
     x_new = np.asarray(f.g_map(x), dtype=float).reshape(-1) + np.asarray(r_x, dtype=float).reshape(-1)
     return s_new, u_new, x_new
+
+
+def _images(f: MapSpec, Z: np.ndarray) -> tuple:
+    """The images of the rows (s, u, x) of Z (N x n) under f, as the rows of a new N x n array with
+    x' not yet wrapped, and the rows' evaluations for ``_jacobians`` to reuse.
+
+    The remainder comes from the stacked ``r_map`` when it has one; when r_map and d_r are views of
+    one evaluation (a conjugated map), from one evaluation per row, which is returned; otherwise
+    from ``r_map`` row by row.  The evaluations are None unless they are shared.  A(x) s is one
+    stacked ``np.matmul``, the BLAS matrix-vector product of ``A @ s`` per row, so every row has
+    the bits of ``_image``.
+    """
+    dims = f.dims
+    S, U, X = _columns(dims, Z)
+    points = None
+    if isinstance(f.r_map, _Stacked):
+        r_s, r_u, r_x = f.r_map.rows(S, U, X)
+    else:
+        evaluate = _shared_evaluation(f, "r_map", "d_r")
+        if evaluate is not None:
+            points = [evaluate(*row) for row in zip(S, U, X)]
+        triples = [f.r_map(*row) for row in zip(S, U, X)] if points is None else [p.r for p in points]
+        r_s, r_u, r_x = _columns(dims, np.array([dims.join(*r) for r in triples]).reshape(Z.shape))
+    blocks = (
+        np.matmul(_rows(f.A_s, (dims.n_s, dims.n_s), X), S[..., None])[..., 0] + r_s,
+        np.matmul(_rows(f.A_u, (dims.n_u, dims.n_u), X), U[..., None])[..., 0] + r_u,
+        _rows(f.g_map, (dims.m,), X, one=_g_flat(f)) + r_x,
+    )
+    return np.concatenate(blocks, axis=1), points
 
 
 def _check_ball(f: MapSpec, s, u) -> None:
@@ -295,19 +360,21 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
     return _jacobians(f, p.as_array()[None], h)[0]
 
 
-def _jacobians(f: MapSpec, Z: np.ndarray, h: float, r_jacs: Optional[list] = None) -> np.ndarray:
+def _jacobians(f: MapSpec, Z: np.ndarray, h: float, points: Optional[list] = None) -> np.ndarray:
     """The block Jacobians (N x n x n) of f at the rows (s, u, x) of Z (N x n), which must lie in the ball.
 
-    The callables run row by row, the Jacobians of r first (unless the
-    caller has them already, one per row in ``r_jacs``), then the linear
-    blocks.  Each block addition runs once over the stack; the five blocks
-    touch disjoint entries, so every row has the bits of its own sum.
+    The Jacobians of r come first: from the rows' evaluations ``points``
+    when the caller has them (one per row, as ``_images`` returns them),
+    else from the stacked ``d_r``, else row by row from ``d_r`` or its
+    differences.  Then the linear blocks; each block addition runs once over
+    the stack, and the five blocks touch disjoint entries, so every row has
+    the bits of its own sum.
     """
-    dims = f.dims
-    a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
-    jac = np.empty((len(Z), dims.n, dims.n))
-    for i, z in enumerate(Z):
-        jac[i] = _r_jacobian(f, z[:a], z[a:b], z[b:], h) if r_jacs is None else r_jacs[i]
+    n = f.dims.n
+    if points is not None:
+        jac = np.array([p.jacobian() for p in points], dtype=float).reshape(len(Z), n, n)
+    else:
+        jac = _rows(f.d_r, (n, n), *_columns(f.dims, Z), one=lambda s, u, x: _r_jacobian(f, s, u, x, h))
     for rows, cols, block in _linear_blocks(f, Z, h):
         jac[:, rows, cols] += block
     return jac
@@ -315,21 +382,20 @@ def _jacobians(f: MapSpec, Z: np.ndarray, h: float, r_jacs: Optional[list] = Non
 
 def _linear_blocks(f: MapSpec, Z: np.ndarray, h: float) -> tuple:
     """The (rows, cols, blocks) pieces that ``_jacobians`` adds to the Jacobians of r at the rows
-    (s, u, x) of Z: A_s, A_u, d_x g, (d_x A_s) s and (d_x A_u) u, each stacked over the rows."""
-    n_s, n_u, m, rows = f.dims.n_s, f.dims.n_u, f.dims.m, len(Z)
+    (s, u, x) of Z: A_s, A_u, d_x g, (d_x A_s) s and (d_x A_u) u, each stacked over the rows, from
+    the callables' stacked forms where they have them and row by row otherwise."""
+    n_s, n_u, m = f.dims.n_s, f.dims.n_u, f.dims.m
     a, b = n_s, n_s + n_u  # the u block is a:b, the x block b:
     sl_s, sl_u, sl_x = slice(None, a), slice(a, b), slice(b, None)
-    a_s, a_u, d_g = np.empty((rows, n_s, n_s)), np.empty((rows, n_u, n_u)), np.empty((rows, m, m))
-    d_a_s, d_a_u = np.empty((rows, n_s, n_s, m)), np.empty((rows, n_u, n_u, m))
-    for i, x in enumerate(Z[:, b:]):
-        a_s[i], a_u[i], d_g[i] = f.A_s(x), f.A_u(x), _g_jacobian(f, x, h)
-        d_a_s[i], d_a_u[i] = _a_tensor(f, "s", x, h), _a_tensor(f, "u", x, h)
+    S, U, X = _columns(f.dims, Z)
+    d_a_s = _rows(f.d_A_s, (n_s, n_s, m), X, one=lambda x: _a_tensor(f, "s", x, h))
+    d_a_u = _rows(f.d_A_u, (n_u, n_u, m), X, one=lambda x: _a_tensor(f, "u", x, h))
     return (
-        (sl_s, sl_s, a_s),
-        (sl_u, sl_u, a_u),
-        (sl_x, sl_x, d_g),
-        (sl_s, sl_x, np.einsum("nijk,nj->nik", d_a_s, Z[:, sl_s])),
-        (sl_u, sl_x, np.einsum("nijk,nj->nik", d_a_u, Z[:, sl_u])),
+        (sl_s, sl_s, _rows(f.A_s, (n_s, n_s), X)),
+        (sl_u, sl_u, _rows(f.A_u, (n_u, n_u), X)),
+        (sl_x, sl_x, _rows(f.d_g, (m, m), X, one=lambda x: _g_jacobian(f, x, h))),
+        (sl_s, sl_x, np.einsum("nijk,nj->nik", d_a_s, S)),
+        (sl_u, sl_x, np.einsum("nijk,nj->nik", d_a_u, U)),
     )
 
 

@@ -271,7 +271,7 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
             """f's block Jacobian at z, then DPhi at the outer and the inner point of the chain rule:
             w and z (forward), v and p (backward)."""
             (s, u, x), (z_s, z_u) = self.p, self.z
-            df = _jacobians(f, np.concatenate((z_s, z_u, x))[None], FD_STEP_FIRST, [self.f_at_z.jacobian()])[0]
+            df = _jacobians(f, np.concatenate((z_s, z_u, x))[None], FD_STEP_FIRST, [self.f_at_z])[0]
             if forward:
                 return df, _dphi(gp, *self.w), _dphi(gp, z_s, z_u, x)
             return df, _dphi(gp, *self.v, self.w[2]), _dphi(gp, s, u, x)

@@ -3,11 +3,13 @@
 A jet is a base point plus a frame of tangent vectors pushed forward by the
 block Jacobian.  One private array step advances many jets at once (a mesh
 calls it once per iterate over its alive nodes, a lone jet is its one-row
-case); only the map's callables run per row.  Frames are renormalized to unit
-sup norm after every step (inclinations are scale-free, and the unstable part
-would otherwise overflow); the stretch factor is recorded before the
-renormalization.  The closed-form decay bounds live here too so experiments
-can compare measured inclinations against them term by term.
+case).  A built-in map's callables run once per step, on all rows at once
+through their stacked forms; a user's callables run once per row.  Frames
+are renormalized to unit sup norm after every step (inclinations are
+scale-free, and the unstable part would otherwise overflow); the stretch
+factor is recorded before the renormalization.  The closed-form decay
+bounds live here too so experiments can compare measured inclinations
+against them term by term.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .exceptions import (
     OutOfNeighborhoodError,
 )
 from .geometry import ChartPoint, Dimensions, TangentVector, _wrap_angles, vec_sup_norm
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _image, _jacobians, _shared_evaluation
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _images, _jacobians
 
 
 @dataclass(frozen=True)
@@ -105,15 +107,17 @@ def _frame_inclination(dims: Dimensions, F: np.ndarray) -> tuple:
 def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, restricted: bool) -> tuple:
     """One map step of the points Z = (s, u, x) (N x n) and their frames F (N x k x n).
 
-    Only the MapSpec callables run per row: first the images of all rows,
-    then the Jacobian pieces of the rows still in the ball, which
-    ``normalform._jacobians`` assembles once over the stack.  When r_map and
-    d_r are views of one evaluation (a conjugated map), each row is
+    First the images of all rows (``normalform._images``), then the
+    Jacobians of the rows still in the ball (``normalform._jacobians``).
+    A built-in map's callables have stacked forms, so each runs once per
+    step over all rows; a user's callables run once per row.  When r_map
+    and d_r are views of one evaluation (a conjugated map), each row is
     evaluated once and its remainder Jacobian comes from that evaluation.
     Returns (images, pushed unit-row frames, stretches, escaped mask, image
-    normal norms); an escaped row keeps its input state.  ``restricted`` keeps the images on {u = 0} (drift above
-    1e-12 is model inconsistency, the rest snaps to 0) and zeroes the
-    Jacobians' unstable-row couplings, which vanish analytically there.
+    normal norms); an escaped row keeps its input state.  ``restricted``
+    keeps the images on {u = 0} (drift above 1e-12 is model inconsistency,
+    the rest snaps to 0) and zeroes the Jacobians' unstable-row couplings,
+    which vanish analytically there.
     """
     dims = f.dims
     a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
@@ -121,13 +125,7 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     outside = norms[~(norms < f.rho)]
     if outside.size:
         raise OutOfNeighborhoodError(float(outside[0]), f.rho)
-    evaluate = _shared_evaluation(f, "r_map", "d_r")
-    if evaluate is None:  # each callable as given, and no object per row
-        images = [_image(f, z[:a], z[a:b], z[b:]) for z in Z]
-    else:
-        points = [evaluate(z[:a], z[a:b], z[b:]) for z in Z]
-        images = [_image(f, z[:a], z[a:b], z[b:], p.r) for z, p in zip(Z, points)]
-    Q = np.array([np.concatenate(image) for image in images]).reshape(Z.shape)
+    Q, points = _images(f, Z)
     if restricted:
         drift = np.abs(Q[:, a:b]).max(axis=1)
         leaks = drift[drift > 1e-12]
@@ -138,8 +136,7 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     q_norms = np.abs(Q[:, :b]).max(axis=1)
     escaped = ~(q_norms < f.rho)
     live = np.flatnonzero(~escaped)
-    r_jacs = None if evaluate is None else [points[i].jacobian() for i in live]
-    J = _jacobians(f, Z[live], FD_STEP_FIRST, r_jacs)
+    J = _jacobians(f, Z[live], FD_STEP_FIRST, None if points is None else [points[i] for i in live])
     if restricted:
         J[:, a:b, :a] = 0.0
         J[:, a:b, b:] = 0.0

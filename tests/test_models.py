@@ -25,7 +25,7 @@ from nhimlab import (
     symplectic_step,
     validate_conditions,
 )
-from nhimlab import _kernels
+from nhimlab import _kernels, models
 
 TWO_PI = 2.0 * np.pi
 
@@ -162,6 +162,35 @@ def test_vector_field_on_cylinder():
     dz0 = ham_vector_field(hs0, st)
     assert dz0[2] == 0.0 and dz0[4] == 0.0
     assert dz0[3] == st.I
+
+
+def fourier_by_numpy(tables, theta, phi):
+    """``models._fourier`` as numpy passes over the mode tables, the form it had before its loop."""
+    k1, k2, c, s = tables
+    arg = k1 * theta + k2 * phi
+    ca = np.cos(arg)
+    sa = np.sin(arg)
+    val = float(np.sum(c * ca + s * sa))
+    dmode = -c * sa + s * ca
+    return val, float(np.sum(k1 * dmode)), float(np.sum(k2 * dmode))
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [{}, {"f_coeffs": ((1, 0, 0.7, -0.2), (2, -1, -0.3, 0.5), (0, 3, 0.11, 0.0)),
+          "g_coeffs": ((1, 1, 0.4, 0.9), (-2, 0, 1.3, -0.6), (3, 2, -0.05, 0.25))}],
+    ids=["default", "three-mode"],
+)
+def test_energy_and_vector_field_match_the_numpy_fourier_sums(monkeypatch, tables):
+    hs = HamiltonianSpec(eps=0.05, mu=0.004, **tables)
+    rng = np.random.default_rng(8)
+    states = [FlowState(*row) for row in rng.uniform(-4.0, 4.0, (200, 6))]
+    states.append(FlowState(p=0.0, q=0.0, I=0.0, theta=0.0, J=0.0, phi=0.0))
+    looped = [(hamiltonian_energy(hs, st), ham_vector_field(hs, st)) for st in states]
+    monkeypatch.setattr(models, "_fourier", fourier_by_numpy)
+    for st, (energy, field) in zip(states, looped):
+        assert energy == hamiltonian_energy(hs, st)
+        assert np.array_equal(field, ham_vector_field(hs, st))
 
 
 def test_step_validation_and_integrable_exactness():

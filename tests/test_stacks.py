@@ -1,10 +1,12 @@
-"""The stacked Jacobian assembly and bound grid against the per-row loops they replace.
+"""The stacked Jacobian assembly, mesh step and bound grid against the per-row loops they replace.
 
 Each oracle below is the per-row code as it ran before the stacks, kept here
 so that every output can be compared bit for bit (``np.array_equal`` and
-float ``repr``, never approx).
+float ``repr``, never approx).  The stacked forms of the built-in maps are
+compared with their one-point callables the same way.
 """
 
+import collections
 import dataclasses
 import math
 
@@ -20,12 +22,13 @@ from nhimlab import (
     conjugate_map,
     estimate_bounds,
     jacobian,
+    make_defective,
     make_linear,
     make_poly,
     make_twist_annulus,
 )
 from nhimlab import normalform
-from nhimlab.geometry import _max_keep_nan, mat_row_sup_norm, tensor_row_sup_norm
+from nhimlab.geometry import _max_keep_nan, _wrap_angles, mat_row_sup_norm, tensor_row_sup_norm
 from nhimlab.normalform import (
     FD_STEP_FIRST,
     FD_STEP_SECOND,
@@ -34,10 +37,13 @@ from nhimlab.normalform import (
     _bound_grid,
     _g_jacobian,
     _g_second_tensor,
+    _image,
     _jacobians,
     _r_jacobian,
     _second_tensor,
+    _Stacked,
 )
+from nhimlab.tangentflow import _step
 
 RHO = 0.4
 
@@ -244,3 +250,175 @@ def test_nan_radius_is_refused_at_construction():
     for good in (5e-324, 1e-300, 0.3, 1e300, math.inf):
         assert dataclasses.replace(f, rho=good).rho == good
     assert conjugate_map(f, GraphPair.zero(1, 1), radius=0.25).rho == 0.25
+
+
+CALLABLES = ("A_s", "A_u", "g_map", "r_map", "d_r", "d2_r", "d_A_s", "d_A_u", "d_g", "d2_g")
+
+
+def as_plain(f):
+    """f with every callable behind a plain function, so that each runs once per row."""
+    return dataclasses.replace(
+        f, **{name: (lambda *args, fn=fn: fn(*args)) for name in CALLABLES if (fn := getattr(f, name)) is not None}
+    )
+
+
+def spec_222_stacked():
+    """spec_222 with stacked forms of A_s, A_u, g_map, r_map and d_A_s; its d_A_u, d_g and d_r
+    stay differences row by row."""
+    f = spec_222()
+
+    def A_s(X):
+        out = np.empty((len(X), 2, 2))
+        out[:, 0, 0] = 0.3 + 0.1 * np.sin(X[:, 0])
+        out[:, 0, 1] = 0.2 * np.cos(X[:, 0]) * X[:, 1]
+        out[:, 1, 0] = 0.05 * X[:, 1]
+        out[:, 1, 1] = 0.25
+        return out
+
+    def d_A_s(X):
+        t = np.zeros((len(X), 2, 2, 2))
+        t[:, 0, 0, 0] = 0.1 * np.cos(X[:, 0])
+        t[:, 0, 1, 0] = -0.2 * np.sin(X[:, 0]) * X[:, 1]
+        t[:, 0, 1, 1] = 0.2 * np.cos(X[:, 0])
+        t[:, 1, 0, 1] = 0.05
+        return t
+
+    def A_u(X):
+        out = np.empty((len(X), 2, 2))
+        out[:, 0, 0] = 2.5 + 0.2 * np.cos(X[:, 0])
+        out[:, 0, 1] = 0.3 * X[:, 1]
+        out[:, 1, 0] = 0.1 * np.sin(X[:, 0])
+        out[:, 1, 1] = 3.0
+        return out
+
+    def g_map(X):
+        return np.column_stack((X[:, 0] + 0.3 + 0.1 * np.sin(X[:, 1]), 0.5 * X[:, 1] + 0.05 * np.cos(X[:, 0])))
+
+    def r_map(S, U, X):
+        (s0, s1), (u0, u1), (x0, x1) = S.T, U.T, X.T
+        return (
+            np.column_stack((0.1 * s0 * u1 + 0.05 * s1**2 * np.sin(x0), 0.07 * s0 * s1 * u0)),
+            np.column_stack((0.08 * u0 * s1 * np.cos(x0), 0.06 * u1**2 * s0 + 0.03 * u0 * x1 * s1)),
+            np.column_stack((0.04 * s0 * u1 * np.cos(x1), 0.05 * s1 * u0)),
+        )
+
+    stacked = dict(A_s=A_s, d_A_s=d_A_s, A_u=A_u, g_map=g_map, r_map=r_map)
+    return dataclasses.replace(f, **{name: _Stacked(getattr(f, name), rows) for name, rows in stacked.items()})
+
+
+def r_map_replaced(make):
+    """The map of ``make`` with only r_map behind a plain function, as a counting wrapper leaves it."""
+    f = make()
+    return dataclasses.replace(f, r_map=lambda s, u, x: f.r_map(s, u, x))
+
+
+STEP_MAPS = {
+    "linear": lambda: make_linear(0.5, 2.0, omega=0.3),
+    "poly": lambda: make_poly(0.05),
+    "twist": lambda: make_twist_annulus(0.05, 0.0, 1.0),
+    "defective_d": lambda: make_defective("d"),
+    "spec_222": spec_222_stacked,
+    "poly_r_map_replaced": lambda: r_map_replaced(lambda: make_poly(0.05)),
+    "spec_222_r_map_replaced": lambda: r_map_replaced(spec_222_stacked),
+}
+
+
+def step_rows(f, restricted, count=60):
+    """Rows inside f's ball, the images of some leaving it unless ``restricted`` puts them on
+    u = 0, with two-vector frames whose unstable parts are nonzero."""
+    dims = f.dims
+    a, b = dims.n_s, dims.n_s + dims.n_u
+    rng = np.random.default_rng(19)
+    Z = np.column_stack(
+        [rng.uniform(-0.95 * f.rho, 0.95 * f.rho, (count, b))] + [rng.uniform(lo, hi, count) for lo, hi in f.x_ranges()]
+    )
+    if restricted:
+        Z[:, a:b] = 0.0
+    F = rng.uniform(-1.0, 1.0, (count, 2, dims.n))
+    F[:, :, a] = 1.0
+    return Z, F
+
+
+BUILT_IN = ("linear", "poly", "twist", "defective_d")
+
+
+@pytest.mark.parametrize("name", BUILT_IN + ("spec_222",))
+def test_each_stacked_form_is_its_one_point_callable_row_by_row(name):
+    f = STEP_MAPS[name]()
+    S, U, X = np.split(step_rows(f, restricted=False)[0], [f.dims.n_s, f.dims.n_s + f.dims.n_u], axis=1)
+    stacked = [attr for attr in CALLABLES if isinstance(getattr(f, attr), _Stacked)]
+    if name in BUILT_IN:  # every callable a mesh step reads; d2_r and d2_g are not among them
+        assert stacked == ["A_s", "A_u", "g_map", "r_map", "d_r", "d_A_s", "d_A_u", "d_g"]
+    for attr in stacked:
+        fn = getattr(f, attr)
+        args = (S, U, X) if attr in ("r_map", "d_r") else (X,)
+        rows = fn.rows(*args)
+        for i, row in enumerate(zip(*args)):
+            if attr == "r_map":
+                for block, part in zip(rows, fn(*row)):
+                    assert np.array_equal(block[i], np.reshape(part, -1))
+            else:
+                assert np.array_equal(rows[i], fn(*row))
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("make", STEP_MAPS.values(), ids=STEP_MAPS.keys())
+def test_stacked_step_is_the_per_row_step_bit_for_bit(make, restricted):
+    f = make()
+    Z, F = step_rows(f, restricted)
+    got = _step(f, Z, F, require_unstable=True, restricted=restricted)
+    plain = _step(as_plain(f), Z, F, require_unstable=True, restricted=restricted)
+    for stacked, by_rows in zip(got, plain):  # images, frames, stretches, escapes, image norms
+        assert np.array_equal(stacked, by_rows, equal_nan=True)
+    Q, _, _, escaped, _ = got
+    assert escaped.any() != restricted  # rows that escape and rows that stay are both compared
+    # every live image is the one-point image of its row: A @ s per row against the stacked matmul
+    a, b = f.dims.n_s, f.dims.n_s + f.dims.n_u
+    for z, q in zip(Z[~escaped], Q[~escaped]):
+        image = np.concatenate(_image(f, *f.dims.split(z)))
+        if restricted:
+            image[a:b] = 0.0
+        assert np.array_equal(q, _wrap_angles(image, np.r_[np.zeros(b, bool), f.topo.is_angle]))
+
+
+@pytest.mark.parametrize("make", STEP_MAPS.values(), ids=STEP_MAPS.keys())
+def test_stacked_jacobians_match_the_per_row_assembly(make):
+    f = make()
+    Z, _ = step_rows(f, restricted=False)
+    J = _jacobians(f, Z, FD_STEP_FIRST)
+    for z, jac in zip(Z, J):
+        assert np.array_equal(jac, jacobian_by_rows(f, z, FD_STEP_FIRST))
+
+
+def counted(f, calls):
+    """f with each stacked callable counting its one-point calls under its name and its stacked
+    calls under ``name.rows`` in ``calls``."""
+
+    def wrap(name, fn):
+        def one(*args):
+            calls[name] += 1
+            return fn.one(*args)
+
+        def rows(*args):
+            calls[name + ".rows"] += 1
+            return fn.rows(*args)
+
+        return _Stacked(one, rows)
+
+    return dataclasses.replace(
+        f, **{name: wrap(name, fn) for name in CALLABLES if isinstance(fn := getattr(f, name), _Stacked)}
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 7, 60])
+def test_a_poly_mesh_step_calls_each_stacked_form_once_whatever_its_rows(rows):
+    calls = collections.Counter()
+    f = counted(make_poly(0.05), calls)
+    Z, F = step_rows(f, restricted=False)
+    _step(f, Z[:rows], F[:rows], require_unstable=True, restricted=False)
+    # A_s and A_u once for the images and once for the Jacobians of the rows still in the ball;
+    # d2_r and d2_g are not read by a step and have no stacked form
+    assert calls == {
+        "r_map.rows": 1, "g_map.rows": 1, "A_s.rows": 2, "A_u.rows": 2,
+        "d_r.rows": 1, "d_A_s.rows": 1, "d_A_u.rows": 1, "d_g.rows": 1,
+    }
