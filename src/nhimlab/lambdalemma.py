@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._fd import _fd_first
 from .exceptions import (
     ContractError,
     EmptyMeshError,
@@ -27,7 +28,7 @@ from .exceptions import (
     OutOfNeighborhoodError,
 )
 from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _normal_norm
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _fd_first, check_constants
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, check_constants
 from .tangentflow import (
     JetState,
     _block_norms,

@@ -51,7 +51,7 @@ def _constant_blocks(lambda_s: float, lambda_u: float, m: int = 1) -> dict:
 
 
 def _zero_remainder(n_s: int, n_u: int, m: int) -> dict:
-    """MapSpec fields r_map, d_r and d2_r of the zero remainder, the first two with stacked forms."""
+    """MapSpec fields r_map, d_r and d2_r of the zero remainder, with their stacked forms."""
     n = n_s + n_u + m
     return dict(
         r_map=_Stacked(
@@ -59,7 +59,7 @@ def _zero_remainder(n_s: int, n_u: int, m: int) -> dict:
             lambda S, U, X: (np.zeros((len(S), n_s)), np.zeros((len(S), n_u)), np.zeros((len(S), m))),
         ),
         d_r=_Stacked(lambda s, u, x: np.zeros((n, n)), lambda S, U, X: np.zeros((len(S), n, n))),
-        d2_r=lambda s, u, x: np.zeros((n, n, n)),
+        d2_r=_Stacked(lambda s, u, x: np.zeros((n, n, n)), lambda S, U, X: np.zeros((len(S), n, n, n))),
     )
 
 
@@ -117,6 +117,12 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
         t[:, 1, 0] = c
         return t
 
+    def d2_r_rows(S, U, X):
+        t = np.zeros((len(S), 3, 3, 3))
+        t[:, :, 0, 1] = c
+        t[:, :, 1, 0] = c
+        return t
+
     return MapSpec(
         topo=ChartTopology.angles(1),
         rho=rho,
@@ -124,7 +130,7 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
         g_map=_Stacked(lambda x: np.asarray(x, dtype=float), lambda X: np.array(X, dtype=float)),
         r_map=_Stacked(r_map, r_rows),
         d_r=_Stacked(d_r, d_r_rows),
-        d2_r=d2_r,
+        d2_r=_Stacked(d2_r, d2_r_rows),
         name="poly",
         **_constant_blocks(lambda_s, lambda_u),
     )
@@ -248,7 +254,7 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
         g_map=_Stacked(lambda x: np.asarray(x, dtype=float), lambda X: np.array(X, dtype=float)),
         r_map=_Stacked(r_map, r_rows),
         d_r=_Stacked(lambda s, u, x: jac.copy(), lambda S, U, X: jac[None].repeat(len(S), 0)),
-        d2_r=lambda s, u, x: np.zeros((3, 3, 3)),
+        d2_r=_Stacked(lambda s, u, x: np.zeros((3, 3, 3)), lambda S, U, X: np.zeros((len(S), 3, 3, 3))),
         name=f"defective_{condition}",
         **_constant_blocks(0.5, 2.0),
     )

@@ -26,12 +26,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._fd import _fd_first, _fd_first_rows, _fd_second
 from .exceptions import ContractError, OutOfNeighborhoodError
 from .geometry import (
     TWO_PI,
     ChartPoint,
     ChartTopology,
     Dimensions,
+    _as_float_vector,
     _count,
     _max_keep_nan,
     _normal_norm,
@@ -65,9 +67,11 @@ class MapSpec:
     d A / d x_k, and ``d_g``/``d2_g`` differentiate the manifold map.
     Everything must be pure; evaluation order is never guaranteed.
 
-    A mesh step evaluates a user's callables once per row.  The built-in
-    maps of ``models`` carry a stacked form of each callable the step reads,
-    so their meshes are evaluated once per iterate, with the same bits.
+    The mesh step, validation and the bound grid evaluate stacks of rows.
+    A user's callables run once per row.  The built-in maps of ``models``
+    carry a stacked form of each callable those read, so they run once per
+    stack, with the same bits; a conjugated map evaluates a whole stack at
+    once, its graphs once per row per sweep.
     """
 
     dims: Dimensions
@@ -119,7 +123,8 @@ class _Stacked:
     """A callable of a built-in map with its stacked form.  Calling it runs ``one``, the one-point
     callable; ``rows`` takes the same arguments with a leading row axis and returns new arrays
     stacked along it (for ``r_map`` the three blocks, each N x block), each row with the bits of
-    ``one`` there.  The mesh step reads ``rows``, so it evaluates such a callable once per iterate."""
+    ``one`` there.  The mesh step, validation and the bound grid read ``rows``, so they evaluate such
+    a callable once per stack."""
 
     one: Callable
     rows: Callable
@@ -130,8 +135,9 @@ class _Stacked:
 
 def _rows(fn, shape: tuple, *args, one: Optional[Callable] = None) -> np.ndarray:
     """``fn`` at every row of the stacked arguments ``args``, as a new (N, *shape) stack: one call of
-    its stacked form when it has one, otherwise one call of ``one`` (default ``fn``) per row."""
-    if isinstance(fn, _Stacked):
+    its stacked form when it has one (a ``_Stacked`` callable or a ``_View``), otherwise one call of
+    ``one`` (default ``fn``) per row."""
+    if isinstance(fn, (_Stacked, _View)):
         return fn.rows(*args)
     one = fn if one is None else one
     out = np.empty((len(args[0]), *shape))
@@ -140,119 +146,79 @@ def _rows(fn, shape: tuple, *args, one: Optional[Callable] = None) -> np.ndarray
     return out
 
 
+def _in_row_order(read: Callable, count: int):
+    """``read(slice(None))``, which reads all ``count`` rows of a stack at once.  When that raises,
+    ``read`` runs again on one row at a time, so that the error raised is the one a loop over the
+    rows raises first: the same type and message, from the same row."""
+    try:
+        return read(slice(None))
+    except Exception:
+        for i in range(count):
+            read(slice(i, i + 1))
+        raise
+
+
+def _remainders(evaluate: Callable, S, U, X) -> tuple:
+    """``evaluate(S, U, X)``, the evaluation of a stack of rows, and its remainder blocks; when that
+    raises, the error is the first row's."""
+
+    def read(rows):
+        point = evaluate(S[rows], U[rows], X[rows])
+        return point, point.r
+
+    return _in_row_order(read, len(S))
+
+
 def _columns(dims: Dimensions, Z: np.ndarray) -> tuple:
     """The s, u and x columns of the rows of Z, as views."""
     a, b = dims.n_s, dims.n_s + dims.n_u
     return Z[:, :a], Z[:, a:b], Z[:, b:]
 
 
-def _image(f: MapSpec, s, u, x, r: Optional[tuple] = None) -> tuple:
-    """The blocks (s', u', x') of f at (s, u, x), from the remainder triple ``r`` when given and from
-    ``f.r_map`` otherwise; angles in x' are not yet wrapped.  ``_images`` is its stacked form."""
-    r_s, r_u, r_x = f.r_map(s, u, x) if r is None else r
-    s_new = f.A_s(x) @ s + np.asarray(r_s, dtype=float).reshape(-1)
-    u_new = f.A_u(x) @ u + np.asarray(r_u, dtype=float).reshape(-1)
-    x_new = np.asarray(f.g_map(x), dtype=float).reshape(-1) + np.asarray(r_x, dtype=float).reshape(-1)
-    return s_new, u_new, x_new
+def _linear_part(f: MapSpec, S, U, X) -> tuple:
+    """(A_s(x) s, A_u(x) u, g(x)) at the rows (S, U, X), each a new N x block stack.  A(x) s is one
+    stacked ``np.matmul``, the BLAS matrix-vector product of ``A @ s`` per row."""
+    dims = f.dims
+    return (
+        np.matmul(_rows(f.A_s, (dims.n_s, dims.n_s), X), S[..., None])[..., 0],
+        np.matmul(_rows(f.A_u, (dims.n_u, dims.n_u), X), U[..., None])[..., 0],
+        _rows(f.g_map, (dims.m,), X, one=_g_flat(f)),
+    )
+
+
+def _image_blocks(f: MapSpec, S, U, X, r: tuple) -> tuple:
+    """The blocks (S', U', X') of f at the rows (S, U, X) from their remainder blocks ``r``, each a
+    new N x block stack, with angles in X' not yet wrapped."""
+    return tuple(linear + block for linear, block in zip(_linear_part(f, S, U, X), r))
 
 
 def _images(f: MapSpec, Z: np.ndarray) -> tuple:
     """The images of the rows (s, u, x) of Z (N x n) under f, as the rows of a new N x n array with
-    x' not yet wrapped, and the rows' evaluations for ``_jacobians`` to reuse.
-
-    The remainder comes from the stacked ``r_map`` when it has one; when r_map and d_r are views of
-    one evaluation (a conjugated map), from one evaluation per row, which is returned; otherwise
-    from ``r_map`` row by row.  The evaluations are None unless they are shared.  A(x) s is one
-    stacked ``np.matmul``, the BLAS matrix-vector product of ``A @ s`` per row, so every row has
-    the bits of ``_image``.
-    """
-    dims = f.dims
-    S, U, X = _columns(dims, Z)
-    points = None
-    if isinstance(f.r_map, _Stacked):
-        r_s, r_u, r_x = f.r_map.rows(S, U, X)
-    else:
-        evaluate = _shared_evaluation(f, "r_map", "d_r")
-        if evaluate is not None:
-            points = [evaluate(*row) for row in zip(S, U, X)]
-        triples = [f.r_map(*row) for row in zip(S, U, X)] if points is None else [p.r for p in points]
-        r_s, r_u, r_x = _columns(dims, np.array([dims.join(*r) for r in triples]).reshape(Z.shape))
-    blocks = (
-        np.matmul(_rows(f.A_s, (dims.n_s, dims.n_s), X), S[..., None])[..., 0] + r_s,
-        np.matmul(_rows(f.A_u, (dims.n_u, dims.n_u), X), U[..., None])[..., 0] + r_u,
-        _rows(f.g_map, (dims.m,), X, one=_g_flat(f)) + r_x,
-    )
-    return np.concatenate(blocks, axis=1), points
+    x' not yet wrapped, and the rows' evaluation (``_evaluator``) for ``_jacobians`` to reuse.  One
+    evaluation reads the remainders of all rows; when it raises, the error is the first row's."""
+    S, U, X = _columns(f.dims, Z)
+    point, r = _remainders(_evaluator(f, "r_map", "d_r"), S, U, X)
+    return np.concatenate(_image_blocks(f, S, U, X, r), axis=1), point
 
 
-def _check_ball(f: MapSpec, s, u) -> None:
-    """The ball check of ``apply_map``: raises unless the normal part (s, u) lies in f's ball."""
-    norm = _normal_norm(s, u)
-    if not norm < f.rho:
-        raise OutOfNeighborhoodError(norm, f.rho)
+def _image(f: MapSpec, s, u, x) -> tuple:
+    """The blocks (s', u', x') of f at one point, angles in x' not yet wrapped: ``_images`` of one row."""
+    return tuple(f.dims.split(_images(f, f.dims.join(s, u, x)[None])[0][0]))
+
+
+def _check_ball(f: MapSpec, S, U) -> None:
+    """Raises unless the normal part (s, u) of the point, or of every row of the stacks (S, U), lies
+    in f's ball; the error names the norm of the first row outside."""
+    norms = np.atleast_1d(np.abs(np.concatenate((S, U), axis=-1)).max(axis=-1))
+    outside = norms[~(norms < f.rho)]
+    if outside.size:
+        raise OutOfNeighborhoodError(float(outside[0]), f.rho)
 
 
 def apply_map(f: MapSpec, p: ChartPoint) -> ChartPoint:
     """Evaluate f at p; raises if p leaves the working ball."""
     _check_ball(f, p.s, p.u)
     return ChartPoint(*_image(f, p.s, p.u, p.x), f.topo)
-
-
-def _fd_first(func, z: np.ndarray, h: float, inside=None) -> np.ndarray:
-    """Columnwise central difference of a vector function, with a one-sided
-    fallback on coordinates where a probe would leave the admissible set."""
-    z = np.asarray(z, dtype=float)
-    base = None
-    cols = []
-    for j in range(z.size):
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += h
-        zm[j] -= h
-        ok_p = inside is None or inside(zp)
-        ok_m = inside is None or inside(zm)
-        if ok_p and ok_m:
-            cols.append((func(zp) - func(zm)) / (2.0 * h))
-        elif ok_p:
-            if base is None:
-                base = func(z)
-            cols.append((func(zp) - base) / h)
-        elif ok_m:
-            if base is None:
-                base = func(z)
-            cols.append((base - func(zm)) / h)
-        else:
-            raise ContractError("finite-difference step does not fit inside the neighborhood; reduce h")
-    return np.stack(cols, axis=1)
-
-
-def _fd_second(func, z: np.ndarray, h: float) -> np.ndarray:
-    """Full symmetric second-derivative tensor T[i, j, k] by central stencils."""
-    z = np.asarray(z, dtype=float)
-    nz = z.size
-    f0 = func(z)
-    out = np.empty((f0.size, nz, nz))
-    for j in range(nz):
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += h
-        zm[j] -= h
-        out[:, j, j] = (func(zp) - 2.0 * f0 + func(zm)) / (h * h)
-        for k in range(j + 1, nz):
-            zpp = z.copy()
-            zpm = z.copy()
-            zmp = z.copy()
-            zmm = z.copy()
-            zpp[[j, k]] += h
-            zmm[[j, k]] -= h
-            zpm[j] += h
-            zpm[k] -= h
-            zmp[j] -= h
-            zmp[k] += h
-            mixed = (func(zpp) - func(zpm) - func(zmp) + func(zmm)) / (4.0 * h * h)
-            out[:, j, k] = mixed
-            out[:, k, j] = mixed
-    return out
 
 
 def _r_flat(f: MapSpec):
@@ -278,34 +244,51 @@ def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _View:
-    """``r_map``, ``d_r`` or ``d2_r`` of a map whose remainder and its derivatives at a point come
-    from one evaluation: ``evaluate(s, u, x)`` returns an object with the remainder triple ``r`` and
-    the methods ``jacobian()`` and ``second()``, and the view reads the one named by ``part``."""
+    """``r_map``, ``d_r`` or ``d2_r`` of a map whose remainder and its derivatives at a stack of rows
+    come from one evaluation: ``evaluate(S, U, X)`` returns an object with the remainder blocks ``r``
+    (N x block each), the methods ``jacobian()`` and ``second()`` and ``take(rows)``, the evaluation
+    of a subset of its rows.  ``rows`` reads the part named by ``part`` on a stack; calling the view
+    reads it at one point, as a one-row stack."""
 
     evaluate: Callable
     part: str
 
+    def rows(self, S, U, X):
+        stack = self.evaluate(S, U, X)
+        return stack.r if self.part == "r" else getattr(stack, self.part)()
+
     def __call__(self, s, u, x):
-        point = self.evaluate(s, u, x)
-        return point.r if self.part == "r" else getattr(point, self.part)()
+        out = self.rows(*(_as_float_vector(v)[None] for v in (s, u, x)))
+        return tuple(block[0] for block in out) if self.part == "r" else out[0]
 
 
 class _Given:
-    """f at one point through its callables as given: reading ``r`` runs ``r_map``, ``jacobian()``
-    runs ``d_r`` and ``second()`` runs ``d2_r``, each by differences of ``r_map`` when absent."""
+    """f at the rows (S, U, X) through its callables as given: reading ``r`` runs ``r_map``,
+    ``jacobian()`` runs ``d_r`` (by differences of ``r_map`` with step ``h`` when absent) and
+    ``second()`` runs ``d2_r`` (by differences when absent), each once per stack through its stacked
+    form and otherwise once per row, in row order."""
 
-    def __init__(self, f: MapSpec, s, u, x):
-        self.f, self.s, self.u, self.x = f, s, u, x
+    def __init__(self, f: MapSpec, S, U, X, h: float = FD_STEP_FIRST):
+        self.f, self.S, self.U, self.X, self.h = f, S, U, X, h
+
+    def take(self, rows) -> "_Given":
+        return _Given(self.f, self.S[rows], self.U[rows], self.X[rows], self.h)
 
     @property
     def r(self) -> tuple:
-        return self.f.r_map(self.s, self.u, self.x)
+        f, args = self.f, (self.S, self.U, self.X)
+        if isinstance(f.r_map, (_Stacked, _View)):
+            return f.r_map.rows(*args)
+        joined = np.array([f.dims.join(*f.r_map(*row)) for row in zip(*args)]).reshape(len(self.S), f.dims.n)
+        return _columns(f.dims, joined)
 
     def jacobian(self) -> np.ndarray:
-        return _r_jacobian(self.f, self.s, self.u, self.x, FD_STEP_FIRST)
+        f, n = self.f, self.f.dims.n
+        return _rows(f.d_r, (n, n), self.S, self.U, self.X, one=lambda s, u, x: _r_jacobian(f, s, u, x, self.h))
 
     def second(self) -> np.ndarray:
-        return _second_tensor(self.f, self.s, self.u, self.x)
+        f, n = self.f, self.f.dims.n
+        return _rows(f.d2_r, (n, n, n), self.S, self.U, self.X, one=lambda s, u, x: _second_tensor(f, s, u, x))
 
 
 def _shared_evaluation(f: MapSpec, *reads: str) -> Optional[Callable]:
@@ -318,9 +301,9 @@ def _shared_evaluation(f: MapSpec, *reads: str) -> Optional[Callable]:
 
 
 def _evaluator(f: MapSpec, *reads: str) -> Callable:
-    """(s, u, x) -> f's remainder there with its derivatives on demand, for a caller that reads f's
-    callables ``reads``: their shared evaluation when there is one, otherwise ``_Given``, which
-    reads each callable as it is."""
+    """(S, U, X) -> f's remainder at those rows with its derivatives on demand, for a caller that
+    reads f's callables ``reads``: their shared evaluation when there is one, otherwise ``_Given``,
+    which reads each callable as it is."""
     return _shared_evaluation(f, *reads) or functools.partial(_Given, f)
 
 
@@ -339,6 +322,13 @@ def _a_tensor(f: MapSpec, which: str, x, h: float) -> np.ndarray:
     size = f.dims.n_s if which == "s" else f.dims.n_u
     cols = _fd_first(lambda z: np.asarray(fun(z), dtype=float).reshape(-1), x, h)
     return cols.reshape(size, size, -1)
+
+
+def _a_tensors(f: MapSpec, which: str, X: np.ndarray, h: float) -> np.ndarray:
+    """``_a_tensor`` at the rows of X, as a new (N, k, k, m) stack."""
+    size = f.dims.n_s if which == "s" else f.dims.n_u
+    der = f.d_A_s if which == "s" else f.d_A_u
+    return _rows(der, (size, size, f.dims.m), X, one=lambda x: _a_tensor(f, which, x, h))
 
 
 def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
@@ -360,21 +350,18 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
     return _jacobians(f, p.as_array()[None], h)[0]
 
 
-def _jacobians(f: MapSpec, Z: np.ndarray, h: float, points: Optional[list] = None) -> np.ndarray:
+def _jacobians(f: MapSpec, Z: np.ndarray, h: float, points=None) -> np.ndarray:
     """The block Jacobians (N x n x n) of f at the rows (s, u, x) of Z (N x n), which must lie in the ball.
 
-    The Jacobians of r come first: from the rows' evaluations ``points``
-    when the caller has them (one per row, as ``_images`` returns them),
-    else from the stacked ``d_r``, else row by row from ``d_r`` or its
-    differences.  Then the linear blocks; each block addition runs once over
-    the stack, and the five blocks touch disjoint entries, so every row has
-    the bits of its own sum.
+    The Jacobians of r come first, from the rows' evaluation ``points``
+    when the caller has it (as ``_images`` returns it), else from ``_Given``
+    with step ``h``.  Then the linear blocks; each block addition runs once
+    over the stack, and the five blocks touch disjoint entries, so every row
+    has the bits of its own sum.
     """
-    n = f.dims.n
-    if points is not None:
-        jac = np.array([p.jacobian() for p in points], dtype=float).reshape(len(Z), n, n)
-    else:
-        jac = _rows(f.d_r, (n, n), *_columns(f.dims, Z), one=lambda s, u, x: _r_jacobian(f, s, u, x, h))
+    if points is None:
+        points = _Given(f, *_columns(f.dims, Z), h)
+    jac = points.jacobian()
     for rows, cols, block in _linear_blocks(f, Z, h):
         jac[:, rows, cols] += block
     return jac
@@ -388,8 +375,7 @@ def _linear_blocks(f: MapSpec, Z: np.ndarray, h: float) -> tuple:
     a, b = n_s, n_s + n_u  # the u block is a:b, the x block b:
     sl_s, sl_u, sl_x = slice(None, a), slice(a, b), slice(b, None)
     S, U, X = _columns(f.dims, Z)
-    d_a_s = _rows(f.d_A_s, (n_s, n_s, m), X, one=lambda x: _a_tensor(f, "s", x, h))
-    d_a_u = _rows(f.d_A_u, (n_u, n_u, m), X, one=lambda x: _a_tensor(f, "u", x, h))
+    d_a_s, d_a_u = _a_tensors(f, "s", X, h), _a_tensors(f, "u", X, h)
     return (
         (sl_s, sl_s, _rows(f.A_s, (n_s, n_s), X)),
         (sl_u, sl_u, _rows(f.A_u, (n_u, n_u), X)),
@@ -399,20 +385,23 @@ def _linear_blocks(f: MapSpec, Z: np.ndarray, h: float) -> tuple:
     )
 
 
-def _linear_second(f: MapSpec, s, u, x) -> np.ndarray:
-    """D^2 of the linear part (A_s(x) s, A_u(x) u, g(x)) at (s, u, x) as T[i, j, k]: d_x A in the
-    (s, x) and (u, x) pairs, (d_x d_x A) s and (d_x d_x A) u from central differences of
-    ``_a_tensor`` in x, and the second derivatives of g in the x rows."""
+def _linear_second(f: MapSpec, S, U, X) -> np.ndarray:
+    """D^2 of the linear part (A_s(x) s, A_u(x) u, g(x)) at the rows (S, U, X) as a stack of
+    T[i, j, k]: d_x A in the (s, x) and (u, x) pairs, (d_x d_x A) s and (d_x d_x A) u from central
+    differences of ``_a_tensor`` in x, and the second derivatives of g in the x rows.  Each row's
+    contraction with s and u rounds as the one-point einsum "ijkl,j->ikl" does."""
     dims = f.dims
     a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
-    t = np.zeros((dims.n, dims.n, dims.n))
-    for which, rows, v in (("s", slice(None, a), s), ("u", slice(a, b), u)):
-        d_a = _a_tensor(f, which, x, FD_STEP_FIRST)  # d_a[i, j, k] = d A[i, j] / d x_k
-        dd_a = _fd_first(lambda y: _a_tensor(f, which, y, FD_STEP_FIRST).reshape(-1), x, FD_STEP_SECOND)
-        t[rows, rows, b:] = d_a
-        t[rows, b:, rows] = d_a.transpose(0, 2, 1)
-        t[rows, b:, b:] = np.einsum("ijkl,j->ikl", dd_a.reshape(*d_a.shape, -1), v)
-    t[b:, b:, b:] = _g_second_tensor(f, x)
+    t = np.zeros((len(X), dims.n, dims.n, dims.n))
+    for which, rows, V in (("s", slice(None, a), S), ("u", slice(a, b), U)):
+        d_a = _a_tensors(f, which, X, FD_STEP_FIRST)  # d_a[:, i, j, k] = d A[i, j] / d x_k
+        flat = math.prod(d_a.shape[1:])
+        dd_a = _fd_first_rows(lambda Y: _a_tensors(f, which, Y, FD_STEP_FIRST).reshape(len(Y), flat), X,
+                              FD_STEP_SECOND).reshape(*d_a.shape, -1)
+        t[:, rows, rows, b:] = d_a
+        t[:, rows, b:, rows] = d_a.transpose(0, 1, 3, 2)
+        t[:, rows, b:, b:] = np.einsum("nijkl,nj->nikl", dd_a, V)
+    t[:, b:, b:, b:] = _rows(f.d2_g, (dims.m,) * 3, X, one=lambda x: _g_second_tensor(f, x))
     return t
 
 
@@ -536,34 +525,35 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     s_samp = _scale_normal(t[:, :n_s], f.rho)
     u_samp = _scale_normal(t[:, n_s : n_s + n_u], f.rho)
     x_samp = _scale_manifold(t[:, n_s + n_u :], ranges)
-    zero_s = np.zeros(n_s)
-    zero_u = np.zeros(n_u)
 
     def sup(*blocks):
-        """Sup norm over all entries of the given blocks (scalars included)."""
-        return vec_sup_norm(np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks]))
+        """Sup norm over all entries of the given stacked blocks, NaN kept."""
+        return _max_keep_nan(0.0, *(vec_sup_norm(b) for b in blocks))
 
-    # the first derivative samples keep their slice evaluations for the derivative checks below
-    deriv_count = min(sample_count, 32)
     evaluate = _evaluator(f, "r_map", "d_r")
-    slices = []
-    viol_a = 0.0
-    viol_b = 0.0
-    viol_c = 0.0
-    viol_d = 0.0
-    for i in range(sample_count):
-        s_i, u_i, x_i = s_samp[i], u_samp[i], x_samp[i]
-        viol_a = _max_keep_nan(viol_a, sup(*f.r_map(zero_s, zero_u, x_i)))
-        on_s = evaluate(s_i, zero_u, x_i)
-        _, r_u_b, r_x_b = on_s.r
-        viol_b = _max_keep_nan(viol_b, sup(r_u_b))
-        viol_d = _max_keep_nan(viol_d, sup(r_x_b))
-        on_u = evaluate(zero_s, u_i, x_i)
-        r_s_c, _, r_x_c = on_u.r
-        viol_c = _max_keep_nan(viol_c, sup(r_s_c))
-        viol_d = _max_keep_nan(viol_d, sup(r_x_c))
-        if i < deriv_count:
-            slices.append((on_s, on_u))
+
+    def slices(lo: int, hi: int) -> tuple:
+        """The evaluation of samples lo..hi at their zero section, stable slice and unstable slice,
+        in this order per sample, and its remainder blocks, each (samples, 3, block)."""
+        S = np.zeros((hi - lo, 3, n_s))
+        U = np.zeros((hi - lo, 3, n_u))
+        S[:, 1], U[:, 2] = s_samp[lo:hi], u_samp[lo:hi]
+        point, r = _remainders(evaluate, S.reshape(-1, n_s), U.reshape(-1, n_u), np.repeat(x_samp[lo:hi], 3, axis=0))
+        return point, [block.reshape(hi - lo, 3, -1) for block in r]
+
+    # one stack for the derivative samples, whose slice rows give the derivative checks below, then
+    # stacks of at most BOUND_ROWS rows for the rest
+    deriv_count = min(sample_count, 32)
+    per_stack = max(1, BOUND_ROWS // 3)
+    first, r = slices(0, deriv_count)
+    starts = range(deriv_count, sample_count, per_stack)
+    stacks = [r] + [slices(lo, min(lo + per_stack, sample_count))[1] for lo in starts]
+    viol_a = viol_b = viol_c = viol_d = 0.0
+    for r_s, r_u, r_x in stacks:
+        viol_a = _max_keep_nan(viol_a, sup(r_s[:, 0], r_u[:, 0], r_x[:, 0]))
+        viol_b = _max_keep_nan(viol_b, sup(r_u[:, 1]))
+        viol_c = _max_keep_nan(viol_c, sup(r_s[:, 2]))
+        viol_d = _max_keep_nan(viol_d, sup(r_x[:, 1], r_x[:, 2]))
 
     viol_e = 0.0
     for i in range(sample_count):
@@ -578,19 +568,16 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
         viol_e = _max_keep_nan(viol_e, mat_row_sup_norm(inv) - f.lam)
     viol_e = _max_keep_nan(viol_e, 0.0)
 
-    # First-order consequences, on a smaller derivative sample.
+    # First-order consequences, on the slice rows of the first samples: the r-blocks of the other
+    # normal direction and of x must not move with the slice's own direction or with x
     sl_s = slice(0, n_s)
     sl_u = slice(n_s, n_s + n_u)
     sl_x = slice(n_s + n_u, dims.n)
-    viol_bc = 0.0
-    viol_dd = 0.0
-    for on_s, on_u in slices:
-        # stable slice (s, 0, x) then unstable slice (0, u, x): the r-blocks of
-        # the other normal direction and of x must not move with `along` or x
-        for point, along, other in ((on_s, sl_s, sl_u), (on_u, sl_u, sl_s)):
-            jac = point.jacobian()
-            viol_bc = _max_keep_nan(viol_bc, sup(jac[other, along]), sup(jac[other, sl_x]))
-            viol_dd = _max_keep_nan(viol_dd, sup(jac[sl_x, along]), sup(jac[sl_x, sl_x]))
+    on_slices = np.arange(3 * deriv_count).reshape(-1, 3)[:, 1:].reshape(-1)  # (s, 0, x) then (0, u, x)
+    jac = _in_row_order(lambda rows: first.take(on_slices[rows]).jacobian(), len(on_slices))
+    on_s, on_u = jac[0::2], jac[1::2]
+    viol_bc = sup(on_s[:, sl_u, sl_s], on_s[:, sl_u, sl_x], on_u[:, sl_s, sl_u], on_u[:, sl_s, sl_x])
+    viol_dd = sup(on_s[:, sl_x, sl_s], on_s[:, sl_x, sl_x], on_u[:, sl_x, sl_u], on_u[:, sl_x, sl_x])
 
     checks = (
         ConditionCheck("a", "r(0,0,x) = 0: the manifold is invariant", viol_a, tol),
@@ -756,10 +743,12 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
     measured k actually satisfies the standing inequalities is reported by
     ``check_constants`` / the BoundSet flags, never raised.
 
-    The derivatives run row by row in grid order, as the per-x C~ and D
-    terms do, so the first row that raises is the first grid row that does.
-    k, C and ``c_excluded`` are then one ``tensor_row_sup_norm`` per block
-    over stacks of at most ``BOUND_ROWS`` rows.  Each |.|-sum still runs
+    The grid is read in stacks of at most ``BOUND_ROWS`` rows: one
+    evaluation per stack gives the derivatives of r at all its rows, then
+    the per-x C~ and D terms run once per new x.  A stack that raises is
+    read again row by row, so the error is the first grid row's, as a
+    per-row pass raises it.  k, C and ``c_excluded`` are one
+    ``tensor_row_sup_norm`` per block over each stack.  Each |.|-sum still runs
     along one output row's flattened block, and the max is exact and keeps
     a NaN from any row, so the constants have the bits of a per-row pass.
     """
@@ -789,23 +778,30 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
     listed = [(rows, sig, sig2) for rows in (sl_s, sl_x) for sig in (sl_s, sl_u, sl_x) for sig2 in (sl_u, sl_x)]
     excluded = [(rows, sig, sl_s) for rows in (sl_s, sl_x) for sig in (sl_s, sl_u, sl_x)]
     size = min(BOUND_ROWS, len(grid))
-    jacs = np.empty((size, n, n))
-    tensors = np.empty((size, n, n, n))
     seen_x = set()
     evaluate = _evaluator(f, "d_r", "d2_r")
+
+    def read(chunk: np.ndarray) -> tuple:
+        """The rows' Jacobians and second derivatives of r, then C~ and D terms at each x of the
+        rows not yet seen, as (key, term, term) in row order."""
+        point = evaluate(*_columns(dims, chunk))
+        jac, t2 = point.jacobian(), point.second()
+        x_terms, keys = [], set(seen_x)
+        for x_i in chunk[:, sl_x]:
+            x_key = x_i.tobytes()
+            if x_key not in keys:
+                keys.add(x_key)
+                g2 = tensor_row_sup_norm(_g_second_tensor(f, x_i))
+                x_terms.append((x_key, g2, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST))))
+        return jac, t2, x_terms
+
     for start in range(0, len(grid), size):
         chunk = grid[start : start + size]
-        for i, row in enumerate(chunk):
-            s_i, u_i, x_i = dims.split(row)
-            point = evaluate(s_i, u_i, x_i)
-            jacs[i] = point.jacobian()
-            tensors[i] = point.second()
-            x_key = x_i.tobytes()
-            if x_key not in seen_x:
-                seen_x.add(x_key)
-                c_tilde = _max_keep_nan(c_tilde, tensor_row_sup_norm(_g_second_tensor(f, x_i)))
-                d_bound = _max_keep_nan(d_bound, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST)))
-        jac, t2 = jacs[: len(chunk)], tensors[: len(chunk)]
+        jac, t2, x_terms = _in_row_order(lambda rows: read(chunk[rows]), len(chunk))
+        for x_key, g2, d_a in x_terms:
+            seen_x.add(x_key)
+            c_tilde = _max_keep_nan(c_tilde, g2)
+            d_bound = _max_keep_nan(d_bound, d_a)
         k = _max_keep_nan(k, row_sup(jac))
         c_listed = _max_keep_nan(c_listed, *(row_sup(t2, *index) for index in listed))
         c_excluded = _max_keep_nan(c_excluded, *(row_sup(t2, *index) for index in excluded))

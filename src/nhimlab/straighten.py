@@ -9,16 +9,18 @@ slices.  The coordinate change
 flattens them onto {s = 0} and {u = 0}.  Phi is inverted by fixed-point
 iteration (its derivative is the identity on the manifold, so the iteration
 contracts on a sub-ball), and a map can be conjugated through Phi to produce
-a new map spec with straightened invariant sets.  One array core on the flat
-blocks, ``_phi`` and ``_inverse``, does the work: the public functions wrap it
-for ``ChartPoint``s as ``apply_map`` wraps ``normalform._image``, and the
-conjugated remainder and the radius bisection call it directly.  The
-conjugated map carries derivatives: its Jacobian is the chain rule through
-DPhi (the identity minus central differences of the closed-form graphs), and
-its second derivatives are the second-order chain rule through D^2 Phi
-(minus central second differences of the graphs) and f's own second
-derivatives.  The remainder and both derivatives at a point come from one
-evaluation, which solves each inverse once.
+a new map spec with straightened invariant sets.  One array core on stacks
+of rows, ``_phi``, ``_inverse``, ``_dphi`` and ``_d2phi``, does the work: the
+graphs run once per row and per sweep or probe, everything around them once
+per stack.  The public functions wrap it for ``ChartPoint``s as one-row
+stacks, the conjugated map evaluates whole stacks, and the radius bisection
+solves one probe at a time.  The conjugated map carries derivatives: its
+Jacobian is the chain rule through DPhi (the identity minus central
+differences of the closed-form graphs), and its second derivatives are the
+second-order chain rule through D^2 Phi (minus central second differences
+of the graphs) and f's own second derivatives.  The remainders and both
+derivatives at a stack of rows come from one evaluation, which solves each
+row's inverse once.
 """
 
 from __future__ import annotations
@@ -31,22 +33,21 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._fd import _fd_first_rows, _fd_second_rows
 from .exceptions import ContractError, DivergenceError
-from .geometry import (
-    TWO_PI, ChartPoint, ChartTopology, _as_float_vector, _max_keep_nan, _normal_norm, vec_sup_norm
-)
+from .geometry import TWO_PI, ChartPoint, ChartTopology, _max_keep_nan, _normal_norm, _wrap_angles, vec_sup_norm
 from .normalform import (
     FD_STEP_FIRST,
     FD_STEP_SECOND,
     MapSpec,
     _check_ball,
     _evaluator,
-    _fd_first,
-    _fd_second,
-    _image,
+    _image_blocks,
     _jacobians,
     _linear_blocks,
+    _linear_part,
     _linear_second,
+    _rows,
     _scale_manifold,
     _unit_samples,
     _View,
@@ -54,10 +55,10 @@ from .normalform import (
 
 
 def _signed_x_diff(topo: ChartTopology, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-coordinate a - b, wrapped to (-pi, pi] on angle coordinates."""
+    """Per-coordinate a - b, wrapped to (-pi, pi] on angle coordinates, for a vector or each row of a stack."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     mask = topo.is_angle
-    d[mask] = -((-d[mask] + np.pi) % TWO_PI - np.pi)
+    d[..., mask] = -((-d[..., mask] + np.pi) % TWO_PI - np.pi)
     return d
 
 
@@ -78,34 +79,57 @@ class GraphPair:
         return cls(G_s=lambda s, x: np.zeros(n_u), G_u=lambda u, x: np.zeros(n_s))
 
 
-def _phi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple:
-    """The (s, u) blocks of Phi(s, u, x); x is left as it is."""
-    return s - np.asarray(gp.G_u(u, x), dtype=float), u - np.asarray(gp.G_s(s, x), dtype=float)
+def _phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> tuple:
+    """The (s, u) blocks of Phi at the rows (S, U, X), as two new stacks; x is left as it is."""
+    return S - _rows(gp.G_u, (S.shape[1],), U, X), U - _rows(gp.G_s, (U.shape[1],), S, X)
 
 
-def _inverse(gp: GraphPair, q_s: np.ndarray, q_u: np.ndarray, x: np.ndarray, tol: float, max_iter: int) -> tuple:
-    """The (s, u) blocks of Phi^{-1}(q_s, q_u, x) by the sweeps of ``straighten_inverse``; the
-    residual's two blocks are tested as one reduction, so a NaN in either never converges."""
-    # the graph values of one sweep's residual are the next sweep's update
-    g_u = np.asarray(gp.G_u(q_u, x), dtype=float)
-    g_s = np.asarray(gp.G_s(q_s, x), dtype=float)
+def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """The (s, u) blocks of Phi^{-1} at the rows (Q_s, Q_u, X), as two new stacks, by the sweeps of
+    ``straighten_inverse``.  Each row sweeps until its own residual test passes and then leaves the
+    stack, so it takes the sweeps and has the bits of a one-row stack.  The residual's two blocks
+    are tested as one reduction, so a NaN in either never converges; when a row has not converged
+    after ``max_iter`` sweeps, the error names the first such row."""
+    a = Q_s.shape[1]
+    out = np.empty((len(Q_s), a + Q_u.shape[1]))
+    live = np.arange(len(Q_s))
+    q, x = np.concatenate((Q_s, Q_u), axis=1), X  # the rows still sweeping, (s, u) joined
+
+    def graphs(z: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """(G_u(u, x), G_s(s, x)) at the rows z = (s, u) joined, the update of s and then that of u,
+        written into g."""
+        for i in range(len(z)):
+            row, x_i = z[i], x[i]
+            g[i, :a] = gp.G_u(row[a:], x_i)
+            g[i, a:] = gp.G_s(row[:a], x_i)
+        return g
+
+    g = graphs(q, x, np.empty(q.shape))  # the graph values of one sweep's residual are the next sweep's update
     for _ in range(max_iter):
-        s = q_s + g_u
-        u = q_u + g_s
-        g_u = np.asarray(gp.G_u(u, x), dtype=float)
-        g_s = np.asarray(gp.G_s(s, x), dtype=float)
-        if _normal_norm(s - g_u - q_s, u - g_s - q_u) <= tol:
-            return s, u
-    raise DivergenceError(
-        f"straightening inverse did not reach tol={tol} in {max_iter} iterations "
-        f"at |s|={np.abs(q_s).max():.3g}, |u|={np.abs(q_u).max():.3g}"
-    )
+        z = q + g
+        residual = z - graphs(z, x, g)
+        residual -= q
+        done = np.maximum.reduce(np.abs(residual, out=residual), axis=1) <= tol
+        finished = np.count_nonzero(done)
+        if finished == len(live):
+            out[live] = z
+            return out[:, :a], out[:, a:]
+        if finished:
+            out[live[done]] = z[done]
+            keep = ~done
+            live, q, x, g = live[keep], q[keep], x[keep], g[keep]
+    if live.size:
+        raise DivergenceError(
+            f"straightening inverse did not reach tol={tol} in {max_iter} iterations "
+            f"at |s|={np.abs(q[0, :a]).max():.3g}, |u|={np.abs(q[0, a:]).max():.3g}"
+        )
+    return out[:, :a], out[:, a:]
 
 
 def straighten_point(gp: GraphPair, p: ChartPoint) -> ChartPoint:
     """Apply Phi to a chart point."""
-    s, u = _phi(gp, p.s, p.u, p.x)
-    return ChartPoint(s=s, u=u, x=p.x, topology=p.topology)
+    S, U = _phi(gp, p.s[None], p.u[None], p.x[None])
+    return ChartPoint(s=S[0], u=U[0], x=p.x, topology=p.topology)
 
 
 def straighten_inverse(gp: GraphPair, q: ChartPoint, tol: float = 1e-12, max_iter: int = 100) -> ChartPoint:
@@ -119,55 +143,57 @@ def straighten_inverse(gp: GraphPair, q: ChartPoint, tol: float = 1e-12, max_ite
     """
     if not tol > 0:  # a NaN tolerance fails this too
         raise ContractError(f"tol must be positive, got {tol}")
-    s, u = _inverse(gp, q.s, q.u, q.x, tol, max_iter)
-    return ChartPoint(s=s, u=u, x=q.x, topology=q.topology)
+    S, U = _inverse(gp, q.s[None], q.u[None], q.x[None], tol, max_iter)
+    return ChartPoint(s=S[0], u=U[0], x=q.x, topology=q.topology)
 
 
-def _graph(g, *args) -> np.ndarray:
-    return np.atleast_1d(np.asarray(g(*args), dtype=float))
+def _graph_derivatives(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray, h: float) -> tuple:
+    """Central differences of the closed-form graphs at the rows (S, U, X), each an (N, out, in)
+    stack: d_s G_s, d_u G_u, d_x G_s and d_x G_u."""
+    a, b = S.shape[1], U.shape[1]
+    d_gs = _fd_first_rows(lambda V: _rows(gp.G_s, (b,), V[:, :a], V[:, a:]), np.concatenate((S, X), axis=1), h)
+    d_gu = _fd_first_rows(lambda V: _rows(gp.G_u, (a,), V[:, :b], V[:, b:]), np.concatenate((U, X), axis=1), h)
+    return d_gs[..., :a], d_gu[..., :b], d_gs[..., a:], d_gu[..., b:]
 
 
-def _graph_derivatives(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray, h: float) -> tuple:
-    """Central differences of the closed-form graphs at (s, u, x):
-    d_s G_s, d_u G_u, d_x G_s and d_x G_u."""
-    return (
-        _fd_first(lambda v: _graph(gp.G_s, v, x), s, h),
-        _fd_first(lambda v: _graph(gp.G_u, v, x), u, h),
-        _fd_first(lambda v: _graph(gp.G_s, s, v), x, h),
-        _fd_first(lambda v: _graph(gp.G_u, u, v), x, h),
-    )
-
-
-def _dphi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """DPhi at (s, u, x): the identity minus the graph derivatives.  Only the
-    closed-form graphs are differenced, never the inverse."""
-    ds_gs, du_gu, dx_gs, dx_gu = _graph_derivatives(gp, s, u, x, FD_STEP_FIRST)
-    a, b = s.size, s.size + u.size  # the u block is a:b, the x block b:
-    d = np.eye(b + x.size)
-    d[:a, a:b] -= du_gu
-    d[:a, b:] -= dx_gu
-    d[a:b, :a] -= ds_gs
-    d[a:b, b:] -= dx_gs
+def _dphi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """DPhi at the rows (S, U, X), an (N, n, n) stack: the identity minus the graph derivatives.
+    Only the closed-form graphs are differenced, never the inverse."""
+    ds_gs, du_gu, dx_gs, dx_gu = _graph_derivatives(gp, S, U, X, FD_STEP_FIRST)
+    a, b = S.shape[1], S.shape[1] + U.shape[1]  # the u block is a:b, the x block b:
+    d = np.repeat(np.eye(b + X.shape[1])[None], len(S), axis=0)
+    d[:, :a, a:b] -= du_gu
+    d[:, :a, b:] -= dx_gu
+    d[:, a:b, :a] -= ds_gs
+    d[:, a:b, b:] -= dx_gs
     return d
 
 
-def _d2phi(gp: GraphPair, s: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """D^2 Phi at (s, u, x) as T[i, j, k]: minus central second differences of the closed-form graphs,
-    G_u over (u, x) in the s rows and G_s over (s, x) in the u rows; every other entry is zero."""
-    a, b = s.size, s.size + u.size  # the u block is a:b, the x block b:
-    n = b + x.size
-    d = np.zeros((n, n, n))
-    d[:a, a:, a:] = -_fd_second(lambda v: _graph(gp.G_u, v[: u.size], v[u.size :]), np.concatenate((u, x)),
-                                FD_STEP_SECOND)
+def _d2phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D^2 Phi at the rows (S, U, X), an (N, n, n, n) stack of T[i, j, k]: minus central second
+    differences of the closed-form graphs, G_u over (u, x) in the s rows and G_s over (s, x) in the
+    u rows; every other entry is zero."""
+    a, b = S.shape[1], S.shape[1] + U.shape[1]  # the u block is a:b, the x block b:
+    n = b + X.shape[1]
+    d = np.zeros((len(S), n, n, n))
+    d[:, :a, a:, a:] = -_fd_second_rows(lambda V: _rows(gp.G_u, (a,), V[:, : b - a], V[:, b - a :]),
+                                        np.concatenate((U, X), axis=1), FD_STEP_SECOND)
     sx = np.r_[:a, b:n]
-    d[np.ix_(np.arange(a, b), sx, sx)] = -_fd_second(lambda v: _graph(gp.G_s, v[:a], v[a:]), np.concatenate((s, x)),
-                                                     FD_STEP_SECOND)
+    d[:, a:b, sx[:, None], sx] = -_fd_second_rows(lambda V: _rows(gp.G_s, (b - a,), V[:, :a], V[:, a:]),
+                                                  np.concatenate((S, X), axis=1), FD_STEP_SECOND)
     return d
 
 
 def _pull(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The bilinear map t (T[i, j, k]) with both arguments mapped by m first: t[m a, m b]."""
-    return np.einsum("iab,aj,bk->ijk", t, m, m)
+    """The bilinear maps t (a stack of T[i, j, k]) with both arguments mapped by m first: t[m a, m b].
+    Each row rounds as the one-point einsum "iab,aj,bk->ijk" does."""
+    return np.einsum("niab,naj,nbk->nijk", t, m, m)
+
+
+def _apply(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The matrices m (a stack) applied to the outputs of the bilinear maps t: m t[a, b].  Each row
+    rounds as the one-point einsum "ia,ajk->ijk" does."""
+    return np.einsum("nia,najk->nijk", m, t)
 
 
 def tangency_violation(gp: GraphPair, f: MapSpec) -> float:
@@ -178,22 +204,28 @@ def tangency_violation(gp: GraphPair, f: MapSpec) -> float:
     cleanly.
     """
     dims = f.dims
-    xs = _scale_manifold(_unit_samples(dims.m, 16, 0), f.x_ranges())
-    zs = np.zeros(dims.n_s)
-    zu = np.zeros(dims.n_u)
-    worst = 0.0
-    for x in xs:
-        values = (_graph(gp.G_s, zs, x), _graph(gp.G_u, zu, x), *_graph_derivatives(gp, zs, zu, x, FD_STEP_FIRST))
-        worst = _max_keep_nan(worst, *(vec_sup_norm(v) for v in values))
-    return worst
+    X = _scale_manifold(_unit_samples(dims.m, 16, 0), f.x_ranges())
+    S, U = np.zeros((len(X), dims.n_s)), np.zeros((len(X), dims.n_u))
+    values = (
+        _rows(gp.G_s, (dims.n_u,), S, X),
+        _rows(gp.G_u, (dims.n_s,), U, X),
+        *_graph_derivatives(gp, S, U, X, FD_STEP_FIRST),
+    )
+    return _max_keep_nan(0.0, *(vec_sup_norm(v) for v in values))
 
 
 def conjugated_radius(f: MapSpec, gp: GraphPair) -> float:
     """Largest ball radius (up to 30 bisection steps) on which Phi inverts cleanly: the inverse
-    iteration lands every corner of the ball, at a handful of base points, inside B_rho."""
-    xs = [f.topo.canonicalize(x) for x in _scale_manifold(_unit_samples(f.dims.m, 5, 3), f.x_ranges())]
-    signs_s = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_s)]
-    signs_u = [np.array(bits, dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_u)]
+    iteration lands every corner of the ball, at a handful of base points, inside B_rho.  The first
+    base point is the lower end of every x range (x = 0 on an angle), where the bound grid and the
+    seeded meshes start; the others are quasi-random.  Each probe is solved on its own, and the
+    first that fails ends the radius's test."""
+    ranges = f.x_ranges()
+    xs = _scale_manifold(_unit_samples(f.dims.m, 5, 3), ranges)
+    xs[0] = [lo for lo, _ in ranges]
+    xs = [f.topo.canonicalize(x)[None] for x in xs]
+    signs_s = [np.array([bits], dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_s)]
+    signs_u = [np.array([bits], dtype=float) * 2.0 - 1.0 for bits in np.ndindex(*(2,) * f.dims.n_u)]
     probes = list(itertools.product(xs, signs_s, signs_u))
 
     def reaches(radius: float) -> bool:
@@ -202,7 +234,7 @@ def conjugated_radius(f: MapSpec, gp: GraphPair) -> float:
                 s, u = _inverse(gp, radius * ss, radius * su, x, tol=1e-12, max_iter=200)
             except DivergenceError:
                 return False
-            if not _normal_norm(s, u) < f.rho:
+            if not _normal_norm(s[0], u[0]) < f.rho:
                 return False
         return True
 
@@ -226,8 +258,14 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
     """Phi o f o Phi^{-1} (forward) or Phi^{-1} o f o Phi as a new map spec.
 
     Only the remainder and its derivatives change, and all three are views of
-    one evaluation per point, which runs the first map, f and the last map
-    once and keeps what the derivatives need.  The remainder is the image
+    one evaluation per stack of rows, which runs the first map, f and the
+    last map once over the stack (the graphs once per row and sweep) and
+    keeps what the derivatives need; a one-point read is a one-row stack.
+    A stack's stages run in turn over all its rows: the first map, the ball
+    check, f's evaluation, the image and the last map.  The callers read a
+    failing stack again row by row (``normalform._in_row_order``), so the
+    error is the first row's, as one point at a time raised it.  The
+    remainder is the image
     less the linear part.  Its Jacobian is the chain rule through DPhi, taken
     at the points on f's side of the conjugacy: at z = Phi^{-1}(w),
     D(Phi o f o Phi^{-1})(w) = DPhi(f(z)) Df(z) DPhi(z)^{-1}, and
@@ -241,7 +279,8 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
         D2Psi(p)[a, b] = -P D2Phi(z)[P a, P b],
 
     and its mirror for Psi o f o Phi, less the second derivatives of the
-    linear part, symmetrized.  D2f is f's own remainder tensor plus its
+    linear part, symmetrized, each contraction one einsum over the stack.
+    D2f is f's own remainder tensor plus its
     linear part's, so a wrapped conjugated map chains through both layers
     here too.  Nothing is differenced across the inverse, so the tensor
     needs no probe outside the ball.
@@ -249,69 +288,79 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
     inverse = functools.partial(_inverse, tol=1e-13, max_iter=200)
     first, last = (inverse, _phi) if forward else (_phi, inverse)
     evaluate_f = _evaluator(f, "r_map", "d_r", "d2_r")
+    dims, is_angle = f.dims, f.topo.is_angle
 
-    class Point:
-        """One evaluation at (s, u, x): the argument p, its image z under ``first``, f's evaluation
-        at z and its image w, w's image v under ``last``, and the remainder ``r``.  x is wrapped
-        where a new point enters: the argument and w."""
+    class Points:
+        """One evaluation at the rows (S, U, X): the arguments p, their images z under ``first``,
+        f's evaluation at z and the images w, w's images v under ``last``, and the remainders
+        ``r``.  x is wrapped where new rows enter: the arguments and w.  ``take`` keeps a subset
+        of the rows without evaluating anything again."""
 
-        def __init__(self, s, u, x):
-            self.p = s, u, x = _as_float_vector(s), _as_float_vector(u), f.topo.canonicalize(x)
-            self.z = z_s, z_u = first(gp, s, u, x)
-            _check_ball(f, z_s, z_u)
-            self.f_at_z = evaluate_f(z_s, z_u, x)
-            w_s, w_u, w_x = _image(f, z_s, z_u, x, self.f_at_z.r)
-            w_x = f.topo.canonicalize(w_x)
-            self.w = w_s, w_u, w_x
-            self.v = v_s, v_u = last(gp, w_s, w_u, w_x)
-            self.r = (v_s - f.A_s(x) @ s, v_u - f.A_u(x) @ u, _signed_x_diff(f.topo, w_x, f.g_map(x)))
+        def __init__(self, S, U, X):
+            X = _wrap_angles(np.array(X, dtype=float), is_angle)
+            self.p = S, U, X = np.asarray(S, dtype=float), np.asarray(U, dtype=float), X
+            self.z = Z_s, Z_u = first(gp, S, U, X)
+            _check_ball(f, Z_s, Z_u)
+            self.f_at_z = evaluate_f(Z_s, Z_u, X)
+            W_s, W_u, W_x = _image_blocks(f, Z_s, Z_u, X, self.f_at_z.r)
+            self.w = W_s, W_u, _wrap_angles(W_x, is_angle)
+            self.v = V_s, V_u = last(gp, *self.w)
+            A_s, A_u, g = _linear_part(f, S, U, X)
+            self.r = (V_s - A_s, V_u - A_u, _signed_x_diff(f.topo, W_x, g))
+
+        def take(self, rows) -> "Points":
+            out = object.__new__(Points)
+            for name in ("p", "z", "w", "v", "r"):
+                setattr(out, name, tuple(block[rows] for block in getattr(self, name)))
+            out.f_at_z = self.f_at_z.take(rows)
+            return out
 
         @functools.cached_property
         def chain(self):
-            """f's block Jacobian at z, then DPhi at the outer and the inner point of the chain rule:
-            w and z (forward), v and p (backward)."""
-            (s, u, x), (z_s, z_u) = self.p, self.z
-            df = _jacobians(f, np.concatenate((z_s, z_u, x))[None], FD_STEP_FIRST, [self.f_at_z])[0]
+            """f's block Jacobians at z, then DPhi at the outer and the inner points of the chain
+            rule: w and z (forward), v and p (backward)."""
+            (S, U, X), (Z_s, Z_u) = self.p, self.z
+            df = _jacobians(f, np.concatenate((Z_s, Z_u, X), axis=1), FD_STEP_FIRST, self.f_at_z)
             if forward:
-                return df, _dphi(gp, *self.w), _dphi(gp, z_s, z_u, x)
-            return df, _dphi(gp, *self.v, self.w[2]), _dphi(gp, s, u, x)
+                return df, _dphi(gp, *self.w), _dphi(gp, Z_s, Z_u, X)
+            return df, _dphi(gp, *self.v, self.w[2]), _dphi(gp, S, U, X)
 
         def full_jacobian(self):
             df, outer, inner = self.chain
             if forward:  # DPhi(w) Df(z) DPhi(z)^-1, the right factor by a solve on the transposes
-                return outer @ np.linalg.solve(inner.T, df.T).T
-            return np.linalg.solve(outer, df @ inner)  # DPhi(v)^-1 Df(z) DPhi(p)
+                return np.matmul(outer, np.linalg.solve(inner.swapaxes(1, 2), df.swapaxes(1, 2)).swapaxes(1, 2))
+            return np.linalg.solve(outer, np.matmul(df, inner))  # DPhi(v)^-1 Df(z) DPhi(p)
 
         def jacobian(self):
             jac = self.full_jacobian()
-            for rows, cols, block in _linear_blocks(f, np.concatenate(self.p)[None], FD_STEP_FIRST):
-                jac[rows, cols] -= block[0]
+            for rows, cols, block in _linear_blocks(f, np.concatenate(self.p, axis=1), FD_STEP_FIRST):
+                jac[:, rows, cols] -= block
             return jac
 
         def second(self):
             df, outer, inner = self.chain
-            n, x = f.dims.n, self.p[2]
-            d2f = self.f_at_z.second() + _linear_second(f, *self.z, x)  # D2f(z), the linear part's included
+            n, (S, U, X) = dims.n, self.p
+            d2f = self.f_at_z.second() + _linear_second(f, *self.z, X)  # D2f(z), the linear part's included
             if forward:
                 # D2Phi(w)[M., M.] + DPhi(w) (D2f(z)[P., P.] - M D2Phi(z)[P., P.]), P = DPhi(z)^-1, M = Df(z) P
                 p_inv = np.linalg.inv(inner)
-                m = df @ p_inv
-                t = _pull(d2f, p_inv) - np.einsum("ia,ajk->ijk", m, _pull(_d2phi(gp, *self.z, x), p_inv))
-                t = _pull(_d2phi(gp, *self.w), m) + np.einsum("ia,ajk->ijk", outer, t)
+                m = np.matmul(df, p_inv)
+                t = _pull(d2f, p_inv) - _apply(m, _pull(_d2phi(gp, *self.z, X), p_inv))
+                t = _pull(_d2phi(gp, *self.w), m) + _apply(outer, t)
             else:
                 # DPhi(v)^-1 (D2f(z)[E., E.] + Df(z) D2Phi(p) - D2Phi(v)[J., J.]), E = DPhi(p), J = the full Jacobian
-                t = _pull(d2f, inner) + np.einsum("ia,ajk->ijk", df, _d2phi(gp, *self.p))
+                t = _pull(d2f, inner) + _apply(df, _d2phi(gp, S, U, X))
                 t -= _pull(_d2phi(gp, *self.v, self.w[2]), self.full_jacobian())
-                t = np.linalg.solve(outer, t.reshape(n, n * n)).reshape(n, n, n)
-            t -= _linear_second(f, *self.p)
-            return 0.5 * (t + t.transpose(0, 2, 1))
+                t = np.linalg.solve(outer, t.reshape(len(t), n, n * n)).reshape(t.shape)
+            t -= _linear_second(f, S, U, X)
+            return 0.5 * (t + t.transpose(0, 1, 3, 2))
 
     return dataclasses.replace(
         f,
         rho=conjugated_radius(f, gp) if radius is None else float(radius),
-        r_map=_View(Point, "r"),
-        d_r=_View(Point, "jacobian"),
-        d2_r=_View(Point, "second"),
+        r_map=_View(Points, "r"),
+        d_r=_View(Points, "jacobian"),
+        d2_r=_View(Points, "second"),
         name=f"{f.name}_{'straightened' if forward else 'unstraightened'}",
     )
 

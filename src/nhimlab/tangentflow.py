@@ -25,10 +25,9 @@ from .exceptions import (
     DegenerateVectorError,
     EscapeError,
     ModelInconsistencyError,
-    OutOfNeighborhoodError,
 )
 from .geometry import ChartPoint, Dimensions, TangentVector, _wrap_angles, vec_sup_norm
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _images, _jacobians
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _images, _in_row_order, _jacobians
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,13 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     """One map step of the points Z = (s, u, x) (N x n) and their frames F (N x k x n).
 
     First the images of all rows (``normalform._images``), then the
-    Jacobians of the rows still in the ball (``normalform._jacobians``).
-    A built-in map's callables have stacked forms, so each runs once per
-    step over all rows; a user's callables run once per row.  When r_map
-    and d_r are views of one evaluation (a conjugated map), each row is
-    evaluated once and its remainder Jacobian comes from that evaluation.
+    Jacobians of the rows still in the ball (``normalform._jacobians``),
+    from the live rows of the images' evaluation.  A built-in map's
+    callables have stacked forms, so each runs once per step over all rows;
+    a user's callables run once per row.  When r_map and d_r are views of
+    one evaluation (a conjugated map), all rows are evaluated as one stack.
+    A stack that raises is read again row by row, so the error is the
+    first row's.
     Returns (images, pushed unit-row frames, stretches, escaped mask, image
     normal norms); an escaped row keeps its input state.  ``restricted``
     keeps the images on {u = 0} (drift above 1e-12 is model inconsistency,
@@ -121,10 +122,7 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     """
     dims = f.dims
     a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
-    norms = np.abs(Z[:, :b]).max(axis=1)
-    outside = norms[~(norms < f.rho)]
-    if outside.size:
-        raise OutOfNeighborhoodError(float(outside[0]), f.rho)
+    _check_ball(f, Z[:, :a], Z[:, a:b])
     Q, points = _images(f, Z)
     if restricted:
         drift = np.abs(Q[:, a:b]).max(axis=1)
@@ -136,7 +134,8 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     q_norms = np.abs(Q[:, :b]).max(axis=1)
     escaped = ~(q_norms < f.rho)
     live = np.flatnonzero(~escaped)
-    J = _jacobians(f, Z[live], FD_STEP_FIRST, None if points is None else [points[i] for i in live])
+    Z_live, points = Z[live], points.take(live)
+    J = _in_row_order(lambda rows: _jacobians(f, Z_live[rows], FD_STEP_FIRST, points.take(rows)), len(live))
     if restricted:
         J[:, a:b, :a] = 0.0
         J[:, a:b, b:] = 0.0

@@ -26,8 +26,9 @@ from nhimlab import (
     make_linear,
     make_poly,
     make_twist_annulus,
+    validate_conditions,
 )
-from nhimlab import normalform
+from nhimlab import _fd, normalform
 from nhimlab.geometry import _max_keep_nan, _wrap_angles, mat_row_sup_norm, tensor_row_sup_norm
 from nhimlab.normalform import (
     FD_STEP_FIRST,
@@ -347,11 +348,11 @@ def test_each_stacked_form_is_its_one_point_callable_row_by_row(name):
     f = STEP_MAPS[name]()
     S, U, X = np.split(step_rows(f, restricted=False)[0], [f.dims.n_s, f.dims.n_s + f.dims.n_u], axis=1)
     stacked = [attr for attr in CALLABLES if isinstance(getattr(f, attr), _Stacked)]
-    if name in BUILT_IN:  # every callable a mesh step reads; d2_r and d2_g are not among them
-        assert stacked == ["A_s", "A_u", "g_map", "r_map", "d_r", "d_A_s", "d_A_u", "d_g"]
+    if name in BUILT_IN:  # every callable a mesh step reads, and d2_r for the bound grid; not d2_g
+        assert stacked == ["A_s", "A_u", "g_map", "r_map", "d_r", "d2_r", "d_A_s", "d_A_u", "d_g"]
     for attr in stacked:
         fn = getattr(f, attr)
-        args = (S, U, X) if attr in ("r_map", "d_r") else (X,)
+        args = (S, U, X) if attr in ("r_map", "d_r", "d2_r") else (X,)
         rows = fn.rows(*args)
         for i, row in enumerate(zip(*args)):
             if attr == "r_map":
@@ -422,3 +423,67 @@ def test_a_poly_mesh_step_calls_each_stacked_form_once_whatever_its_rows(rows):
         "r_map.rows": 1, "g_map.rows": 1, "A_s.rows": 2, "A_u.rows": 2,
         "d_r.rows": 1, "d_A_s.rows": 1, "d_A_u.rows": 1, "d_g.rows": 1,
     }
+
+
+@pytest.mark.parametrize("rows_held, stacks", [(None, 1), (5, 10)])
+def test_a_poly_bound_grid_calls_each_derivative_once_per_stack(monkeypatch, rows_held, stacks):
+    if rows_held is not None:
+        monkeypatch.setattr(normalform, "BOUND_ROWS", rows_held)
+    calls = collections.Counter()
+    f = counted(make_poly(0.05), calls)
+    assert repr(estimate_bounds(f, grid_density=3).to_dict()) == repr(bounds_by_rows(make_poly(0.05), 3).to_dict())
+    # the 48 grid rows: d_r and d2_r once per stack, d_A_s once at each of the 3 values of x
+    assert calls == {"d_r.rows": stacks, "d2_r.rows": stacks, "d_A_s": 3}
+
+
+def test_poly_validation_reads_two_stacks_of_samples():
+    calls = collections.Counter()
+    f = counted(make_poly(0.05), calls)
+    report = validate_conditions(f, sample_count=40).to_dict()
+    assert report == validate_conditions(as_plain(make_poly(0.05)), sample_count=40).to_dict()
+    # the zero section and both slices of the first 32 samples, then of the other 8; the slice rows of
+    # the first stack give the derivative checks; condition e) stays per sample
+    assert calls == {"r_map.rows": 2, "d_r.rows": 1, "A_s": 40, "A_u": 40}
+
+
+def fd_second_by_point(func, z, h):
+    """The one-point second differences as they ran before the stacks."""
+    z = np.asarray(z, dtype=float)
+    f0 = func(z)
+    out = np.empty((f0.size, z.size, z.size))
+    for j in range(z.size):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        out[:, j, j] = (func(zp) - 2.0 * f0 + func(zm)) / (h * h)
+        for k in range(j + 1, z.size):
+            zpp, zpm, zmp, zmm = z.copy(), z.copy(), z.copy(), z.copy()
+            zpp[[j, k]] += h
+            zmm[[j, k]] -= h
+            zpm[j] += h
+            zpm[k] -= h
+            zmp[j] -= h
+            zmp[k] += h
+            out[:, j, k] = out[:, k, j] = (func(zpp) - func(zpm) - func(zmp) + func(zmm)) / (4.0 * h * h)
+    return out
+
+
+def test_stacked_differences_are_the_one_point_ones_row_by_row():
+    rng = np.random.default_rng(43)
+    for k in (1, 2, 3, 5):
+        A, B = rng.standard_normal((4, k)), rng.standard_normal((4, k, k))
+
+        def func(z):
+            # the last term tells -0.0 from 0.0: a probe leaves the coordinates it does not move as they are
+            smooth = np.sin(A @ z) + np.einsum("ijk,j,k->i", B, z, z) + np.exp(z[0]) * z[-1]
+            return smooth + np.copysign(1e-3, z[0])
+
+        Z = rng.uniform(-1.0, 1.0, (6, k)) * rng.choice([1e-3, 1.0, 10.0], (6, 1))
+        Z[0, 0] = -0.0
+        for h in (FD_STEP_FIRST, FD_STEP_SECOND):
+            first = _fd._fd_first_rows(lambda V: np.array([func(v) for v in V]), Z, h)
+            second = _fd._fd_second_rows(lambda V: np.array([func(v) for v in V]), Z, h)
+            for z, d1, d2 in zip(Z, first, second):
+                assert np.array_equal(d1, _fd._fd_first(func, z, h))
+                assert np.array_equal(d2, fd_second_by_point(func, z, h))
+                assert np.array_equal(d2, _fd._fd_second(func, z, h))

@@ -498,13 +498,14 @@ def test_ac8_d2_r_reads_no_larger_than_the_difference_of_d_r():
 
 
 def counted_inverse(monkeypatch):
-    """A list that gains one entry per call of straighten._inverse; maps built after this count."""
+    """A list that gains, per call of straighten._inverse, the number of rows the call solves: its
+    sum counts rows solved, its length calls.  Maps built after this count."""
     calls = []
     inverse = straighten._inverse
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inverse(*args, **kwargs)
+    def counted(gp, q_s, *args, **kwargs):
+        calls.append(len(q_s))
+        return inverse(gp, q_s, *args, **kwargs)
 
     monkeypatch.setattr(straighten, "_inverse", counted)
     return calls
@@ -519,19 +520,21 @@ def test_one_point_of_the_ac8_map_solves_each_inverse_once(monkeypatch):
     for read in (g.r_map, g.d_r, g.d2_r):
         calls.clear()
         read(*z)
-        assert len(calls) == 2, read
+        assert sum(calls) == 2, read
     Z = np.array([[0.05, -0.03, 1.0], [0.0, 0.08, 6.0], [-0.1, 0.0, 3.0], [0.02, 0.02, 0.5]])
     F = np.tile([[0.1, 1.0, 0.0], [0.0, 1.0, 0.2]], (len(Z), 1, 1))
     calls.clear()
     _, _, _, escaped, _ = _step(g, Z, F, require_unstable=True, restricted=False)
     assert not escaped.any()
-    assert len(calls) == 2 * len(Z)  # the images; the Jacobians of the live rows reuse them
+    assert sum(calls) == 2 * len(Z)  # the images; the Jacobians of the live rows reuse them
 
 
 def test_the_ac8_solve_sequence_stays_within_its_inverse_count(monkeypatch):
-    # the sequence of test_ac8_straightened_map_meets_its_exact_budget: 768 validation (3 evaluations
-    # per sample, the derivative samples reusing two), 36 bound grid rows, 156 each for find_K and the
-    # domination check; 2058 before one evaluation per point and the chain-rule d2_r
+    # the sequence of test_ac8_straightened_map_meets_its_exact_budget, in rows solved: 768 validation
+    # (3 evaluations per sample, the derivative samples reusing two), 36 bound grid rows, 156 each for
+    # find_K and the domination check; 2058 before one evaluation per point and the chain-rule d2_r.
+    # In calls, 2 per stack: validation 4 (two stacks), the grid 2, find_K 24 and the domination check
+    # 38 (one stack per mesh step); 1116 when each point was solved on its own
     calls = counted_inverse(monkeypatch)
     f = ac8_map()
     calls.clear()  # the radius bisection is set-up
@@ -540,7 +543,8 @@ def test_the_ac8_solve_sequence_stays_within_its_inverse_count(monkeypatch):
     disk = make_default_disk(f, bounds, n_target=6, mesh_per_axis=3)
     find_K(disk, f, eps=1e-2, n_max=12)
     verify_bound_domination(disk, f, bounds, n_max=12)
-    assert len(calls) <= 1116
+    assert sum(calls) <= 1116
+    assert len(calls) == 68
 
 
 def offset_remainder(g):
@@ -567,7 +571,7 @@ def as_given(h):
 
 @pytest.mark.parametrize("replaced", ["r_map", "d_r"])
 def test_a_replaced_callable_of_a_conjugated_map_is_read_as_given(replaced):
-    # the bisected radius is too wide for the wavy pair at x = 0, where the grid's corners lie
+    # a radius inside the bisected one, whatever the base points the bisection probes
     g = conjugate_map(unstraighten_map(make_linear(0.5, 2.0, omega=0.3, rho=0.3), wavy_pair()), wavy_pair(), 0.12)
     other = offset_remainder(g) if replaced == "r_map" else offset_jacobian(g)
     h = dataclasses.replace(g, **{replaced: other})
@@ -594,3 +598,126 @@ def test_a_replaced_callable_of_a_conjugated_map_is_read_as_given(replaced):
     clean = estimate_bounds(g, grid_density=2)
     assert bounds.C == clean.C
     assert (bounds.k == clean.k) if replaced == "r_map" else (bounds.k >= 1e-2)
+
+
+def stacked_rows(g, rng, count):
+    """``count`` sample rows of g as stacks (S, U, X); the first two sit at x = 0 and just below 2 pi."""
+    S, U, X = (np.array(block) for block in zip(*sample_points(g, rng, count)))
+    X[:2, 0] = (0.0, TWO_PI - 1e-12)
+    return S, U, X
+
+
+def test_a_stacked_evaluation_is_its_one_row_evaluations_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for label, g in [*differentiated_cases(), ("AC8", ac8_map())]:
+        S, U, X = stacked_rows(g, rng, 5)
+        stack = g.r_map.evaluate(S, U, X)
+        rows = [g.r_map.evaluate(S[i : i + 1], U[i : i + 1], X[i : i + 1]) for i in range(len(S))]
+        for got, *want in zip(stack.r, *(row.r for row in rows)):
+            assert np.array_equal(got, np.concatenate(want)), label
+        for read in ("jacobian", "second"):
+            want = np.concatenate([getattr(row, read)() for row in rows])
+            assert np.array_equal(getattr(stack, read)(), want), label
+        # the one-point views are one-row evaluations, and a subset taken from a stack reads as its rows do
+        assert np.array_equal(g.d_r(S[2], U[2], X[2]), rows[2].jacobian()[0]), label
+        want = np.concatenate([rows[3].jacobian(), rows[1].jacobian()])
+        assert np.array_equal(stack.take([3, 1]).jacobian(), want), label
+
+
+def counting(gp, calls):
+    """gp whose graphs count their calls in the list ``calls``."""
+    def count(graph):
+        return lambda v, x: calls.append(1) or graph(v, x)
+
+    return GraphPair(G_s=count(gp.G_s), G_u=count(gp.G_u))
+
+
+@pytest.mark.parametrize("pair, dims", [(square_pair, (1, 1)), (wavy_pair, (1, 1)), (two_one_pair, (2, 1))])
+def test_the_stacked_inverse_is_the_per_point_inverse(pair, dims):
+    # every row leaves the stack at its own convergence test: its bits and its graph calls are its own
+    rng = np.random.default_rng(37)
+    n_s, n_u = dims
+    Q_s, Q_u = rng.uniform(-0.15, 0.15, (40, n_s)), rng.uniform(-0.15, 0.15, (40, n_u))
+    Q_s[0], Q_u[0] = 0.0, 0.0  # one sweep
+    X = rng.uniform(0.0, TWO_PI, (40, 1))
+    stacked, by_points = [], []
+    S, U = straighten._inverse(counting(pair(), stacked), Q_s, Q_u, X, 1e-13, 200)
+    topo = ChartTopology.angles(1)
+    for i in range(len(X)):
+        p = straighten_inverse(counting(pair(), by_points), ChartPoint(Q_s[i], Q_u[i], X[i], topo), 1e-13, 200)
+        assert np.array_equal(S[i], p.s) and np.array_equal(U[i], p.u), i
+    assert len(stacked) == len(by_points)
+
+
+def test_a_diverging_row_of_a_stack_raises_as_its_point_does():
+    slope3 = GraphPair(G_s=lambda s, x: np.atleast_1d(3.0 * s[0]), G_u=lambda u, x: np.atleast_1d(3.0 * u[0]))
+    Q = np.array([[0.0], [0.02], [0.3]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as stacked:
+        straighten._inverse(slope3, Q, Q, np.zeros((3, 1)), 1e-13, 50)
+    point = make_linear(0.5, 2.0).point([0.02], [0.02], [0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as alone:
+        straighten_inverse(slope3, point, tol=1e-13, max_iter=50)
+    assert str(stacked.value) == str(alone.value)  # the first row that does not converge, not the last
+
+
+def test_validation_and_bounds_on_stacks_read_as_the_per_row_path():
+    # as_given reads each callable once per row, each a one-row evaluation
+    for label, g in [*differentiated_cases(), ("AC8", ac8_map())]:
+        report = validate_conditions(g, sample_count=40, tol=1e-8)  # one stack of 32 samples, one of 8
+        assert report.to_dict() == validate_conditions(as_given(g), sample_count=40, tol=1e-8).to_dict(), label
+        bounds = estimate_bounds(g, grid_density=2)
+        assert repr(bounds.to_dict()) == repr(estimate_bounds(as_given(g), grid_density=2).to_dict()), label
+
+
+def raised(run):
+    """The type and message of the exception ``run()`` raises."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def test_a_failing_stack_raises_what_its_rows_raise_first():
+    # the wavy round trip at a radius too wide for it: at x = 0 the corner (+, +) diverges in the outer
+    # inverse, while (+, -) lands outside the inner ball; a stack reads its rows stage by stage, and must
+    # raise the error of the first row that fails, whatever the stage
+    wavy = wavy_pair()
+    g = conjugate_map(unstraighten_map(make_linear(0.5, 2.0, omega=0.3, rho=0.3), wavy), wavy, radius=0.25)
+    plain = as_given(g)
+    r = 0.999 * g.rho
+    Z = np.array([[0.1, 0.1, 1.0], [0.5 * r, -r, 0.0], [r, r, 0.0], [-r, r, 0.0]])
+    F = np.tile([[0.1, 1.0, 0.0], [0.0, 1.0, 0.2]], (len(Z), 1, 1))
+    for rows in (Z, Z[[0, 2, 1]], Z[[2, 0]]):
+        want = raised(lambda: _step(plain, rows, F[: len(rows)], True, False))
+        assert raised(lambda: _step(g, rows, F[: len(rows)], True, False)) == want
+    assert raised(lambda: _step(g, Z[[2, 1]], F[:2], True, False))[0] is DivergenceError
+    assert raised(lambda: _step(g, Z[[1, 2]], F[:2], True, False))[0] is OutOfNeighborhoodError
+    assert raised(lambda: validate_conditions(g, 40)) == raised(lambda: validate_conditions(plain, 40))
+    assert raised(lambda: estimate_bounds(g, 2)) == raised(lambda: estimate_bounds(plain, 2))
+
+
+def test_the_radius_probes_the_lower_end_of_the_x_range():
+    # x = 0 is where the bound grid and the seeded meshes start; it was between the probes before
+    wavy = wavy_pair()
+    g = conjugate_map(unstraighten_map(make_linear(0.5, 2.0, omega=0.3, rho=0.3), wavy), wavy)
+    assert round(g.rho, 5) == 0.15982
+    corner = g.rho * (1.0 - 1e-9)
+    for x in (0.0, TWO_PI - 1e-12):
+        for s, u in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            assert np.isfinite(g.r_map(np.array([s * corner]), np.array([u * corner]), np.array([x]))[0]).all()
+    bounds = estimate_bounds(g, grid_density=2)
+    assert bounds.k <= 1e-12 and bounds.C <= 1e-10
+
+
+def test_the_stacked_contractions_of_d2_r_round_as_one_point_einsums():
+    # second() and _linear_second contract whole stacks; each row keeps the bits of the one-point einsum
+    rng = np.random.default_rng(41)
+    for n in (3, 4, 6):
+        for count in (1, 5, 64):
+            t, m = rng.standard_normal((count, n, n, n)), rng.standard_normal((count, n, n))
+            pulled, applied = straighten._pull(t, m), straighten._apply(m, t)
+            dd_a, v = rng.standard_normal((count, 2, 2, n, n)), rng.standard_normal((count, 2))
+            contracted = np.einsum("nijkl,nj->nikl", dd_a, v)
+            for i in range(count):
+                assert np.array_equal(pulled[i], np.einsum("iab,aj,bk->ijk", t[i], m[i], m[i]))
+                assert np.array_equal(applied[i], np.einsum("ia,ajk->ijk", m[i], t[i]))
+                assert np.array_equal(contracted[i], np.einsum("ijkl,j->ikl", dd_a[i], v[i]))
