@@ -20,15 +20,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._fd import _fd_first
+from ._fd import _fd_first_rows
 from .exceptions import (
     ContractError,
     EmptyMeshError,
     ModelInconsistencyError,
-    OutOfNeighborhoodError,
 )
-from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _normal_norm
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, check_constants
+from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _wrap_angles
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _in_row_order, _stacked, check_constants
 from .tangentflow import (
     JetState,
     _block_norms,
@@ -47,7 +46,11 @@ class DiskSpec:
 
     The box must contain u = 0 in its interior so the disk actually crosses
     the stable set; the mesh is snapped so one node per u-axis sits at 0
-    exactly, making the crossing slice part of the sample.
+    exactly, making the crossing slice part of the sample.  ``dsigma``, when
+    given, returns the pair (d sigma/d u, d sigma/d x) as a tuple.
+    Construction wraps each plain callable once in the per-row adapter of
+    ``normalform._stacked``, its widths read off its values, so each runs
+    once per node.
     """
 
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -60,6 +63,8 @@ class DiskSpec:
         object.__setattr__(self, "mesh_per_axis", _count(self.mesh_per_axis, "mesh_per_axis", 1))
         object.__setattr__(self, "u_box", tuple((float(a), float(b)) for a, b in self.u_box))
         object.__setattr__(self, "x_box", tuple((float(a), float(b)) for a, b in self.x_box))
+        object.__setattr__(self, "sigma", _stacked(self.sigma))
+        object.__setattr__(self, "dsigma", _stacked(self.dsigma))
         for lo, hi in self.u_box:
             if not (lo < 0.0 < hi):
                 raise ContractError(f"u_box must contain 0 in its interior, got [{lo}, {hi}]")
@@ -140,13 +145,14 @@ def _snap_zero(nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_partials(d: DiskSpec, u: np.ndarray, x: np.ndarray):
+def _sigma_partials(d: DiskSpec, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The partials (d sigma/d u, d sigma/d x) at the nodes (U, X), joined as an (N, n_s, n_u + m)
+    stack: ``dsigma``, or central differences of sigma in (u, x)."""
     if d.dsigma is not None:
-        du, dx = d.dsigma(u, x)
-        return np.atleast_2d(np.asarray(du, dtype=float)), np.atleast_2d(np.asarray(dx, dtype=float))
-    du = _fd_first(lambda v: np.atleast_1d(d.sigma(v, x)), u, FD_STEP_FIRST)
-    dx = _fd_first(lambda v: np.atleast_1d(d.sigma(u, v)), x, FD_STEP_FIRST)
-    return du, dx
+        return np.concatenate([B.reshape(len(B), -1, B.shape[-1]) for B in d.dsigma.rows(U, X)], axis=2)
+    n_u = U.shape[1]
+    return _fd_first_rows(lambda V: d.sigma.rows(V[:, :n_u], V[:, n_u:]), np.concatenate((U, X), axis=1),
+                          FD_STEP_FIRST)
 
 
 def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
@@ -154,7 +160,9 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
 
     The frame at (u, x) spans the disk tangent space: one vector per u axis,
     (d sigma/d u_j, e_j, 0), and one per manifold axis, (d sigma/d x_i, 0, e_i),
-    each normalized to unit sup norm.
+    each normalized to unit sup norm.  Sigma and its partials are read as
+    one stack each over all nodes; a stack that fails is read again node by
+    node, so the error is the first failing node's.
     """
     dims = f.dims
     if len(d.u_box) != dims.n_u or len(d.x_box) != dims.m:
@@ -171,26 +179,28 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
     ]
     n_s, n_u, k = dims.n_s, dims.n_u, dims.n_u + dims.m
     nodes = np.stack(np.meshgrid(*u_axes, *x_axes, indexing="ij"), axis=-1).reshape(-1, k)
-    points = np.empty((len(nodes), dims.n))
+
+    def read(rows) -> tuple:
+        U, X = nodes[rows, :n_u], nodes[rows, n_u:]
+        S = d.sigma.rows(U, X)
+        if S.shape[1:] != (n_s,):
+            raise ContractError(f"sigma returned shape {S.shape[1:]}, expected ({n_s},)")
+        _check_ball(f, S, U)
+        partials = _sigma_partials(d, U, X)
+        if partials.shape[1:] != (n_s, k):
+            raise ContractError(f"sigma partials have shape {partials.shape[1:]}, expected ({n_s}, {k})")
+        bad = np.flatnonzero(~np.isfinite(partials).all(axis=(1, 2)))  # a NaN value already failed the ball
+        if bad.size:
+            raise ContractError(f"sigma partials are not finite at u={U[bad[0]]}, x={X[bad[0]]}")
+        return S, partials
+
+    S, partials = _in_row_order(read, len(nodes))
+    points = np.concatenate((S, nodes[:, :n_u], _wrap_angles(nodes[:, n_u:].copy(), f.topo.is_angle)), axis=1)
     frames = np.zeros((len(nodes), k, dims.n))
-    tags = []
-    for row, (u, x) in enumerate(zip(nodes[:, :n_u], nodes[:, n_u:])):
-        s = np.atleast_1d(np.asarray(d.sigma(u, x), dtype=float))
-        if s.shape != (n_s,):
-            raise ContractError(f"sigma returned shape {s.shape}, expected ({n_s},)")
-        norm = _normal_norm(s, u)
-        if not norm < f.rho:
-            raise OutOfNeighborhoodError(norm=norm, rho=f.rho)
-        partials = np.concatenate(_sigma_partials(d, u, x), axis=1)
-        if partials.shape != (n_s, k):
-            raise ContractError(f"sigma partials have shape {partials.shape}, expected ({n_s}, {k})")
-        if not np.isfinite(partials).all():  # a NaN value already failed the ball check
-            raise ContractError(f"sigma partials are not finite at u={u}, x={x}")
-        points[row] = np.concatenate([s, u, f.topo.canonicalize(x)])
-        frames[row, :, :n_s] = partials.T
-        tags.append((tuple(u), tuple(x)))
+    frames[:, :, :n_s] = partials.transpose(0, 2, 1)
     frames[:, :, n_s:] = np.eye(k)
-    return MeshOrbit(tuple(tags), points, _unit_rows(frames), (-1,) * len(nodes), 0, dims, f.topo)
+    tags = tuple((tuple(u), tuple(x)) for u, x in zip(nodes[:, :n_u], nodes[:, n_u:]))
+    return MeshOrbit(tags, points, _unit_rows(frames), (-1,) * len(nodes), 0, dims, f.topo)
 
 
 def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:

@@ -35,31 +35,28 @@ def _constant_blocks(lambda_s: float, lambda_u: float, m: int = 1) -> dict:
     """MapSpec fields for constant scalar normal blocks over an m-dim base:
     dims, A_s, A_u and their vanishing x-derivatives, plus d_g = I and
     d2_g = 0 (exact for a rigid base map; a factory with a curved g
-    overrides both).  All but d2_g carry their stacked forms."""
+    overrides both), each in its stacked form."""
     a_s = np.array([[lambda_s]])
     a_u = np.array([[lambda_u]])
     eye = np.eye(m)
     return dict(
         dims=Dimensions(1, 1, m),
-        A_s=_Stacked(lambda x: a_s, lambda X: a_s[None].repeat(len(X), 0)),
-        A_u=_Stacked(lambda x: a_u, lambda X: a_u[None].repeat(len(X), 0)),
-        d_A_s=_Stacked(lambda x: np.zeros((1, 1, m)), lambda X: np.zeros((len(X), 1, 1, m))),
-        d_A_u=_Stacked(lambda x: np.zeros((1, 1, m)), lambda X: np.zeros((len(X), 1, 1, m))),
-        d_g=_Stacked(lambda x: eye.copy(), lambda X: eye[None].repeat(len(X), 0)),
-        d2_g=lambda x: np.zeros((m, m, m)),
+        A_s=_Stacked(lambda X: a_s[None].repeat(len(X), 0)),
+        A_u=_Stacked(lambda X: a_u[None].repeat(len(X), 0)),
+        d_A_s=_Stacked(lambda X: np.zeros((len(X), 1, 1, m))),
+        d_A_u=_Stacked(lambda X: np.zeros((len(X), 1, 1, m))),
+        d_g=_Stacked(lambda X: eye[None].repeat(len(X), 0)),
+        d2_g=_Stacked(lambda X: np.zeros((len(X), m, m, m))),
     )
 
 
 def _zero_remainder(n_s: int, n_u: int, m: int) -> dict:
-    """MapSpec fields r_map, d_r and d2_r of the zero remainder, with their stacked forms."""
+    """MapSpec fields r_map, d_r and d2_r of the zero remainder, in their stacked forms."""
     n = n_s + n_u + m
     return dict(
-        r_map=_Stacked(
-            lambda s, u, x: (np.zeros(n_s), np.zeros(n_u), np.zeros(m)),
-            lambda S, U, X: (np.zeros((len(S), n_s)), np.zeros((len(S), n_u)), np.zeros((len(S), m))),
-        ),
-        d_r=_Stacked(lambda s, u, x: np.zeros((n, n)), lambda S, U, X: np.zeros((len(S), n, n))),
-        d2_r=_Stacked(lambda s, u, x: np.zeros((n, n, n)), lambda S, U, X: np.zeros((len(S), n, n, n))),
+        r_map=_Stacked(lambda S, U, X: (np.zeros((len(S), n_s)), np.zeros((len(S), n_u)), np.zeros((len(S), m)))),
+        d_r=_Stacked(lambda S, U, X: np.zeros((len(S), n, n))),
+        d2_r=_Stacked(lambda S, U, X: np.zeros((len(S), n, n, n))),
     )
 
 
@@ -70,7 +67,7 @@ def make_linear(lambda_s: float = 0.5, lambda_u: float = 2.0, omega: float = 0.0
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=lam,
-        g_map=_Stacked(lambda x: x + omega, lambda X: X + omega),
+        g_map=_Stacked(lambda X: X + omega),
         name="linear",
         **_zero_remainder(1, 1, 1),
         **_constant_blocks(lambda_s, lambda_u),
@@ -95,27 +92,13 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
             f"(k = 2*c*rho = {2.0 * c * rho:.6g})"
         )
 
-    def r_map(s, u, x):
-        w = c * s[0] * u[0]
-        return (np.array([w]), np.array([w]), np.array([w]))
-
     def r_rows(S, U, X):
         w = c * S[:, :1] * U[:, :1]
         return (w, w.copy(), w.copy())
 
-    def d_r(s, u, x):
-        row = np.array([c * u[0], c * s[0], 0.0])
-        return np.tile(row, (3, 1))
-
     def d_r_rows(S, U, X):
         row = np.column_stack((c * U[:, 0], c * S[:, 0], np.zeros(len(S))))
         return row[:, None].repeat(3, 1)
-
-    def d2_r(s, u, x):
-        t = np.zeros((3, 3, 3))
-        t[:, 0, 1] = c
-        t[:, 1, 0] = c
-        return t
 
     def d2_r_rows(S, U, X):
         t = np.zeros((len(S), 3, 3, 3))
@@ -127,10 +110,10 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=lam,
-        g_map=_Stacked(lambda x: np.asarray(x, dtype=float), lambda X: np.array(X, dtype=float)),
-        r_map=_Stacked(r_map, r_rows),
-        d_r=_Stacked(d_r, d_r_rows),
-        d2_r=_Stacked(d2_r, d2_r_rows),
+        g_map=_Stacked(lambda X: np.array(X, dtype=float)),
+        r_map=_Stacked(r_rows),
+        d_r=_Stacked(d_r_rows),
+        d2_r=_Stacked(d2_r_rows),
         name="poly",
         **_constant_blocks(lambda_s, lambda_u),
     )
@@ -156,29 +139,11 @@ def make_twist_annulus(
         raise ContractError(f"need y0 < y1, got y0={y0}, y1={y1}")
     lam = _check_rates(lambda_s, lambda_u)
 
-    def g_map(x):
-        ang, y = float(x[0]), float(x[1])
-        bump = (y - y0) * (y1 - y)
-        return np.array(
-            [ang + TWO_PI * y + eps_twist * bump * math.cos(ang), y + eps_twist * bump * math.sin(ang)]
-        )
-
     def g_rows(X):
         ang, y = X[:, 0], X[:, 1]
         bump = (y - y0) * (y1 - y)
         return np.column_stack(
             (ang + TWO_PI * y + eps_twist * bump * np.cos(ang), y + eps_twist * bump * np.sin(ang))
-        )
-
-    def d_g(x):
-        ang, y = float(x[0]), float(x[1])
-        bump = (y - y0) * (y1 - y)
-        dbump = y0 + y1 - 2.0 * y
-        return np.array(
-            [
-                [1.0 - eps_twist * bump * math.sin(ang), TWO_PI + eps_twist * dbump * math.cos(ang)],
-                [eps_twist * bump * math.cos(ang), 1.0 + eps_twist * dbump * math.sin(ang)],
-            ]
         )
 
     def d_g_rows(X):
@@ -210,12 +175,12 @@ def make_twist_annulus(
         return t
 
     blocks = _constant_blocks(lambda_s, lambda_u, m=2)
-    blocks.update(d_g=_Stacked(d_g, d_g_rows), d2_g=d2_g)
+    blocks.update(d_g=_Stacked(d_g_rows), d2_g=d2_g)
     return MapSpec(
         topo=ChartTopology.of(("angle", "linear")),
         rho=rho,
         lam=lam,
-        g_map=_Stacked(g_map, g_rows),
+        g_map=_Stacked(g_rows),
         x_box=((0.0, TWO_PI), (y0, y1)),
         name="twist_annulus",
         **_zero_remainder(1, 1, 2),
@@ -234,11 +199,6 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
         raise ContractError(f"condition must be 'b' or 'd', got {condition!r}")
     row = 1 if condition == "b" else 2
 
-    def r_map(s, u, x):
-        out = [np.zeros(1), np.zeros(1), np.zeros(1)]
-        out[row] = np.array([amp * s[0]])
-        return tuple(out)
-
     def r_rows(S, U, X):
         out = [np.zeros((len(S), 1)), np.zeros((len(S), 1)), np.zeros((len(S), 1))]
         out[row] = amp * S[:, :1]
@@ -251,10 +211,10 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
         topo=ChartTopology.angles(1),
         rho=rho,
         lam=0.5,
-        g_map=_Stacked(lambda x: np.asarray(x, dtype=float), lambda X: np.array(X, dtype=float)),
-        r_map=_Stacked(r_map, r_rows),
-        d_r=_Stacked(lambda s, u, x: jac.copy(), lambda S, U, X: jac[None].repeat(len(S), 0)),
-        d2_r=_Stacked(lambda s, u, x: np.zeros((3, 3, 3)), lambda S, U, X: np.zeros((len(S), 3, 3, 3))),
+        g_map=_Stacked(lambda X: np.array(X, dtype=float)),
+        r_map=_Stacked(r_rows),
+        d_r=_Stacked(lambda S, U, X: jac[None].repeat(len(S), 0)),
+        d2_r=_Stacked(lambda S, U, X: np.zeros((len(S), 3, 3, 3))),
         name=f"defective_{condition}",
         **_constant_blocks(0.5, 2.0),
     )

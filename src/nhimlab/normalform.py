@@ -19,6 +19,7 @@ budget (k, C, C~, D, ...) that the inclination estimates run on.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._fd import _fd_first, _fd_first_rows, _fd_second
+from ._fd import _fd_first, _fd_first_rows, _fd_second_rows
 from .exceptions import ContractError, OutOfNeighborhoodError
 from .geometry import (
     TWO_PI,
@@ -67,11 +68,12 @@ class MapSpec:
     d A / d x_k, and ``d_g``/``d2_g`` differentiate the manifold map.
     Everything must be pure; evaluation order is never guaranteed.
 
-    The mesh step, validation and the bound grid evaluate stacks of rows.
-    A user's callables run once per row.  The built-in maps of ``models``
-    carry a stacked form of each callable those read, so they run once per
-    stack, with the same bits; a conjugated map evaluates a whole stack at
-    once, its graphs once per row per sweep.
+    The library reads every callable in one contract, on stacks of rows
+    (``_Stacked``).  Construction wraps each plain callable once in a
+    per-row adapter, so a user's callable runs once per row, in row order;
+    the built-in maps of ``models`` pass stacked forms, which run once per
+    stack with the same bits, and a conjugated map evaluates a whole stack
+    at once.  ``dataclasses.replace`` wraps only the callables it replaces.
     """
 
     dims: Dimensions
@@ -100,6 +102,12 @@ class MapSpec:
             raise ContractError("topology and dimensions disagree on m")
         if self.x_box is not None and len(self.x_box) != self.dims.m:
             raise ContractError("x_box must list one (lo, hi) range per manifold coordinate")
+        n_s, n_u, m, n = self.dims.n_s, self.dims.n_u, self.dims.m, self.dims.n
+        shapes = dict(A_s=[(n_s, n_s)], A_u=[(n_u, n_u)], g_map=[(m,)], r_map=[(n_s,), (n_u,), (m,)],
+                      d_r=[(n, n)], d2_r=[(n, n, n)], d_A_s=[(n_s, n_s, m)], d_A_u=[(n_u, n_u, m)],
+                      d_g=[(m, m)], d2_g=[(m, m, m)])
+        for name, block_shapes in shapes.items():
+            object.__setattr__(self, name, _stacked(getattr(self, name), *block_shapes))
 
     def point(self, s, u, x) -> ChartPoint:
         return ChartPoint(np.atleast_1d(s), np.atleast_1d(u), np.atleast_1d(x), self.topo)
@@ -118,32 +126,54 @@ class MapSpec:
         return ranges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Stacked:
-    """A callable of a built-in map with its stacked form.  Calling it runs ``one``, the one-point
-    callable; ``rows`` takes the same arguments with a leading row axis and returns new arrays
-    stacked along it (for ``r_map`` the three blocks, each N x block), each row with the bits of
-    ``one`` there.  The mesh step, validation and the bound grid read ``rows``, so they evaluate such
-    a callable once per stack."""
+    """A callable in the one contract the library reads: ``rows`` takes its arguments with a leading
+    row axis and returns new stacks along it (a tuple of them for a callable of several blocks),
+    each row with the bits of the callable there.  ``evaluate`` is the one evaluation that ``rows``
+    reads a part of, when there is one (``_shared_evaluation``).  Calling it reads one point, as a
+    one-row stack."""
 
-    one: Callable
     rows: Callable
+    evaluate: Optional[Callable] = None
 
     def __call__(self, *args):
-        return self.one(*args)
+        out = self.rows(*(_as_float_vector(v)[None] for v in args))
+        return tuple(block[0] for block in out) if isinstance(out, tuple) else out[0]
 
 
-def _rows(fn, shape: tuple, *args, one: Optional[Callable] = None) -> np.ndarray:
-    """``fn`` at every row of the stacked arguments ``args``, as a new (N, *shape) stack: one call of
-    its stacked form when it has one (a ``_Stacked`` callable or a ``_View``), otherwise one call of
-    ``one`` (default ``fn``) per row."""
-    if isinstance(fn, (_Stacked, _View)):
-        return fn.rows(*args)
-    one = fn if one is None else one
-    out = np.empty((len(args[0]), *shape))
-    for i, row in enumerate(zip(*args)):
-        out[i] = one(*row)
-    return out
+def _stacked(fn, *shapes):
+    """``fn`` in the stacked contract: as it is when it already is a ``_Stacked`` (or None), otherwise
+    its per-row adapter, whose ``rows`` calls ``fn`` once per row, in row order, and fills one new
+    (N, *shape) stack per block with ``out[i] = block``.  The blocks are those of a tuple value, or
+    the value itself.  Their shapes are ``shapes`` when given, else those of the first row's blocks,
+    at least 1-d, read once and kept; before that, a stack of no rows has one block of width 0."""
+    if fn is None or isinstance(fn, _Stacked):
+        return fn
+    shapes = list(shapes)
+
+    def rows(*args):
+        count = len(args[0])
+        if len(shapes) == 1:  # one block of known shape, as most callables are
+            out = np.empty((count, *shapes[0]))
+            if count == 1:  # a one-point read or a radius probe: indexing one row is cheaper than zip
+                out[0] = fn(*[arg[0] for arg in args])
+                return out
+            for i, row in enumerate(zip(*args)):
+                out[i] = fn(*row)
+            return out
+        out = [np.empty((count, *shape)) for shape in shapes]
+        for i, row in enumerate(zip(*args)):
+            value = fn(*row)
+            blocks = tuple(value) if len(shapes) > 1 or isinstance(value, tuple) else (value,)
+            if not shapes:
+                shapes.extend(np.shape(np.atleast_1d(block)) for block in blocks)
+                out = [np.empty((count, *shape)) for shape in shapes]
+            for stack, block in zip(out, blocks, strict=True):
+                stack[i] = block
+        return tuple(out) if len(out) > 1 else (out or [np.empty((count, 0))])[0]
+
+    return _Stacked(rows)
 
 
 def _in_row_order(read: Callable, count: int):
@@ -178,11 +208,10 @@ def _columns(dims: Dimensions, Z: np.ndarray) -> tuple:
 def _linear_part(f: MapSpec, S, U, X) -> tuple:
     """(A_s(x) s, A_u(x) u, g(x)) at the rows (S, U, X), each a new N x block stack.  A(x) s is one
     stacked ``np.matmul``, the BLAS matrix-vector product of ``A @ s`` per row."""
-    dims = f.dims
     return (
-        np.matmul(_rows(f.A_s, (dims.n_s, dims.n_s), X), S[..., None])[..., 0],
-        np.matmul(_rows(f.A_u, (dims.n_u, dims.n_u), X), U[..., None])[..., 0],
-        _rows(f.g_map, (dims.m,), X, one=_g_flat(f)),
+        np.matmul(f.A_s.rows(X), S[..., None])[..., 0],
+        np.matmul(f.A_u.rows(X), U[..., None])[..., 0],
+        f.g_map.rows(X),
     )
 
 
@@ -226,47 +255,20 @@ def _r_flat(f: MapSpec):
     return lambda z: f.dims.join(*f.r_map(*f.dims.split(z)))
 
 
-def _g_flat(f: MapSpec):
-    """The base map g with its value flattened to a vector."""
-    return lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1)
-
-
 def _in_ball(f: MapSpec):
     """Membership of a concatenated coordinate z = (s, u, x) in f's working ball."""
     return lambda z: _normal_norm(*f.dims.split(z)[:2]) < f.rho
 
 
 def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
-    if f.d_r is not None:
-        return np.asarray(f.d_r(s, u, x), dtype=float)
+    """Central differences of r at one point with step h, one-sided next to the boundary of U."""
     return _fd_first(_r_flat(f), f.dims.join(s, u, x), h, inside=_in_ball(f))
-
-
-@dataclass(frozen=True)
-class _View:
-    """``r_map``, ``d_r`` or ``d2_r`` of a map whose remainder and its derivatives at a stack of rows
-    come from one evaluation: ``evaluate(S, U, X)`` returns an object with the remainder blocks ``r``
-    (N x block each), the methods ``jacobian()`` and ``second()`` and ``take(rows)``, the evaluation
-    of a subset of its rows.  ``rows`` reads the part named by ``part`` on a stack; calling the view
-    reads it at one point, as a one-row stack."""
-
-    evaluate: Callable
-    part: str
-
-    def rows(self, S, U, X):
-        stack = self.evaluate(S, U, X)
-        return stack.r if self.part == "r" else getattr(stack, self.part)()
-
-    def __call__(self, s, u, x):
-        out = self.rows(*(_as_float_vector(v)[None] for v in (s, u, x)))
-        return tuple(block[0] for block in out) if self.part == "r" else out[0]
 
 
 class _Given:
     """f at the rows (S, U, X) through its callables as given: reading ``r`` runs ``r_map``,
-    ``jacobian()`` runs ``d_r`` (by differences of ``r_map`` with step ``h`` when absent) and
-    ``second()`` runs ``d2_r`` (by differences when absent), each once per stack through its stacked
-    form and otherwise once per row, in row order."""
+    ``jacobian()`` runs ``d_r`` (``_r_jacobian`` row by row with step ``h`` when absent) and
+    ``second()`` runs ``d2_r`` (second differences of ``r_map`` when absent), each once per stack."""
 
     def __init__(self, f: MapSpec, S, U, X, h: float = FD_STEP_FIRST):
         self.f, self.S, self.U, self.X, self.h = f, S, U, X, h
@@ -276,28 +278,27 @@ class _Given:
 
     @property
     def r(self) -> tuple:
-        f, args = self.f, (self.S, self.U, self.X)
-        if isinstance(f.r_map, (_Stacked, _View)):
-            return f.r_map.rows(*args)
-        joined = np.array([f.dims.join(*f.r_map(*row)) for row in zip(*args)]).reshape(len(self.S), f.dims.n)
-        return _columns(f.dims, joined)
+        return self.f.r_map.rows(self.S, self.U, self.X)
 
     def jacobian(self) -> np.ndarray:
         f, n = self.f, self.f.dims.n
-        return _rows(f.d_r, (n, n), self.S, self.U, self.X, one=lambda s, u, x: _r_jacobian(f, s, u, x, self.h))
+        if f.d_r is None:  # the one-sided fallback of the differences has no stacked form
+            return _stacked(lambda s, u, x: _r_jacobian(f, s, u, x, self.h), (n, n)).rows(self.S, self.U, self.X)
+        return f.d_r.rows(self.S, self.U, self.X)
 
     def second(self) -> np.ndarray:
-        f, n = self.f, self.f.dims.n
-        return _rows(f.d2_r, (n, n, n), self.S, self.U, self.X, one=lambda s, u, x: _second_tensor(f, s, u, x))
+        f = self.f
+        if f.d2_r is None:
+            return _fd_second_rows(lambda Z: np.concatenate(f.r_map.rows(*_columns(f.dims, Z)), axis=1),
+                                   np.concatenate((self.S, self.U, self.X), axis=1), FD_STEP_SECOND)
+        return f.d2_r.rows(self.S, self.U, self.X)
 
 
 def _shared_evaluation(f: MapSpec, *reads: str) -> Optional[Callable]:
-    """The one evaluation that f's callables ``reads`` are all views of, or None when they are not
-    (plain functions, or views of different evaluations after a ``dataclasses.replace``)."""
-    views = [getattr(f, name) for name in reads]
-    if all(isinstance(v, _View) and v.evaluate is views[0].evaluate for v in views):
-        return views[0].evaluate
-    return None
+    """The one evaluation that f's callables ``reads`` are all parts of, or None when they are not
+    (callables as given, or parts of different evaluations after a ``dataclasses.replace``)."""
+    shared = [getattr(getattr(f, name), "evaluate", None) for name in reads]  # None for an absent callable
+    return shared[0] if shared[0] is not None and all(e is shared[0] for e in shared) else None
 
 
 def _evaluator(f: MapSpec, *reads: str) -> Callable:
@@ -307,28 +308,26 @@ def _evaluator(f: MapSpec, *reads: str) -> Callable:
     return _shared_evaluation(f, *reads) or functools.partial(_Given, f)
 
 
-def _g_jacobian(f: MapSpec, x, h: float) -> np.ndarray:
-    if f.d_g is not None:
-        return np.asarray(f.d_g(x), dtype=float)
-    return _fd_first(_g_flat(f), x, h)
-
-
-def _a_tensor(f: MapSpec, which: str, x, h: float) -> np.ndarray:
-    """d A / d x as an (n, n, m) tensor, analytic when available."""
-    fun = f.A_s if which == "s" else f.A_u
+def _a_tensors(f: MapSpec, which: str, X: np.ndarray, h: float) -> np.ndarray:
+    """d A / d x at the rows of X, as a new (N, k, k, m) stack: ``d_A_s`` or ``d_A_u``, or central
+    differences with step h of ``A_s`` or ``A_u`` when absent."""
+    size = f.dims.n_s if which == "s" else f.dims.n_u
     der = f.d_A_s if which == "s" else f.d_A_u
     if der is not None:
-        return np.asarray(der(x), dtype=float)
-    size = f.dims.n_s if which == "s" else f.dims.n_u
-    cols = _fd_first(lambda z: np.asarray(fun(z), dtype=float).reshape(-1), x, h)
-    return cols.reshape(size, size, -1)
+        return der.rows(X)
+    fun = f.A_s if which == "s" else f.A_u
+    cols = _fd_first_rows(lambda Y: fun.rows(Y).reshape(len(Y), size * size), X, h)
+    return cols.reshape(len(X), size, size, f.dims.m)
 
 
-def _a_tensors(f: MapSpec, which: str, X: np.ndarray, h: float) -> np.ndarray:
-    """``_a_tensor`` at the rows of X, as a new (N, k, k, m) stack."""
-    size = f.dims.n_s if which == "s" else f.dims.n_u
-    der = f.d_A_s if which == "s" else f.d_A_u
-    return _rows(der, (size, size, f.dims.m), X, one=lambda x: _a_tensor(f, which, x, h))
+def _g_jacobians(f: MapSpec, X: np.ndarray, h: float) -> np.ndarray:
+    """d_x g at the rows of X, as a new (N, m, m) stack: ``d_g``, or central differences of g."""
+    return f.d_g.rows(X) if f.d_g is not None else _fd_first_rows(f.g_map.rows, X, h)
+
+
+def _g_seconds(f: MapSpec, X: np.ndarray) -> np.ndarray:
+    """D^2 g at the rows of X, as a new (N, m, m, m) stack: ``d2_g``, or second differences of g."""
+    return f.d2_g.rows(X) if f.d2_g is not None else _fd_second_rows(f.g_map.rows, X, FD_STEP_SECOND)
 
 
 def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
@@ -369,17 +368,15 @@ def _jacobians(f: MapSpec, Z: np.ndarray, h: float, points=None) -> np.ndarray:
 
 def _linear_blocks(f: MapSpec, Z: np.ndarray, h: float) -> tuple:
     """The (rows, cols, blocks) pieces that ``_jacobians`` adds to the Jacobians of r at the rows
-    (s, u, x) of Z: A_s, A_u, d_x g, (d_x A_s) s and (d_x A_u) u, each stacked over the rows, from
-    the callables' stacked forms where they have them and row by row otherwise."""
-    n_s, n_u, m = f.dims.n_s, f.dims.n_u, f.dims.m
-    a, b = n_s, n_s + n_u  # the u block is a:b, the x block b:
+    (s, u, x) of Z: A_s, A_u, d_x g, (d_x A_s) s and (d_x A_u) u, each stacked over the rows."""
+    a, b = f.dims.n_s, f.dims.n_s + f.dims.n_u  # the u block is a:b, the x block b:
     sl_s, sl_u, sl_x = slice(None, a), slice(a, b), slice(b, None)
     S, U, X = _columns(f.dims, Z)
     d_a_s, d_a_u = _a_tensors(f, "s", X, h), _a_tensors(f, "u", X, h)
     return (
-        (sl_s, sl_s, _rows(f.A_s, (n_s, n_s), X)),
-        (sl_u, sl_u, _rows(f.A_u, (n_u, n_u), X)),
-        (sl_x, sl_x, _rows(f.d_g, (m, m), X, one=lambda x: _g_jacobian(f, x, h))),
+        (sl_s, sl_s, f.A_s.rows(X)),
+        (sl_u, sl_u, f.A_u.rows(X)),
+        (sl_x, sl_x, _g_jacobians(f, X, h)),
         (sl_s, sl_x, np.einsum("nijk,nj->nik", d_a_s, S)),
         (sl_u, sl_x, np.einsum("nijk,nj->nik", d_a_u, U)),
     )
@@ -388,7 +385,7 @@ def _linear_blocks(f: MapSpec, Z: np.ndarray, h: float) -> tuple:
 def _linear_second(f: MapSpec, S, U, X) -> np.ndarray:
     """D^2 of the linear part (A_s(x) s, A_u(x) u, g(x)) at the rows (S, U, X) as a stack of
     T[i, j, k]: d_x A in the (s, x) and (u, x) pairs, (d_x d_x A) s and (d_x d_x A) u from central
-    differences of ``_a_tensor`` in x, and the second derivatives of g in the x rows.  Each row's
+    differences of ``_a_tensors`` in x, and the second derivatives of g in the x rows.  Each row's
     contraction with s and u rounds as the one-point einsum "ijkl,j->ikl" does."""
     dims = f.dims
     a, b = dims.n_s, dims.n_s + dims.n_u  # the u block is a:b, the x block b:
@@ -401,7 +398,7 @@ def _linear_second(f: MapSpec, S, U, X) -> np.ndarray:
         t[:, rows, rows, b:] = d_a
         t[:, rows, b:, rows] = d_a.transpose(0, 1, 3, 2)
         t[:, rows, b:, b:] = np.einsum("nijkl,nj->nikl", dd_a, V)
-    t[:, b:, b:, b:] = _rows(f.d2_g, (dims.m,) * 3, X, one=lambda x: _g_second_tensor(f, x))
+    t[:, b:, b:, b:] = _g_seconds(f, X)
     return t
 
 
@@ -555,18 +552,18 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
         viol_c = _max_keep_nan(viol_c, sup(r_s[:, 2]))
         viol_d = _max_keep_nan(viol_d, sup(r_x[:, 1], r_x[:, 2]))
 
-    viol_e = 0.0
-    for i in range(sample_count):
-        x_i = x_samp[i]
-        viol_e = _max_keep_nan(viol_e, mat_row_sup_norm(f.A_s(x_i)) - f.lam)
-        a_u = np.asarray(f.A_u(x_i), dtype=float)
-        try:
-            inv = np.linalg.inv(a_u)
-        except np.linalg.LinAlgError:
-            viol_e = math.inf
-            continue
-        viol_e = _max_keep_nan(viol_e, mat_row_sup_norm(inv) - f.lam)
-    viol_e = _max_keep_nan(viol_e, 0.0)
+    # condition e) on one stack of all samples; a singular A_u(x) reads an infinite violation
+    A_s, A_u = _in_row_order(lambda rows: (f.A_s.rows(x_samp[rows]), f.A_u.rows(x_samp[rows])), sample_count)
+    try:
+        inv = np.linalg.inv(A_u)
+    except np.linalg.LinAlgError:
+        inv = np.full(A_u.shape, math.inf)
+        for i, a_u in enumerate(A_u):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(a_u)
+    # the induced norm is a max over matrix rows: the rows of all samples at once give the sup
+    norms = (mat_row_sup_norm(A.reshape(-1, A.shape[-1])) for A in (A_s, inv))
+    viol_e = _max_keep_nan(0.0, *(norm - f.lam for norm in norms))
 
     # First-order consequences, on the slice rows of the first samples: the r-blocks of the other
     # normal direction and of x must not move with the slice's own direction or with x
@@ -721,18 +718,6 @@ def _bound_grid(f: MapSpec, density: int, margin: float) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _second_tensor(f: MapSpec, s, u, x) -> np.ndarray:
-    if f.d2_r is not None:
-        return np.asarray(f.d2_r(s, u, x), dtype=float)
-    return _fd_second(_r_flat(f), f.dims.join(s, u, x), FD_STEP_SECOND)
-
-
-def _g_second_tensor(f: MapSpec, x) -> np.ndarray:
-    if f.d2_g is not None:
-        return np.asarray(f.d2_g(x), dtype=float)
-    return _fd_second(_g_flat(f), x, FD_STEP_SECOND)
-
-
 def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2) -> BoundSet:
     """Sample the constant budget on a regular grid and derive the slab.
 
@@ -745,9 +730,9 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
 
     The grid is read in stacks of at most ``BOUND_ROWS`` rows: one
     evaluation per stack gives the derivatives of r at all its rows, then
-    the per-x C~ and D terms run once per new x.  A stack that raises is
-    read again row by row, so the error is the first grid row's, as a
-    per-row pass raises it.  k, C and ``c_excluded`` are one
+    D^2 g and d_x A_s are read once, stacked over its x values not seen
+    before.  A stack that raises is read again row by row, so the error is
+    the first grid row's, as a per-row pass raises it.  k, C and ``c_excluded`` are one
     ``tensor_row_sup_norm`` per block over each stack.  Each |.|-sum still runs
     along one output row's flattened block, and the max is exact and keeps
     a NaN from any row, so the constants have the bits of a per-row pass.
@@ -782,26 +767,23 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
     evaluate = _evaluator(f, "d_r", "d2_r")
 
     def read(chunk: np.ndarray) -> tuple:
-        """The rows' Jacobians and second derivatives of r, then C~ and D terms at each x of the
-        rows not yet seen, as (key, term, term) in row order."""
+        """The rows' Jacobians and second derivatives of r, the keys of their x values, and D^2 g and
+        d_x A_s stacked over the x values not yet seen (none when there are none)."""
         point = evaluate(*_columns(dims, chunk))
         jac, t2 = point.jacobian(), point.second()
-        x_terms, keys = [], set(seen_x)
-        for x_i in chunk[:, sl_x]:
-            x_key = x_i.tobytes()
-            if x_key not in keys:
-                keys.add(x_key)
-                g2 = tensor_row_sup_norm(_g_second_tensor(f, x_i))
-                x_terms.append((x_key, g2, tensor_row_sup_norm(_a_tensor(f, "s", x_i, FD_STEP_FIRST))))
-        return jac, t2, x_terms
+        first = {}
+        for i, x_i in enumerate(chunk[:, sl_x]):
+            first.setdefault(x_i.tobytes(), i)
+        X = chunk[[i for key, i in first.items() if key not in seen_x], sl_x]
+        return jac, t2, first, (_g_seconds(f, X), _a_tensors(f, "s", X, FD_STEP_FIRST)) if len(X) else ()
 
     for start in range(0, len(grid), size):
         chunk = grid[start : start + size]
-        jac, t2, x_terms = _in_row_order(lambda rows: read(chunk[rows]), len(chunk))
-        for x_key, g2, d_a in x_terms:
-            seen_x.add(x_key)
-            c_tilde = _max_keep_nan(c_tilde, g2)
-            d_bound = _max_keep_nan(d_bound, d_a)
+        jac, t2, keys, x_terms = _in_row_order(lambda rows: read(chunk[rows]), len(chunk))
+        seen_x.update(keys)
+        if x_terms:
+            c_tilde = _max_keep_nan(c_tilde, row_sup(x_terms[0]))
+            d_bound = _max_keep_nan(d_bound, row_sup(x_terms[1]))
         k = _max_keep_nan(k, row_sup(jac))
         c_listed = _max_keep_nan(c_listed, *(row_sup(t2, *index) for index in listed))
         c_excluded = _max_keep_nan(c_excluded, *(row_sup(t2, *index) for index in excluded))

@@ -10,11 +10,13 @@ flattens them onto {s = 0} and {u = 0}.  Phi is inverted by fixed-point
 iteration (its derivative is the identity on the manifold, so the iteration
 contracts on a sub-ball), and a map can be conjugated through Phi to produce
 a new map spec with straightened invariant sets.  One array core on stacks
-of rows, ``_phi``, ``_inverse``, ``_dphi`` and ``_d2phi``, does the work: the
-graphs run once per row and per sweep or probe, everything around them once
-per stack.  The public functions wrap it for ``ChartPoint``s as one-row
-stacks, the conjugated map evaluates whole stacks, and the radius bisection
-solves one probe at a time.  The conjugated map carries derivatives: its
+of rows, ``_phi``, ``_inverse``, ``_dphi`` and ``_d2phi``, does the work: it
+reads the graphs in the library's one stacked contract, so a plain graph,
+wrapped once when its ``GraphPair`` is built, runs once per row and per
+sweep or probe, and everything around the graphs once per stack.  The
+public functions wrap the core for ``ChartPoint``s as one-row stacks, the
+conjugated map evaluates whole stacks, and the radius bisection solves one
+probe at a time.  The conjugated map carries derivatives: its
 Jacobian is the chain rule through DPhi (the identity minus central
 differences of the closed-form graphs), and its second derivatives are the
 second-order chain rule through D^2 Phi (minus central second differences
@@ -47,10 +49,10 @@ from .normalform import (
     _linear_blocks,
     _linear_part,
     _linear_second,
-    _rows,
     _scale_manifold,
+    _stacked,
+    _Stacked,
     _unit_samples,
-    _View,
 )
 
 
@@ -68,46 +70,52 @@ class GraphPair:
 
     Both graphs must vanish at the zero section together with their first
     derivatives; ``tangency_violation`` measures how badly a candidate pair
-    fails that.
+    fails that.  Construction wraps each plain graph once in the per-row
+    adapter of ``normalform._stacked``, its width read off its values, so a
+    graph runs once per row.
     """
 
     G_s: Callable[[np.ndarray, np.ndarray], np.ndarray]
     G_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        object.__setattr__(self, "G_s", _stacked(self.G_s))
+        object.__setattr__(self, "G_u", _stacked(self.G_u))
+
     @classmethod
     def zero(cls, n_s: int, n_u: int) -> "GraphPair":
-        return cls(G_s=lambda s, x: np.zeros(n_u), G_u=lambda u, x: np.zeros(n_s))
+        return cls(G_s=_Stacked(lambda S, X: np.zeros((len(S), n_u))),
+                   G_u=_Stacked(lambda U, X: np.zeros((len(U), n_s))))
 
 
 def _phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> tuple:
     """The (s, u) blocks of Phi at the rows (S, U, X), as two new stacks; x is left as it is."""
-    return S - _rows(gp.G_u, (S.shape[1],), U, X), U - _rows(gp.G_s, (U.shape[1],), S, X)
+    return S - gp.G_u.rows(U, X), U - gp.G_s.rows(S, X)
 
 
 def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol: float, max_iter: int) -> tuple:
     """The (s, u) blocks of Phi^{-1} at the rows (Q_s, Q_u, X), as two new stacks, by the sweeps of
-    ``straighten_inverse``.  Each row sweeps until its own residual test passes and then leaves the
-    stack, so it takes the sweeps and has the bits of a one-row stack.  The residual's two blocks
-    are tested as one reduction, so a NaN in either never converges; when a row has not converged
-    after ``max_iter`` sweeps, the error names the first such row."""
+    ``straighten_inverse``: G_u over the live rows, then G_s.  Each row sweeps until its own residual
+    test passes and then leaves the stack, so it takes the sweeps and has the bits of a one-row
+    stack.  The residual's two blocks are tested as one reduction, so a NaN in either never
+    converges; when a row has not converged after ``max_iter`` sweeps, the error names the first
+    such row.  A one-row stack sweeps on Python floats (``_inverse_row``)."""
+    if len(Q_s) == 1:
+        return _inverse_row(gp, Q_s, Q_u, X, tol, max_iter)
     a = Q_s.shape[1]
     out = np.empty((len(Q_s), a + Q_u.shape[1]))
     live = np.arange(len(Q_s))
     q, x = np.concatenate((Q_s, Q_u), axis=1), X  # the rows still sweeping, (s, u) joined
 
-    def graphs(z: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """(G_u(u, x), G_s(s, x)) at the rows z = (s, u) joined, the update of s and then that of u,
-        written into g."""
-        for i in range(len(z)):
-            row, x_i = z[i], x[i]
-            g[i, :a] = gp.G_u(row[a:], x_i)
-            g[i, a:] = gp.G_s(row[:a], x_i)
-        return g
+    def graphs(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(G_u(u, x), G_s(s, x)) at the rows z = (s, u) joined, the update of s and then that of u."""
+        return np.concatenate((gp.G_u.rows(z[:, a:], x), gp.G_s.rows(z[:, :a], x)), axis=1)
 
-    g = graphs(q, x, np.empty(q.shape))  # the graph values of one sweep's residual are the next sweep's update
+    g = graphs(q, x)  # the graph values of one sweep's residual are the next sweep's update
     for _ in range(max_iter):
         z = q + g
-        residual = z - graphs(z, x, g)
+        g = graphs(z, x)
+        residual = z - g
         residual -= q
         done = np.maximum.reduce(np.abs(residual, out=residual), axis=1) <= tol
         finished = np.count_nonzero(done)
@@ -119,11 +127,38 @@ def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol
             keep = ~done
             live, q, x, g = live[keep], q[keep], x[keep], g[keep]
     if live.size:
-        raise DivergenceError(
-            f"straightening inverse did not reach tol={tol} in {max_iter} iterations "
-            f"at |s|={np.abs(q[0, :a]).max():.3g}, |u|={np.abs(q[0, a:]).max():.3g}"
-        )
+        raise _diverged(q[:1, :a], q[:1, a:], tol, max_iter)
     return out[:, :a], out[:, a:]
+
+
+def _inverse_row(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """``_inverse`` of a one-row stack, as the radius bisection and a one-point read solve it: the
+    same graph reads, additions, subtractions and residual test on Python floats, which round as
+    numpy's do, so the row takes the same sweeps and has the same bits, without numpy's cost per
+    call on a row this short."""
+    a, n = Q_s.shape[1], Q_s.shape[1] + Q_u.shape[1]
+
+    def graphs(z_s: np.ndarray, z_u: np.ndarray) -> list:
+        g = gp.G_u.rows(z_u, X)[0].tolist() + gp.G_s.rows(z_s, X)[0].tolist()
+        if len(g) != n:  # as adding them to the iterate would refuse them
+            raise ValueError(f"{len(g)} graph values do not fit an iterate of {n} coordinates")
+        return g
+
+    q = [*Q_s[0].tolist(), *Q_u[0].tolist()]
+    g = graphs(Q_s, Q_u)
+    for _ in range(max_iter):
+        z = [q_i + g_i for q_i, g_i in zip(q, g)]
+        g = graphs(np.array([z[:a]]), np.array([z[a:]]))
+        if all(abs(z_i - g_i - q_i) <= tol for z_i, g_i, q_i in zip(z, g, q)):  # a NaN never passes
+            return np.array([z[:a]]), np.array([z[a:]])
+    raise _diverged(Q_s, Q_u, tol, max_iter)
+
+
+def _diverged(Q_s: np.ndarray, Q_u: np.ndarray, tol: float, max_iter: int) -> DivergenceError:
+    return DivergenceError(
+        f"straightening inverse did not reach tol={tol} in {max_iter} iterations "
+        f"at |s|={np.abs(Q_s[0]).max():.3g}, |u|={np.abs(Q_u[0]).max():.3g}"
+    )
 
 
 def straighten_point(gp: GraphPair, p: ChartPoint) -> ChartPoint:
@@ -151,8 +186,8 @@ def _graph_derivatives(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarra
     """Central differences of the closed-form graphs at the rows (S, U, X), each an (N, out, in)
     stack: d_s G_s, d_u G_u, d_x G_s and d_x G_u."""
     a, b = S.shape[1], U.shape[1]
-    d_gs = _fd_first_rows(lambda V: _rows(gp.G_s, (b,), V[:, :a], V[:, a:]), np.concatenate((S, X), axis=1), h)
-    d_gu = _fd_first_rows(lambda V: _rows(gp.G_u, (a,), V[:, :b], V[:, b:]), np.concatenate((U, X), axis=1), h)
+    d_gs = _fd_first_rows(lambda V: gp.G_s.rows(V[:, :a], V[:, a:]), np.concatenate((S, X), axis=1), h)
+    d_gu = _fd_first_rows(lambda V: gp.G_u.rows(V[:, :b], V[:, b:]), np.concatenate((U, X), axis=1), h)
     return d_gs[..., :a], d_gu[..., :b], d_gs[..., a:], d_gu[..., b:]
 
 
@@ -176,10 +211,10 @@ def _d2phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> np.nda
     a, b = S.shape[1], S.shape[1] + U.shape[1]  # the u block is a:b, the x block b:
     n = b + X.shape[1]
     d = np.zeros((len(S), n, n, n))
-    d[:, :a, a:, a:] = -_fd_second_rows(lambda V: _rows(gp.G_u, (a,), V[:, : b - a], V[:, b - a :]),
+    d[:, :a, a:, a:] = -_fd_second_rows(lambda V: gp.G_u.rows(V[:, : b - a], V[:, b - a :]),
                                         np.concatenate((U, X), axis=1), FD_STEP_SECOND)
     sx = np.r_[:a, b:n]
-    d[:, a:b, sx[:, None], sx] = -_fd_second_rows(lambda V: _rows(gp.G_s, (b - a,), V[:, :a], V[:, a:]),
+    d[:, a:b, sx[:, None], sx] = -_fd_second_rows(lambda V: gp.G_s.rows(V[:, :a], V[:, a:]),
                                                   np.concatenate((S, X), axis=1), FD_STEP_SECOND)
     return d
 
@@ -207,8 +242,8 @@ def tangency_violation(gp: GraphPair, f: MapSpec) -> float:
     X = _scale_manifold(_unit_samples(dims.m, 16, 0), f.x_ranges())
     S, U = np.zeros((len(X), dims.n_s)), np.zeros((len(X), dims.n_u))
     values = (
-        _rows(gp.G_s, (dims.n_u,), S, X),
-        _rows(gp.G_u, (dims.n_s,), U, X),
+        gp.G_s.rows(S, X),
+        gp.G_u.rows(U, X),
         *_graph_derivatives(gp, S, U, X, FD_STEP_FIRST),
     )
     return _max_keep_nan(0.0, *(vec_sup_norm(v) for v in values))
@@ -257,7 +292,7 @@ def conjugated_radius(f: MapSpec, gp: GraphPair) -> float:
 def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: bool) -> MapSpec:
     """Phi o f o Phi^{-1} (forward) or Phi^{-1} o f o Phi as a new map spec.
 
-    Only the remainder and its derivatives change, and all three are views of
+    Only the remainder and its derivatives change, and all three read parts of
     one evaluation per stack of rows, which runs the first map, f and the
     last map once over the stack (the graphs once per row and sweep) and
     keeps what the derivatives need; a one-point read is a one-row stack.
@@ -358,9 +393,9 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
     return dataclasses.replace(
         f,
         rho=conjugated_radius(f, gp) if radius is None else float(radius),
-        r_map=_View(Points, "r"),
-        d_r=_View(Points, "jacobian"),
-        d2_r=_View(Points, "second"),
+        r_map=_Stacked(lambda S, U, X: Points(S, U, X).r, Points),
+        d_r=_Stacked(lambda S, U, X: Points(S, U, X).jacobian(), Points),
+        d2_r=_Stacked(lambda S, U, X: Points(S, U, X).second(), Points),
         name=f"{f.name}_{'straightened' if forward else 'unstraightened'}",
     )
 
@@ -369,9 +404,9 @@ def conjugate_map(f: MapSpec, gp: GraphPair, radius: Optional[float] = None) -> 
     """Wrap Phi o f o Phi^{-1} as a new map spec on a possibly smaller ball.
 
     The linear data (normal blocks, base map) is unchanged; only the
-    remainder differs.  It is evaluated pointwise, and its Jacobian is the
-    chain rule through DPhi and f's own Jacobian rather than a finite
-    difference across the inverse.  The new ball radius is found by bisection
+    remainder differs.  It is evaluated on whole stacks of rows, and its
+    Jacobian is the chain rule through DPhi and f's own Jacobian rather than
+    a finite difference across the inverse.  The new ball radius is found by bisection
     on corner samples unless the caller supplies one.
     """
     return _conjugated(f, gp, radius, forward=True)

@@ -17,6 +17,7 @@ from nhimlab import (
     ChartTopology,
     ContractError,
     Dimensions,
+    DiskSpec,
     GraphPair,
     MapSpec,
     conjugate_map,
@@ -26,6 +27,8 @@ from nhimlab import (
     make_linear,
     make_poly,
     make_twist_annulus,
+    seed_mesh,
+    unstraighten_map,
     validate_conditions,
 )
 from nhimlab import _fd, normalform
@@ -34,14 +37,10 @@ from nhimlab.normalform import (
     FD_STEP_FIRST,
     FD_STEP_SECOND,
     BoundSet,
-    _a_tensor,
     _bound_grid,
-    _g_jacobian,
-    _g_second_tensor,
     _image,
     _jacobians,
-    _r_jacobian,
-    _second_tensor,
+    _r_flat,
     _Stacked,
 )
 from nhimlab.tangentflow import _step
@@ -90,6 +89,42 @@ def spec_222():
         x_box=((0.0, 2.0 * np.pi), (-0.5, 0.5)),
         name="spec_222",
     )
+
+
+def _r_jacobian(f, s, u, x, h):
+    """The one-point Jacobian of r as it ran per row: d_r, else differences of r_map."""
+    if f.d_r is not None:
+        return np.asarray(f.d_r(s, u, x), dtype=float)
+    return normalform._r_jacobian(f, s, u, x, h)
+
+
+def _g_jacobian(f, x, h):
+    if f.d_g is not None:
+        return np.asarray(f.d_g(x), dtype=float)
+    return _fd._fd_first(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, h)
+
+
+def _a_tensor(f, which, x, h):
+    """d A / d x as an (n, n, m) tensor, analytic when available."""
+    fun = f.A_s if which == "s" else f.A_u
+    der = f.d_A_s if which == "s" else f.d_A_u
+    if der is not None:
+        return np.asarray(der(x), dtype=float)
+    size = f.dims.n_s if which == "s" else f.dims.n_u
+    cols = _fd._fd_first(lambda z: np.asarray(fun(z), dtype=float).reshape(-1), x, h)
+    return cols.reshape(size, size, -1)
+
+
+def _second_tensor(f, s, u, x):
+    if f.d2_r is not None:
+        return np.asarray(f.d2_r(s, u, x), dtype=float)
+    return _fd._fd_second(_r_flat(f), f.dims.join(s, u, x), FD_STEP_SECOND)
+
+
+def _g_second_tensor(f, x):
+    if f.d2_g is not None:
+        return np.asarray(f.d2_g(x), dtype=float)
+    return _fd._fd_second(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, FD_STEP_SECOND)
 
 
 def jacobian_by_rows(f, z, h):
@@ -304,7 +339,7 @@ def spec_222_stacked():
         )
 
     stacked = dict(A_s=A_s, d_A_s=d_A_s, A_u=A_u, g_map=g_map, r_map=r_map)
-    return dataclasses.replace(f, **{name: _Stacked(getattr(f, name), rows) for name, rows in stacked.items()})
+    return dataclasses.replace(f, **{name: _Stacked(rows) for name, rows in stacked.items()})
 
 
 def r_map_replaced(make):
@@ -345,21 +380,26 @@ BUILT_IN = ("linear", "poly", "twist", "defective_d")
 
 @pytest.mark.parametrize("name", BUILT_IN + ("spec_222",))
 def test_each_stacked_form_is_its_one_point_callable_row_by_row(name):
+    # every callable is stacked once a map is built; a one-point call is a one-row read of the same
+    # stack, and spec_222's stacked forms are also compared with its plain one-point callables
     f = STEP_MAPS[name]()
     S, U, X = np.split(step_rows(f, restricted=False)[0], [f.dims.n_s, f.dims.n_s + f.dims.n_u], axis=1)
-    stacked = [attr for attr in CALLABLES if isinstance(getattr(f, attr), _Stacked)]
-    if name in BUILT_IN:  # every callable a mesh step reads, and d2_r for the bound grid; not d2_g
-        assert stacked == ["A_s", "A_u", "g_map", "r_map", "d_r", "d2_r", "d_A_s", "d_A_u", "d_g"]
+    stacked = [attr for attr in CALLABLES if getattr(f, attr) is not None]
+    assert all(isinstance(getattr(f, attr), _Stacked) for attr in stacked)
+    if name in BUILT_IN:
+        assert stacked == list(CALLABLES)
+    plain = spec_222() if name == "spec_222" else f
     for attr in stacked:
         fn = getattr(f, attr)
         args = (S, U, X) if attr in ("r_map", "d_r", "d2_r") else (X,)
         rows = fn.rows(*args)
         for i, row in enumerate(zip(*args)):
-            if attr == "r_map":
-                for block, part in zip(rows, fn(*row)):
-                    assert np.array_equal(block[i], np.reshape(part, -1))
-            else:
-                assert np.array_equal(rows[i], fn(*row))
+            for one in {fn, getattr(plain, attr)}:
+                if attr == "r_map":
+                    for block, part in zip(rows, one(*row)):
+                        assert np.array_equal(block[i], np.reshape(part, -1))
+                else:
+                    assert np.array_equal(rows[i], one(*row))
 
 
 @pytest.mark.parametrize("restricted", [False, True])
@@ -392,23 +432,17 @@ def test_stacked_jacobians_match_the_per_row_assembly(make):
 
 
 def counted(f, calls):
-    """f with each stacked callable counting its one-point calls under its name and its stacked
-    calls under ``name.rows`` in ``calls``."""
+    """f with each callable counting its stacked reads under ``name.rows`` in ``calls``; a one-point
+    read is a one-row stacked read."""
 
     def wrap(name, fn):
-        def one(*args):
-            calls[name] += 1
-            return fn.one(*args)
-
         def rows(*args):
             calls[name + ".rows"] += 1
             return fn.rows(*args)
 
-        return _Stacked(one, rows)
+        return _Stacked(rows)
 
-    return dataclasses.replace(
-        f, **{name: wrap(name, fn) for name in CALLABLES if isinstance(fn := getattr(f, name), _Stacked)}
-    )
+    return dataclasses.replace(f, **{name: wrap(name, fn) for name in CALLABLES if (fn := getattr(f, name)) is not None})
 
 
 @pytest.mark.parametrize("rows", [1, 7, 60])
@@ -418,7 +452,7 @@ def test_a_poly_mesh_step_calls_each_stacked_form_once_whatever_its_rows(rows):
     Z, F = step_rows(f, restricted=False)
     _step(f, Z[:rows], F[:rows], require_unstable=True, restricted=False)
     # A_s and A_u once for the images and once for the Jacobians of the rows still in the ball;
-    # d2_r and d2_g are not read by a step and have no stacked form
+    # d2_r and d2_g are not read by a step
     assert calls == {
         "r_map.rows": 1, "g_map.rows": 1, "A_s.rows": 2, "A_u.rows": 2,
         "d_r.rows": 1, "d_A_s.rows": 1, "d_A_u.rows": 1, "d_g.rows": 1,
@@ -432,8 +466,9 @@ def test_a_poly_bound_grid_calls_each_derivative_once_per_stack(monkeypatch, row
     calls = collections.Counter()
     f = counted(make_poly(0.05), calls)
     assert repr(estimate_bounds(f, grid_density=3).to_dict()) == repr(bounds_by_rows(make_poly(0.05), 3).to_dict())
-    # the 48 grid rows: d_r and d2_r once per stack, d_A_s once at each of the 3 values of x
-    assert calls == {"d_r.rows": stacks, "d2_r.rows": stacks, "d_A_s": 3}
+    # the 48 grid rows: d_r and d2_r once per stack; d2_g and d_A_s once, on the stack of the 3 values
+    # of x, which the first stack holds
+    assert calls == {"d_r.rows": stacks, "d2_r.rows": stacks, "d2_g.rows": 1, "d_A_s.rows": 1}
 
 
 def test_poly_validation_reads_two_stacks_of_samples():
@@ -442,8 +477,8 @@ def test_poly_validation_reads_two_stacks_of_samples():
     report = validate_conditions(f, sample_count=40).to_dict()
     assert report == validate_conditions(as_plain(make_poly(0.05)), sample_count=40).to_dict()
     # the zero section and both slices of the first 32 samples, then of the other 8; the slice rows of
-    # the first stack give the derivative checks; condition e) stays per sample
-    assert calls == {"r_map.rows": 2, "d_r.rows": 1, "A_s": 40, "A_u": 40}
+    # the first stack give the derivative checks; condition e) reads one stack of all 40 samples
+    assert calls == {"r_map.rows": 2, "d_r.rows": 1, "A_s.rows": 1, "A_u.rows": 1}
 
 
 def fd_second_by_point(func, z, h):
@@ -487,3 +522,162 @@ def test_stacked_differences_are_the_one_point_ones_row_by_row():
                 assert np.array_equal(d1, _fd._fd_first(func, z, h))
                 assert np.array_equal(d2, fd_second_by_point(func, z, h))
                 assert np.array_equal(d2, _fd._fd_second(func, z, h))
+
+
+def condition_e_by_samples(f, sample_count):
+    """Condition e) as it ran one sample at a time: a singular A_u(x) set the violation to inf."""
+    dims = f.dims
+    t = normalform._unit_samples(dims.n, sample_count, 0)
+    viol_e = 0.0
+    for x_i in normalform._scale_manifold(t[:, dims.n_s + dims.n_u :], f.x_ranges()):
+        viol_e = _max_keep_nan(viol_e, mat_row_sup_norm(f.A_s(x_i)) - f.lam)
+        a_u = np.asarray(f.A_u(x_i), dtype=float)
+        try:
+            inv = np.linalg.inv(a_u)
+        except np.linalg.LinAlgError:
+            viol_e = math.inf
+            continue
+        viol_e = _max_keep_nan(viol_e, mat_row_sup_norm(inv) - f.lam)
+    return _max_keep_nan(viol_e, 0.0)
+
+
+def singular_where(f, x_lo):
+    """f whose A_u(x) loses its second row at the samples with x[1] > x_lo."""
+    return dataclasses.replace(f, A_u=lambda x: f.A_u(x) * np.array([[1.0], [0.0 if x[1] > x_lo else 1.0]]))
+
+
+def nan_where(f, name, x_lo):
+    """f whose A_s or A_u has a NaN entry at the samples with x[1] > x_lo."""
+    fn = getattr(f, name)
+    return dataclasses.replace(f, **{name: lambda x: fn(x) + np.array([[0.0, math.nan if x[1] > x_lo else 0.0], [0.0, 0.0]])})
+
+
+@pytest.mark.parametrize("make", [
+    spec_222,
+    lambda: dataclasses.replace(spec_222(), lam=0.3),  # ||A_s|| above lambda
+    lambda: singular_where(spec_222(), 0.3),
+    lambda: singular_where(spec_222(), -0.6),  # at every sample
+    lambda: nan_where(spec_222(), "A_s", 0.3),
+    lambda: nan_where(spec_222(), "A_u", 0.3),
+])
+def test_condition_e_on_one_stack_reads_as_the_per_sample_loop(make):
+    f = make()
+    for count in (1, 40, 300):
+        got = validate_conditions(f, sample_count=count).check("e").max_violation
+        assert repr(got) == repr(condition_e_by_samples(f, count))
+
+
+def test_condition_e_keeps_a_nan_next_to_a_singular_sample():
+    # the per-sample loop let a singular sample overwrite a NaN read before it; a NaN anywhere is kept
+    f = nan_where(singular_where(spec_222(), 0.3), "A_s", 0.3)
+    assert condition_e_by_samples(f, 40) == math.inf
+    assert math.isnan(validate_conditions(f, sample_count=40).check("e").max_violation)
+    assert validate_conditions(singular_where(spec_222(), 0.3), sample_count=40).check("e").max_violation == math.inf
+
+
+def counting_rows(fn, seen):
+    """A stacked callable that reads ``fn``'s stacked form and adds the rows of each read to ``seen``."""
+    return _Stacked(lambda *args: seen.append(len(args[0])) or fn.rows(*args))
+
+
+def counting_calls(fn, calls):
+    """A plain function that counts its calls in ``calls`` and calls ``fn``, as a tracer's counter does."""
+    return lambda *args: calls.append(1) or fn(*args)
+
+
+def square_pair():
+    return GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2), G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
+
+
+def ac8(gp):
+    return conjugate_map(unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp), gp, radius=0.15)
+
+
+def solve(f, Z, F):
+    """What a counting wrapper must leave as it is: a step, validation and the bound grid."""
+    return (*_step(f, Z, F, True, False), validate_conditions(f, 40, tol=1e-8).to_dict(),
+            repr(estimate_bounds(f, grid_density=2).to_dict()))
+
+
+def same(a, b):
+    return all(np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
+
+
+def test_plain_counting_callables_are_read_once_per_row_with_the_same_bits():
+    rng = np.random.default_rng(47)
+    Z = np.column_stack([rng.uniform(-0.12, 0.12, (20, 2)), rng.uniform(0.0, 2.0 * np.pi, 20)])
+    F = np.tile([[0.1, 1.0, 0.0], [0.0, 1.0, 0.2]], (len(Z), 1, 1))
+    # a built-in's remainder behind a plain counter, as a tracer counts it, against its stacked form
+    # counting the rows it reads: one call per row of every read
+    f, calls, seen = make_poly(0.05, rho=0.3), [], []
+    got = solve(dataclasses.replace(f, r_map=counting_calls(f.r_map, calls)), Z, F)
+    assert same(got, solve(dataclasses.replace(f, r_map=counting_rows(f.r_map, seen)), Z, F)) and same(got, solve(f, Z, F))
+    assert len(calls) == sum(seen) == len(Z) + 3 * 40  # the step's images and validation's three rows per sample
+    # the graphs of the AC8 round trip behind plain counters
+    gp, calls, seen = square_pair(), [], []
+    plain = ac8(dataclasses.replace(gp, G_s=counting_calls(gp.G_s, calls), G_u=counting_calls(gp.G_u, calls)))
+    stacked = ac8(GraphPair(G_s=counting_rows(gp.G_s, seen), G_u=counting_rows(gp.G_u, seen)))
+    assert len(calls) == sum(seen) > 0  # the radius bisection of the inner map
+    calls.clear()
+    seen.clear()
+    got = solve(plain, Z, F)
+    assert same(got, solve(stacked, Z, F)) and same(got, solve(ac8(gp), Z, F))
+    assert len(calls) == sum(seen) > 0
+
+
+def test_wrapping_is_idempotent():
+    f, calls = make_poly(0.05), []
+    counted_f = dataclasses.replace(f, r_map=counting_calls(f.r_map, calls))
+    again = dataclasses.replace(counted_f)
+    assert all(getattr(again, name) is getattr(counted_f, name) for name in CALLABLES)
+    assert dataclasses.replace(f, A_s=f.A_s).A_s is f.A_s  # a stacked form is taken as it is
+    Z, F = step_rows(f, restricted=False)
+    _step(counted_f, Z, F, True, False)
+    once = len(calls)
+    _step(again, Z, F, True, False)
+    assert once == len(Z) and len(calls) == 2 * once
+    gp = square_pair()
+    assert dataclasses.replace(gp).G_s is gp.G_s and GraphPair(gp.G_s, gp.G_u).G_u is gp.G_u
+    disk = DiskSpec(sigma=lambda u, x: np.atleast_1d(0.1), u_box=((-0.01, 0.01),), x_box=((0.0, 1.0),),
+                    mesh_per_axis=3)
+    assert dataclasses.replace(disk, mesh_per_axis=4).sigma is disk.sigma and disk.dsigma is None
+
+
+def counting_disk(u_half, mesh, seen, sigma, dsigma):
+    def record(fn, name):
+        def call(u, x):
+            seen.append((name, tuple(u), tuple(x)))
+            return fn(u, x)
+        return call
+
+    return DiskSpec(sigma=record(sigma, "sigma"), u_box=((-u_half, u_half),), x_box=((0.0, 2.0 * np.pi),),
+                    mesh_per_axis=mesh, dsigma=dsigma and record(dsigma, "dsigma"))
+
+
+def test_seed_mesh_reads_sigma_once_per_node_in_row_order():
+    f, seen = make_poly(0.05), []
+    disk = counting_disk(2e-3, 4, seen, lambda u, x: np.atleast_1d(0.2 + u[0]),
+                         lambda u, x: (np.ones((1, 1)), np.zeros((1, 1))))
+    mesh = seed_mesh(disk, f)
+    assert seen == [("sigma", *tag) for tag in mesh.tags] + [("dsigma", *tag) for tag in mesh.tags]
+    # without dsigma the partials are central differences in (u, x): each node's value, then its probes
+    seen.clear()
+    mesh_fd = seed_mesh(counting_disk(2e-3, 4, seen, lambda u, x: np.atleast_1d(0.2 + u[0]), None), f)
+    assert [call[1:] for call in seen[: len(mesh_fd.tags)]] == list(mesh_fd.tags)
+    assert len(seen) == 5 * len(mesh_fd.tags)
+    assert np.array_equal(mesh_fd.points, mesh.points)
+
+
+def test_seed_mesh_raises_what_the_first_failing_node_raises():
+    # node 0 (u at its lower end, x = 0) has non-finite partials; the nodes at x > 3 leave the ball,
+    # which a stack of all nodes finds first, but a loop over the nodes meets node 0 first
+    f = make_poly(0.05)
+    disk = DiskSpec(sigma=lambda u, x: np.atleast_1d(0.9 if x[0] > 3.0 else 0.2), u_box=((-2e-3, 2e-3),),
+                    x_box=((0.0, 2.0 * np.pi),), mesh_per_axis=4,
+                    dsigma=lambda u, x: (np.full((1, 1), math.nan if x[0] == 0.0 else 0.0), np.zeros((1, 1))))
+    with pytest.raises(ContractError) as info:
+        seed_mesh(disk, f)
+    assert not isinstance(info.value, normalform.OutOfNeighborhoodError)
+    assert str(info.value) == f"sigma partials are not finite at u={np.array([-2e-3])}, x={np.array([0.0])}"
+    with pytest.raises(normalform.OutOfNeighborhoodError):
+        seed_mesh(dataclasses.replace(disk, dsigma=lambda u, x: (np.zeros((1, 1)), np.zeros((1, 1)))), f)

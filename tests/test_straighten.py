@@ -29,13 +29,12 @@ from nhimlab import (
     verify_bound_domination,
 )
 from nhimlab import straighten
+from nhimlab._fd import _fd_first, _fd_second
 from nhimlab.geometry import tensor_row_sup_norm
 from nhimlab.normalform import (
     FD_STEP_FIRST,
     FD_STEP_SECOND,
     _bound_grid,
-    _fd_first,
-    _fd_second,
     _in_ball,
     _r_flat,
     _r_jacobian,
