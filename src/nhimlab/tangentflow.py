@@ -3,9 +3,9 @@
 A jet is a base point plus a frame of tangent vectors pushed forward by the
 block Jacobian.  One private array step advances many jets at once (a mesh
 calls it once per iterate over its alive nodes, a lone jet is its one-row
-case).  Each of the map's callables is read once per step, on all rows at
-once (``normalform._Stacked``): a built-in's stacked form once per stack, a
-user's callable once per row.  Frames
+case).  Every callable of the map is read in the one stacked contract
+(``normalform._Stacked``), once per step over all rows: a plain callable,
+wrapped once when its ``MapSpec`` is built, runs once per row.  Frames
 are renormalized to unit sup norm after every step (inclinations are
 scale-free, and the unstable part would otherwise overflow); the stretch
 factor is recorded before the renormalization.  The closed-form decay
@@ -109,10 +109,10 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
 
     First the images of all rows (``normalform._images``), then the
     Jacobians of the rows still in the ball (``normalform._jacobians``),
-    from the live rows of the images' evaluation.
-    Each callable is read once over the rows (a user's callable runs once
-    per row); when r_map and d_r are parts of one evaluation (a conjugated
-    map), all rows are evaluated as one stack.
+    from the live rows of the images' evaluation.  Each callable is read
+    once over the rows through ``.rows``, so a plain callable, wrapped once
+    at construction, runs once per row; when r_map and d_r are parts of one
+    evaluation (a conjugated map), all rows are evaluated as one stack.
     A stack that raises is read again row by row, so the error is the
     first row's.
     Returns (images, pushed unit-row frames, stretches, escaped mask, image
