@@ -47,10 +47,9 @@ class DiskSpec:
     The box must contain u = 0 in its interior so the disk actually crosses
     the stable set; the mesh is snapped so one node per u-axis sits at 0
     exactly, making the crossing slice part of the sample.  ``dsigma``, when
-    given, returns the pair (d sigma/d u, d sigma/d x) as a tuple.
-    Construction wraps each plain callable once in the per-row adapter of
-    ``normalform._stacked``, its widths read off its values, so each runs
-    once per node.
+    given, returns the pair (d sigma/d u, d sigma/d x).  Construction wraps
+    each plain callable once in the per-row adapter ``normalform._stacked``,
+    its widths read off its values, so each runs once per node.
     """
 
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -64,7 +63,7 @@ class DiskSpec:
         object.__setattr__(self, "u_box", tuple((float(a), float(b)) for a, b in self.u_box))
         object.__setattr__(self, "x_box", tuple((float(a), float(b)) for a, b in self.x_box))
         object.__setattr__(self, "sigma", _stacked(self.sigma))
-        object.__setattr__(self, "dsigma", _stacked(self.dsigma))
+        object.__setattr__(self, "dsigma", _stacked(self.dsigma, None, None))
         for lo, hi in self.u_box:
             if not (lo < 0.0 < hi):
                 raise ContractError(f"u_box must contain 0 in its interior, got [{lo}, {hi}]")

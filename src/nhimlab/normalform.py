@@ -145,16 +145,17 @@ class _Stacked:
 def _stacked(fn, *shapes):
     """``fn`` in the stacked contract: as it is when it already is a ``_Stacked`` (or None), otherwise
     its per-row adapter, whose ``rows`` calls ``fn`` once per row, in row order, and fills one new
-    (N, *shape) stack per block with ``out[i] = block``.  The blocks are those of a tuple value, or
-    the value itself.  Their shapes are ``shapes`` when given, else those of the first row's blocks,
-    at least 1-d, read once and kept; before that, a stack of no rows has one block of width 0."""
+    (N, *shape) stack per block with ``out[i] = block``.  The blocks are the items of the value when
+    ``shapes`` names several, else those of a tuple value, or the value.  A shape given as None, or
+    every shape when none is given, is the first row's block's, at least 1-d, read once and kept;
+    before that, a stack of no rows has blocks of width 0."""
     if fn is None or isinstance(fn, _Stacked):
         return fn
     shapes = list(shapes)
 
     def rows(*args):
         count = len(args[0])
-        if len(shapes) == 1:  # one block of known shape, as most callables are
+        if len(shapes) == 1 and shapes[0] is not None:  # one block of known shape, as most callables are
             out = np.empty((count, *shapes[0]))
             if count == 1:  # a one-point read or a radius probe: indexing one row is cheaper than zip
                 out[0] = fn(*[arg[0] for arg in args])
@@ -162,16 +163,19 @@ def _stacked(fn, *shapes):
             for i, row in enumerate(zip(*args)):
                 out[i] = fn(*row)
             return out
-        out = [np.empty((count, *shape)) for shape in shapes]
+        out = [np.empty((count, *shape)) for shape in shapes] if shapes and None not in shapes else None
         for i, row in enumerate(zip(*args)):
             value = fn(*row)
             blocks = tuple(value) if len(shapes) > 1 or isinstance(value, tuple) else (value,)
-            if not shapes:
-                shapes.extend(np.shape(np.atleast_1d(block)) for block in blocks)
+            if out is None:  # the first value read gives the shapes not yet known
+                shapes[:] = [np.shape(np.atleast_1d(block)) if shape is None else shape
+                             for shape, block in zip(shapes or [None] * len(blocks), blocks, strict=True)]
                 out = [np.empty((count, *shape)) for shape in shapes]
             for stack, block in zip(out, blocks, strict=True):
                 stack[i] = block
-        return tuple(out) if len(out) > 1 else (out or [np.empty((count, 0))])[0]
+        if out is None:  # no rows, and a shape not yet read
+            out = [np.empty((count, *(shape or (0,)))) for shape in shapes or [None]]
+        return tuple(out) if len(out) > 1 else out[0]
 
     return _Stacked(rows)
 

@@ -88,9 +88,15 @@ class GraphPair:
                    G_u=_Stacked(lambda U, X: np.zeros((len(U), n_s))))
 
 
+def _graph(G: Callable, Z: np.ndarray, X: np.ndarray, width: int) -> np.ndarray:
+    """The graph G at the rows (Z, X), an (N, width) stack.  A stack of no rows reads nothing, so it
+    has the width of the block the graph meets even before a plain graph's adapter has read one."""
+    return G.rows(Z, X) if len(Z) else np.empty((0, width))
+
+
 def _phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> tuple:
     """The (s, u) blocks of Phi at the rows (S, U, X), as two new stacks; x is left as it is."""
-    return S - gp.G_u.rows(U, X), U - gp.G_s.rows(S, X)
+    return S - _graph(gp.G_u, U, X, S.shape[1]), U - _graph(gp.G_s, S, X, U.shape[1])
 
 
 def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol: float, max_iter: int) -> tuple:
@@ -109,7 +115,7 @@ def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol
 
     def graphs(z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(G_u(u, x), G_s(s, x)) at the rows z = (s, u) joined, the update of s and then that of u."""
-        return np.concatenate((gp.G_u.rows(z[:, a:], x), gp.G_s.rows(z[:, :a], x)), axis=1)
+        return np.concatenate((_graph(gp.G_u, z[:, a:], x, a), _graph(gp.G_s, z[:, :a], x, Q_u.shape[1])), axis=1)
 
     g = graphs(q, x)  # the graph values of one sweep's residual are the next sweep's update
     for _ in range(max_iter):
@@ -186,8 +192,8 @@ def _graph_derivatives(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarra
     """Central differences of the closed-form graphs at the rows (S, U, X), each an (N, out, in)
     stack: d_s G_s, d_u G_u, d_x G_s and d_x G_u."""
     a, b = S.shape[1], U.shape[1]
-    d_gs = _fd_first_rows(lambda V: gp.G_s.rows(V[:, :a], V[:, a:]), np.concatenate((S, X), axis=1), h)
-    d_gu = _fd_first_rows(lambda V: gp.G_u.rows(V[:, :b], V[:, b:]), np.concatenate((U, X), axis=1), h)
+    d_gs = _fd_first_rows(lambda V: _graph(gp.G_s, V[:, :a], V[:, a:], b), np.concatenate((S, X), axis=1), h)
+    d_gu = _fd_first_rows(lambda V: _graph(gp.G_u, V[:, :b], V[:, b:], a), np.concatenate((U, X), axis=1), h)
     return d_gs[..., :a], d_gu[..., :b], d_gs[..., a:], d_gu[..., b:]
 
 
@@ -211,10 +217,10 @@ def _d2phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> np.nda
     a, b = S.shape[1], S.shape[1] + U.shape[1]  # the u block is a:b, the x block b:
     n = b + X.shape[1]
     d = np.zeros((len(S), n, n, n))
-    d[:, :a, a:, a:] = -_fd_second_rows(lambda V: gp.G_u.rows(V[:, : b - a], V[:, b - a :]),
+    d[:, :a, a:, a:] = -_fd_second_rows(lambda V: _graph(gp.G_u, V[:, : b - a], V[:, b - a :], a),
                                         np.concatenate((U, X), axis=1), FD_STEP_SECOND)
     sx = np.r_[:a, b:n]
-    d[:, a:b, sx[:, None], sx] = -_fd_second_rows(lambda V: gp.G_s.rows(V[:, :a], V[:, a:]),
+    d[:, a:b, sx[:, None], sx] = -_fd_second_rows(lambda V: _graph(gp.G_s, V[:, :a], V[:, a:], b - a),
                                                   np.concatenate((S, X), axis=1), FD_STEP_SECOND)
     return d
 

@@ -378,23 +378,131 @@ def step_rows(f, restricted, count=60):
 BUILT_IN = ("linear", "poly", "twist", "defective_d")
 
 
+def constant_blocks_by_point(lambda_s, lambda_u, m):
+    """The one-point forms of ``models._constant_blocks``, as they were written before the stacks."""
+    return dict(
+        A_s=lambda x: np.array([[lambda_s]]),
+        A_u=lambda x: np.array([[lambda_u]]),
+        d_A_s=lambda x: np.zeros((1, 1, m)),
+        d_A_u=lambda x: np.zeros((1, 1, m)),
+        d_g=lambda x: np.eye(m),
+        d2_g=lambda x: np.zeros((m, m, m)),
+    )
+
+
+def zero_remainder_by_point(n_s, n_u, m):
+    """The one-point forms of ``models._zero_remainder``."""
+    n = n_s + n_u + m
+    return dict(
+        r_map=lambda s, u, x: (np.zeros(n_s), np.zeros(n_u), np.zeros(m)),
+        d_r=lambda s, u, x: np.zeros((n, n)),
+        d2_r=lambda s, u, x: np.zeros((n, n, n)),
+    )
+
+
+def poly_by_point(c):
+    """The one-point closed forms of ``make_poly(c)``."""
+
+    def r_map(s, u, x):
+        w = c * s[0] * u[0]
+        return (np.array([w]), np.array([w]), np.array([w]))
+
+    def d_r(s, u, x):
+        return np.tile(np.array([c * u[0], c * s[0], 0.0]), (3, 1))
+
+    def d2_r(s, u, x):
+        t = np.zeros((3, 3, 3))
+        t[:, 0, 1] = c
+        t[:, 1, 0] = c
+        return t
+
+    return dict(constant_blocks_by_point(0.5, 2.0, 1), g_map=lambda x: np.asarray(x, dtype=float),
+                r_map=r_map, d_r=d_r, d2_r=d2_r)
+
+
+def twist_by_point(eps_twist, y0, y1):
+    """The one-point closed forms of ``make_twist_annulus(eps_twist, y0, y1)``, on Python floats."""
+
+    def g_map(x):
+        ang, y = float(x[0]), float(x[1])
+        bump = (y - y0) * (y1 - y)
+        return np.array(
+            [ang + 2.0 * math.pi * y + eps_twist * bump * math.cos(ang), y + eps_twist * bump * math.sin(ang)]
+        )
+
+    def d_g(x):
+        ang, y = float(x[0]), float(x[1])
+        bump = (y - y0) * (y1 - y)
+        dbump = y0 + y1 - 2.0 * y
+        return np.array(
+            [
+                [1.0 - eps_twist * bump * math.sin(ang), 2.0 * math.pi + eps_twist * dbump * math.cos(ang)],
+                [eps_twist * bump * math.cos(ang), 1.0 + eps_twist * dbump * math.sin(ang)],
+            ]
+        )
+
+    def d2_g(x):
+        ang, y = float(x[0]), float(x[1])
+        bump = (y - y0) * (y1 - y)
+        dbump = y0 + y1 - 2.0 * y
+        t = np.empty((2, 2, 2))
+        t[0, 0, 0] = -eps_twist * bump * math.cos(ang)
+        t[0, 0, 1] = -eps_twist * dbump * math.sin(ang)
+        t[0, 1, 0] = t[0, 0, 1]
+        t[0, 1, 1] = -2.0 * eps_twist * math.cos(ang)
+        t[1, 0, 0] = -eps_twist * bump * math.sin(ang)
+        t[1, 0, 1] = eps_twist * dbump * math.cos(ang)
+        t[1, 1, 0] = t[1, 0, 1]
+        t[1, 1, 1] = -2.0 * eps_twist * math.sin(ang)
+        return t
+
+    return dict(constant_blocks_by_point(0.5, 2.0, 2), **zero_remainder_by_point(1, 1, 2),
+                g_map=g_map, d_g=d_g, d2_g=d2_g)
+
+
+def defective_by_point(condition, amp=0.025):
+    """The one-point closed forms of ``make_defective(condition, amp)``."""
+    row = 1 if condition == "b" else 2
+    jac = np.zeros((3, 3))
+    jac[row, 0] = amp
+
+    def r_map(s, u, x):
+        out = [np.zeros(1), np.zeros(1), np.zeros(1)]
+        out[row] = np.array([amp * s[0]])
+        return tuple(out)
+
+    return dict(constant_blocks_by_point(0.5, 2.0, 1), g_map=lambda x: np.asarray(x, dtype=float), r_map=r_map,
+                d_r=lambda s, u, x: jac.copy(), d2_r=lambda s, u, x: np.zeros((3, 3, 3)))
+
+
+# the closed forms at one point of the built-in maps of STEP_MAPS, the oracles of their stacked forms
+BY_POINT = {
+    "linear": lambda: dict(constant_blocks_by_point(0.5, 2.0, 1), **zero_remainder_by_point(1, 1, 1),
+                           g_map=lambda x: x + 0.3),
+    "poly": lambda: poly_by_point(0.05),
+    "twist": lambda: twist_by_point(0.05, 0.0, 1.0),
+    "defective_d": lambda: defective_by_point("d"),
+    "spec_222": lambda: {name: getattr(spec_222(), name) for name in CALLABLES},
+}
+
+
 @pytest.mark.parametrize("name", BUILT_IN + ("spec_222",))
 def test_each_stacked_form_is_its_one_point_callable_row_by_row(name):
-    # every callable is stacked once a map is built; a one-point call is a one-row read of the same
-    # stack, and spec_222's stacked forms are also compared with its plain one-point callables
+    # every callable is stacked once a map is built; each stack is compared with its one-row reads and
+    # with the map's closed forms at one point (spec_222's plain callables)
     f = STEP_MAPS[name]()
     S, U, X = np.split(step_rows(f, restricted=False)[0], [f.dims.n_s, f.dims.n_s + f.dims.n_u], axis=1)
     stacked = [attr for attr in CALLABLES if getattr(f, attr) is not None]
     assert all(isinstance(getattr(f, attr), _Stacked) for attr in stacked)
     if name in BUILT_IN:
         assert stacked == list(CALLABLES)
-    plain = spec_222() if name == "spec_222" else f
+    by_point = BY_POINT[name]()
     for attr in stacked:
         fn = getattr(f, attr)
         args = (S, U, X) if attr in ("r_map", "d_r", "d2_r") else (X,)
         rows = fn.rows(*args)
         for i, row in enumerate(zip(*args)):
-            for one in {fn, getattr(plain, attr)}:
+            for one in (fn, by_point[attr]):
                 if attr == "r_map":
                     for block, part in zip(rows, one(*row)):
                         assert np.array_equal(block[i], np.reshape(part, -1))
@@ -681,3 +789,29 @@ def test_seed_mesh_raises_what_the_first_failing_node_raises():
     assert str(info.value) == f"sigma partials are not finite at u={np.array([-2e-3])}, x={np.array([0.0])}"
     with pytest.raises(normalform.OutOfNeighborhoodError):
         seed_mesh(dataclasses.replace(disk, dsigma=lambda u, x: (np.zeros((1, 1)), np.zeros((1, 1)))), f)
+
+
+def test_a_dsigma_that_returns_a_list_is_read_as_its_pair():
+    # the pair may be any two items, as unpacking it took them; the widths differ on the annulus
+    f = make_twist_annulus(0.05, 0.0, 1.0)
+
+    def dsigma(u, x):
+        return (np.full((1, 1), 0.5), np.array([[0.25 * np.cos(x[0]), 0.1]]))
+
+    disk = DiskSpec(sigma=lambda u, x: np.atleast_1d(0.1 + 0.5 * u[0]), u_box=((-2e-3, 2e-3),),
+                    x_box=((0.0, 2.0 * np.pi), (0.2, 0.8)), mesh_per_axis=3, dsigma=dsigma)
+    mesh = seed_mesh(disk, f)
+    listed = seed_mesh(dataclasses.replace(disk, dsigma=lambda u, x: list(dsigma(u, x))), f)
+    assert np.array_equal(listed.points, mesh.points) and np.array_equal(listed.frames, mesh.frames)
+    assert np.array_equal(mesh.frames[:, 0], np.tile([0.5, 1.0, 0.0, 0.0], (len(mesh.tags), 1)))  # d sigma/d u read
+
+
+def test_a_fresh_straightened_map_reads_no_rows_at_their_widths():
+    # with the radius given, no graph has been read before these stacks of no rows
+    for conjugated in (False, True):
+        gp = square_pair()
+        f = unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp, radius=0.15)
+        f = conjugate_map(f, gp, radius=0.15) if conjugated else f
+        assert _jacobians(f, np.empty((0, 3)), FD_STEP_FIRST).shape == (0, 3, 3)
+        images, _ = normalform._images(f, np.empty((0, 3)))
+        assert images.shape == (0, 3)
