@@ -31,7 +31,7 @@ from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _in_row_o
 from .tangentflow import (
     JetState,
     _block_norms,
-    _frame_inclination,
+    _frame_inclinations,
     _inclinations,
     _step,
     _unit_rows,
@@ -341,14 +341,9 @@ class DominationReport:
     notes: tuple = field(default_factory=tuple)
 
     def worst_margin(self) -> float:
-        worst = math.inf
-        for row in self.slice_rows:
-            for v in row[1:]:
-                if v is not None:
-                    worst = min(worst, v)
-        for row in self.persistence_rows:
-            worst = min(worst, row[1], row[2])
-        return worst
+        """The least margin of all rows, +inf with none; one reduction, so a NaN margin anywhere is kept."""
+        margins = [v for row in (*self.slice_rows, *self.persistence_rows) for v in row[1:] if v is not None]
+        return float(np.min(margins, initial=math.inf))
 
     def ok(self, tol: float = 1e-9) -> bool:
         """All margins hold within tol; a report with no rows checked nothing and fails."""
@@ -372,9 +367,12 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
 
     On the u = 0 slice the decay bounds apply at every iterate; off the slice
     the thin-slab persistence statement applies once |s| <= eps_s and both
-    inclinations have dipped below the target.  Negative margins falsify
-    either the model's structural conditions or the constant estimates, so
-    they are reported rather than raised.
+    inclinations have dipped below the target.  The slice nodes step
+    together, and each iterate's slice margins are one stacked reduction:
+    one array of frame inclinations, one of each bound, and their minima.
+    Negative margins falsify either the model's structural conditions or the
+    constant estimates, so they are reported rather than raised; a NaN
+    margin is kept.
     """
     n_max = _count(n_max, "n_max")
     broken = [c.name for c in check_constants(b) if not c.holds]
@@ -387,29 +385,28 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     def sup_s(Z):
         return np.abs(Z[:, : dims.n_s]).max(axis=1)
 
-    on_slice = [i for i in mo.alive_indices() if not np.abs(mo.points[i, dims.n_s : dims.n_s + dims.n_u]).any()]
+    alive = np.array(mo.alive)
+    crosses = ~mo.points[:, dims.n_s : dims.n_s + dims.n_u].any(axis=1)
+    on_slice, off_slice = alive & crosses, alive & ~crosses
 
     # regime 1: the stable slice, compared against the closed-form decay bounds;
     # a seeded frame's rows j < n_u carry e_j in the u block and the others none,
     # so those rows are the ones pointing out of the slice
     slice_rows = []
-    if not on_slice:
+    if not on_slice.any():
         notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
     else:
         orbit = _survivors(f, mo.points[on_slice], mo.frames[on_slice, : dims.n_u], n_max, restricted=True)
-        _, _, Z, F = next(orbit)
-        starts = [(*_frame_inclination(dims, Fj), s0) for Fj, s0 in zip(F, sup_s(Z).tolist())]
+        _, start, Z, F = next(orbit)
+        (ns0, nx0), s0 = _frame_inclinations(dims, F), sup_s(Z)
         for n, live, Z, F in orbit:
-            if len(live) < len(on_slice):  # rows run up to the depth every slice node reached
+            if len(live) < len(start):  # rows run up to the depth every slice node reached
                 break
-            rows = []
-            for (ns0, nx0, s0), Fj, s_n in zip(starts, F, sup_s(Z).tolist()):
-                inc_s, inc_x = _frame_inclination(dims, Fj)
-                bounds = theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0)
-                margin_s = None if bounds.pre_asymptotic else bounds.bound_s - inc_s
-                rows.append((bounds.bound_x - inc_x, margin_s, sn_contraction_bound(b, n, s0) - s_n))
-            ms_vals = [r[1] for r in rows if r[1] is not None]
-            slice_rows.append((n, min(r[0] for r in rows), min(ms_vals) if ms_vals else None, min(r[2] for r in rows)))
+            inc_s, inc_x = _frame_inclinations(dims, F)
+            bounds = theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0)
+            margin_s = None if bounds.pre_asymptotic else float(np.min(bounds.bound_s - inc_s))
+            margin_sn = float(np.min(sn_contraction_bound(b, n, s0) - sup_s(Z)))
+            slice_rows.append((n, float(np.min(bounds.bound_x - inc_x)), margin_s, margin_sn))
 
     # regime 2: off-slice survivors, checked per frame vector for persistence
     eps = b.target_eps
@@ -417,10 +414,10 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     if b.eps_s <= 0.0:
         notes.append("eps_s = 0: thin-slab persistence regime is empty for this budget")
     else:
-        nodes = [i for i in mo.alive_indices() if i not in on_slice]
-        rows_of = [[] for _ in nodes]
-        was_armed = np.zeros(mo.frames[nodes].shape[:2], dtype=bool)
-        for n, live, Z, F in _survivors(f, mo.points[nodes], mo.frames[nodes], n_max, restricted=False):
+        Z0, F0 = mo.points[off_slice], mo.frames[off_slice]
+        rows_of = [[] for _ in Z0]
+        was_armed = np.zeros(F0.shape[:2], dtype=bool)
+        for n, live, Z, F in _survivors(f, Z0, F0, n_max, restricted=False):
             inc_s, inc_x, has_u = _inclinations(dims, F)
             for r, j in zip(*np.nonzero(was_armed[live] & has_u)):
                 rows_of[live[r]].append((n, eps - float(inc_x[r, j]), eps - float(inc_s[r, j])))

@@ -96,12 +96,12 @@ def _inclinations(dims: Dimensions, F: np.ndarray) -> tuple:
         return np.where(has_u, ns / nu, math.inf), np.where(has_u, nx / nu, math.inf), has_u
 
 
-def _frame_inclination(dims: Dimensions, F: np.ndarray) -> tuple:
-    """(I_s, I_x) of a frame: sups over its rows with v_u != 0, inf when none."""
+def _frame_inclinations(dims: Dimensions, F: np.ndarray) -> tuple:
+    """(I_s, I_x) of every frame of the stack F (N x k x n): sups over its rows
+    with v_u != 0, inf for a frame with none; a NaN in such a row is kept."""
     inc_s, inc_x, has_u = _inclinations(dims, F)
-    if not has_u.any():
-        return math.inf, math.inf
-    return float(inc_s[has_u].max()), float(inc_x[has_u].max())
+    counted = has_u.any(axis=1)
+    return tuple(np.where(counted, np.where(has_u, inc, -math.inf).max(axis=1), math.inf) for inc in (inc_s, inc_x))
 
 
 def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, restricted: bool) -> tuple:
@@ -166,9 +166,9 @@ def _jet_step(f: MapSpec, j: JetState, require_unstable: bool, restricted: bool)
     n = j.n + 1
     if escaped[0]:
         raise EscapeError(f"orbit left the rho={f.rho} ball at iterate {n} (normal norm {q_norms[0]:.6g})", j)
+    inc_s, inc_x = (float(I[0]) for I in _frame_inclinations(dims, F))
     (s, u, x), F, stretch = dims.split(Q[0]), F[0], float(stretch[0])
     nxt = JetState(ChartPoint(s, u, x, f.topo), tuple(TangentVector(*dims.split(w)) for w in F), n)
-    inc_s, inc_x = _frame_inclination(dims, F)
     return nxt, InclinationRecord(n, inc_s, inc_x, stretch, float(np.abs(s).max()), float(np.abs(u).max()))
 
 
@@ -213,7 +213,9 @@ def theoretical_inclination_bounds(
 
     The stable bound's derivation assumes n >= 2; below that we return I0_s
     unchanged and flag the record pre-asymptotic rather than evaluate a
-    negative power.
+    negative power.  Both bounds are pure arithmetic in I0_x, I0_s and s0,
+    so arrays of them give the bounds of many orbits at once, element by
+    element with the bits of one call per orbit.
     """
     if not b.lk1_ok:
         raise ContractError(f"need lam + k < 1, got {b.lam + b.k}")
@@ -231,7 +233,7 @@ def theoretical_inclination_bounds(
 
 
 def sn_contraction_bound(b: BoundSet, n: int, s0: float) -> float:
-    """Stable-component decay bound (lam+k)^n * s0."""
+    """Stable-component decay bound (lam+k)^n * s0; an array of s0 gives one bound per element."""
     return (b.lam + b.k) ** n * s0
 
 

@@ -325,6 +325,19 @@ def test_empty_domination_report_is_not_a_pass():
     assert DominationReport(slice_rows=((1, 0.1, None, 0.2),), persistence_rows=(), eps=1e-2, eps_s=0.0).ok()
 
 
+def test_a_nan_margin_is_never_a_pass():
+    # Python's min drops a NaN that is not first; the report keeps it wherever it sits
+    nan = float("nan")
+    for slice_rows, persistence_rows in [
+        (((1, nan, None, 0.2),), ()),
+        (((1, 0.1, None, 0.2), (2, 0.1, nan, 0.2)), ()),
+        (((1, 0.1, None, 0.2),), ((1, 0.005, nan),)),
+    ]:
+        rep = DominationReport(slice_rows=slice_rows, persistence_rows=persistence_rows, eps=0.01, eps_s=0.001)
+        assert math.isnan(rep.worst_margin())
+        assert not rep.ok()
+
+
 def test_domination_detects_broken_base_coupling():
     # r_x = amp*s violates the structural conditions; a tilted disk feeds the
     # defect an x-inclination the closed-form bound says cannot exist
@@ -396,6 +409,15 @@ U_INTO_X = dataclasses.replace(
     d_r=lambda s, u, x: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.1, 0.0]]),
 )
 
+# A_s = 1.5 breaks condition e) while the declared lam = 0.5 keeps the budget valid, so s grows on the slice
+S_GROWING = dataclasses.replace(make_linear(0.5, 2.0), A_s=lambda x: np.array([[1.5]]))
+# slice nodes at s0 = 0.006, 0.0046 and 0.0024 leave the ball at iterates 11, 12 and 14
+WAVY_DISK = DiskSpec(
+    sigma=lambda u, x: np.atleast_1d(0.004 + 0.002 * np.cos(x[0])),
+    u_box=((-0.05, 0.05),), x_box=((0.0, TWO_PI),), mesh_per_axis=5,
+    dsigma=lambda u, x: (np.zeros((1, 1)), np.atleast_2d(-0.002 * np.sin(x[0]))),
+)
+
 
 def _inclination(v):
     """(|v_s|/|v_u|, |v_x|/|v_u|, v_u != 0) of one tangent vector."""
@@ -463,8 +485,10 @@ def per_node_domination(d, f, b, n_max):
         (make_poly(0.05), const_disk(0.004, 0.05), 12),
         # r_x = 0.1 u feeds v_x from v_u: armed frame rows tilt past eps and disarm
         (U_INTO_X, const_disk(0.004, 0.05), 12),
+        # slice nodes leave the ball at different iterates: the slice rows stop at the first escape
+        (S_GROWING, WAVY_DISK, 14),
     ],
-    ids=["poly", "twist", "mortal", "disarming"],
+    ids=["poly", "twist", "mortal", "disarming", "escaping-slice"],
 )
 def test_domination_matches_per_node_reference(f, d, n_max):
     b = estimate_bounds(f, grid_density=5)
@@ -474,6 +498,12 @@ def test_domination_matches_per_node_reference(f, d, n_max):
     assert rep.slice_rows == slice_rows
     assert rep.persistence_rows == persistence_rows
     assert len({n for n in deaths if n > 0}) >= 2  # off-slice nodes die at different iterates
+
+
+def test_domination_slice_rows_stop_at_the_first_slice_escape():
+    rep = verify_bound_domination(WAVY_DISK, S_GROWING, estimate_bounds(S_GROWING, grid_density=5), n_max=14)
+    assert [row[0] for row in rep.slice_rows] == list(range(1, 11))
+    assert rep.persistence_rows
 
 
 def test_domination_pushes_only_the_unstable_pointing_slice_rows():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from nhimlab import (
     theoretical_inclination_bounds,
     unit_frame,
 )
+from nhimlab.tangentflow import _frame_inclinations
 
 LINEAR = make_linear(0.5, 2.0)
 POLY = make_poly(0.05)
@@ -171,6 +174,30 @@ def test_stretch_lower_bound():
     assert np.isclose(got.floor, 1.9, atol=1e-12)
     b0 = BoundSet(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
     assert stretch_lower_bound(b0, 0.1).refined == 2.0
+
+
+def test_stacked_frame_inclinations_are_the_one_frame_rule_frame_by_frame():
+    # one frame's rule: sups over its rows with v_u != 0, (inf, inf) when it has none
+    def one_frame(frame):
+        counted = [(np.abs(v[:1]).max(), np.abs(v[1:2]).max(), np.abs(v[2:]).max()) for v in frame]
+        counted = [(ns, nu, nx) for ns, nu, nx in counted if nu > 0.0]
+        if not counted:
+            return math.inf, math.inf
+        return np.max([ns / nu for ns, nu, _ in counted]), np.max([nx / nu for _, nu, nx in counted])
+
+    nan = math.nan
+    F = np.array([
+        [[0.1, 1.0, 0.2], [0.3, -0.5, 0.0]],  # both rows counted
+        [[0.4, 0.0, 1.0], [0.1, 0.5, -0.2]],  # the first row has no unstable part
+        [[1.0, 0.0, 0.2], [0.0, 0.0, 1.0]],  # no unstable row
+        [[0.1, 0.5, 0.0], [nan, 1.0, 0.2]],  # a NaN in a counted row, not the first
+        [[0.1, nan, 0.2], [0.2, 0.5, 0.1]],  # a NaN v_u does not count its row
+    ])
+    inc_s, inc_x = _frame_inclinations(LINEAR.dims, F)
+    for i, frame in enumerate(F):
+        np.testing.assert_array_equal((inc_s[i], inc_x[i]), one_frame(frame))
+    assert (inc_s[2], inc_x[2]) == (math.inf, math.inf)
+    assert np.isnan(inc_s[3]) and inc_x[3] == 0.2
 
 
 def _wide_entries(rng, shape):
