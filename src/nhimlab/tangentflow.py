@@ -213,9 +213,8 @@ def theoretical_inclination_bounds(
 
     The stable bound's derivation assumes n >= 2; below that we return I0_s
     unchanged and flag the record pre-asymptotic rather than evaluate a
-    negative power.  Both bounds are pure arithmetic in I0_x, I0_s and s0,
-    so arrays of them give the bounds of many orbits at once, element by
-    element with the bits of one call per orbit.
+    negative power.  Both bounds are pure arithmetic in I0_x, I0_s and s0:
+    arrays of them give one bound per element, with the bits of one call each.
     """
     if not b.lk1_ok:
         raise ContractError(f"need lam + k < 1, got {b.lam + b.k}")
