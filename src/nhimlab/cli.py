@@ -27,10 +27,10 @@ from .exceptions import ConfigError, ContractError, ModelInconsistencyError
 from .geometry import _count
 from .lambdalemma import (
     DiskSpec,
+    _run_domination,
     annulus_experiment,
     find_K,
     make_default_disk,
-    verify_bound_domination,
 )
 from .models import (
     FlowState,
@@ -41,7 +41,7 @@ from .models import (
     make_poly,
     make_twist_annulus,
 )
-from .normalform import check_constants, estimate_bounds, validate_conditions
+from .normalform import _Stacked, check_constants, estimate_bounds, validate_conditions
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -154,7 +154,8 @@ def build_model(mc: dict):
 
 
 def build_disk(dc: dict, f) -> DiskSpec:
-    """Disk from config: constant or affine graphs only (JSON cannot carry code)."""
+    """Disk from config: constant or affine graphs only (JSON cannot carry code),
+    given as stacked row forms, one matrix-vector product per row."""
     if dc is None:
         return make_default_disk(f)
     mesh = _count_field(dc, "mesh_per_axis", 5)
@@ -165,11 +166,12 @@ def build_disk(dc: dict, f) -> DiskSpec:
     x_coeffs = _field(dc, "sigma_x_coeffs", np.zeros((n_s, m)),
                        lambda v: np.asarray(v, dtype=float).reshape(n_s, m))
 
-    def sigma(u, x):
-        return const + u_coeffs @ u + x_coeffs @ x
+    def sigma(U, X):
+        # one gemv per row, the routine of u_coeffs @ u
+        return const + np.matmul(u_coeffs, U[..., None])[..., 0] + np.matmul(x_coeffs, X[..., None])[..., 0]
 
-    def dsigma(u, x):
-        return u_coeffs, x_coeffs
+    def dsigma(U, X):
+        return np.repeat(u_coeffs[None], len(U), axis=0), np.repeat(x_coeffs[None], len(X), axis=0)
 
     if "u_half" in dc:
         half = _field(dc, "u_half", None)
@@ -180,7 +182,7 @@ def build_disk(dc: dict, f) -> DiskSpec:
     try:
         u_box = tuple(tuple(b) for b in u_box)
         x_box = tuple(tuple(b) for b in x_box)
-        return DiskSpec(sigma=sigma, u_box=u_box, x_box=x_box, mesh_per_axis=mesh, dsigma=dsigma)
+        return DiskSpec(sigma=_Stacked(sigma), u_box=u_box, x_box=x_box, mesh_per_axis=mesh, dsigma=_Stacked(dsigma))
     except (ContractError, TypeError, ValueError) as err:
         raise ConfigError(f"invalid disk config: {err}") from err
 
@@ -227,7 +229,7 @@ def cmd_lambda(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
         return EXIT_PROPERTY
     bounds = estimate_bounds(f, grid_density=grid_density, target_eps=eps)
     result = find_K(disk, f, eps=eps, n_max=n_max)
-    domination = verify_bound_domination(disk, f, bounds, n_max=n_max)
+    domination = _run_domination(result, f, bounds)  # the off-slice nodes of find_K's run, not pushed again
     payload = {
         "eps": eps,
         "n_max": n_max,

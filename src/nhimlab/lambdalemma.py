@@ -233,6 +233,21 @@ def _survivors(f: MapSpec, Z: np.ndarray, F: np.ndarray, n_max: int, restricted:
         yield n, live, Z, F
 
 
+def _node_distances(mo: MeshOrbit, pool) -> tuple:
+    """Per node of ``pool``: sup |s| and the sup of its frame-vector gaps (see ``c1_distance``)."""
+    ns, nu, nx = _block_norms(mo.dims, mo.frames[pool])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.where(nu > 0.0, np.maximum(ns, nx) / nu, np.where(nx > 0.0, ns / nx, math.inf))
+    return np.abs(mo.points[pool, : mo.dims.n_s]).max(axis=1), gaps.max(axis=1)
+
+
+def _distance(n: int, c0: np.ndarray, gaps: np.ndarray) -> C1Distance:
+    """The C1Distance of the nodes whose ``_node_distances`` are c0 and gaps."""
+    if not len(c0):
+        raise EmptyMeshError("no alive mesh nodes to measure")
+    return C1Distance(n=n, c0=float(c0.max()), c1=float(gaps.max()))
+
+
 def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Distance:
     """c0 = sup |s|, c1 = sup of frame-vector gaps, over alive nodes.
 
@@ -240,24 +255,25 @@ def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Dis
     unstable part, the inclination pair max(|v_s|, |v_x|)/|v_u|; tangent to
     the base (v_u = 0), the slope |v_s|/|v_x| it acquires over the manifold;
     with only a stable part, inf.  ``indices`` restricts the reduction to a
-    subset of nodes (boundary submeshes in the annulus experiment).
+    subset of nodes.
     """
     pool = mo.alive_indices() if indices is None else [i for i in indices if mo.alive[i]]
-    if not pool:
-        raise EmptyMeshError("no alive mesh nodes to measure")
-    ns, nu, nx = _block_norms(mo.dims, mo.frames[pool])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = np.where(nu > 0.0, np.maximum(ns, nx) / nu, np.where(nx > 0.0, ns / nx, math.inf))
-    c0 = float(np.abs(mo.points[pool, : mo.dims.n_s]).max())
-    return C1Distance(n=mo.n, c0=c0, c1=float(gaps.max()))
+    return _distance(mo.n, *_node_distances(mo, pool))
 
 
 @dataclass(frozen=True)
 class FindKResult:
+    """Settling iterate K, distance series and alive counts of a run; ``_run``
+    is the run itself, the seeded orbit and its images, one per iterate."""
+
     K: Optional[int]
     series: tuple
     alive_series: tuple
-    final_orbit: MeshOrbit
+    _run: tuple = field(repr=False)
+
+    @property
+    def final_orbit(self) -> MeshOrbit:
+        return self._run[-1]
 
     @property
     def found(self) -> bool:
@@ -292,18 +308,14 @@ def _iterates(mo: MeshOrbit, f: MapSpec, n_max: int):
         yield mo
 
 
-def _settle(orbits, eps: float) -> FindKResult:
-    """Distance series, alive counts and settling iterate over a run of orbits."""
-    series = []
-    alive = []
-    for mo in orbits:
-        series.append(c1_distance(mo))
-        alive.append(mo.alive_count())
+def _settle(measured, eps: float) -> FindKResult:
+    """Distance series, alive counts and settling iterate over a run of (orbit, its C1Distance) pairs."""
+    run, series = zip(*measured)
     return FindKResult(
         K=_first_settled([(c.n, c.value) for c in series], eps),
-        series=tuple(series),
-        alive_series=tuple(alive),
-        final_orbit=mo,
+        series=series,
+        alive_series=tuple(mo.alive_count() for mo in run),
+        _run=run,
     )
 
 
@@ -317,11 +329,15 @@ def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
     """Smallest iterate from which the mesh stays C^1 eps-close through n_max.
 
     Not finding one within the horizon is a result (K = None), not an error;
-    the caller sees the full distance series either way.
+    the caller sees the full distance series either way.  The result keeps
+    the run (``final_orbit`` is its last orbit), so a domination check of the
+    same disk and horizon reads its off-slice nodes from it instead of
+    pushing them again (``cli.cmd_lambda`` does, through
+    ``_run_domination``).
     """
     _check_eps(eps)
     n_max = _count(n_max, "n_max")
-    return _settle(_iterates(seed_mesh(d, f), f, n_max), eps)
+    return _settle(((mo, c1_distance(mo)) for mo in _iterates(seed_mesh(d, f), f, n_max)), eps)
 
 
 @dataclass(frozen=True)
@@ -370,15 +386,50 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     inclinations have dipped below the target.  The slice nodes step
     together, and each iterate's slice margins are one stacked reduction:
     one array of frame inclinations, one of each bound, and their minima.
-    Negative margins falsify either the model's structural conditions or the
-    constant estimates, so they are reported rather than raised; a NaN
-    margin is kept.
+    The off-slice nodes step together too; ``_run_domination`` reads them
+    from a ``find_K`` run of the same disk and horizon instead, with the
+    same bits.  Negative margins falsify either the model's structural
+    conditions or the constant estimates, so they are reported rather than
+    raised; a NaN margin is kept.
     """
     n_max = _count(n_max, "n_max")
+    _check_budget(b)
+    mo = seed_mesh(d, f)
+
+    def off_slice_survivors(rows):
+        nodes = np.flatnonzero(rows)
+        for n, live, Z, F in _survivors(f, mo.points[nodes], mo.frames[nodes], n_max, restricted=False):
+            yield n, nodes[live], Z, F
+
+    return _domination(f, b, mo, n_max, off_slice_survivors)
+
+
+def _run_domination(found: FindKResult, f: MapSpec, b: BoundSet) -> DominationReport:
+    """``verify_bound_domination`` of the disk and horizon of ``found``, a ``find_K`` run on f, bit for
+    bit: its off-slice nodes are read from the run, and only the slice nodes are pushed again."""
+    _check_budget(b)
+    run = found._run
+
+    def off_slice_survivors(rows):
+        for mo in run:
+            live = np.flatnonzero(rows & (np.array(mo.died_at) < 0))
+            if not len(live):
+                return
+            yield mo.n, live, mo.points[live], mo.frames[live]
+
+    return _domination(f, b, run[0], len(run) - 1, off_slice_survivors)
+
+
+def _check_budget(b: BoundSet) -> None:
     broken = [c.name for c in check_constants(b) if not c.holds]
     if broken:
         raise ContractError(f"constant budget violates {', '.join(broken)}")
-    mo = seed_mesh(d, f)
+
+
+def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, off_slice_survivors) -> DominationReport:
+    """The domination report of the seeded mesh ``mo`` through n_max.  ``off_slice_survivors(rows)``
+    yields (n, node indices, points, frames) of the nodes of the mask ``rows`` alive at each iterate
+    from 0, as ``_survivors`` does, and stops once none is."""
     dims = f.dims
     notes = []
 
@@ -414,10 +465,9 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     if b.eps_s <= 0.0:
         notes.append("eps_s = 0: thin-slab persistence regime is empty for this budget")
     else:
-        Z0, F0 = mo.points[off_slice], mo.frames[off_slice]
-        rows_of = [[] for _ in Z0]
-        was_armed = np.zeros(F0.shape[:2], dtype=bool)
-        for n, live, Z, F in _survivors(f, Z0, F0, n_max, restricted=False):
+        rows_of = [[] for _ in mo.tags]
+        was_armed = np.zeros(mo.frames.shape[:2], dtype=bool)
+        for n, live, Z, F in off_slice_survivors(off_slice):
             inc_s, inc_x, has_u = _inclinations(dims, F)
             for r, j in zip(*np.nonzero(was_armed[live] & has_u)):
                 rows_of[live[r]].append((n, eps - float(inc_x[r, j]), eps - float(inc_s[r, j])))
@@ -459,12 +509,6 @@ class AnnulusReport:
         return out
 
 
-def _circle_row(mo: MeshOrbit, indices, y_value: float, y_index: int):
-    dist = c1_distance(mo, indices=indices)
-    ys = mo.points[[i for i in indices if mo.alive[i]], mo.dims.n_s + mo.dims.n_u + y_index]
-    return (mo.n, dist.c0, dist.c1, float(np.abs(ys - y_value).max()))
-
-
 def annulus_experiment(
     f: MapSpec, y0: float, y1: float, d: DiskSpec, eps: float, n_max: int
 ) -> AnnulusReport:
@@ -472,7 +516,9 @@ def annulus_experiment(
 
     The model must hold the circles {y = y0} and {y = y1} invariant; their
     submeshes are tracked separately, any y drift beyond 1e-10 is model
-    inconsistency, and each circle gets its own settling iterate K'.
+    inconsistency, and each circle gets its own settling iterate K'.  Each
+    iterate's node distances are taken once, over the alive nodes, and
+    reduced over the whole mesh and over each circle's alive nodes.
     """
     if f.dims.m != 2 or not f.topo.is_angle[0] or f.topo.is_angle[1]:
         raise ContractError("annulus experiment needs base coordinates (angle, action)")
@@ -480,29 +526,32 @@ def annulus_experiment(
         raise ContractError(f"need y0 < y1, got {y0}, {y1}")
     _check_eps(eps)
     n_max = _count(n_max, "n_max")
-    y_index = 1
+    y_col = f.dims.n_s + f.dims.n_u + 1  # the action coordinate y
     mo = seed_mesh(d, f)
-    edge0 = [i for i, tag in enumerate(mo.tags) if tag[1][y_index] == y0]
-    edge1 = [i for i, tag in enumerate(mo.tags) if tag[1][y_index] == y1]
-    if not edge0 or not edge1:
+    edges = [np.array([tag[1][1] == y for tag in mo.tags]) for y in (y0, y1)]
+    if not all(edge.any() for edge in edges):
         raise ContractError(
             "mesh does not sample the boundary circles; x_box must span [y0, y1] inclusively"
         )
     rows0 = []
     rows1 = []
 
-    def tracked():
+    def measured():
         for orbit in _iterates(mo, f, n_max):
-            for indices, y_val, rows in ((edge0, y0, rows0), (edge1, y1, rows1)):
-                row = _circle_row(orbit, indices, y_val, y_index)
-                if row[3] > 1e-10:
+            pool = np.flatnonzero(np.array(orbit.died_at) < 0)
+            c0, gaps = _node_distances(orbit, pool)
+            for edge, y_val, rows in zip(edges, (y0, y1), (rows0, rows1)):
+                on = edge[pool]
+                dist = _distance(orbit.n, c0[on], gaps[on])
+                y_dev = float(np.abs(orbit.points[pool[on], y_col] - y_val).max())
+                if y_dev > 1e-10:
                     raise ModelInconsistencyError(
-                        f"boundary circle y={y_val} drifted by {row[3]:.3g} at iterate {orbit.n}"
+                        f"boundary circle y={y_val} drifted by {y_dev:.3g} at iterate {orbit.n}"
                     )
-                rows.append(row)
-            yield orbit
+                rows.append((orbit.n, dist.c0, dist.c1, y_dev))
+            yield orbit, _distance(orbit.n, c0, gaps)
 
-    full = _settle(tracked(), eps)
+    full = _settle(measured(), eps)
     circles = tuple(
         CircleTrack(
             y_value=y_val,

@@ -115,8 +115,11 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     evaluation (a conjugated map), all rows are evaluated as one stack.
     A stack that raises is read again row by row, so the error is the
     first row's.
-    Returns (images, pushed unit-row frames, stretches, escaped mask, image
-    normal norms); an escaped row keeps its input state.  ``restricted``
+    Returns (images, pushed unit-row frames, the Jacobians of the live rows,
+    escaped mask, image normal norms); an escaped row keeps its input state.
+    The unstable stretch of a frame is read off those Jacobians by
+    ``_jet_step`` alone, so a mesh step takes no frame norms before its push
+    unless ``require_unstable`` asks for them.  ``restricted``
     keeps the images on {u = 0} (drift above 1e-12 is model inconsistency,
     the rest snaps to 0) and zeroes the Jacobians' unstable-row couplings,
     which vanish analytically there.
@@ -141,33 +144,37 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
         J[:, a:b, :a] = 0.0
         J[:, a:b, b:] = 0.0
     F_live = F[live]
-    _, nu, _ = _block_norms(dims, F_live)
-    if require_unstable and not nu.all():
+    if require_unstable and not _block_norms(dims, F_live)[1].all():
         raise DegenerateVectorError("frame vector has zero unstable component")
-    # one gemv per frame row, the routine of jac @ v; F @ J.T or einsum rounds differently
-    W = np.matmul(J[:, None], F_live[..., None])[..., 0]
-    stretch = np.full(len(Z), math.nan)
-    nu_w = _block_norms(dims, W)[1]
-    stretch[live] = np.divide(nu_w, nu, out=np.full_like(nu, math.inf), where=nu > 0.0).min(axis=1)
+    W = _push(J, F_live)
     scale = np.abs(W).max(axis=-1, keepdims=True)
     if not scale.all():
         raise DegenerateVectorError("frame vector annihilated by the Jacobian")
     Q[escaped] = Z[escaped]
     frames = F.copy()
     frames[live] = W / scale
-    return Q, frames, stretch, escaped, q_norms
+    return Q, frames, J, escaped, q_norms
+
+
+def _push(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The frames F (N x k x n) pushed by their Jacobians J (N x n x n), unnormalized."""
+    # one gemv per frame row, the routine of jac @ v; F @ J.T or einsum rounds differently
+    return np.matmul(J[:, None], F[..., None])[..., 0]
 
 
 def _jet_step(f: MapSpec, j: JetState, require_unstable: bool, restricted: bool) -> tuple:
-    """``_step`` on one JetState, returning (JetState, InclinationRecord)."""
+    """``_step`` on one JetState, returning (JetState, InclinationRecord); the
+    stretch is the least |v_u| growth of the pushed frame, from its Jacobian."""
     dims = f.dims
-    frame = np.array([v.as_array() for v in j.frame])
-    Q, F, stretch, escaped, q_norms = _step(f, j.p.as_array()[None], frame[None], require_unstable, restricted)
+    frame = np.array([v.as_array() for v in j.frame])[None]
+    Q, F, J, escaped, q_norms = _step(f, j.p.as_array()[None], frame, require_unstable, restricted)
     n = j.n + 1
     if escaped[0]:
         raise EscapeError(f"orbit left the rho={f.rho} ball at iterate {n} (normal norm {q_norms[0]:.6g})", j)
+    nu, nu_w = _block_norms(dims, frame)[1], _block_norms(dims, _push(J, frame))[1]
+    stretch = float(np.divide(nu_w, nu, out=np.full_like(nu, math.inf), where=nu > 0.0).min())
     inc_s, inc_x = (float(I[0]) for I in _frame_inclinations(dims, F))
-    (s, u, x), F, stretch = dims.split(Q[0]), F[0], float(stretch[0])
+    (s, u, x), F = dims.split(Q[0]), F[0]
     nxt = JetState(ChartPoint(s, u, x, f.topo), tuple(TangentVector(*dims.split(w)) for w in F), n)
     return nxt, InclinationRecord(n, inc_s, inc_x, stretch, float(np.abs(s).max()), float(np.abs(u).max()))
 

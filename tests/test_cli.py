@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from nhimlab import ModelInconsistencyError, cli
+from nhimlab import ModelInconsistencyError, cli, lambdalemma, make_poly, make_twist_annulus
 
 
 def write_cfg(tmp_path, name, payload):
@@ -76,6 +77,53 @@ def test_lambda_poly_end_to_end(tmp_path):
     lines = csvs[-1].read_text().strip().splitlines()
     assert lines[0] == "n,c0,c1,value,alive"
     assert len(lines) == len(payload["series"]) + 1
+
+
+def test_a_lambda_run_seeds_once_and_steps_each_row_once(tmp_path, monkeypatch):
+    # the benchmark's lambda inputs: find_K pushes the whole mesh (25 steps, 1309 rows), and
+    # domination pushes only its 11 slice rows again (25 steps, 275 rows), reading the off-slice
+    # nodes from find_K's run; seeding and pushing them twice read 2 seeds, 61 steps and 2618 rows
+    seeds, rows = [], []
+
+    def seed_mesh(*args):
+        seeds.append(1)
+        return seed(*args)
+
+    def step(f, Z, *args, **kwargs):
+        rows.append(len(Z))
+        return push(f, Z, *args, **kwargs)
+
+    seed, push = lambdalemma.seed_mesh, lambdalemma._step
+    monkeypatch.setattr(lambdalemma, "seed_mesh", seed_mesh)
+    monkeypatch.setattr(lambdalemma, "_step", step)
+    cfg = {"model": {"kind": "poly", "c": 0.05}, "eps": 1e-2, "n_max": 25,
+           "disk": {"sigma_const": 0.2, "u_half": 0.002, "mesh_per_axis": 11}}
+    code, out = run(tmp_path, "lambda", cfg, extra=("--quiet",))
+    assert code == 0
+    assert read_json(out, "lambda")["domination"]["persistence_rows"]
+    assert (len(seeds), len(rows), sum(rows)) == (1, 50, 1584)
+
+
+def affine_sigma(const, u_coeffs, x_coeffs):
+    """The per-node closures the CLI disk was built from: sigma and its constant partials."""
+    return (lambda u, x: const + u_coeffs @ u + x_coeffs @ x), (lambda u, x: (u_coeffs, x_coeffs))
+
+
+@pytest.mark.parametrize("f", [make_poly(0.05), make_twist_annulus(0.05, 0.0, 1.0)], ids=["poly", "twist"])
+def test_the_cli_disk_rows_are_its_affine_closures_bit_for_bit(f):
+    n_s, n_u, m = f.dims.n_s, f.dims.n_u, f.dims.m
+    rng = np.random.default_rng(61)
+    u_coeffs, x_coeffs = rng.normal(0.0, 0.1, (n_s, n_u)), rng.normal(0.0, 0.01, (n_s, m))
+    disk = cli.build_disk({"sigma_const": 0.17, "sigma_u_coeffs": u_coeffs.tolist(),
+                           "sigma_x_coeffs": x_coeffs.tolist(), "u_half": 0.01, "mesh_per_axis": 7}, f)
+    sigma, dsigma = affine_sigma(np.full(n_s, 0.17), u_coeffs, x_coeffs)
+    U, X = rng.uniform(-0.01, 0.01, (200, n_u)), rng.uniform(0.0, 1.0, (200, m))
+    S, (DU, DX) = disk.sigma.rows(U, X), disk.dsigma.rows(U, X)
+    assert S.shape == (200, n_s) and DU.shape == (200, n_s, n_u) and DX.shape == (200, n_s, m)
+    for i, (u, x) in enumerate(zip(U, X)):
+        assert np.array_equal(S[i], sigma(u, x))
+        assert np.array_equal(DU[i], dsigma(u, x)[0]) and np.array_equal(DX[i], dsigma(u, x)[1])
+    assert np.array_equal(disk.sigma(U[0], X[0]), sigma(U[0], X[0]))  # a one-point read is a one-row stack
 
 
 def test_lambda_deterministic_across_runs(tmp_path):

@@ -33,6 +33,7 @@ from nhimlab import (
     theoretical_inclination_bounds,
     verify_bound_domination,
 )
+from nhimlab.lambdalemma import _run_domination
 
 TWO_PI = 2.0 * np.pi
 
@@ -370,6 +371,27 @@ def test_annulus_experiment_twist():
     assert len(payload["circles"]) == 2
 
 
+def circle_row(mo, indices, y_value):
+    """A boundary circle's (n, c0, c1, y_dev) row read with its own c1_distance, as the annulus once did."""
+    dist = c1_distance(mo, indices=indices)
+    ys = mo.points[[i for i in indices if mo.alive[i]], mo.dims.n_s + mo.dims.n_u + 1]
+    return (mo.n, dist.c0, dist.c1, float(np.abs(ys - y_value).max()))
+
+
+def test_the_annulus_reduction_is_the_per_circle_reads_bit_for_bit():
+    # the benchmark's annulus disk: 5 nodes per axis, u half-width 0.5 * 0.5**8, n_max 40
+    f = make_twist_annulus(0.05, 0.0, 1.0)
+    d = make_default_disk(f, n_target=8, mesh_per_axis=5, sigma_level=0.2)
+    rep = annulus_experiment(f, 0.0, 1.0, d, eps=1e-2, n_max=40)
+    run = rep.full._run
+    assert [mo.n for mo in run] == list(range(41))
+    assert rep.full.alive_series[7:10] == (125, 75, 25)  # the off-slice nodes die at iterates 8 and 9
+    for track in rep.circles:
+        edge = [i for i, tag in enumerate(run[0].tags) if tag[1][1] == track.y_value]
+        assert repr(track.rows) == repr(tuple(circle_row(mo, edge, track.y_value) for mo in run))
+    assert repr(rep.full.series) == repr(tuple(c1_distance(mo) for mo in run))
+
+
 def test_annulus_edge_matches_standalone_circle():
     f = make_twist_annulus(0.05, 0.0, 1.0)
     d = make_default_disk(f, n_target=8, mesh_per_axis=5)
@@ -498,6 +520,23 @@ def test_domination_matches_per_node_reference(f, d, n_max):
     assert rep.slice_rows == slice_rows
     assert rep.persistence_rows == persistence_rows
     assert len({n for n in deaths if n > 0}) >= 2  # off-slice nodes die at different iterates
+
+
+@pytest.mark.parametrize(*test_domination_matches_per_node_reference.pytestmark[0].args,
+                         **test_domination_matches_per_node_reference.pytestmark[0].kwargs)
+def test_domination_on_a_find_K_run_is_the_standalone_domination_bit_for_bit(f, d, n_max):
+    b = estimate_bounds(f, grid_density=5)
+    try:
+        found = find_K(d, f, eps=b.target_eps, n_max=n_max)
+    except EmptyMeshError:
+        # escaping-slice: its last node leaves at iterate 14, where find_K (and so a lambda run)
+        # stops; one iterate less keeps every row, the slice rows stopping at the first escape
+        assert repr(verify_bound_domination(d, f, b, n_max - 1)) == repr(verify_bound_domination(d, f, b, n_max))
+        n_max -= 1
+        found = find_K(d, f, eps=b.target_eps, n_max=n_max)
+    rep = _run_domination(found, f, b)
+    assert rep.slice_rows and rep.persistence_rows
+    assert repr(rep) == repr(verify_bound_domination(d, f, b, n_max))
 
 
 def test_domination_slice_rows_stop_at_the_first_slice_escape():
