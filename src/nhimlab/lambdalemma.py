@@ -1,9 +1,10 @@
 """Transversal-disk experiments: iterate a mesh, measure C^1 closeness, find K.
 
 A disk transversal to the stable set is given as a graph s = sigma(u, x) over
-a box containing u = 0.  Its mesh is pushed forward with tangent frames,
-every alive node in one array step per iterate; nodes leaving the
-neighborhood are censored (the intersect-with-U trimming of the disk).
+a box containing u = 0.  One run loop pushes its mesh forward with tangent
+frames, every alive node in one array step per iterate, for every reader
+below; nodes leaving the neighborhood are censored (the intersect-with-U
+trimming of the disk).
 Closeness to the unstable set is measured in C^0 (sup of |s|) and C^1 (frame
 inclinations); the first iterate from which both stay below a tolerance is
 the experiment's K.  A boundary-tracking variant handles annuli whose edge
@@ -14,8 +15,9 @@ inclination against the closed-form bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -202,35 +204,38 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
     return MeshOrbit(tags, points, _unit_rows(frames), (-1,) * len(nodes), 0, dims, f.topo)
 
 
-def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:
-    """Advance every alive node; escapes censor the node, keeping its last state."""
-    steps = _count(steps, "steps", 1)
-    points, frames = mo.points.copy(), mo.frames.copy()
+def _orbits(f: MapSpec, mo: MeshOrbit, steps: int, restricted: bool = False):
+    """The mesh run: ``mo``, then its image at each of the next ``steps`` iterates, every alive row
+    pushed in one ``_step`` call per iterate.  An escaped row keeps its last state; the run stops at
+    the iterate where no row is left alive."""
+    yield mo
     died_at = np.array(mo.died_at)
-    n = mo.n
-    for _ in range(steps):
-        n += 1
+    for n in range(mo.n + 1, mo.n + steps + 1):
         rows = np.flatnonzero(died_at < 0)
+        if not len(rows):
+            return
+        points, frames = mo.points.copy(), mo.frames.copy()
         points[rows], frames[rows], _, escaped, _ = _step(
-            f, points[rows], frames[rows], require_unstable=False, restricted=False
+            f, points[rows], frames[rows], require_unstable=False, restricted=restricted
         )
         died_at[rows[escaped]] = n
-        if escaped.all():
-            raise EmptyMeshError(f"every mesh node escaped by iterate {n}; narrow the disk u_box")
-    return MeshOrbit(mo.tags, points, frames, tuple(died_at.tolist()), n, mo.dims, mo.topo)
+        mo = MeshOrbit(mo.tags, points, frames, tuple(died_at.tolist()), n, mo.dims, mo.topo)
+        yield mo
 
 
-def _survivors(f: MapSpec, Z: np.ndarray, F: np.ndarray, n_max: int, restricted: bool):
-    """The rows Z, F themselves (n = 0), then their survivors at each iterate through n_max, as
-    (n, input indices of the rows, their points, their frames); a row drops out at its escape."""
-    live = np.arange(len(Z))
-    yield 0, live, Z, F
-    for n in range(1, n_max + 1):
-        Z, F, _, escaped, _ = _step(f, Z, F, require_unstable=False, restricted=restricted)
-        live, Z, F = live[~escaped], Z[~escaped], F[~escaped]
-        if not len(live):
-            return
-        yield n, live, Z, F
+def _living(run):
+    """The orbits of ``run``; one with no alive node is an EmptyMeshError."""
+    for mo in run:
+        if not any(mo.alive):
+            raise EmptyMeshError(f"every mesh node escaped by iterate {mo.n}; narrow the disk u_box")
+        yield mo
+
+
+def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:
+    """Advance every alive node; escapes censor the node, keeping its last state."""
+    for mo in _living(_orbits(f, mo, _count(steps, "steps", 1))):
+        pass
+    return mo
 
 
 def _node_distances(mo: MeshOrbit, pool) -> tuple:
@@ -255,8 +260,12 @@ def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Dis
     unstable part, the inclination pair max(|v_s|, |v_x|)/|v_u|; tangent to
     the base (v_u = 0), the slope |v_s|/|v_x| it acquires over the manifold;
     with only a stable part, inf.  ``indices`` restricts the reduction to a
-    subset of nodes.
+    subset of nodes; one that is not a node number is a ContractError.
     """
+    if indices is not None:
+        indices = [_count(i, "indices") for i in indices]
+        if any(i >= len(mo.alive) for i in indices):
+            raise ContractError(f"indices must be below the mesh's {len(mo.alive)} nodes, got {max(indices)}")
     pool = mo.alive_indices() if indices is None else [i for i in indices if mo.alive[i]]
     return _distance(mo.n, *_node_distances(mo, pool))
 
@@ -300,14 +309,6 @@ def _first_settled(pairs: Sequence[tuple], eps: float) -> Optional[int]:
     return settled
 
 
-def _iterates(mo: MeshOrbit, f: MapSpec, n_max: int):
-    """The orbit itself, then its n_max successive images."""
-    yield mo
-    for _ in range(n_max):
-        mo = advance_mesh(mo, f, 1)
-        yield mo
-
-
 def _settle(measured, eps: float) -> FindKResult:
     """Distance series, alive counts and settling iterate over a run of (orbit, its C1Distance) pairs."""
     run, series = zip(*measured)
@@ -329,15 +330,15 @@ def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
     """Smallest iterate from which the mesh stays C^1 eps-close through n_max.
 
     Not finding one within the horizon is a result (K = None), not an error;
-    the caller sees the full distance series either way.  The result keeps
-    the run (``final_orbit`` is its last orbit), so a domination check of the
-    same disk and horizon reads its off-slice nodes from it instead of
-    pushing them again (``cli.cmd_lambda`` does, through
-    ``_run_domination``).
+    the caller sees the full distance series either way; a mesh whose every
+    node escapes within it is an EmptyMeshError.  The result keeps the run
+    (``final_orbit`` is its last orbit), so a domination check of the same
+    disk and horizon reads its off-slice nodes from it instead of pushing
+    them again (``cli.cmd_lambda`` does, through ``_run_domination``).
     """
     _check_eps(eps)
     n_max = _count(n_max, "n_max")
-    return _settle(((mo, c1_distance(mo)) for mo in _iterates(seed_mesh(d, f), f, n_max)), eps)
+    return _settle(((mo, c1_distance(mo)) for mo in _living(_orbits(f, seed_mesh(d, f), n_max))), eps)
 
 
 @dataclass(frozen=True)
@@ -383,41 +384,29 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
 
     On the u = 0 slice the decay bounds apply at every iterate; off the slice
     the thin-slab persistence statement applies once |s| <= eps_s and both
-    inclinations have dipped below the target.  The slice nodes step
-    together, and each iterate's slice margins are one stacked reduction:
-    one array of frame inclinations, one of each bound, and their minima.
-    The off-slice nodes step together too; ``_run_domination`` reads them
-    from a ``find_K`` run of the same disk and horizon instead, with the
-    same bits.  Negative margins falsify either the model's structural
-    conditions or the constant estimates, so they are reported rather than
-    raised; a NaN margin is kept.
+    inclinations have dipped below the target.  The slice nodes are one
+    restricted run, read up to the first slice escape, and each iterate's
+    slice margins are one stacked reduction: one array of frame
+    inclinations, one of each bound, and their minima.  The off-slice nodes
+    are one run of the seed with its slice nodes dead from the start, which
+    ``_run_domination`` reads from a ``find_K`` run instead, with the same
+    bits; unlike ``find_K``, the report runs on once every node has escaped.
+    Negative margins falsify either the model's structural conditions or the
+    constant estimates, so they are reported rather than raised; a NaN
+    margin is kept.
     """
     n_max = _count(n_max, "n_max")
     _check_budget(b)
     mo = seed_mesh(d, f)
-
-    def off_slice_survivors(rows):
-        nodes = np.flatnonzero(rows)
-        for n, live, Z, F in _survivors(f, mo.points[nodes], mo.frames[nodes], n_max, restricted=False):
-            yield n, nodes[live], Z, F
-
-    return _domination(f, b, mo, n_max, off_slice_survivors)
+    off_slice = replace(mo, died_at=tuple(np.where(_on_slice(mo), 0, -1).tolist()))
+    return _domination(f, b, mo, n_max, _orbits(f, off_slice, n_max))
 
 
 def _run_domination(found: FindKResult, f: MapSpec, b: BoundSet) -> DominationReport:
     """``verify_bound_domination`` of the disk and horizon of ``found``, a ``find_K`` run on f, bit for
     bit: its off-slice nodes are read from the run, and only the slice nodes are pushed again."""
     _check_budget(b)
-    run = found._run
-
-    def off_slice_survivors(rows):
-        for mo in run:
-            live = np.flatnonzero(rows & (np.array(mo.died_at) < 0))
-            if not len(live):
-                return
-            yield mo.n, live, mo.points[live], mo.frames[live]
-
-    return _domination(f, b, run[0], len(run) - 1, off_slice_survivors)
+    return _domination(f, b, found._run[0], len(found._run) - 1, found._run)
 
 
 def _check_budget(b: BoundSet) -> None:
@@ -426,19 +415,23 @@ def _check_budget(b: BoundSet) -> None:
         raise ContractError(f"constant budget violates {', '.join(broken)}")
 
 
-def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, off_slice_survivors) -> DominationReport:
-    """The domination report of the seeded mesh ``mo`` through n_max.  ``off_slice_survivors(rows)``
-    yields (n, node indices, points, frames) of the nodes of the mask ``rows`` alive at each iterate
-    from 0, as ``_survivors`` does, and stops once none is."""
+def _on_slice(mo: MeshOrbit) -> np.ndarray:
+    """The mask of the alive nodes on the u = 0 slice."""
+    return np.array(mo.alive) & ~mo.points[:, mo.dims.n_s : mo.dims.n_s + mo.dims.n_u].any(axis=1)
+
+
+def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, run) -> DominationReport:
+    """The domination report of the seeded mesh ``mo`` through n_max.  ``run`` is a mesh run of
+    ``mo`` (``_orbits``) from iterate 0 whose off-slice rows are ``mo``'s; its slice rows are not
+    read, and the slice regime pushes its own restricted run."""
     dims = f.dims
     notes = []
 
     def sup_s(Z):
         return np.abs(Z[:, : dims.n_s]).max(axis=1)
 
-    alive = np.array(mo.alive)
-    crosses = ~mo.points[:, dims.n_s : dims.n_s + dims.n_u].any(axis=1)
-    on_slice, off_slice = alive & crosses, alive & ~crosses
+    on_slice = _on_slice(mo)
+    off_slice = np.array(mo.alive) & ~on_slice
 
     # regime 1: the stable slice, compared against the closed-form decay bounds;
     # a seeded frame's rows j < n_u carry e_j in the u block and the others none,
@@ -447,17 +440,18 @@ def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, off_slice_su
     if not on_slice.any():
         notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
     else:
-        orbit = _survivors(f, mo.points[on_slice], mo.frames[on_slice, : dims.n_u], n_max, restricted=True)
-        _, start, Z, F = next(orbit)
-        (ns0, nx0), s0 = _frame_inclinations(dims, F), sup_s(Z)
-        for n, live, Z, F in orbit:
-            if len(live) < len(start):  # rows run up to the depth every slice node reached
+        nodes = np.flatnonzero(on_slice)
+        start = MeshOrbit(tuple(mo.tags[i] for i in nodes), mo.points[nodes], mo.frames[nodes, : dims.n_u],
+                          (-1,) * len(nodes), 0, dims, mo.topo)
+        (ns0, nx0), s0 = _frame_inclinations(dims, start.frames), sup_s(start.points)
+        for orbit in islice(_orbits(f, start, n_max, restricted=True), 1, None):
+            if not all(orbit.alive):  # rows run up to the depth every slice node reached
                 break
-            inc_s, inc_x = _frame_inclinations(dims, F)
-            bounds = theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0)
+            inc_s, inc_x = _frame_inclinations(dims, orbit.frames)
+            bounds = theoretical_inclination_bounds(b, orbit.n, I0_x=nx0, I0_s=ns0, s0=s0)
             margin_s = None if bounds.pre_asymptotic else float(np.min(bounds.bound_s - inc_s))
-            margin_sn = float(np.min(sn_contraction_bound(b, n, s0) - sup_s(Z)))
-            slice_rows.append((n, float(np.min(bounds.bound_x - inc_x)), margin_s, margin_sn))
+            margin_sn = float(np.min(sn_contraction_bound(b, orbit.n, s0) - sup_s(orbit.points)))
+            slice_rows.append((orbit.n, float(np.min(bounds.bound_x - inc_x)), margin_s, margin_sn))
 
     # regime 2: off-slice survivors, checked per frame vector for persistence
     eps = b.target_eps
@@ -467,8 +461,12 @@ def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, off_slice_su
     else:
         rows_of = [[] for _ in mo.tags]
         was_armed = np.zeros(mo.frames.shape[:2], dtype=bool)
-        for n, live, Z, F in off_slice_survivors(off_slice):
-            inc_s, inc_x, has_u = _inclinations(dims, F)
+        for orbit in run:
+            live = np.flatnonzero(off_slice & np.array(orbit.alive))
+            if not len(live):
+                break
+            n, Z = orbit.n, orbit.points[live]
+            inc_s, inc_x, has_u = _inclinations(dims, orbit.frames[live])
             for r, j in zip(*np.nonzero(was_armed[live] & has_u)):
                 rows_of[live[r]].append((n, eps - float(inc_x[r, j]), eps - float(inc_s[r, j])))
             was_armed[live] = has_u & (sup_s(Z) <= b.eps_s)[:, None] & (inc_s <= eps) & (inc_x <= eps)
@@ -537,7 +535,7 @@ def annulus_experiment(
     rows1 = []
 
     def measured():
-        for orbit in _iterates(mo, f, n_max):
+        for orbit in _living(_orbits(f, mo, n_max)):
             pool = np.flatnonzero(np.array(orbit.died_at) < 0)
             c0, gaps = _node_distances(orbit, pool)
             for edge, y_val, rows in zip(edges, (y0, y1), (rows0, rows1)):

@@ -42,6 +42,7 @@ ROLES = {
     "pendulum_local_inverse": "ROADMAP item 5: the saddle chart of the return map",
     "straighten_point": "test oracle: Phi in the conjugated remainder's bit-for-bit test",
     "unit_frame": "test oracle: builds the frames of the acceptance checks",
+    "advance_mesh": "public mesh stepping, a thin call over the one run loop",
 }
 
 
@@ -67,6 +68,20 @@ def test_every_public_name_has_a_user():
             continue
         unused.append(name)
     assert not unused, f"exported but used nowhere: {unused}"
+
+
+def test_every_private_helper_has_a_caller():
+    # a top-level _name def or class in src/nhimlab is referenced somewhere in the package outside
+    # its own definition, so a loop that goes leaves no helper of its own behind
+    texts = {p: p.read_text() for p in sorted((ROOT / "src" / "nhimlab").glob("*.py"))}
+    unreferenced = []
+    for path, text in texts.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                word = re.compile(rf"\b{node.name}\b")
+                if not any(word.search(_without_definition(t, node.name)) for t in texts.values()):
+                    unreferenced.append(f"{path.name}:{node.name}")
+    assert not unreferenced, f"private helpers with no caller: {unreferenced}"
 
 
 LINEAR = make_linear(0.5, 2.0)

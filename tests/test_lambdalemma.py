@@ -14,6 +14,7 @@ from nhimlab import (
     EmptyMeshError,
     EscapeError,
     JetState,
+    ModelInconsistencyError,
     MeshOrbit,
     OutOfNeighborhoodError,
     advance_mesh,
@@ -33,6 +34,7 @@ from nhimlab import (
     theoretical_inclination_bounds,
     verify_bound_domination,
 )
+from nhimlab import lambdalemma
 from nhimlab.lambdalemma import _run_domination
 
 TWO_PI = 2.0 * np.pi
@@ -193,6 +195,15 @@ def test_c1_distance_index_filter():
         c1_distance(mo, indices=dead[:1])
     alive = mo.alive_indices()
     assert c1_distance(mo, indices=alive).c0 == c1_distance(mo).c0
+
+
+@pytest.mark.parametrize("bad", [[-1], [25], [1.5]], ids=["negative", "past-the-end", "fractional"])
+def test_c1_distance_refuses_an_index_that_is_not_a_node(bad):
+    # a 25-node mesh: -1 would read node 24, 25 and 1.5 would raise bare numpy or list errors
+    mo = seed_mesh(const_disk(0.3, 0.1), make_linear(0.5, 2.0))
+    assert len(mo.tags) == 25
+    with pytest.raises(ContractError, match="indices"):
+        c1_distance(mo, indices=bad)
 
 
 def test_find_K_linear():
@@ -405,6 +416,15 @@ def test_annulus_edge_matches_standalone_circle():
         assert abs(track.K_prime - solo.K) <= 1
 
 
+def test_annulus_refuses_a_drifting_boundary_circle():
+    # y = 0.9 is no invariant circle of this twist map: its nodes leave it at the first step
+    f = make_twist_annulus(0.05, 0.0, 1.0)
+    half = 0.5 * 0.5**8
+    d = const_disk(0.2, half, m=2, x_box=((0.0, TWO_PI), (0.0, 0.9)))
+    with pytest.raises(ModelInconsistencyError, match=r"^boundary circle y=0\.9 drifted by 0\.00428 at iterate 1$"):
+        annulus_experiment(f, 0.0, 0.9, d, 1e-2, 40)
+
+
 def test_annulus_requires_annulus_topology():
     f = make_poly(0.05)
     d = const_disk(0.2, 1e-3)
@@ -543,6 +563,32 @@ def test_domination_slice_rows_stop_at_the_first_slice_escape():
     rep = verify_bound_domination(WAVY_DISK, S_GROWING, estimate_bounds(S_GROWING, grid_density=5), n_max=14)
     assert [row[0] for row in rep.slice_rows] == list(range(1, 11))
     assert rep.persistence_rows
+
+
+def test_find_K_raises_where_domination_runs_on():
+    # every node of the escaping-slice case has left by iterate 14: find_K refuses the empty mesh,
+    # while domination reports the slice rows up to the first slice escape and the persistence rows
+    b = estimate_bounds(S_GROWING, grid_density=5)
+    with pytest.raises(EmptyMeshError, match="every mesh node escaped by iterate 14"):
+        find_K(WAVY_DISK, S_GROWING, eps=b.target_eps, n_max=14)
+    rep = verify_bound_domination(WAVY_DISK, S_GROWING, b, n_max=14)
+    assert (len(rep.slice_rows), len(rep.persistence_rows)) == (10, 44)
+
+
+def test_domination_steps_no_slice_row_past_the_first_slice_escape(monkeypatch):
+    # the first slice node leaves at iterate 11, the off-slice nodes by iterate 5: no restricted
+    # step follows the first slice escape
+    b = estimate_bounds(S_GROWING, grid_density=5)
+    calls = []
+
+    def step(f, Z, F, require_unstable, restricted):
+        calls.append(restricted)
+        return push(f, Z, F, require_unstable, restricted)
+
+    push = lambdalemma._step
+    monkeypatch.setattr(lambdalemma, "_step", step)
+    verify_bound_domination(WAVY_DISK, S_GROWING, b, n_max=14)
+    assert (calls.count(True), calls.count(False)) == (11, 5)
 
 
 def test_domination_pushes_only_the_unstable_pointing_slice_rows():
