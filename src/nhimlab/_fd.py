@@ -1,69 +1,55 @@
-"""Central finite differences of vector functions, at one point and at stacks of rows.
+"""Central finite differences of vector functions at stacks of rows.
 
-The stacked forms build every probe of every row first and hand them to the
-function as one stack; each row gets the probes and the bits of the
-one-point form.
+Each form builds every probe of every row first and hands them to the
+function as one stack, so a function in the stacked contract runs once per
+difference.  The first difference falls back to a one-sided column where a
+probe would leave the admissible set.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .exceptions import ContractError
 
 
-def _fd_first(func, z: np.ndarray, h: float, inside=None) -> np.ndarray:
-    """Columnwise central difference of a vector function, with a one-sided
-    fallback on coordinates where a probe would leave the admissible set."""
-    z = np.asarray(z, dtype=float)
-    base = None
-    cols = []
-    for j in range(z.size):
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += h
-        zm[j] -= h
-        ok_p = inside is None or inside(zp)
-        ok_m = inside is None or inside(zm)
-        if ok_p and ok_m:
-            cols.append((func(zp) - func(zm)) / (2.0 * h))
-        elif ok_p:
-            if base is None:
-                base = func(z)
-            cols.append((func(zp) - base) / h)
-        elif ok_m:
-            if base is None:
-                base = func(z)
-            cols.append((base - func(zm)) / h)
-        else:
-            raise ContractError("finite-difference step does not fit inside the neighborhood; reduce h")
-    return np.stack(cols, axis=1)
+def _fd_first_rows(call: Callable, Z: np.ndarray, h: float, inside: Optional[Callable] = None) -> np.ndarray:
+    """Central differences at every row of Z (N x k) as a new (N, out, k) stack.  ``call`` takes a
+    stack of probes and returns the stack of its values there; it runs once, on each row's k plus
+    probes, then its k minus probes, in row order.
 
-
-def _fd_second(func, z: np.ndarray, h: float) -> np.ndarray:
-    """Full symmetric second-derivative tensor T[i, j, k] by central stencils: ``_fd_second_rows`` of one row."""
-    return _fd_second_rows(lambda V: np.array([func(v) for v in V]), np.asarray(z, dtype=float)[None], h)[0]
-
-
-def _fd_first_rows(call: Callable, Z: np.ndarray, h: float) -> np.ndarray:
-    """Central differences at every row of Z (N x k) as a new (N, out, k) stack, each with the probes
-    and the bits of ``_fd_first`` (which has a one-sided fallback this has not).  ``call`` takes
-    the stack of all 2 k N probes and returns the stack of its values there."""
+    ``inside``, when given, takes a stack of probes and says which lie in the admissible set.  A
+    probe outside is never read: its column is the one-sided difference against the row's own
+    value, which is read after the row's probes.  A column with no probe inside raises a
+    ContractError before any probe is read."""
     count, k = Z.shape
     probes = np.repeat(Z[:, None, :], 2 * k, axis=1)  # the k plus probes, then the k minus probes
     cols = np.arange(k)
     probes[:, cols, cols] += h
     probes[:, k + cols, cols] -= h
-    values = call(probes.reshape(-1, k))
-    values = values.reshape(count, 2, k, values.shape[-1])
-    return np.ascontiguousarray(((values[:, 0] - values[:, 1]) / (2.0 * h)).transpose(0, 2, 1))
+    if inside is None:
+        values = call(probes.reshape(-1, k))
+        values = values.reshape(count, 2, k, values.shape[-1])
+        return np.ascontiguousarray(((values[:, 0] - values[:, 1]) / (2.0 * h)).transpose(0, 2, 1))
+    ok = inside(probes.reshape(-1, k)).reshape(count, 2, k)
+    if not (ok[:, 0] | ok[:, 1]).all():
+        raise ContractError("finite-difference step does not fit inside the neighborhood; reduce h")
+    read = np.concatenate((ok.reshape(count, 2 * k), ~ok.all(axis=(1, 2))[:, None]), axis=1)
+    values = call(np.concatenate((probes, Z[:, None, :]), axis=1)[read])
+    v = np.zeros((count, 2 * k + 1, values.shape[-1]))
+    v[read] = values
+    plus, minus, row = v[:, :k], v[:, k : 2 * k], v[:, 2 * k :]
+    central = (plus - minus) / (2.0 * h)
+    one_sided = np.where(ok[:, 0, :, None], (plus - row) / h, (row - minus) / h)
+    return np.ascontiguousarray(np.where(ok.all(axis=1)[..., None], central, one_sided).transpose(0, 2, 1))
 
 
 def _fd_second_rows(call: Callable, Z: np.ndarray, h: float) -> np.ndarray:
-    """``_fd_second`` at every row of Z (N x k) as a new (N, out, k, k) stack, with its probes and
-    bits.  ``call`` takes the stack of all probes and returns the stack of its values there."""
+    """Second differences at every row of Z (N x k) as a new (N, out, k, k) stack of the full symmetric
+    tensors T[i, j, l], by central stencils.  ``call`` takes the stack of all probes and returns the
+    stack of its values there."""
     count, k = Z.shape
     pairs = [(j, l) for j in range(k) for l in range(j + 1, k)]
     # probe 0 is the row; then z +- h e_j; then z + (+-h, +-h) on each pair, in the order ++, +-, -+, --

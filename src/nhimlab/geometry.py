@@ -109,12 +109,12 @@ def _wrap_angles(X: np.ndarray, is_angle: np.ndarray) -> np.ndarray:
 
 
 def _count(n, name: str, minimum: int = 0) -> int:
-    """``n`` as an int; a count that is NaN, infinite, not integral or below
-    ``minimum`` is a ContractError, never a conversion error or a silently
-    truncated count."""
+    """``n`` as an int; a count that is a boolean, NaN, infinite, not integral
+    or below ``minimum`` is a ContractError, never a conversion error or a
+    silently truncated count."""
     try:
         value = int(n)
-        integral = value == n
+        integral = value == n and not isinstance(n, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or value < minimum:

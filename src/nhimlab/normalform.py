@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._fd import _fd_first, _fd_first_rows, _fd_second_rows
+from ._fd import _fd_first_rows, _fd_second_rows
 from .exceptions import ContractError, OutOfNeighborhoodError
 from .geometry import (
     TWO_PI,
@@ -37,7 +37,6 @@ from .geometry import (
     _as_float_vector,
     _count,
     _max_keep_nan,
-    _normal_norm,
     mat_row_sup_norm,
     tensor_row_sup_norm,
     vec_sup_norm,
@@ -254,25 +253,11 @@ def apply_map(f: MapSpec, p: ChartPoint) -> ChartPoint:
     return ChartPoint(*_image(f, p.s, p.u, p.x), f.topo)
 
 
-def _r_flat(f: MapSpec):
-    """The remainder r as a function of the concatenated coordinate z = (s, u, x)."""
-    return lambda z: f.dims.join(*f.r_map(*f.dims.split(z)))
-
-
-def _in_ball(f: MapSpec):
-    """Membership of a concatenated coordinate z = (s, u, x) in f's working ball."""
-    return lambda z: _normal_norm(*f.dims.split(z)[:2]) < f.rho
-
-
-def _r_jacobian(f: MapSpec, s, u, x, h: float) -> np.ndarray:
-    """Central differences of r at one point with step h, one-sided next to the boundary of U."""
-    return _fd_first(_r_flat(f), f.dims.join(s, u, x), h, inside=_in_ball(f))
-
-
 class _Given:
     """f at the rows (S, U, X) through its callables as given: reading ``r`` runs ``r_map``,
-    ``jacobian()`` runs ``d_r`` (``_r_jacobian`` row by row with step ``h`` when absent) and
-    ``second()`` runs ``d2_r`` (second differences of ``r_map`` when absent), each once per stack."""
+    ``jacobian()`` runs ``d_r`` and ``second()`` runs ``d2_r``, each once per stack.  Without
+    ``d_r`` or ``d2_r`` they difference ``r_map`` instead, in one read of all the probes: first
+    differences with step ``h``, one-sided next to the boundary of U, and second differences."""
 
     def __init__(self, f: MapSpec, S, U, X, h: float = FD_STEP_FIRST):
         self.f, self.S, self.U, self.X, self.h = f, S, U, X, h
@@ -284,18 +269,21 @@ class _Given:
     def r(self) -> tuple:
         return self.f.r_map.rows(self.S, self.U, self.X)
 
+    def _flat_r(self, Z: np.ndarray) -> np.ndarray:
+        """r at the rows (s, u, x) of Z, as the rows of a new N x n array."""
+        return np.concatenate(self.f.r_map.rows(*_columns(self.f.dims, Z)), axis=1)
+
     def jacobian(self) -> np.ndarray:
-        f, n = self.f, self.f.dims.n
-        if f.d_r is None:  # the one-sided fallback of the differences has no stacked form
-            return _stacked(lambda s, u, x: _r_jacobian(f, s, u, x, self.h), (n, n)).rows(self.S, self.U, self.X)
+        f, a = self.f, self.f.dims.n_s + self.f.dims.n_u
+        if f.d_r is None:
+            return _fd_first_rows(self._flat_r, np.concatenate((self.S, self.U, self.X), axis=1), self.h,
+                                  inside=lambda P: np.abs(P[:, :a]).max(axis=1) < f.rho)
         return f.d_r.rows(self.S, self.U, self.X)
 
     def second(self) -> np.ndarray:
-        f = self.f
-        if f.d2_r is None:
-            return _fd_second_rows(lambda Z: np.concatenate(f.r_map.rows(*_columns(f.dims, Z)), axis=1),
-                                   np.concatenate((self.S, self.U, self.X), axis=1), FD_STEP_SECOND)
-        return f.d2_r.rows(self.S, self.U, self.X)
+        if self.f.d2_r is None:
+            return _fd_second_rows(self._flat_r, np.concatenate((self.S, self.U, self.X), axis=1), FD_STEP_SECOND)
+        return self.f.d2_r.rows(self.S, self.U, self.X)
 
 
 def _shared_evaluation(f: MapSpec, *reads: str) -> Optional[Callable]:

@@ -2,6 +2,8 @@
 checked the same way at the API and in the CLI."""
 
 import ast
+import collections
+import functools
 import json
 import math
 import re
@@ -46,41 +48,70 @@ ROLES = {
 }
 
 
-def _without_definition(text, name):
+@functools.cache
+def _modules():
+    """Each module of src/nhimlab, parsed once: its path, its lines and its top-level statements."""
+    out = []
+    for path in sorted((ROOT / "src" / "nhimlab").glob("*.py")):
+        text = path.read_text()
+        out.append((path, text.splitlines(keepends=True), ast.parse(text).body))
+    return out
+
+
+def _definitions(body):
+    """{name: statement} of the top-level defs and classes in a module's statements."""
+    return {node.name: node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _without_definition(lines, body, name):
     """Module text less the top-level def or class of ``name``, decorators included."""
-    lines = text.splitlines(keepends=True)
-    for node in ast.parse(text).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            del lines[start - 1 : node.end_lineno]
-            break
-    return "".join(lines)
+    node = _definitions(body).get(name)
+    if node is None:
+        return "".join(lines)
+    start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return "".join(lines[: start - 1] + lines[node.end_lineno :])
+
+
+def _code_names(node):
+    """The names that code in ``node`` reads or binds: variables, attributes and imported names,
+    never the words of a docstring or a comment."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
 
 
 def test_every_public_name_has_a_user():
-    modules = [p.read_text() for p in sorted((ROOT / "src" / "nhimlab").glob("*.py")) if p.name != "__init__.py"]
+    modules = [(lines, body) for path, lines, body in _modules() if path.name != "__init__.py"]
     outside = "".join(p.read_text() for d in ("perfbench", "tools") for p in sorted((ROOT / d).glob("*.py")))
     assert set(ROLES) <= set(nhimlab.__all__)
     unused = []
     for name in nhimlab.__all__:
         word = re.compile(rf"\b{name}\b")
-        if name in ROLES or word.search(outside) or any(word.search(_without_definition(t, name)) for t in modules):
+        if name in ROLES or word.search(outside) or any(word.search(_without_definition(*m, name)) for m in modules):
             continue
         unused.append(name)
     assert not unused, f"exported but used nowhere: {unused}"
 
 
 def test_every_private_helper_has_a_caller():
-    # a top-level _name def or class in src/nhimlab is referenced somewhere in the package outside
-    # its own definition, so a loop that goes leaves no helper of its own behind
-    texts = {p: p.read_text() for p in sorted((ROOT / "src" / "nhimlab").glob("*.py"))}
-    unreferenced = []
-    for path, text in texts.items():
-        for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
-                word = re.compile(rf"\b{node.name}\b")
-                if not any(word.search(_without_definition(t, node.name)) for t in texts.values()):
-                    unreferenced.append(f"{path.name}:{node.name}")
+    # a top-level _name def or class in src/nhimlab is referenced by code somewhere in the package
+    # outside its own definition (a docstring's mention is no caller), so a loop that goes leaves no
+    # helper of its own behind
+    users = collections.defaultdict(set)  # name -> the top-level statements whose code names it
+    for _, _, body in _modules():
+        for node in body:
+            for name in _code_names(node):
+                users[name].add(node)
+    unreferenced = [
+        f"{path.name}:{name}"
+        for path, _, body in _modules()
+        for name, node in _definitions(body).items()
+        if name.startswith("_") and not users[name] - {node}
+    ]
     assert not unreferenced, f"private helpers with no caller: {unreferenced}"
 
 
@@ -114,7 +145,7 @@ CLI_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("count", [2.5, math.nan, -1])
+@pytest.mark.parametrize("count", [2.5, math.nan, -1, True])
 @pytest.mark.parametrize("entry", [*API_COUNTS, *CLI_COUNTS])
 def test_a_count_that_is_not_a_whole_number_is_refused(entry, count, tmp_path, capsys):
     # the API raises a ContractError naming the count, never a TypeError from

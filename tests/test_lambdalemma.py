@@ -197,9 +197,11 @@ def test_c1_distance_index_filter():
     assert c1_distance(mo, indices=alive).c0 == c1_distance(mo).c0
 
 
-@pytest.mark.parametrize("bad", [[-1], [25], [1.5]], ids=["negative", "past-the-end", "fractional"])
+@pytest.mark.parametrize("bad", [[-1], [25], [1.5], np.array([True] + [False] * 24)],
+                         ids=["negative", "past-the-end", "fractional", "mask"])
 def test_c1_distance_refuses_an_index_that_is_not_a_node(bad):
-    # a 25-node mesh: -1 would read node 24, 25 and 1.5 would raise bare numpy or list errors
+    # a 25-node mesh: -1 would read node 24, 25 and 1.5 would raise bare numpy or list errors, and
+    # a boolean mask would read its entries as nodes 1 and 0
     mo = seed_mesh(const_disk(0.3, 0.1), make_linear(0.5, 2.0))
     assert len(mo.tags) == 25
     with pytest.raises(ContractError, match="indices"):

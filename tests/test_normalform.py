@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _refvals as rv
+from _fd_oracles import _r_jacobian
 from nhimlab import (
     BoundSet,
     ContractError,
@@ -20,7 +21,7 @@ from nhimlab import (
     make_twist_annulus,
     validate_conditions,
 )
-from nhimlab.normalform import _r_jacobian, _unit_samples
+from nhimlab.normalform import _unit_samples
 
 
 def strip_analytic(f):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import _fd_oracles
 from nhimlab import (
     ChartTopology,
     ContractError,
@@ -40,7 +41,6 @@ from nhimlab.normalform import (
     _bound_grid,
     _image,
     _jacobians,
-    _r_flat,
     _Stacked,
 )
 from nhimlab.tangentflow import _step
@@ -95,13 +95,13 @@ def _r_jacobian(f, s, u, x, h):
     """The one-point Jacobian of r as it ran per row: d_r, else differences of r_map."""
     if f.d_r is not None:
         return np.asarray(f.d_r(s, u, x), dtype=float)
-    return normalform._r_jacobian(f, s, u, x, h)
+    return _fd_oracles._r_jacobian(f, s, u, x, h)
 
 
 def _g_jacobian(f, x, h):
     if f.d_g is not None:
         return np.asarray(f.d_g(x), dtype=float)
-    return _fd._fd_first(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, h)
+    return _fd_oracles._fd_first(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, h)
 
 
 def _a_tensor(f, which, x, h):
@@ -111,20 +111,20 @@ def _a_tensor(f, which, x, h):
     if der is not None:
         return np.asarray(der(x), dtype=float)
     size = f.dims.n_s if which == "s" else f.dims.n_u
-    cols = _fd._fd_first(lambda z: np.asarray(fun(z), dtype=float).reshape(-1), x, h)
+    cols = _fd_oracles._fd_first(lambda z: np.asarray(fun(z), dtype=float).reshape(-1), x, h)
     return cols.reshape(size, size, -1)
 
 
 def _second_tensor(f, s, u, x):
     if f.d2_r is not None:
         return np.asarray(f.d2_r(s, u, x), dtype=float)
-    return _fd._fd_second(_r_flat(f), f.dims.join(s, u, x), FD_STEP_SECOND)
+    return _fd_oracles._fd_second(_fd_oracles._r_flat(f), f.dims.join(s, u, x), FD_STEP_SECOND)
 
 
 def _g_second_tensor(f, x):
     if f.d2_g is not None:
         return np.asarray(f.d2_g(x), dtype=float)
-    return _fd._fd_second(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, FD_STEP_SECOND)
+    return _fd_oracles._fd_second(lambda z: np.asarray(f.g_map(z), dtype=float).reshape(-1), x, FD_STEP_SECOND)
 
 
 def jacobian_by_rows(f, z, h):
@@ -627,9 +627,89 @@ def test_stacked_differences_are_the_one_point_ones_row_by_row():
             first = _fd._fd_first_rows(lambda V: np.array([func(v) for v in V]), Z, h)
             second = _fd._fd_second_rows(lambda V: np.array([func(v) for v in V]), Z, h)
             for z, d1, d2 in zip(Z, first, second):
-                assert np.array_equal(d1, _fd._fd_first(func, z, h))
+                assert np.array_equal(d1, _fd_oracles._fd_first(func, z, h))
                 assert np.array_equal(d2, fd_second_by_point(func, z, h))
-                assert np.array_equal(d2, _fd._fd_second(func, z, h))
+                assert np.array_equal(d2, _fd_oracles._fd_second(func, z, h))
+
+
+FALLBACK_MAPS = {"poly": lambda: make_poly(0.05), "twist": lambda: make_twist_annulus(0.05, 0.0, 1.0)}
+
+
+def edge_rows(f, h=FD_STEP_FIRST):
+    """Six rows of f's ball within h of its edge, s = +-(rho - 0.4 h), u = +-(rho - 0.3 h) and two
+    corners, where a probe leaves the ball; then one row well inside it."""
+    e_s, e_u = f.rho - 0.4 * h, f.rho - 0.3 * h
+    su = [(e_s, 0.01), (-e_s, -0.02), (0.03, e_u), (0.01, -e_u), (e_s, e_u), (-e_s, -e_u), (0.1, -0.2)]
+    x = np.linspace(0.2, 0.8, f.dims.m)
+    return np.array([[s, u, *x] for s, u in su])
+
+
+@pytest.mark.parametrize("make", FALLBACK_MAPS.values(), ids=FALLBACK_MAPS.keys())
+def test_a_remainder_without_d_r_is_differenced_on_one_stack_one_sided_at_the_edge(make):
+    f, seen = make(), []
+    f = dataclasses.replace(f, d_r=None, r_map=counting_rows(f.r_map, seen))
+    Z = edge_rows(f)
+    J = _jacobians(f, Z, FD_STEP_FIRST)
+    # one read of r_map: every probe but the eight outside the ball (one per edge row, two per
+    # corner), and the six edge rows themselves
+    assert seen == [2 * f.dims.n * len(Z) - 8 + 6]
+    for z, jac in zip(Z, J):
+        assert np.array_equal(jac, jacobian_by_rows(f, z, FD_STEP_FIRST))
+
+
+@pytest.mark.parametrize("make", FALLBACK_MAPS.values(), ids=FALLBACK_MAPS.keys())
+def test_a_step_that_does_not_fit_the_ball_is_refused_on_a_stack_as_at_one_point(make):
+    f = dataclasses.replace(make(), d_r=None, rho=1e-6)
+    Z = np.tile(np.r_[0.0, 0.0, np.linspace(0.2, 0.8, f.dims.m)], (3, 1))
+    with pytest.raises(ContractError, match="does not fit inside the neighborhood"):
+        _fd_oracles._r_jacobian(f, *f.dims.split(Z[0]), FD_STEP_FIRST)
+    with pytest.raises(ContractError, match="does not fit inside the neighborhood"):
+        _jacobians(f, Z, FD_STEP_FIRST)
+
+
+def test_a_jacobian_without_d_r_reads_a_stacked_r_map_once_and_a_plain_one_per_probe_in_row_order():
+    f, h = dataclasses.replace(make_poly(0.05), d_r=None), FD_STEP_FIRST
+    edge = np.linspace(-(f.rho - 0.4 * h), f.rho - 0.4 * h, 11)
+    Z = np.array([[s, u, 0.3] for s in edge for u in edge])
+    calls = collections.Counter()
+    J = _jacobians(counted(f, calls), Z, h)
+    assert calls["r_map.rows"] == 1
+    # a plain r_map runs once per probe row: each row's plus probes, its minus probes, then the row
+    # itself when one of its probes leaves the ball
+    read = []
+    plain = dataclasses.replace(f, r_map=lambda s, u, x: read.append(np.r_[s, u, x]) or f.r_map(s, u, x))
+    assert np.array_equal(_jacobians(plain, Z, h), J)
+    want = []
+    for z in Z:
+        probes = [z.copy() for _ in range(6)]
+        for j in range(3):
+            probes[j][j] += h
+            probes[3 + j][j] -= h
+        kept = [p for p in probes if np.abs(p[:2]).max() < f.rho]
+        want += kept + ([z] if len(kept) < 6 else [])
+    assert np.array_equal(read, want)
+
+
+def test_errors_across_the_rows_of_a_differenced_jacobian_are_the_first_rows():
+    # the stack refuses a row whose step does not fit before reading anything, and a loop over the
+    # rows then raises the first row's error, as the one-point differences did
+    f = make_poly(0.05)
+
+    def r_map(s, u, x):
+        if x[0] > 1.0:
+            raise ValueError("r_map refuses x > 1")
+        return f.r_map(s, u, x)
+
+    g = dataclasses.replace(f, r_map=r_map, d_r=None)
+    raising, unfit = [0.1, 0.1, 2.0], [math.nan, 0.1, 0.3]
+
+    def read(Z):
+        return normalform._in_row_order(lambda rows: _jacobians(g, Z[rows], FD_STEP_FIRST), len(Z))
+
+    with pytest.raises(ValueError, match="refuses"):
+        read(np.array([raising, unfit]))
+    with pytest.raises(ContractError, match="does not fit"):
+        read(np.array([unfit, raising]))
 
 
 def condition_e_by_samples(f, sample_count):

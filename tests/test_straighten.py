@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _refvals as rv
+from _fd_oracles import _fd_first, _fd_second, _in_ball, _r_flat, _r_jacobian
 from nhimlab import (
     ChartPoint,
     ChartTopology,
@@ -29,16 +30,8 @@ from nhimlab import (
     verify_bound_domination,
 )
 from nhimlab import straighten
-from nhimlab._fd import _fd_first, _fd_second
 from nhimlab.geometry import tensor_row_sup_norm
-from nhimlab.normalform import (
-    FD_STEP_FIRST,
-    FD_STEP_SECOND,
-    _bound_grid,
-    _in_ball,
-    _r_flat,
-    _r_jacobian,
-)
+from nhimlab.normalform import FD_STEP_FIRST, FD_STEP_SECOND, _bound_grid
 from nhimlab.straighten import _signed_x_diff
 from nhimlab.tangentflow import _step
 
