@@ -1,17 +1,26 @@
-"""Hot loops for the Hamiltonian flow: jitted when numba is installed, else plain Python.
+"""The Hamiltonian flow's force, written once per Fourier table: jitted when numba is installed, else plain Python.
 
-The splitting integrator advances a 6-component state (p, q, I, theta, J, phi)
-through kick(h/2) / drift(h) / kick(h/2) compositions.  The force is evaluated
-once per step (n_steps + 1 times per call): a kick moves only (p, I, J) and the
+A key is (contact order, f table, g table), each table a tuple of
+(k1, k2, cos_coeff, sin_coeff) rows of Python ints and floats.  At a key's
+first call ``_source`` writes the force's lines once, one group per Fourier
+mode with the mode numbers, the coefficients and the order as literals, and
+emits three functions from them: the splitting's step loop, the energy and the
+vector field.  They are compiled together and cached for the process; eps and
+mu stay arguments, so specs that differ only in them share one body.  Nothing
+is generated at import or when a ``HamiltonianSpec`` is built.
+
+The step loop advances a 6-component state (p, q, I, theta, J, phi) through
+kick(h/2) / drift(h) / kick(h/2) compositions.  The force is evaluated once
+per step (n_steps + 1 times per call): a kick moves only (p, I, J) and the
 force reads only (q, theta, phi), so the closing half kick of one step and the
-opening half kick of the next apply the same increments.  Both backends execute
-the same function body, so they agree by construction; ``tests/test_kernels.py``
-checks that bit for bit only when numba is installed.  numba takes the state
-and the mode tables as arrays; the pure-Python fallback converts them, and the
-scalars, to Python floats, ints and lists once per call, because the
-interpreted loop runs several times faster on those than on numpy scalars.
-Setting the environment variable ``NHIM_NUMBA=0`` before import selects the
-pure-Python fallback.
+opening half kick of the next apply the same increments.  Both backends run
+the same generated loop; numba jits it per key at its first call (a generated
+function has no source file, so nothing is cached on disk), and
+``tests/test_kernels.py`` compares the two bit for bit only when numba is
+installed.  The pure-Python fallback converts the state and the scalars to
+Python floats once per call, because the interpreted loop runs several times
+faster on those than on numpy scalars.  Setting the environment variable
+``NHIM_NUMBA=0`` before import selects the pure-Python fallback.
 """
 
 from __future__ import annotations
@@ -38,105 +47,117 @@ def _env_wants_numba() -> bool:
 USE_NUMBA = HAVE_NUMBA and _env_wants_numba()
 
 
-def _advance_impl(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2, gc, gs):
-    p = state[0]
-    q = state[1]
-    act = state[2]
-    th = state[3]
-    jj = state[4]
-    ph = state[5]
-    half = 0.5 * h
-    for step in range(n_steps + 1):
-        # force at (q, theta, phi), shared by the half kicks on either side
-        sq = math.sin(q)
-        cq = math.cos(q)
-        gv = 0.0
-        gth = 0.0
-        gph = 0.0
-        for i in range(len(gk1)):
-            arg = gk1[i] * th + gk2[i] * ph
-            ca = math.cos(arg)
-            sa = math.sin(arg)
-            gv += gc[i] * ca + gs[i] * sa
-            dmode = -gc[i] * sa + gs[i] * ca
-            gth += gk1[i] * dmode
-            gph += gk2[i] * dmode
-        fth = 0.0
-        fph = 0.0
-        for i in range(len(fk1)):
-            arg = fk1[i] * th + fk2[i] * ph
-            ca = math.cos(arg)
-            sa = math.sin(arg)
-            dmode = -fc[i] * sa + fs[i] * ca
-            fth += fk1[i] * dmode
-            fph += fk2[i] * dmode
-        sq_pow = sq ** (alpha - 1)
-        kp = eps * sq - mu * alpha * sq_pow * cq * gv
-        ka = -eps * fth - mu * sq_pow * sq * gth
-        kj = -eps * fph - mu * sq_pow * sq * gph
-        if step > 0:
-            # closing half kick of the previous step
-            p += half * kp
-            act += half * ka
-            jj += half * kj
-        if step == n_steps:
-            break
-        # opening half kick, then drift
-        p += half * kp
-        act += half * ka
-        jj += half * kj
-        q += h * p
-        th += h * act
-        ph += h
-    out = np.empty(6)
-    out[0] = p
-    out[1] = q
-    out[2] = act
-    out[3] = th
-    out[4] = jj
-    out[5] = ph
-    return out
+def _modes(table, tag: str, value: bool, slopes: bool) -> list:
+    """Lines summing a Fourier table mode by mode into ``<tag>v`` (with ``value``)
+    and its theta and phi slopes ``<tag>th``, ``<tag>ph`` (with ``slopes``)."""
+    lines = [f"{tag}{acc} = 0.0" for acc in ("v",) * value + ("th", "ph") * slopes]
+    for k1, k2, c, s in table:
+        k1, k2, c, s, neg_c = repr(int(k1)), repr(int(k2)), repr(float(c)), repr(float(s)), repr(-float(c))
+        lines += [f"arg = ({k1}) * th + ({k2}) * ph", "ca = cos(arg)", "sa = sin(arg)"]
+        if value:
+            lines.append(f"{tag}v += ({c}) * ca + ({s}) * sa")
+        if slopes:
+            lines += [f"dmode = ({neg_c}) * sa + ({s}) * ca", f"{tag}th += ({k1}) * dmode", f"{tag}ph += ({k2}) * dmode"]
+    return lines
 
 
-def advance_python(state, h, n_steps, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2, gc, gs):
-    """The shared body on Python floats, ints and lists instead of numpy scalars.
+def _source(order: int, f_table, g_table) -> str:
+    """The step loop, the energy and the vector field of one key, as Python source."""
+    force = [
+        "sq = sin(q)",
+        "cq = cos(q)",
+        *_modes(g_table, "g", True, True),
+        *_modes(f_table, "f", False, True),
+        f"sq_pow = sq ** {order - 1}",
+        "kp = eps * sq - mua * sq_pow * cq * gv",
+        "ms = mu * sq_pow * sq",
+        "ka = neps * fth - ms * gth",
+        "kj = neps * fph - ms * gph",
+    ]
+    halves = ["hp = half * kp", "ha = half * ka", "hj = half * kj"]
+    kick = ["p += hp", "act += ha", "jj += hj"]
+    drift = ["q += h * p", "th += h * act", "ph += h"]
+    names = ("p", "q", "act", "th", "jj", "ph")
+    prelude = [f"mua = mu * {order}", "neps = -eps"]
+
+    def block(lines, depth):
+        return "".join(f"\n{'    ' * depth}{line}" for line in lines)
+
+    return (
+        "def step(state, h, n_steps, eps, mu):"
+        + block([f"{x} = state[{i}]" for i, x in enumerate(names)] + ["half = 0.5 * h"] + prelude + force + halves, 1)
+        + "\n    for _ in range(n_steps):"
+        + block(kick + drift + force + halves + kick, 2)
+        + block(["out = np.empty(6)"] + [f"out[{i}] = {x}" for i, x in enumerate(names)] + ["return out"], 1)
+        + "\n\ndef energy(p, q, act, th, jj, ph, eps, mu):"
+        + block(_modes(f_table, "f", True, False) + _modes(g_table, "g", True, False), 1)
+        + "\n    return (0.5 * p * p + 0.5 * act * act + jj + eps * (cos(q) - 1.0) + eps * fv"
+        + f" + mu * sin(q) ** {order} * gv)"
+        + "\n\ndef field(p, q, act, th, jj, ph, eps, mu):"
+        + block(prelude + force + ["return [kp, p, ka, act, kj, 1.0]"], 1)
+        + "\n"
+    )
+
+
+_BODIES = {}
+
+
+def _body(key) -> tuple:
+    """(step, energy, field, jitted step or None) of ``key``, generated at its first call."""
+    body = _BODIES.get(key)
+    if body is None:
+        namespace = {"sin": math.sin, "cos": math.cos, "np": np}
+        exec(compile(_source(*key), "<nhimlab flow body>", "exec"), namespace)
+        step = namespace["step"]
+        body = (step, namespace["energy"], namespace["field"], numba.njit(step) if HAVE_NUMBA else None)
+        _BODIES[key] = body
+    return body
+
+
+def energy(point, eps, mu, key) -> float:
+    """H at ``point`` = (p, q, I, theta, J, phi)."""
+    return _body(key)[1](*point, eps, mu)
+
+
+def field(point, eps, mu, key) -> list:
+    """(dp, dq, dI, dtheta, dJ, dphi) at ``point``."""
+    return _body(key)[2](*point, eps, mu)
+
+
+def advance_python(state, h, n_steps, eps, mu, key):
+    """``key``'s step loop on Python floats instead of numpy scalars.
 
     Interpreted arithmetic on Python scalars is several times cheaper, and
     each operation rounds the same, so the orbit is bit-identical.
     """
-    return _advance_impl(
-        [float(v) for v in state], float(h), int(n_steps), float(eps), float(mu), int(alpha),
-        [int(k) for k in fk1], [int(k) for k in fk2], [float(c) for c in fc], [float(c) for c in fs],
-        [int(k) for k in gk1], [int(k) for k in gk2], [float(c) for c in gc], [float(c) for c in gs],
-    )
+    return _body(key)[0]([float(v) for v in state], float(h), int(n_steps), float(eps), float(mu))
 
+
+def _sampling(advance):
+    """The (n_blocks + 1, 6) record of ``advance`` every ``stride`` steps, initial row included."""
+
+    def sampled(state, h, n_blocks, stride, eps, mu, key):
+        out = np.empty((n_blocks + 1, 6))
+        out[0] = state
+        for b in range(n_blocks):
+            state = out[b + 1] = advance(state, h, stride, eps, mu, key)
+        return out
+
+    return sampled
+
+
+advance_sampled_python = _sampling(advance_python)
 
 if HAVE_NUMBA:
-    advance_numba = numba.njit(cache=True)(_advance_impl)
 
-    @numba.njit(cache=True)
-    def advance_sampled_numba(state, h, n_blocks, stride, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2, gc, gs):
-        out = np.empty((n_blocks + 1, 6))
-        cur = state.copy()
-        out[0] = cur
-        for b in range(n_blocks):
-            cur = advance_numba(cur, h, stride, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2, gc, gs)
-            out[b + 1] = cur
-        return out
+    def advance_numba(state, h, n_steps, eps, mu, key):
+        return _body(key)[3](state, h, n_steps, eps, mu)
+
+    advance_sampled_numba = _sampling(advance_numba)
 
 else:  # pragma: no cover - numba is the optional `fast` extra
     advance_numba = None
     advance_sampled_numba = None
-
-
-def advance_sampled_python(state, h, n_blocks, stride, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2, gc, gs):
-    out = np.empty((n_blocks + 1, 6))
-    cur = state.copy()
-    out[0] = cur
-    for b in range(n_blocks):
-        cur = advance_python(cur, h, stride, eps, mu, alpha, fk1, fk2, fc, fs, gk1, gk2, gc, gs)
-        out[b + 1] = cur
-    return out
 
 
 if USE_NUMBA:

@@ -295,7 +295,9 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     tol_drift = _field(hc, "drift_tol", 1e-8)
     tol_cyl = _field(hc, "cyl_tol", 1e-12)
     fit_tol = _field(hc, "fit_rel_tol", 0.05)
-    fit_exponents = bool(hc.get("fit_exponents", True))
+    fit_exponents = hc.get("fit_exponents", True)
+    if not isinstance(fit_exponents, bool):  # bool("false") would read as true
+        raise ConfigError(f"config key 'fit_exponents' must be true or false, got {fit_exponents!r}")
     if fit_exponents and hs.eps == 0.0:
         raise ConfigError("exponent fit needs eps > 0; set fit_exponents false for eps = 0")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -231,56 +231,38 @@ def contact_order(nu: float, sigma_param: float, log_base: str = "natural") -> i
     switch.  Any nu >= 1 is accepted (the floor form already yields the
     minimal order 2 whenever log(nu) < 4*sigma).
     """
-    if nu < 1:
-        raise ContractError(f"nu must be at least 1, got {nu}")
-    if sigma_param <= 0:
-        raise ContractError(f"sigma_param must be positive, got {sigma_param}")
+    if not (math.isfinite(nu) and nu >= 1):
+        raise ContractError(f"nu must be finite and at least 1, got {nu}")
+    if not (math.isfinite(sigma_param) and sigma_param > 0):
+        raise ContractError(f"sigma_param must be finite and positive, got {sigma_param}")
     if log_base == "natural":
         lg = math.log(nu)
     elif log_base == "base10":
         lg = math.log10(nu)
     else:
         raise ContractError(f"log_base must be 'natural' or 'base10', got {log_base!r}")
-    return 2 * int(math.floor(lg / (4.0 * sigma_param) + 1.0))
+    ratio = lg / (4.0 * sigma_param)
+    if not math.isfinite(ratio):
+        raise ContractError(f"contact order overflows at nu={nu}, sigma_param={sigma_param}")
+    return 2 * int(math.floor(ratio + 1.0))
 
 
 DEFAULT_F_COEFFS = ((1, 0, 1.0, 0.0), (0, 1, 1.0, 0.0))  # cos(theta) + cos(phi)
 DEFAULT_G_COEFFS = ((1, 0, 1.0, 0.0), (1, -1, 1.0, 0.0))  # cos(theta) + cos(theta - phi)
 
 
-def _coeff_tables(coeffs) -> tuple:
-    """Read-only (k1, k2, cos_coeff, sin_coeff) arrays of a Fourier table."""
+def _coeff_table(coeffs) -> tuple:
+    """A Fourier table as a tuple of (k1, k2, cos_coeff, sin_coeff) rows of Python ints and floats."""
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ContractError("Fourier table rows must be (k1, k2, cos_coeff, sin_coeff)")
+    if not np.all(np.isfinite(arr)):
+        raise ContractError("Fourier table entries must be finite")
     k1 = arr[:, 0].astype(np.int64)
     k2 = arr[:, 1].astype(np.int64)
     if not (np.all(k1 == arr[:, 0]) and np.all(k2 == arr[:, 1])):
         raise ContractError("Fourier mode numbers k1, k2 must be integers")
-    tables = (k1, k2, np.ascontiguousarray(arr[:, 2]), np.ascontiguousarray(arr[:, 3]))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _fourier(tables, theta: float, phi: float):
-    """(value, d/dtheta, d/dphi) of a finite Fourier sum given as ``_coeff_tables``.
-
-    A plain-float loop over the modes, as ``_kernels.advance_python`` runs:
-    on two- or three-mode tables numpy's per-call overhead would cost more
-    than the sums.  Each sum accumulates mode by mode, which is the order of
-    ``np.sum`` below eight terms.
-    """
-    val = d_theta = d_phi = 0.0
-    for k1, k2, c, s in zip(*(t.tolist() for t in tables)):
-        arg = k1 * theta + k2 * phi
-        ca = math.cos(arg)
-        sa = math.sin(arg)
-        val += c * ca + s * sa
-        dmode = -c * sa + s * ca
-        d_theta += k1 * dmode
-        d_phi += k2 * dmode
-    return val, d_theta, d_phi
+    return tuple(zip(k1.tolist(), k2.tolist(), arr[:, 2].tolist(), arr[:, 3].tolist()))
 
 
 @dataclass(frozen=True)
@@ -293,7 +275,7 @@ class HamiltonianSpec:
     f and g are finite Fourier tables in the two rotor angles; the coupling
     exponent (``contact_order``) is derived from (nu, sigma_param) and is
     always an even integer >= 2, which keeps {p = q = 0} exactly invariant.
-    The tables are checked and built into arrays once, at construction.
+    The tables are checked and built into tuples once, at construction.
     """
 
     eps: float
@@ -306,10 +288,9 @@ class HamiltonianSpec:
     _kernel_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ContractError(f"eps must be nonnegative, got {self.eps}")
-        if self.mu < 0:
-            raise ContractError(f"mu must be nonnegative, got {self.mu}")
+        for label, value in (("eps", self.eps), ("mu", self.mu)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractError(f"{label} must be finite and nonnegative, got {value}")
         if self.mu > self.eps:
             raise ContractError(f"mu must not exceed eps, got mu={self.mu} > eps={self.eps}")
         if self.eps > 0 and self.mu > self.eps / 10.0:
@@ -318,21 +299,19 @@ class HamiltonianSpec:
                 "is meant to be a higher-order perturbation",
                 stacklevel=2,
             )
-        tables = _coeff_tables(self.f_coeffs) + _coeff_tables(self.g_coeffs)
-        order = contact_order(self.nu, self.sigma_param, self.log_base)
-        object.__setattr__(self, "_kernel_args", (self.eps, self.mu, order) + tables)
+        key = (contact_order(self.nu, self.sigma_param, self.log_base),
+               _coeff_table(self.f_coeffs), _coeff_table(self.g_coeffs))
+        object.__setattr__(self, "_kernel_args", (self.eps, self.mu, key))
 
     @property
     def contact_order(self) -> int:
-        return self._kernel_args[2]
+        return self._kernel_args[2][0]
 
     def kernel_args(self) -> tuple:
-        """(eps, mu, contact_order, fk1, fk2, fc, fs, gk1, gk2, gc, gs) for the kernels."""
+        """(eps, mu, key) for the kernels, where ``_kernels`` generates the
+        step loop, the energy and the vector field of the key
+        (contact_order, f table, g table) at the key's first call."""
         return self._kernel_args
-
-    def _tables(self) -> tuple:
-        """The f and g tables as ``_coeff_tables``."""
-        return self._kernel_args[3:7], self._kernel_args[7:]
 
 
 def _canonical_angle(a: float) -> float:
@@ -374,39 +353,12 @@ class FlowState:
 
 
 def hamiltonian_energy(hs: HamiltonianSpec, st: FlowState) -> float:
-    f_tables, g_tables = hs._tables()
-    fval, _, _ = _fourier(f_tables, st.theta, st.phi)
-    gval, _, _ = _fourier(g_tables, st.theta, st.phi)
-    order = hs.contact_order
-    return (
-        0.5 * st.p * st.p
-        + 0.5 * st.I * st.I
-        + st.J
-        + hs.eps * (math.cos(st.q) - 1.0)
-        + hs.eps * fval
-        + hs.mu * math.sin(st.q) ** order * gval
-    )
+    return _kernels.energy((st.p, st.q, st.I, st.theta, st.J, st.phi), *hs.kernel_args())
 
 
 def ham_vector_field(hs: HamiltonianSpec, st: FlowState) -> np.ndarray:
     """Time derivative (dp, dq, dI, dtheta, dJ, dphi) of the canonical flow."""
-    order = hs.contact_order
-    sq = math.sin(st.q)
-    cq = math.cos(st.q)
-    f_tables, g_tables = hs._tables()
-    _, f_th, f_ph = _fourier(f_tables, st.theta, st.phi)
-    g_val, g_th, g_ph = _fourier(g_tables, st.theta, st.phi)
-    sq_pow = sq ** (order - 1)
-    return np.array(
-        [
-            hs.eps * sq - hs.mu * order * sq_pow * cq * g_val,
-            st.p,
-            -hs.eps * f_th - hs.mu * sq_pow * sq * g_th,
-            st.I,
-            -hs.eps * f_ph - hs.mu * sq_pow * sq * g_ph,
-            1.0,
-        ]
-    )
+    return np.array(_kernels.field((st.p, st.q, st.I, st.theta, st.J, st.phi), *hs.kernel_args()))
 
 
 def _step_size(h, upper: float = math.inf) -> float:
@@ -535,7 +487,7 @@ def hamiltonian_audits(
         cyl, _ = poincare_map(hs, cyl, h=h)
         cyl_residual = max(cyl_residual, abs(cyl.p), min(cyl.q, TWO_PI - cyl.q))
 
-    free = HamiltonianSpec(eps=0.0, mu=0.0, nu=hs.nu, sigma_param=hs.sigma_param)
+    free = replace(hs, eps=0.0, mu=0.0)
     iret, _ = poincare_map(free, FlowState(p=0.0, q=0.0, I=0.17, theta=1.0, J=0.2, phi=0.0), h=h)
     theta_err = abs(iret.theta - (1.0 + TWO_PI * 0.17) % TWO_PI)
     theta_err = min(theta_err, TWO_PI - theta_err)

@@ -225,6 +225,28 @@ def test_ham_eps_zero_needs_fit_disabled(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_ham_fit_exponents_must_be_a_json_boolean(tmp_path, capsys, flag):
+    # bool("false") is True, so a quoted "false" used to switch the fit on
+    cfg = {"ham": {"eps": 0.0, "mu": 0.0, "fit_exponents": flag, "returns": 3, "cyl_returns": 5}}
+    code, out = run(tmp_path, "ham", cfg, extra=("--quiet",))
+    assert code == 2
+    assert "'fit_exponents'" in capsys.readouterr().err
+    assert not list(out.glob("ham_*"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("nu", "nan"), ("nu", "inf"), ("sigma_param", "nan"), ("sigma_param", "inf"),
+    ("eps", "nan"), ("eps", "inf"), ("mu", "nan"), ("mu", "inf"),
+])
+def test_ham_non_finite_parameter_is_config_error(tmp_path, capsys, key, value):
+    cfg = {"ham": {"eps": 0.01, "mu": 0.0, key: value, "returns": 3, "cyl_returns": 5}}
+    code, out = run(tmp_path, "ham", cfg, extra=("--quiet",))
+    assert code == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not list(out.glob("ham_*"))
+
+
 def test_ham_rejects_mu_above_eps(tmp_path):
     code, _ = run(tmp_path, "ham", {"ham": {"eps": 0.001, "mu": 0.01}})
     assert code == 2

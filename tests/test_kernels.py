@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from nhimlab import HamiltonianSpec, FlowState, ham_vector_field, hamiltonian_energy
+from nhimlab import HamiltonianSpec, FlowState, ham_vector_field, hamiltonian_audits, hamiltonian_energy
 from nhimlab import _kernels
+
+import _flow_oracles as oracles
 
 
 HS = HamiltonianSpec(eps=0.01, mu=0.001)
@@ -63,9 +65,9 @@ def test_sampled_rows_match_repeated_advance():
 
 
 def test_python_scalars_match_array_scalars():
-    # advance_python converts its arguments to Python scalars and lists; the
-    # shared body called directly on the numpy state and kernel_args() arrays
-    # is the array path, and every operation must round the same on both
+    # advance_python converts its arguments to Python scalars; the oracle
+    # loop called directly on the numpy state and mode-table arrays is the
+    # array path, and every operation must round the same on both
     for hs in (HS, HS_SINE):
         args = hs.kernel_args()
         for h in (1e-3, 2.5e-4, 0.3):
@@ -74,8 +76,68 @@ def test_python_scalars_match_array_scalars():
                 out = _kernels.advance_python(z, h, n, *args)
                 assert isinstance(out, np.ndarray)
                 assert out.dtype == np.float64 and out.shape == (6,)
-                assert out.tobytes() == _kernels._advance_impl(Z0, h, n, *args).tobytes()
+                assert out.tobytes() == oracles.advance_loop(Z0, h, n, *oracles.loop_args(hs)).tobytes()
                 assert z.tobytes() == Z0.tobytes()
+
+
+SPECS = {
+    "default": HS,
+    "sine": HS_SINE,  # sine terms, negative modes and a (0, 0) mode
+    "free": HamiltonianSpec(eps=0.0, mu=0.0),
+    "one-mode": HamiltonianSpec(eps=0.02, mu=0.001, f_coeffs=((1, 0, 1.0, 0.0),), g_coeffs=((2, -1, 0.5, -0.3),)),
+    "order-6": HamiltonianSpec(eps=0.01, mu=0.001, nu=1e4, g_coeffs=HS_SINE.g_coeffs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_generated_step_loop_matches_the_oracle_loop(name):
+    hs = SPECS[name]
+    assert name != "order-6" or hs.contact_order == 6
+    rng = np.random.default_rng(29)
+    for z in [Z0] + list(rng.uniform(-3.0, 3.0, (6, 6))):
+        for h in (1e-3, -1e-3, 0.3):
+            for n in (0, 1, 2, 1000):
+                out = _kernels.advance_python(z, h, n, *hs.kernel_args())
+                want = oracles.advance_loop([float(v) for v in z], h, n, *oracles.loop_args(hs, lists=True))
+                assert out.tobytes() == want.tobytes()
+
+
+def test_specs_with_one_order_and_table_share_one_body():
+    twins = [HS, HamiltonianSpec(eps=0.03, mu=0.0), HamiltonianSpec(eps=0.01, mu=0.001, nu=60.0)]
+    assert len({hs.kernel_args()[2] for hs in twins}) == 1
+    bodies = [_kernels._body(hs.kernel_args()[2]) for hs in twins]
+    assert all(body is bodies[0] for body in bodies)
+    assert _kernels._body(HS_SINE.kernel_args()[2]) is not bodies[0]
+
+
+@pytest.mark.parametrize("hs", [HS, HS_SINE], ids=["default", "sine"])
+def test_a_second_audit_generates_nothing(monkeypatch, hs):
+    monkeypatch.setattr(_kernels, "_BODIES", {})
+    st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0)
+    hamiltonian_audits(hs, st, 4e-3, 1, 1, fit_exponents=False)
+    # the free-rotor spec the audits build has the spec's order and tables
+    first = dict(_kernels._BODIES)
+    assert list(first) == [hs.kernel_args()[2]]
+    hamiltonian_audits(hs, st, 4e-3, 1, 1, fit_exponents=False)
+    assert _kernels._BODIES == first
+    assert all(_kernels._BODIES[key] is body for key, body in first.items())
+
+
+def test_import_and_construction_generate_nothing():
+    # a fresh interpreter, so no earlier test has filled the cache
+    code = (
+        "import builtins\n"
+        "compiled = []\n"
+        "real_compile = builtins.compile\n"
+        "builtins.compile = lambda *a, **k: compiled.append(a[1]) or real_compile(*a, **k)\n"
+        "import nhimlab\n"
+        "from nhimlab import HamiltonianSpec, _kernels\n"
+        "HamiltonianSpec(eps=0.01, mu=0.001)\n"
+        "HamiltonianSpec(eps=0.0, mu=0.0, f_coeffs=((2, 1, 0.5, 0.25),))\n"
+        "assert _kernels._BODIES == {}, _kernels._BODIES\n"
+        "assert '<nhimlab flow body>' not in compiled, compiled\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
 
 def test_one_step_is_half_kick_drift_half_kick():
@@ -115,7 +177,7 @@ def _rebuilt_fourier(coeffs, theta, phi):
 @pytest.mark.parametrize("hs", [HS, HS_SINE, dataclasses.replace(HS_SINE, g_coeffs=HS.g_coeffs)])
 def test_stored_fourier_tables_match_rebuilt(hs):
     assert hs.kernel_args() is hs.kernel_args()
-    assert all(not table.flags.writeable for table in hs.kernel_args()[3:])
+    assert hs.kernel_args()[2] == (hs.contact_order, tuple(map(tuple, hs.f_coeffs)), tuple(map(tuple, hs.g_coeffs)))
     order = hs.contact_order
     rng = np.random.default_rng(11)
     for _ in range(20):

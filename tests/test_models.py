@@ -25,7 +25,9 @@ from nhimlab import (
     symplectic_step,
     validate_conditions,
 )
-from nhimlab import _kernels, models
+from nhimlab import _kernels
+
+import _flow_oracles as oracles
 
 TWO_PI = 2.0 * np.pi
 
@@ -135,6 +137,32 @@ def test_hamiltonian_spec_validation():
     assert hs.contact_order == 4
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_hamiltonian_parameters_are_contract_errors(bad):
+    # NaN and inf used to escape as ValueError/OverflowError from the order's
+    # floor, or, for eps = NaN, to pass until a momentum came out non-finite
+    with pytest.raises(ContractError, match="nu must be finite"):
+        contact_order(bad, 1.0)
+    with pytest.raises(ContractError, match="sigma_param must be finite"):
+        contact_order(3.0, bad)
+    with pytest.raises(ContractError, match="eps must be finite"):
+        HamiltonianSpec(eps=bad, mu=0.0)
+    with pytest.raises(ContractError, match="mu must be finite"):
+        HamiltonianSpec(eps=0.01, mu=bad)
+    with pytest.raises(ContractError, match="nu must be finite"):
+        HamiltonianSpec(eps=0.01, mu=0.0, nu=bad)
+    for row in ((1, 0, bad, 0.0), (1, 0, 1.0, bad), (bad, 0, 1.0, 0.0), (1, bad, 1.0, 0.0)):
+        with pytest.raises(ContractError, match="finite"):
+            HamiltonianSpec(eps=0.01, mu=0.0, f_coeffs=(row,))
+        with pytest.raises(ContractError, match="finite"):
+            HamiltonianSpec(eps=0.01, mu=0.0, g_coeffs=(row,))
+
+
+def test_contact_order_that_overflows_is_contract_error():
+    with pytest.raises(ContractError, match="overflows"):
+        contact_order(3.0, 1e-310)
+
+
 def test_flow_state_canonicalization():
     st = FlowState(p=0.0, q=-0.1, I=0.0, theta=TWO_PI, J=0.0, phi=1.0)
     assert np.isclose(st.q, TWO_PI - 0.1)
@@ -164,33 +192,26 @@ def test_vector_field_on_cylinder():
     assert dz0[3] == st.I
 
 
-def fourier_by_numpy(tables, theta, phi):
-    """``models._fourier`` as numpy passes over the mode tables, the form it had before its loop."""
-    k1, k2, c, s = tables
-    arg = k1 * theta + k2 * phi
-    ca = np.cos(arg)
-    sa = np.sin(arg)
-    val = float(np.sum(c * ca + s * sa))
-    dmode = -c * sa + s * ca
-    return val, float(np.sum(k1 * dmode)), float(np.sum(k2 * dmode))
-
-
 @pytest.mark.parametrize(
     "tables",
     [{}, {"f_coeffs": ((1, 0, 0.7, -0.2), (2, -1, -0.3, 0.5), (0, 3, 0.11, 0.0)),
-          "g_coeffs": ((1, 1, 0.4, 0.9), (-2, 0, 1.3, -0.6), (3, 2, -0.05, 0.25))}],
-    ids=["default", "three-mode"],
+          "g_coeffs": ((1, 1, 0.4, 0.9), (-2, 0, 1.3, -0.6), (3, 2, -0.05, 0.25))},
+     {"f_coeffs": ((0, 0, 0.5, 0.0),), "g_coeffs": ((2, -1, 0.5, -0.3),)},
+     {"nu": 1e4}, {"eps": 0.0, "mu": 0.0}],
+    ids=["default", "three-mode", "one-mode", "order-6", "free"],
 )
-def test_energy_and_vector_field_match_the_numpy_fourier_sums(monkeypatch, tables):
-    hs = HamiltonianSpec(eps=0.05, mu=0.004, **tables)
+def test_energy_and_vector_field_match_the_numpy_fourier_sums(tables):
+    # the generated energy and field against the mode loop they replaced and
+    # against numpy passes over the mode tables, bit for bit
+    hs = HamiltonianSpec(**{"eps": 0.05, "mu": 0.004, **tables})
     rng = np.random.default_rng(8)
     states = [FlowState(*row) for row in rng.uniform(-4.0, 4.0, (200, 6))]
     states.append(FlowState(p=0.0, q=0.0, I=0.0, theta=0.0, J=0.0, phi=0.0))
-    looped = [(hamiltonian_energy(hs, st), ham_vector_field(hs, st)) for st in states]
-    monkeypatch.setattr(models, "_fourier", fourier_by_numpy)
-    for st, (energy, field) in zip(states, looped):
-        assert energy == hamiltonian_energy(hs, st)
-        assert np.array_equal(field, ham_vector_field(hs, st))
+    for st in states:
+        energy, field = hamiltonian_energy(hs, st), ham_vector_field(hs, st)
+        for fourier in (oracles.fourier_loop, oracles.fourier_numpy):
+            assert energy == oracles.energy(hs, st, fourier)
+            assert field.tobytes() == oracles.vector_field(hs, st, fourier).tobytes()
 
 
 def test_step_validation_and_integrable_exactness():
