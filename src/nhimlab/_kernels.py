@@ -1,4 +1,4 @@
-"""The Hamiltonian flow's force, written once per Fourier table: jitted when numba is installed, else plain Python.
+"""The Hamiltonian flow's force, written once per Fourier table and run as plain Python.
 
 A key is (contact order, f table, g table), each table a tuple of
 (k1, k2, cos_coeff, sin_coeff) rows of Python ints and floats.  At a key's
@@ -13,38 +13,17 @@ The step loop advances a 6-component state (p, q, I, theta, J, phi) through
 kick(h/2) / drift(h) / kick(h/2) compositions.  The force is evaluated once
 per step (n_steps + 1 times per call): a kick moves only (p, I, J) and the
 force reads only (q, theta, phi), so the closing half kick of one step and the
-opening half kick of the next apply the same increments.  Both backends run
-the same generated loop; numba jits it per key at its first call (a generated
-function has no source file, so nothing is cached on disk), and
-``tests/test_kernels.py`` compares the two bit for bit only when numba is
-installed.  The pure-Python fallback converts the state and the scalars to
-Python floats once per call, because the interpreted loop runs several times
-faster on those than on numpy scalars.  Setting the environment variable
-``NHIM_NUMBA=0`` before import selects the pure-Python fallback.
+opening half kick of the next apply the same increments.  ``advance`` converts
+the state and the scalars to Python floats once per call, because the
+interpreted loop runs several times faster on those than on numpy scalars,
+and every operation rounds the same.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is the optional `fast` extra
-    numba = None
-    HAVE_NUMBA = False
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("NHIM_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-USE_NUMBA = HAVE_NUMBA and _env_wants_numba()
 
 
 def _modes(table, tag: str, value: bool, slopes: bool) -> list:
@@ -103,13 +82,12 @@ _BODIES = {}
 
 
 def _body(key) -> tuple:
-    """(step, energy, field, jitted step or None) of ``key``, generated at its first call."""
+    """(step, energy, field) of ``key``, generated at its first call."""
     body = _BODIES.get(key)
     if body is None:
         namespace = {"sin": math.sin, "cos": math.cos, "np": np}
         exec(compile(_source(*key), "<nhimlab flow body>", "exec"), namespace)
-        step = namespace["step"]
-        body = (step, namespace["energy"], namespace["field"], numba.njit(step) if HAVE_NUMBA else None)
+        body = (namespace["step"], namespace["energy"], namespace["field"])
         _BODIES[key] = body
     return body
 
@@ -124,49 +102,25 @@ def field(point, eps, mu, key) -> list:
     return _body(key)[2](*point, eps, mu)
 
 
-def advance_python(state, h, n_steps, eps, mu, key):
-    """``key``'s step loop on Python floats instead of numpy scalars.
-
-    Interpreted arithmetic on Python scalars is several times cheaper, and
-    each operation rounds the same, so the orbit is bit-identical.
-    """
+def advance(state, h, n_steps, eps, mu, key):
+    """``n_steps`` steps of ``key``'s step loop from ``state``, run on Python floats."""
     return _body(key)[0]([float(v) for v in state], float(h), int(n_steps), float(eps), float(mu))
 
 
-def _sampling(advance):
-    """The (n_blocks + 1, 6) record of ``advance`` every ``stride`` steps, initial row included."""
+def advance_sampled(state, h, n_blocks, stride, eps, mu, key):
+    """The (n_blocks + 1, 6) record of ``advance`` every ``stride`` steps, initial row included.
 
-    def sampled(state, h, n_blocks, stride, eps, mu, key):
-        out = np.empty((n_blocks + 1, 6))
-        out[0] = state
-        for b in range(n_blocks):
-            state = out[b + 1] = advance(state, h, stride, eps, mu, key)
-        return out
-
-    return sampled
-
-
-advance_sampled_python = _sampling(advance_python)
-
-if HAVE_NUMBA:
-
-    def advance_numba(state, h, n_steps, eps, mu, key):
-        return _body(key)[3](state, h, n_steps, eps, mu)
-
-    advance_sampled_numba = _sampling(advance_numba)
-
-else:  # pragma: no cover - numba is the optional `fast` extra
-    advance_numba = None
-    advance_sampled_numba = None
-
-
-if USE_NUMBA:
-    advance = advance_numba
-    advance_sampled = advance_sampled_numba
-else:
-    advance = advance_python
-    advance_sampled = advance_sampled_python
+    It runs ``key``'s step loop itself rather than through ``advance``, so a
+    wrapper around ``advance`` never sees the sampled steps.
+    """
+    step = _body(key)[0]
+    h, stride, eps, mu = float(h), int(stride), float(eps), float(mu)
+    out = np.empty((n_blocks + 1, 6))
+    out[0] = state
+    for b in range(n_blocks):
+        state = out[b + 1] = step([float(v) for v in state], h, stride, eps, mu)
+    return out
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "python"
+    return "python"

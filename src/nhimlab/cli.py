@@ -298,8 +298,6 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     fit_exponents = hc.get("fit_exponents", True)
     if not isinstance(fit_exponents, bool):  # bool("false") would read as true
         raise ConfigError(f"config key 'fit_exponents' must be true or false, got {fit_exponents!r}")
-    if fit_exponents and hs.eps == 0.0:
-        raise ConfigError("exponent fit needs eps > 0; set fit_exponents false for eps = 0")
 
     sc = _section(hc, "seed_state", {})
     st = FlowState(

@@ -578,7 +578,7 @@ def make_default_disk(
     level = 0.6 * f.rho if sigma_level is None else float(sigma_level)
     if abs(level) >= f.rho:
         raise ContractError(f"sigma_level {level} must sit inside the rho={f.rho} ball")
-    half = f.rho * (f.lam + k) ** n_target
+    half = f.rho * (f.lam + k) ** _count(n_target, "n_target", 1)
     s_const = np.full(f.dims.n_s, level)
     return DiskSpec(
         sigma=lambda u, x: s_const.copy(),

@@ -348,7 +348,10 @@ class FlowState:
 
     @classmethod
     def from_array(cls, arr) -> "FlowState":
-        p, q, act, th, jj, ph = (float(v) for v in np.asarray(arr, dtype=float))
+        arr = np.asarray(arr, dtype=float)
+        if arr.shape != (6,):
+            raise ContractError(f"a flow state has 6 components (p, q, I, theta, J, phi), got shape {arr.shape}")
+        p, q, act, th, jj, ph = (float(v) for v in arr)
         return cls(p=p, q=q, I=act, theta=th, J=jj, phi=ph)
 
 
@@ -468,8 +471,11 @@ def hamiltonian_audits(
     ``orbit`` lists (n, state, energy, drift) for n = 0..returns.  Judging
     the figures against tolerances is left to the caller.  Both return counts
     must be at least 1: a drift or residual measured over no returns is 0.0
-    and would pass any tolerance.
+    and would pass any tolerance.  The fit needs eps > 0, where the saddle
+    exists; it is refused at eps = 0 before any return runs.
     """
+    if fit_exponents and hs.eps == 0.0:
+        raise ContractError("fit_exponents needs eps > 0; pass fit_exponents=False for eps = 0")
     returns, cyl_returns = _count(returns, "returns", 1), _count(cyl_returns, "cyl_returns", 1)
     e0 = hamiltonian_energy(hs, start)
     orbit = [(0, start, e0, 0.0)]

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._fd import _fd_first_rows, _fd_second_rows
 from .exceptions import ContractError, DivergenceError
-from .geometry import TWO_PI, ChartPoint, ChartTopology, _max_keep_nan, _normal_norm, _wrap_angles, vec_sup_norm
+from .geometry import TWO_PI, ChartPoint, ChartTopology, _count, _max_keep_nan, _normal_norm, _wrap_angles, vec_sup_norm
 from .normalform import (
     FD_STEP_FIRST,
     FD_STEP_SECOND,
@@ -184,7 +184,7 @@ def straighten_inverse(gp: GraphPair, q: ChartPoint, tol: float = 1e-12, max_ite
     """
     if not tol > 0:  # a NaN tolerance fails this too
         raise ContractError(f"tol must be positive, got {tol}")
-    S, U = _inverse(gp, q.s[None], q.u[None], q.x[None], tol, max_iter)
+    S, U = _inverse(gp, q.s[None], q.u[None], q.x[None], tol, _count(max_iter, "max_iter", 1))
     return ChartPoint(s=S[0], u=U[0], x=q.x, topology=q.topology)
 
 

@@ -119,6 +119,7 @@ LINEAR = make_linear(0.5, 2.0)
 DISK = make_default_disk(LINEAR)
 TWIST = make_twist_annulus(0.05, 0.0, 1.0)
 BUDGET = BoundSet(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
+SQUARE = GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2), G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
 
 API_COUNTS = {
     "DiskSpec.mesh_per_axis": lambda n: DiskSpec(
@@ -131,6 +132,8 @@ API_COUNTS = {
     "verify_bound_domination.n_max": lambda n: verify_bound_domination(DISK, LINEAR, BUDGET, n),
     "annulus_experiment.n_max": lambda n: annulus_experiment(TWIST, 0.0, 1.0, make_default_disk(TWIST), 1e-2, n),
     "advance_mesh.steps": lambda n: advance_mesh(seed_mesh(DISK, LINEAR), LINEAR, n),
+    "straighten_inverse.max_iter": lambda n: straighten_inverse(SQUARE, LINEAR.point([0.05], [0.15], [0.0]), max_iter=n),
+    "make_default_disk.n_target": lambda n: make_default_disk(LINEAR, n_target=n),
 }
 
 CLI_COUNTS = {
@@ -165,6 +168,14 @@ def test_a_count_that_is_not_a_whole_number_is_refused(entry, count, tmp_path, c
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["straighten_inverse.max_iter", "make_default_disk.n_target"])
+def test_a_count_that_needs_one_refuses_zero(entry):
+    # max_iter 0 used to end in a DivergenceError "in 0 iterations", and
+    # n_target 0 put the disk's u edges on the ball's boundary
+    with pytest.raises(ContractError, match=entry.split(".")[-1]):
+        API_COUNTS[entry](0)
+
+
 def test_a_negative_seed_flag_is_refused(tmp_path, capsys):
     # the flag is an int to argparse; its range is the count check's, an
     # invalid input (exit 2), never a numpy traceback (exit 1)
@@ -186,8 +197,6 @@ def test_a_whole_float_count_is_its_int(tmp_path):
     path.write_text(json.dumps({"model": {"kind": "linear"}, "samples": 16.0, "grid_density": 3.0}))
     assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK
 
-
-SQUARE = GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2), G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
 
 # a positive tolerance, threshold or step given as NaN: each used to pass a `<= 0` guard
 API_POSITIVES = {

@@ -27,7 +27,7 @@ DIGESTS = {
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
 def test_benchmark_digest(tmp_path, workload):
     # the environment perfbench/run.py gives its workers
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), NHIM_NUMBA="0")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         env[var] = "1"
     worker = ROOT / "perfbench" / "worker.py"

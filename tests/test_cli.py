@@ -216,9 +216,12 @@ def test_ham_audits_pass(tmp_path):
     assert header == "n,p,q,I,theta,J,phi,energy,drift"
 
 
-def test_ham_eps_zero_needs_fit_disabled(tmp_path):
-    code, _ = run(tmp_path, "ham", {"ham": {"eps": 0.0, "mu": 0.0}})
-    assert code == 2
+def test_ham_eps_zero_needs_fit_disabled(tmp_path, capsys):
+    for zero in (0, 0.0):
+        code, out = run(tmp_path, "ham", {"ham": {"eps": zero, "mu": zero}})
+        assert code == 2
+        assert "fit_exponents" in capsys.readouterr().err
+        assert not list(out.glob("*"))
     cfg = {"ham": {"eps": 0.0, "mu": 0.0, "fit_exponents": False,
                    "returns": 3, "cyl_returns": 5}}
     code, _ = run(tmp_path, "ham", cfg, extra=("--quiet",))

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -25,47 +24,24 @@ HS_SINE = HamiltonianSpec(
 Z0 = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0).as_array()
 
 
-def test_backends_bitwise_equal():
-    pytest.importorskip("numba")
-    args = HS.kernel_args()
-    for h, n in ((1e-3, 1), (1e-3, 1000), (2.5e-4, 137)):
-        a = _kernels.advance_python(Z0, h, n, *args)
-        b = _kernels.advance_numba(Z0, h, n, *args)
-        assert np.array_equal(a, b)
-
-
-def test_sampled_backends_bitwise_equal():
-    pytest.importorskip("numba")
-    args = HS.kernel_args()
-    a = _kernels.advance_sampled_python(Z0, 1e-3, 8, 50, *args)
-    b = _kernels.advance_sampled_numba(Z0, 1e-3, 8, 50, *args)
-    assert np.array_equal(a, b)
-    assert a.shape == (9, 6)
-
-
 def test_sampled_rows_match_repeated_advance():
-    # integrate_series relies on this contract whichever backend is active,
-    # so check it on every backend this interpreter has
+    # integrate_series relies on this contract
     args = HS.kernel_args()
-    pairs = [(_kernels.advance_sampled_python, _kernels.advance_python)]
-    if _kernels.HAVE_NUMBA:
-        pairs.append((_kernels.advance_sampled_numba, _kernels.advance_numba))
-    for sampled, advance in pairs:
-        rows = sampled(Z0, 1e-3, 6, 40, *args)
-        state = Z0.copy()
-        assert np.array_equal(rows[0], state)
-        for i in range(1, 7):
-            state = advance(state, 1e-3, 40, *args)
-            assert np.array_equal(rows[i], state)
-        # stride 1: each row is a one-step call, yet row i must equal a single
-        # i-step call (i = 0 included), so the half kicks between steps stay half
-        ones = sampled(Z0, 1e-3, 40, 1, *args)
-        for i in range(41):
-            assert np.array_equal(ones[i], advance(Z0, 1e-3, i, *args))
+    rows = _kernels.advance_sampled(Z0, 1e-3, 6, 40, *args)
+    state = Z0.copy()
+    assert np.array_equal(rows[0], state)
+    for i in range(1, 7):
+        state = _kernels.advance(state, 1e-3, 40, *args)
+        assert np.array_equal(rows[i], state)
+    # stride 1: each row is a one-step call, yet row i must equal a single
+    # i-step call (i = 0 included), so the half kicks between steps stay half
+    ones = _kernels.advance_sampled(Z0, 1e-3, 40, 1, *args)
+    for i in range(41):
+        assert np.array_equal(ones[i], _kernels.advance(Z0, 1e-3, i, *args))
 
 
 def test_python_scalars_match_array_scalars():
-    # advance_python converts its arguments to Python scalars; the oracle
+    # advance converts its arguments to Python scalars; the oracle
     # loop called directly on the numpy state and mode-table arrays is the
     # array path, and every operation must round the same on both
     for hs in (HS, HS_SINE):
@@ -73,7 +49,7 @@ def test_python_scalars_match_array_scalars():
         for h in (1e-3, 2.5e-4, 0.3):
             for n in (0, 1, 137, 1000):
                 z = Z0.copy()
-                out = _kernels.advance_python(z, h, n, *args)
+                out = _kernels.advance(z, h, n, *args)
                 assert isinstance(out, np.ndarray)
                 assert out.dtype == np.float64 and out.shape == (6,)
                 assert out.tobytes() == oracles.advance_loop(Z0, h, n, *oracles.loop_args(hs)).tobytes()
@@ -97,7 +73,7 @@ def test_generated_step_loop_matches_the_oracle_loop(name):
     for z in [Z0] + list(rng.uniform(-3.0, 3.0, (6, 6))):
         for h in (1e-3, -1e-3, 0.3):
             for n in (0, 1, 2, 1000):
-                out = _kernels.advance_python(z, h, n, *hs.kernel_args())
+                out = _kernels.advance(z, h, n, *hs.kernel_args())
                 want = oracles.advance_loop([float(v) for v in z], h, n, *oracles.loop_args(hs, lists=True))
                 assert out.tobytes() == want.tobytes()
 
@@ -159,7 +135,7 @@ def test_one_step_is_half_kick_drift_half_kick():
         z[3] += h * z[2]
         z[5] += h
         half_kick(z)
-        np.testing.assert_allclose(_kernels.advance_python(z0, h, 1, *hs.kernel_args()), z, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(_kernels.advance(z0, h, 1, *hs.kernel_args()), z, rtol=1e-15, atol=1e-15)
 
 
 def _rebuilt_fourier(coeffs, theta, phi):
@@ -203,25 +179,4 @@ def test_stored_tables_take_no_part_in_eq_hash_or_repr():
 
 
 def test_backend_name():
-    assert _kernels.backend_name() in ("numba", "python")
-
-
-def test_env_flag_selects_python_backend():
-    # flag is read at import time, so probe it in a fresh interpreter
-    code = (
-        "import numpy as np\n"
-        "from nhimlab import HamiltonianSpec, FlowState\n"
-        "from nhimlab import _kernels\n"
-        "hs = HamiltonianSpec(eps=0.01, mu=0.001)\n"
-        "z = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0).as_array()\n"
-        "out = _kernels.advance(z, 1e-3, 500, *hs.kernel_args())\n"
-        "print(_kernels.backend_name())\n"
-        "print(repr(out.tolist()))\n"
-    )
-    env = dict(os.environ, NHIM_NUMBA="0")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True)
-    name, payload = proc.stdout.strip().splitlines()
-    assert name == "python"
-    here = _kernels.advance(Z0, 1e-3, 500, *HS.kernel_args())
-    assert np.array_equal(np.array(eval(payload)), here)
+    assert _kernels.backend_name() == "python"

@@ -173,6 +173,13 @@ def test_flow_state_canonicalization():
         FlowState(p=np.nan, q=0.0, I=0.0, theta=0.0, J=0.0, phi=0.0)
 
 
+@pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), (6, 1), ()])
+def test_from_array_of_anything_but_six_values_is_contract_error(shape):
+    # (5,) used to raise a bare ValueError from unpacking, (1, 6) a TypeError
+    with pytest.raises(ContractError, match="6 components"):
+        FlowState.from_array(np.full(shape, 0.1))
+
+
 def test_energy_at_cylinder_origin():
     hs = HamiltonianSpec(eps=0.01, mu=0.001)
     st = FlowState(p=0.0, q=0.0, I=0.0, theta=0.0, J=0.0, phi=0.0)
@@ -263,6 +270,27 @@ def test_stride_below_one_and_integral_float_counts():
         integrate_series(hs, st, 1e-3, n_blocks=2, stride=0)
     assert integrate(hs, st, 1e-3, 4.0) == integrate(hs, st, 1e-3, 4)
     assert np.array_equal(integrate_series(hs, st, 1e-3, 2.0, 3.0), integrate_series(hs, st, 1e-3, 2, 3))
+
+
+def test_exponent_fit_at_eps_zero_is_refused_before_any_return(monkeypatch):
+    # the fit divides by sqrt(eps); it used to raise a bare ZeroDivisionError
+    # after every return had run
+    monkeypatch.setattr(_kernels, "advance", lambda *a: pytest.fail("a return ran"))
+    hs = HamiltonianSpec(eps=0.0, mu=0.0)
+    st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.0, J=0.0, phi=0.0)
+    with pytest.raises(ContractError, match="fit_exponents"):
+        hamiltonian_audits(hs, st, 4e-3, 1, 1)
+
+
+def test_integrate_series_never_calls_advance(monkeypatch):
+    # a tracer that wraps both kernel entry points would count every sampled
+    # step twice if the sampled driver went through _kernels.advance
+    hs = HamiltonianSpec(eps=0.01, mu=0.001)
+    st = FlowState(p=0.05, q=0.1, I=0.03, theta=0.7, J=0.2, phi=0.0)
+    monkeypatch.setattr(_kernels, "advance", lambda *a: pytest.fail("integrate_series called advance"))
+    rows = integrate_series(hs, st, 1e-3, n_blocks=5, stride=30)
+    for i, row in enumerate(rows):
+        assert row.tobytes() == oracles.advance_loop(st.as_array(), 1e-3, 30 * i, *oracles.loop_args(hs)).tobytes()
 
 
 @pytest.mark.parametrize("returns, cyl_returns", [(0, 5), (3, 0), (-1, 5), (3, -2)])
