@@ -2,12 +2,24 @@
 
 A key is (contact order, f table, g table), each table a tuple of
 (k1, k2, cos_coeff, sin_coeff) rows of Python ints and floats.  At a key's
-first call ``_source`` writes the force's lines once, one group per Fourier
-mode with the mode numbers, the coefficients and the order as literals, and
-emits three functions from them: the splitting's step loop, the energy and the
-vector field.  They are compiled together and cached for the process; eps and
-mu stay arguments, so specs that differ only in them share one body.  Nothing
-is generated at import or when a ``HamiltonianSpec`` is built.
+first call ``_source`` writes the force from the tables, with the mode
+numbers, the coefficients and the order as literals, and emits three
+functions from it: the splitting's step loop, the energy and the vector
+field.  They are compiled together and cached for the process; eps and mu
+stay arguments, so specs that differ only in them share one body.  Nothing is
+generated at import or when a ``HamiltonianSpec`` is built.
+
+Only the live arithmetic is written.  Each function evaluates one ``cos`` and
+one ``sin`` per distinct argument k1*theta + k2*phi that it reads, for both
+tables; a factor +-1 becomes a sign, a product with a literal zero is dropped,
+and a (0, 0) mode adds its cos coefficient to the value.  Each accumulator is
+one left-to-right sum from 0.0, its terms grouped as ``acc += term`` grouped
+them in the generic loop over the tables (``tests/_flow_oracles.py``), and it
+rounds bit for bit the same for every finite state and table: a +-1 factor or
+a moved sign is exact; a dropped zero factor changes a term at most by the
+sign of a zero (an argument it changes is a zero, whose sin is a zero and cos
+1.0 either way); and a sum from +0.0 is never -0.0, so adding a zero of
+either sign to it, or none, changes nothing.
 
 The step loop advances a 6-component state (p, q, I, theta, J, phi) through
 kick(h/2) / drift(h) / kick(h/2) compositions.  The force is evaluated once
@@ -22,22 +34,60 @@ and every operation rounds the same.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 
-def _modes(table, tag: str, value: bool, slopes: bool) -> list:
-    """Lines summing a Fourier table mode by mode into ``<tag>v`` (with ``value``)
-    and its theta and phi slopes ``<tag>th``, ``<tag>ph`` (with ``slopes``)."""
-    lines = [f"{tag}{acc} = 0.0" for acc in ("v",) * value + ("th", "ph") * slopes]
-    for k1, k2, c, s in table:
-        k1, k2, c, s, neg_c = repr(int(k1)), repr(int(k2)), repr(float(c)), repr(float(s)), repr(-float(c))
-        lines += [f"arg = ({k1}) * th + ({k2}) * ph", "ca = cos(arg)", "sa = sin(arg)"]
-        if value:
-            lines.append(f"{tag}v += ({c}) * ca + ({s}) * sa")
-        if slopes:
-            lines += [f"dmode = ({neg_c}) * sa + ({s}) * ca", f"{tag}th += ({k1}) * dmode", f"{tag}ph += ({k2}) * dmode"]
-    return lines
+def _times(k, term):
+    """``k * term`` for a literal ``k`` and a (negated, magnitude) source pair ``term``, as such a
+    pair with a unit ``k`` folded into the sign; None when ``term`` is None or ``k`` is zero."""
+    if term is None or k == 0:
+        return None
+    neg, mag = term
+    if abs(k) != 1:
+        mag = f"{abs(k)!r} * {mag if mag[0] == '(' or ' ' not in mag else f'({mag})'}"
+    return neg != (k < 0), mag
+
+
+def _chain(terms) -> str:
+    """The pairs in ``terms`` that are not None (one at least), summed left to right, as source."""
+    text = "".join(f" {'-' if neg else '+'} {mag}" for neg, mag in filter(None, terms))
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _sum(*terms):
+    """The pairs in ``terms`` that are not None summed as one pair, parenthesized if there are two or more."""
+    terms = [t for t in terms if t]
+    if len(terms) > 1:
+        return False, f"({_chain(terms)})"
+    return terms[0] if terms else None
+
+
+def _fourier(*sums) -> list:
+    """Lines setting each (name, table, part) of ``sums`` to a table's value (part "v") or its
+    theta or phi slope ("th", "ph"): one sum from 0.0 over the live mode terms, after one
+    ``cos`` and one ``sin`` line per distinct argument that the sums read."""
+    args, lines = {}, []
+    for name, table, part in sums:
+        terms = [(False, "0.0")]
+        for k1, k2, c, s in table:
+            if not (k1 or k2):  # cos(+-0) is 1.0 and sin(+-0) a zero: the mode adds c to the value
+                terms.append((c < 0, repr(abs(c))) if c and part == "v" else None)
+                continue
+            i = args.setdefault((k1, k2), len(args))
+            ca, sa = (False, f"c{i}"), (False, f"s{i}")
+            if part == "v":
+                terms.append(_sum(_times(c, ca), _times(s, sa)))
+            else:
+                terms.append(_times(k1 if part == "th" else k2, _sum(_times(-c, sa), _times(s, ca))))
+        lines.append(f"{name} = {_chain(terms)}")
+    live = set(re.findall(r"\w+", " ".join(lines)))
+    trig = []
+    for (k1, k2), i in args.items():
+        arg = _chain([_times(k1, (False, "th")), _times(k2, (False, "ph"))])
+        trig += [f"{x}{i} = {fn}({arg})" for x, fn in (("c", "cos"), ("s", "sin")) if f"{x}{i}" in live]
+    return trig + lines
 
 
 def _source(order: int, f_table, g_table) -> str:
@@ -45,8 +95,8 @@ def _source(order: int, f_table, g_table) -> str:
     force = [
         "sq = sin(q)",
         "cq = cos(q)",
-        *_modes(g_table, "g", True, True),
-        *_modes(f_table, "f", False, True),
+        *_fourier(("gv", g_table, "v"), ("gth", g_table, "th"), ("gph", g_table, "ph"),
+                  ("fth", f_table, "th"), ("fph", f_table, "ph")),
         f"sq_pow = sq ** {order - 1}",
         "kp = eps * sq - mua * sq_pow * cq * gv",
         "ms = mu * sq_pow * sq",
@@ -69,7 +119,7 @@ def _source(order: int, f_table, g_table) -> str:
         + block(kick + drift + force + halves + kick, 2)
         + block(["out = np.empty(6)"] + [f"out[{i}] = {x}" for i, x in enumerate(names)] + ["return out"], 1)
         + "\n\ndef energy(p, q, act, th, jj, ph, eps, mu):"
-        + block(_modes(f_table, "f", True, False) + _modes(g_table, "g", True, False), 1)
+        + block(_fourier(("fv", f_table, "v"), ("gv", g_table, "v")), 1)
         + "\n    return (0.5 * p * p + 0.5 * act * act + jj + eps * (cos(q) - 1.0) + eps * fv"
         + f" + mu * sin(q) ** {order} * gv)"
         + "\n\ndef field(p, q, act, th, jj, ph, eps, mu):"

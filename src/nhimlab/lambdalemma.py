@@ -576,7 +576,7 @@ def make_default_disk(
     """
     k = bounds.k if bounds is not None else 0.0
     level = 0.6 * f.rho if sigma_level is None else float(sigma_level)
-    if abs(level) >= f.rho:
+    if not abs(level) < f.rho:  # a NaN level fails this too
         raise ContractError(f"sigma_level {level} must sit inside the rho={f.rho} ball")
     half = f.rho * (f.lam + k) ** _count(n_target, "n_target", 1)
     s_const = np.full(f.dims.n_s, level)

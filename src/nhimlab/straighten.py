@@ -184,6 +184,8 @@ def straighten_inverse(gp: GraphPair, q: ChartPoint, tol: float = 1e-12, max_ite
     """
     if not tol > 0:  # a NaN tolerance fails this too
         raise ContractError(f"tol must be positive, got {tol}")
+    if tol == np.inf:  # one sweep would pass it, whatever the residual
+        raise ContractError(f"tol must be finite, got {tol}")
     S, U = _inverse(gp, q.s[None], q.u[None], q.x[None], tol, _count(max_iter, "max_iter", 1))
     return ChartPoint(s=S[0], u=U[0], x=q.x, topology=q.topology)
 

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +78,67 @@ def test_generated_step_loop_matches_the_oracle_loop(name):
                 out = _kernels.advance(z, h, n, *hs.kernel_args())
                 want = oracles.advance_loop([float(v) for v in z], h, n, *oracles.loop_args(hs, lists=True))
                 assert out.tobytes() == want.tobytes()
+
+
+# zero, signed-zero and unit coefficients, which the generated force drops or folds
+FUZZ_COEFFS = (0.0, -0.0, 1.0, -1.0, 0.3, -0.7, 2.5)
+FUZZ_TABLES = [
+    ((0, 0, 0.3, -0.7), (1, 0, -0.0, 1.0)),  # a (0, 0) mode and a zero cos coefficient
+    ((1, 0, 0.0, 0.0), (0, -1, -1.0, 2.5), (0, 0, 0.0, 1.0)),  # dead modes
+    ((1, 0, 1.0, 0.0), (0, 1, 1.0, 0.0), (1, 0, -0.7, 0.3)),  # an argument twice in a table
+]
+# signed zeros: theta = -0.0 with q = 0 and I = 0 (as in the exponent fits), all +0.0, all -0.0
+FUZZ_STATES = [(0.02, 0.0, 0.0, -0.0, 0.1, 0.0), (0.0,) * 6, (-0.0,) * 6, (0.0, -0.0, -0.0, 0.0, 0.0, -0.0)]
+# a literal 0 or +-1 factor of a product, which the emitter must never write
+DEAD_PRODUCT = re.compile(r"(?<![\w.])\(?-?[01](\.0)?\)? \*(?!\*)|(?<!\*)\* \(?-?[01](\.0)?\)?(?![\w.])")
+
+
+def _fuzz_cases():
+    rng = np.random.default_rng(3201)
+    for i in range(300):
+        tables = [
+            tuple((int(rng.integers(-3, 4)), int(rng.integers(-3, 4)), *map(float, rng.choice(FUZZ_COEFFS, 2)))
+                  for _ in range(rng.integers(0, 5)))
+            for _ in range(2)
+        ]
+        if i < 2 * len(FUZZ_TABLES):
+            tables[i % 2] = FUZZ_TABLES[i // 2]
+        # f and g share an argument in every case
+        tables[0] += ((int(rng.integers(-3, 4)), 1, float(rng.choice(FUZZ_COEFFS)), 0.3),)
+        tables[1] += (tables[0][-1][:2] + (2.5, -0.0),)
+        order = int(rng.choice([2, 4, 6]))
+        eps, mu = rng.uniform(0.0, 0.05, 2)
+        states = [rng.uniform(-3.0, 3.0, 6).tolist(), FUZZ_STATES[i % len(FUZZ_STATES)]]
+        yield (order, *tables), float(eps), float(mu), states
+
+
+def test_generated_force_matches_the_oracles_bit_for_bit_on_fuzzed_tables(monkeypatch):
+    monkeypatch.setattr(_kernels, "_BODIES", {})
+    for key, eps, mu, states in _fuzz_cases():
+        assert not DEAD_PRODUCT.search(_kernels._source(*key)), key
+        hs = SimpleNamespace(eps=eps, mu=mu, contact_order=key[0], f_coeffs=key[1], g_coeffs=key[2])
+        for z in states:
+            st = SimpleNamespace(**dict(zip(("p", "q", "I", "theta", "J", "phi"), z)))
+            energy = _kernels.energy(z, eps, mu, key)
+            assert np.float64(energy).tobytes() == np.float64(oracles.energy(hs, st)).tobytes(), (key, z)
+            field = np.array(_kernels.field(z, eps, mu, key))
+            assert field.tobytes() == oracles.vector_field(hs, st).tobytes(), (key, z)
+            for h in (2e-2, -2e-2):
+                for n in (0, 1, 3):
+                    want = oracles.advance_loop(z, h, n, *oracles.loop_args(hs, lists=True))
+                    assert _kernels.advance(z, h, n, eps, mu, key).tobytes() == want.tobytes(), (key, z, h, n)
+
+
+def test_default_step_loop_evaluates_each_distinct_argument_once():
+    # the default tables read theta, phi and theta - phi, theta twice; cos(phi) is dead in
+    # the force because f's (0, 1) mode has only a value, which the force does not read
+    source = _kernels._source(*HS.kernel_args()[2])
+    loop = source.split("for _ in range(n_steps):")[1].split("out = np.empty(6)")[0]
+    calls = re.findall(r"\b(sin|cos)\(([^()]*)\)", loop)
+    assert sorted(calls) == sorted([("sin", "q"), ("cos", "q"), ("sin", "th"), ("cos", "th"),
+                                    ("sin", "ph"), ("sin", "th - ph"), ("cos", "th - ph")])
+    for spec in SPECS.values():
+        assert not DEAD_PRODUCT.search(_kernels._source(*spec.kernel_args()[2]))
 
 
 def test_specs_with_one_order_and_table_share_one_body():

@@ -445,6 +445,14 @@ def test_make_default_disk_geometry():
         make_default_disk(f, sigma_level=f.rho)
 
 
+def test_make_default_disk_refuses_a_sigma_level_that_is_not_finite():
+    # a NaN level used to pass and surface later as an OutOfNeighborhoodError on a mesh point
+    f = make_linear(0.5, 2.0)
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractError, match="sigma_level"):
+            make_default_disk(f, sigma_level=level)
+
+
 # a constant base map has a zero x block, which annihilates the (0, 0, 1) frame rows
 FLAT_BASE = dataclasses.replace(make_linear(0.5, 2.0), g_map=lambda x: np.zeros(1), d_g=lambda x: np.zeros((1, 1)))
 U_INTO_X = dataclasses.replace(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ def test_straighten_inverse_rejects_nonpositive_tol():
     f = make_linear(0.5, 2.0)
     for tol in (0.0, -1e-12):
         with pytest.raises(ContractError):
+            straighten_inverse(square_pair(), f.point([0.05], [0.15], [0.0]), tol=tol)
+
+
+def test_straighten_inverse_rejects_a_tol_that_is_not_finite():
+    # an infinite tol passed as positive and returned an unsolved point after one sweep
+    f = make_linear(0.5, 2.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ContractError, match="tol"):
             straighten_inverse(square_pair(), f.point([0.05], [0.15], [0.0]), tol=tol)
 
 
