@@ -64,8 +64,8 @@ class DiskSpec:
         object.__setattr__(self, "mesh_per_axis", _count(self.mesh_per_axis, "mesh_per_axis", 1))
         object.__setattr__(self, "u_box", tuple((float(a), float(b)) for a, b in self.u_box))
         object.__setattr__(self, "x_box", tuple((float(a), float(b)) for a, b in self.x_box))
-        object.__setattr__(self, "sigma", _stacked(self.sigma))
-        object.__setattr__(self, "dsigma", _stacked(self.dsigma, None, None))
+        object.__setattr__(self, "sigma", _stacked(self.sigma, name="sigma"))
+        object.__setattr__(self, "dsigma", _stacked(self.dsigma, None, None, name="dsigma"))
         for lo, hi in self.u_box:
             if not (lo < 0.0 < hi):
                 raise ContractError(f"u_box must contain 0 in its interior, got [{lo}, {hi}]")

@@ -93,8 +93,8 @@ class MapSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.rho > 0:  # a NaN radius fails this too
-            raise ContractError(f"rho must be positive, got {self.rho}")
+        if isinstance(self.rho, (bool, np.bool_)) or not 0 < self.rho < math.inf:  # a NaN radius fails this too
+            raise ContractError(f"rho must be positive and finite, got {self.rho}")
         if not (0.0 < self.lam < 1.0):
             raise ContractError(f"lambda must lie in (0, 1), got {self.lam}")
         if self.topo.m != self.dims.m:
@@ -106,7 +106,7 @@ class MapSpec:
                       d_r=[(n, n)], d2_r=[(n, n, n)], d_A_s=[(n_s, n_s, m)], d_A_u=[(n_u, n_u, m)],
                       d_g=[(m, m)], d2_g=[(m, m, m)])
         for name, block_shapes in shapes.items():
-            object.__setattr__(self, name, _stacked(getattr(self, name), *block_shapes))
+            object.__setattr__(self, name, _stacked(getattr(self, name), *block_shapes, name=name))
 
     def point(self, s, u, x) -> ChartPoint:
         return ChartPoint(np.atleast_1d(s), np.atleast_1d(u), np.atleast_1d(x), self.topo)
@@ -130,45 +130,68 @@ class _Stacked:
     """A callable in the one contract the library reads: ``rows`` takes its arguments with a leading
     row axis and returns new stacks along it (a tuple of them for a callable of several blocks),
     each row with the bits of the callable there.  ``evaluate`` is the one evaluation that ``rows``
-    reads a part of, when there is one (``_shared_evaluation``).  Calling it reads one point, as a
-    one-row stack."""
+    reads a part of, when there is one (``_shared_evaluation``).  ``point`` reads one point on float
+    vectors: a per-row adapter calls its function once (``_stacked``), and any other reads a one-row
+    stack.  Calling it converts its arguments to float vectors and reads ``point``."""
 
     rows: Callable
     evaluate: Optional[Callable] = None
+    point: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.point is None:
+            rows = self.rows
+            object.__setattr__(self, "point", lambda *args: _row(rows(*(v[None] for v in args))))
 
     def __call__(self, *args):
-        out = self.rows(*(_as_float_vector(v)[None] for v in args))
-        return tuple(block[0] for block in out) if isinstance(out, tuple) else out[0]
+        return self.point(*map(_as_float_vector, args))
 
 
-def _stacked(fn, *shapes):
+def _row(out):
+    """The first row of a stack, or of each stack in a tuple of them."""
+    return tuple(block[0] for block in out) if isinstance(out, tuple) else out[0]
+
+
+def _returned_none(name: str) -> ContractError:
+    return ContractError(f"{name} returned None, which a float block would store as NaN")
+
+
+def _stacked(fn, *shapes, name: str = "a callable"):
     """``fn`` in the stacked contract: as it is when it already is a ``_Stacked`` (or None), otherwise
     its per-row adapter, whose ``rows`` calls ``fn`` once per row, in row order, and fills one new
     (N, *shape) stack per block with ``out[i] = block``.  The blocks are the items of the value when
     ``shapes`` names several, else those of a tuple value, or the value.  A shape given as None, or
     every shape when none is given, is the first row's block's, at least 1-d, read once and kept;
-    before that, a stack of no rows has blocks of width 0."""
+    before that, a stack of no rows has blocks of width 0.  Once its one block's shape is known, a
+    one-point read calls ``fn`` once and fills one new block of that shape as ``rows`` fills a row,
+    with no stack built around the point; before that, and for several blocks, it is a one-row
+    ``rows``.  A value of None is refused with a ContractError that names ``name``."""
     if fn is None or isinstance(fn, _Stacked):
         return fn
     shapes = list(shapes)
+    one = shapes[0] if len(shapes) == 1 else None  # the shape of the one block, once known
 
     def rows(*args):
+        nonlocal one
         count = len(args[0])
-        if len(shapes) == 1 and shapes[0] is not None:  # one block of known shape, as most callables are
-            out = np.empty((count, *shapes[0]))
-            if count == 1:  # a one-point read or a radius probe: indexing one row is cheaper than zip
-                out[0] = fn(*[arg[0] for arg in args])
-                return out
+        if one is not None:  # one block of known shape, as most callables are
+            out = np.empty((count, *one))
             for i, row in enumerate(zip(*args)):
-                out[i] = fn(*row)
+                value = fn(*row)
+                if value is None:
+                    raise _returned_none(name)
+                out[i] = value
             return out
         out = [np.empty((count, *shape)) for shape in shapes] if shapes and None not in shapes else None
         for i, row in enumerate(zip(*args)):
             value = fn(*row)
+            if value is None:
+                raise _returned_none(name)
             blocks = tuple(value) if len(shapes) > 1 or isinstance(value, tuple) else (value,)
             if out is None:  # the first value read gives the shapes not yet known
                 shapes[:] = [np.shape(np.atleast_1d(block)) if shape is None else shape
                              for shape, block in zip(shapes or [None] * len(blocks), blocks, strict=True)]
+                one = shapes[0] if len(shapes) == 1 else None
                 out = [np.empty((count, *shape)) for shape in shapes]
             for stack, block in zip(out, blocks, strict=True):
                 stack[i] = block
@@ -176,7 +199,17 @@ def _stacked(fn, *shapes):
             out = [np.empty((count, *(shape or (0,)))) for shape in shapes or [None]]
         return tuple(out) if len(out) > 1 else out[0]
 
-    return _Stacked(rows)
+    def point(*args):
+        if one is None:  # several blocks, or a shape not yet read
+            return _row(rows(*(v[None] for v in args)))
+        value = fn(*args)
+        if value is None:
+            raise _returned_none(name)
+        out = np.empty(one)
+        out[...] = value
+        return out
+
+    return _Stacked(rows, point=point)
 
 
 def _in_row_order(read: Callable, count: int):

@@ -16,7 +16,9 @@ wrapped once when its ``GraphPair`` is built, runs once per row and per
 sweep or probe, and everything around the graphs once per stack.  The
 public functions wrap the core for ``ChartPoint``s as one-row stacks, the
 conjugated map evaluates whole stacks, and the radius bisection solves one
-probe at a time.  The conjugated map carries derivatives: its
+probe at a time.  A one-row stack sweeps on Python floats, and reads a plain
+graph as one point: one call on float vectors, with no stack built around
+it.  The conjugated map carries derivatives: its
 Jacobian is the chain rule through DPhi (the identity minus central
 differences of the closed-form graphs), and its second derivatives are the
 second-order chain rule through D^2 Phi (minus central second differences
@@ -30,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,15 +75,15 @@ class GraphPair:
     derivatives; ``tangency_violation`` measures how badly a candidate pair
     fails that.  Construction wraps each plain graph once in the per-row
     adapter of ``normalform._stacked``, its width read off its values, so a
-    graph runs once per row.
+    graph runs once per row and once per one-point read.
     """
 
     G_s: Callable[[np.ndarray, np.ndarray], np.ndarray]
     G_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "G_s", _stacked(self.G_s))
-        object.__setattr__(self, "G_u", _stacked(self.G_u))
+        object.__setattr__(self, "G_s", _stacked(self.G_s, name="G_s"))
+        object.__setattr__(self, "G_u", _stacked(self.G_u, name="G_u"))
 
     @classmethod
     def zero(cls, n_s: int, n_u: int) -> "GraphPair":
@@ -88,15 +91,25 @@ class GraphPair:
                    G_u=_Stacked(lambda U, X: np.zeros((len(U), n_s))))
 
 
-def _graph(G: Callable, Z: np.ndarray, X: np.ndarray, width: int) -> np.ndarray:
-    """The graph G at the rows (Z, X), an (N, width) stack.  A stack of no rows reads nothing, so it
-    has the width of the block the graph meets even before a plain graph's adapter has read one."""
-    return G.rows(Z, X) if len(Z) else np.empty((0, width))
+def _graph(gp: GraphPair, name: str, Z: np.ndarray, X: np.ndarray, width: int) -> np.ndarray:
+    """The graph ``name`` of gp ("G_s" or "G_u") at the rows (Z, X), an (N, width) stack; values of
+    another width are a ContractError.  A stack of no rows reads nothing, so it has the width of the
+    block the graph meets even before a plain graph's adapter has read one."""
+    if not len(Z):
+        return np.empty((0, width))
+    out = getattr(gp, name).rows(Z, X)
+    if out.shape[1:] != (width,):
+        raise _misfit(name, out.shape[1:], width)
+    return out
+
+
+def _misfit(name: str, shape: tuple, width: int) -> ContractError:
+    return ContractError(f"{name} returns values of shape {shape} where its block has width {width}")
 
 
 def _phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> tuple:
     """The (s, u) blocks of Phi at the rows (S, U, X), as two new stacks; x is left as it is."""
-    return S - _graph(gp.G_u, U, X, S.shape[1]), U - _graph(gp.G_s, S, X, U.shape[1])
+    return S - _graph(gp, "G_u", U, X, S.shape[1]), U - _graph(gp, "G_s", S, X, U.shape[1])
 
 
 def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol: float, max_iter: int) -> tuple:
@@ -115,7 +128,7 @@ def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol
 
     def graphs(z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(G_u(u, x), G_s(s, x)) at the rows z = (s, u) joined, the update of s and then that of u."""
-        return np.concatenate((_graph(gp.G_u, z[:, a:], x, a), _graph(gp.G_s, z[:, :a], x, Q_u.shape[1])), axis=1)
+        return np.concatenate((_graph(gp, "G_u", z[:, a:], x, a), _graph(gp, "G_s", z[:, :a], x, Q_u.shape[1])), axis=1)
 
     g = graphs(q, x)  # the graph values of one sweep's residual are the next sweep's update
     for _ in range(max_iter):
@@ -141,21 +154,23 @@ def _inverse_row(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray,
     """``_inverse`` of a one-row stack, as the radius bisection and a one-point read solve it: the
     same graph reads, additions, subtractions and residual test on Python floats, which round as
     numpy's do, so the row takes the same sweeps and has the same bits, without numpy's cost per
-    call on a row this short."""
-    a, n = Q_s.shape[1], Q_s.shape[1] + Q_u.shape[1]
-
-    def graphs(z_s: np.ndarray, z_u: np.ndarray) -> list:
-        g = gp.G_u.rows(z_u, X)[0].tolist() + gp.G_s.rows(z_s, X)[0].tolist()
-        if len(g) != n:  # as adding them to the iterate would refuse them
-            raise ValueError(f"{len(g)} graph values do not fit an iterate of {n} coordinates")
-        return g
-
-    q = [*Q_s[0].tolist(), *Q_u[0].tolist()]
-    g = graphs(Q_s, Q_u)
+    call on a row this short.  Each graph value is a one-point read (``_Stacked.point``), so a plain
+    graph runs once per sweep on float vectors, with no stack built around the point.  The widths
+    are checked at the first reads: a graph's one-point reads keep the shape of its first value."""
+    a, b = Q_s.shape[1], Q_u.shape[1]
+    x, read_u, read_s = X[0], gp.G_u.point, gp.G_s.point
+    g_u, g_s = read_u(Q_u[0], x), read_s(Q_s[0], x)
+    if g_u.shape != (a,) or g_s.shape != (b,):
+        raise _misfit("G_u", g_u.shape, a) if g_u.shape != (a,) else _misfit("G_s", g_s.shape, b)
+    q, g = Q_s[0].tolist() + Q_u[0].tolist(), g_u.tolist() + g_s.tolist()  # g: the update of s, then of u
     for _ in range(max_iter):
-        z = [q_i + g_i for q_i, g_i in zip(q, g)]
-        g = graphs(np.array([z[:a]]), np.array([z[a:]]))
-        if all(abs(z_i - g_i - q_i) <= tol for z_i, g_i, q_i in zip(z, g, q)):  # a NaN never passes
+        z = list(map(operator.add, q, g))
+        z_su = np.array(z)
+        g = read_u(z_su[a:], x).tolist() + read_s(z_su[:a], x).tolist()
+        for z_i, g_i, q_i in zip(z, g, q):
+            if not abs(z_i - g_i - q_i) <= tol:  # a NaN never passes
+                break
+        else:
             return np.array([z[:a]]), np.array([z[a:]])
     raise _diverged(Q_s, Q_u, tol, max_iter)
 
@@ -194,8 +209,8 @@ def _graph_derivatives(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarra
     """Central differences of the closed-form graphs at the rows (S, U, X), each an (N, out, in)
     stack: d_s G_s, d_u G_u, d_x G_s and d_x G_u."""
     a, b = S.shape[1], U.shape[1]
-    d_gs = _fd_first_rows(lambda V: _graph(gp.G_s, V[:, :a], V[:, a:], b), np.concatenate((S, X), axis=1), h)
-    d_gu = _fd_first_rows(lambda V: _graph(gp.G_u, V[:, :b], V[:, b:], a), np.concatenate((U, X), axis=1), h)
+    d_gs = _fd_first_rows(lambda V: _graph(gp, "G_s", V[:, :a], V[:, a:], b), np.concatenate((S, X), axis=1), h)
+    d_gu = _fd_first_rows(lambda V: _graph(gp, "G_u", V[:, :b], V[:, b:], a), np.concatenate((U, X), axis=1), h)
     return d_gs[..., :a], d_gu[..., :b], d_gs[..., a:], d_gu[..., b:]
 
 
@@ -219,10 +234,10 @@ def _d2phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> np.nda
     a, b = S.shape[1], S.shape[1] + U.shape[1]  # the u block is a:b, the x block b:
     n = b + X.shape[1]
     d = np.zeros((len(S), n, n, n))
-    d[:, :a, a:, a:] = -_fd_second_rows(lambda V: _graph(gp.G_u, V[:, : b - a], V[:, b - a :], a),
+    d[:, :a, a:, a:] = -_fd_second_rows(lambda V: _graph(gp, "G_u", V[:, : b - a], V[:, b - a :], a),
                                         np.concatenate((U, X), axis=1), FD_STEP_SECOND)
     sx = np.r_[:a, b:n]
-    d[:, a:b, sx[:, None], sx] = -_fd_second_rows(lambda V: _graph(gp.G_s, V[:, :a], V[:, a:], b - a),
+    d[:, a:b, sx[:, None], sx] = -_fd_second_rows(lambda V: _graph(gp, "G_s", V[:, :a], V[:, a:], b - a),
                                                   np.concatenate((S, X), axis=1), FD_STEP_SECOND)
     return d
 
@@ -250,8 +265,8 @@ def tangency_violation(gp: GraphPair, f: MapSpec) -> float:
     X = _scale_manifold(_unit_samples(dims.m, 16, 0), f.x_ranges())
     S, U = np.zeros((len(X), dims.n_s)), np.zeros((len(X), dims.n_u))
     values = (
-        gp.G_s.rows(S, X),
-        gp.G_u.rows(U, X),
+        _graph(gp, "G_s", S, X, dims.n_u),
+        _graph(gp, "G_u", U, X, dims.n_s),
         *_graph_derivatives(gp, S, U, X, FD_STEP_FIRST),
     )
     return _max_keep_nan(0.0, *(vec_sup_norm(v) for v in values))
@@ -400,7 +415,7 @@ def _conjugated(f: MapSpec, gp: GraphPair, radius: Optional[float], forward: boo
 
     return dataclasses.replace(
         f,
-        rho=conjugated_radius(f, gp) if radius is None else float(radius),
+        rho=conjugated_radius(f, gp) if radius is None else radius,
         r_map=_Stacked(lambda S, U, X: Points(S, U, X).r, Points),
         d_r=_Stacked(lambda S, U, X: Points(S, U, X).jacobian(), Points),
         d2_r=_Stacked(lambda S, U, X: Points(S, U, X).second(), Points),

@@ -21,6 +21,7 @@ from nhimlab import (
     advance_mesh,
     annulus_experiment,
     cli,
+    conjugate_map,
     estimate_bounds,
     find_K,
     jacobian,
@@ -225,3 +226,28 @@ def test_a_nan_tolerance_in_a_validate_config_is_invalid_input(tmp_path, capsys)
     assert cli.main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
     assert not list(out.glob("*"))
     assert "invalid input: tol must be positive, got nan" in capsys.readouterr().err
+
+
+MAP_RADII = {
+    "make_linear": lambda rho: make_linear(0.5, 2.0, rho=rho),
+    "conjugate_map": lambda rho: conjugate_map(LINEAR, SQUARE, radius=rho),
+}
+
+
+@pytest.mark.parametrize("rho", [1e999, -1e999, True, np.True_])
+@pytest.mark.parametrize("entry", MAP_RADII)
+def test_a_map_radius_that_is_infinite_or_a_bool_is_refused(entry, rho):
+    # an infinite rho gave a budget of NaN constants that still reported lk1_ok and lk2_ok,
+    # and a radius of True read as 1.0
+    with pytest.raises(ContractError, match="rho"):
+        MAP_RADII[entry](rho)
+
+
+def test_an_infinite_radius_in_a_validate_config_is_invalid_input(tmp_path, capsys):
+    # the payload used to hold the non-JSON literals NaN and Infinity, with exit 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"kind": "linear", "rho": math.inf}}))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+    assert not list(out.glob("*"))
+    assert "rho must be positive and finite, got inf" in capsys.readouterr().err

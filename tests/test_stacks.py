@@ -280,10 +280,10 @@ def test_nan_radius_is_refused_at_construction():
     f = make_linear(0.5, 2.0, rho=0.3)
     with pytest.raises(ContractError, match="rho must be positive"):
         conjugate_map(f, GraphPair.zero(1, 1), radius=float("nan"))
-    for bad in (math.nan, 0.0, -0.0, -1.0, -math.inf):
+    for bad in (math.nan, 0.0, -0.0, -1.0, -math.inf, math.inf):
         with pytest.raises(ContractError):
             dataclasses.replace(f, rho=bad)
-    for good in (5e-324, 1e-300, 0.3, 1e300, math.inf):
+    for good in (5e-324, 1e-300, 0.3, 1e300):
         assert dataclasses.replace(f, rho=good).rho == good
     assert conjugate_map(f, GraphPair.zero(1, 1), radius=0.25).rho == 0.25
 

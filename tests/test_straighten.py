@@ -32,7 +32,7 @@ from nhimlab import (
 )
 from nhimlab import straighten
 from nhimlab.geometry import tensor_row_sup_norm
-from nhimlab.normalform import FD_STEP_FIRST, FD_STEP_SECOND, _bound_grid
+from nhimlab.normalform import FD_STEP_FIRST, FD_STEP_SECOND, _bound_grid, _Stacked
 from nhimlab.straighten import _signed_x_diff
 from nhimlab.tangentflow import _step
 
@@ -360,6 +360,40 @@ def test_conjugated_radius_is_pinned():
     assert r == float.fromhex("0x1.fa839aa000000p-4")
 
 
+def test_the_ac8_bisections_read_each_graph_point_by_point():
+    # the bisections of ac8_map's set-up, on the pair of test_conjugated_radius_is_pinned, make as
+    # many graph reads as one-row stacks made: each read is one call on 1-d float vectors, and none
+    # reads the graphs as a stack (only a plain graph's first read, which learns its width, does)
+    calls, stack_reads = [], []
+
+    def square(v, x):
+        calls.append((type(v), v.dtype.name, v.shape, type(x), x.dtype.name, x.shape))
+        return np.atleast_1d(v[0] ** 2)
+
+    gp = GraphPair(G_s=square, G_u=square)
+    for graph in (gp.G_s, gp.G_u):
+        rows = graph.rows
+        object.__setattr__(graph, "rows", lambda *args, rows=rows: stack_reads.append(1) or rows(*args))
+    f = unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp)
+    assert len(calls) == 22452
+    conjugate_map(f, gp)
+    assert len(calls) == 22452 + 16714
+    assert set(calls) == {(np.ndarray, "float64", (1,), np.ndarray, "float64", (1,))}
+    # a public inverse reads both graphs once at q and once per sweep
+    calls.clear()
+    straighten_inverse(gp, f.point([0.05], [0.15], [0.0]), tol=1e-13)
+    q_s, q_u, sweeps = 0.05, 0.15, 0
+    g_u, g_s = q_u**2, q_s**2
+    while True:
+        sweeps += 1
+        z_s, z_u = q_s + g_u, q_u + g_s
+        g_u, g_s = z_u**2, z_s**2
+        if abs(z_s - g_u - q_s) <= 1e-13 and abs(z_u - g_s - q_u) <= 1e-13:
+            break
+    assert len(calls) == 2 * (sweeps + 1) == 36
+    assert not stack_reads
+
+
 @pytest.mark.parametrize("which", ["G_s", "G_u"])
 def test_tangency_violation_keeps_nan(which):
     graphs = {"G_s": lambda s, x: np.atleast_1d(s[0] ** 2), "G_u": lambda u, x: np.atleast_1d(u[0] ** 2)}
@@ -633,21 +667,69 @@ def counting(gp, calls):
     return GraphPair(G_s=count(gp.G_s), G_u=count(gp.G_u))
 
 
-@pytest.mark.parametrize("pair, dims", [(square_pair, (1, 1)), (wavy_pair, (1, 1)), (two_one_pair, (2, 1))])
+def two_one_two_pair():
+    # n_s = 2 and n_u = 1 over two base angles
+    return GraphPair(
+        G_s=lambda s, x: np.array([s[0] * s[1] + s[1] ** 2 * np.sin(x[0] - x[1])]),
+        G_u=lambda u, x: np.array([u[0] ** 2, 0.5 * u[0] ** 2 * np.cos(x[1])]),
+    )
+
+
+def taking_stacks(gp):
+    """gp with each graph in a form that takes stacks and runs the graph row by row: it has no
+    one-point read of its own, so a point reads it as a one-row stack."""
+    def rows(graph):
+        return _Stacked(lambda Z, X: np.array([graph(z, x) for z, x in zip(Z, X)]))
+
+    return GraphPair(G_s=rows(gp.G_s), G_u=rows(gp.G_u))
+
+
+def nan_beyond(gp, edge):
+    """gp whose G_s is NaN where the first s coordinate exceeds ``edge``."""
+    return GraphPair(G_s=lambda s, x: gp.G_s(s, x) + (np.nan if s[0] > edge else 0.0), G_u=gp.G_u)
+
+
+@pytest.mark.parametrize(
+    "pair, dims",
+    [(square_pair, (1, 1, 1)), (wavy_pair, (1, 1, 1)), (two_one_pair, (2, 1, 1)), (two_one_two_pair, (2, 1, 2))],
+)
 def test_the_stacked_inverse_is_the_per_point_inverse(pair, dims):
     # every row leaves the stack at its own convergence test: its bits and its graph calls are its own
     rng = np.random.default_rng(37)
-    n_s, n_u = dims
+    n_s, n_u, m = dims
     Q_s, Q_u = rng.uniform(-0.15, 0.15, (40, n_s)), rng.uniform(-0.15, 0.15, (40, n_u))
     Q_s[0], Q_u[0] = 0.0, 0.0  # one sweep
-    X = rng.uniform(0.0, TWO_PI, (40, 1))
+    X = rng.uniform(0.0, TWO_PI, (40, m))
+    topo = ChartTopology.angles(m)
+    points = [ChartPoint(Q_s[i], Q_u[i], X[i], topo) for i in range(len(X))]
     stacked, by_points = [], []
     S, U = straighten._inverse(counting(pair(), stacked), Q_s, Q_u, X, 1e-13, 200)
-    topo = ChartTopology.angles(1)
-    for i in range(len(X)):
-        p = straighten_inverse(counting(pair(), by_points), ChartPoint(Q_s[i], Q_u[i], X[i], topo), 1e-13, 200)
+    for i, q in enumerate(points):
+        p = straighten_inverse(counting(pair(), by_points), q, 1e-13, 200)
         assert np.array_equal(S[i], p.s) and np.array_equal(U[i], p.u), i
     assert len(stacked) == len(by_points)
+    # the same graphs handed over as forms that take stacks give the same bits, on the stack and point by point
+    rows = taking_stacks(pair())
+    S_rows, U_rows = straighten._inverse(rows, Q_s, Q_u, X, 1e-13, 200)
+    assert np.array_equal(S_rows, S) and np.array_equal(U_rows, U)
+    for i, q in enumerate(points):
+        p = straighten_inverse(rows, q, 1e-13, 200)
+        assert np.array_equal(S[i], p.s) and np.array_equal(U[i], p.u), i
+    # a point too far out diverges, and a NaN graph value never converges: the stack raises its first such
+    # row's error, and the point its own, with either form of the graphs
+    far_s, far_u = np.vstack([Q_s[:3], np.full(n_s, 1.5), Q_s[3:]]), np.vstack([Q_u[:3], np.full(n_u, 1.5), Q_u[3:]])
+    far_x = np.vstack([X[:3], X[:1], X[3:]])
+    nan_s = Q_s.copy()
+    nan_s[5, 0] = 0.25
+    for gp, (R_s, R_u, R_x), i in ((pair(), (far_s, far_u, far_x), 3), (nan_beyond(pair(), 0.2), (nan_s, Q_u, X), 5)):
+        q = ChartPoint(R_s[i], R_u[i], R_x[i], topo)
+        want = raised(lambda: straighten_inverse(gp, q, 1e-13, 200))
+        assert want[0] is DivergenceError
+        assert want[1] == (f"straightening inverse did not reach tol=1e-13 in 200 iterations "
+                           f"at |s|={np.abs(R_s[i]).max():.3g}, |u|={np.abs(R_u[i]).max():.3g}")
+        for graphs in (gp, taking_stacks(gp)):
+            assert raised(lambda: straighten_inverse(graphs, q, 1e-13, 200)) == want
+            assert raised(lambda: straighten._inverse(graphs, R_s, R_u, R_x, 1e-13, 200)) == want
 
 
 def test_a_diverging_row_of_a_stack_raises_as_its_point_does():
@@ -722,3 +804,51 @@ def test_the_stacked_contractions_of_d2_r_round_as_one_point_einsums():
                 assert np.array_equal(pulled[i], np.einsum("iab,aj,bk->ijk", t[i], m[i], m[i]))
                 assert np.array_equal(applied[i], np.einsum("ia,ajk->ijk", m[i], t[i]))
                 assert np.array_equal(contracted[i], np.einsum("ijkl,j->ikl", dd_a[i], v[i]))
+
+
+@pytest.mark.parametrize("wide", ["G_s", "G_u"])
+@pytest.mark.parametrize("entry", ["straighten_inverse", "conjugate_map radius", "conjugated map reads"])
+def test_a_graph_of_the_wrong_width_is_a_contract_error(entry, wide):
+    # a bare ValueError "3 graph values do not fit an iterate of 2 coordinates" before
+    f = make_linear(0.5, 2.0)
+    graphs = {"G_s": lambda s, x: np.atleast_1d(s[0] ** 2), "G_u": lambda u, x: np.atleast_1d(u[0] ** 2)}
+    graphs[wide] = lambda v, x: np.array([v[0] ** 2, 0.0])
+    gp = GraphPair(**graphs)
+    runs = {
+        "straighten_inverse": [lambda: straighten_inverse(gp, f.point([0.05], [0.15], [0.0]))],
+        "conjugate_map radius": [lambda: conjugate_map(f, gp), lambda: unstraighten_map(f, gp)],
+        "conjugated map reads": [
+            lambda: conjugate_map(f, gp, radius=0.3).r_map([0.01], [0.01], [1.0]),
+            lambda: unstraighten_map(f, gp, radius=0.3).d_r([0.01], [0.01], [1.0]),
+            lambda: validate_conditions(conjugate_map(f, gp, radius=0.3), sample_count=8),
+        ],
+    }
+    for run in runs[entry]:
+        with pytest.raises(ContractError, match=f"^{wide} returns values of shape \\(2,\\) where its block has width 1$"):
+            run()
+
+
+def test_a_graph_that_returns_none_is_refused():
+    # None was stored as NaN, and the inverse ended in a DivergenceError that blamed the point
+    f = make_linear(0.5, 2.0)
+    gp = GraphPair(G_s=lambda s, x: None, G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
+    with pytest.raises(ContractError, match="G_s returned None"):
+        straighten_inverse(gp, f.point([0.05], [0.05], [0.0]))
+    # once the width is known: a one-point read and a stack read
+    gp = GraphPair(G_s=lambda s, x: None if s[0] > 0.1 else np.atleast_1d(s[0] ** 2), G_u=lambda u, x: u**2)
+    assert gp.G_s([0.05], [0.0]).tolist() == [0.05**2]
+    with pytest.raises(ContractError, match="G_s returned None"):
+        gp.G_s([0.2], [0.0])
+    with pytest.raises(ContractError, match="G_s returned None"):
+        gp.G_s.rows(np.array([[0.05], [0.2]]), np.zeros((2, 1)))
+
+
+def test_a_map_callable_that_returns_none_is_refused():
+    # an A_s of None read as a NaN violation of condition e)
+    g = dataclasses.replace(make_linear(0.5, 2.0), A_s=lambda x: None)
+    with pytest.raises(ContractError, match="A_s returned None"):
+        g.A_s([0.0])
+    with pytest.raises(ContractError, match="A_s returned None"):
+        validate_conditions(g, sample_count=8)
+    with pytest.raises(ContractError, match="A_s returned None"):
+        apply_map(g, g.point([0.01], [0.01], [0.0]))

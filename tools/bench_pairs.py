@@ -17,8 +17,8 @@ whether every run passed its checks, the backend, the machine, and
 Each end-to-end metric of ``BENCHMARK.json`` (all lower-is-better) gets a
 ``verdict`` against its ``bound``: ``worse`` when the change's median over
 the parent's, less 1, exceeds the bound; ``unresolved`` when the parent's
-quartile spread over its median exceeds the bound and the change does not
-win every pair; ``better`` when the change wins at least nine pairs in ten
+quartile spread over its median exceeds the bound, unless every run of the
+change reads lower than every run of the parent; ``better`` when the change wins at least nine pairs in ten
 and its median undercuts the parent's by more than the parent's quartile
 spread; ``level`` otherwise.  After writing the record the tool exits 1 when
 a verdict is ``worse``, a run failed its checks, or the change failed more
@@ -101,7 +101,7 @@ def verdict(metric, bound):
     pairs = len(metric["parent_runs"])
     if metric["change_over_parent"] > bound:
         return "worse"
-    if spread / parent["median"] > bound and metric["change_wins"] < pairs:
+    if spread / parent["median"] > bound and not max(metric["change_runs"]) < min(metric["parent_runs"]):
         return "unresolved"
     if metric["change_wins"] >= 0.9 * pairs and parent["median"] - change["median"] > spread:
         return "better"
