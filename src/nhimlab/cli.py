@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, ModelInconsistencyError
-from .geometry import _count
+from .geometry import _count, _positive
 from .lambdalemma import (
     DiskSpec,
     _run_domination,
@@ -66,10 +66,13 @@ def _load_config(path: str) -> dict:
 
 
 def _field(cfg: dict, key: str, default, convert=float):
-    """Config field ``key`` (or ``default``) passed through ``convert``; a value
-    that does not convert is a config error naming the key, not a traceback."""
+    """Config field ``key`` (or ``default``) passed through ``convert``; a JSON boolean,
+    which ``float`` reads as 1.0, or a value that does not convert is a config error
+    naming the key, not a number or a traceback."""
     value = cfg.get(key, default)
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"config key {key!r} has an invalid value {value!r}: {err}") from err
@@ -79,6 +82,11 @@ def _count_field(cfg: dict, key: str, default: int) -> int:
     """``_field`` for a count: a value that is not a whole number is a config
     error, never truncated."""
     return _field(cfg, key, default, lambda value: _count(value, key))
+
+
+def _positive_field(cfg: dict, key: str, default: float) -> float:
+    """``_field`` for a real that ``_positive`` accepts: a tolerance the CLI reads itself."""
+    return _field(cfg, key, default, lambda value: _positive(float(value), key))
 
 
 def _section(cfg: dict, key: str, default=None):
@@ -146,7 +154,7 @@ def build_model(mc: dict):
     if not isinstance(kind, str) or kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
     factory, keys, defaults = MODELS[kind]
-    params = {**defaults, **{key: mc[key] for key in keys if key in mc}}
+    params = {**defaults, **{key: _field(mc, key, None, lambda value: value) for key in keys if key in mc}}
     try:
         return factory(**params)
     except (ContractError, TypeError, ValueError) as err:
@@ -292,9 +300,9 @@ def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     h = _field(hc, "h", 1e-3)
     n_returns = _count_field(hc, "returns", 10)
     cyl_returns = _count_field(hc, "cyl_returns", 100)
-    tol_drift = _field(hc, "drift_tol", 1e-8)
-    tol_cyl = _field(hc, "cyl_tol", 1e-12)
-    fit_tol = _field(hc, "fit_rel_tol", 0.05)
+    tol_drift = _positive_field(hc, "drift_tol", 1e-8)
+    tol_cyl = _positive_field(hc, "cyl_tol", 1e-12)
+    fit_tol = _positive_field(hc, "fit_rel_tol", 0.05)
     fit_exponents = hc.get("fit_exponents", True)
     if not isinstance(fit_exponents, bool):  # bool("false") would read as true
         raise ConfigError(f"config key 'fit_exponents' must be true or false, got {fit_exponents!r}")

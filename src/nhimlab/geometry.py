@@ -8,6 +8,8 @@ derivative tensors use the same "max over output row, sum over inputs" rule.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -35,9 +37,8 @@ class Dimensions:
     m: int
 
     def __post_init__(self):
-        for label, value in (("n_s", self.n_s), ("n_u", self.n_u), ("m", self.m)):
-            if int(value) < 1 or int(value) != value:
-                raise ContractError(f"{label} must be a positive integer, got {value!r}")
+        for label in ("n_s", "n_u", "m"):
+            object.__setattr__(self, label, _count(getattr(self, label), label, 1))
 
     @property
     def n(self) -> int:
@@ -120,6 +121,16 @@ def _count(n, name: str, minimum: int = 0) -> int:
     if not integral or value < minimum:
         raise ContractError(f"{name} must be an integer >= {minimum}, got {n!r}")
     return value
+
+
+def _positive(x, name: str) -> float:
+    """``x`` as a float; a boolean, a value of no real type, NaN, a real not above zero or an
+    infinite one is a ContractError, never a conversion error or a NaN that passes a ``<= 0`` test."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real) or not x > 0:
+        raise ContractError(f"{name} must be positive, got {x!r}")
+    if x == math.inf:
+        raise ContractError(f"{name} must be positive and finite, got {x!r}")
+    return float(x)
 
 
 def _frozen_array(v) -> np.ndarray:

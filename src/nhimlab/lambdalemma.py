@@ -28,7 +28,7 @@ from .exceptions import (
     EmptyMeshError,
     ModelInconsistencyError,
 )
-from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _wrap_angles
+from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _positive, _wrap_angles
 from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _in_row_order, _stacked, check_constants
 from .tangentflow import (
     JetState,
@@ -320,12 +320,6 @@ def _settle(measured, eps: float) -> FindKResult:
     )
 
 
-def _check_eps(eps: float) -> None:
-    """The closeness threshold of ``find_K`` and ``annulus_experiment`` must be positive."""
-    if not eps > 0:  # a NaN eps fails this too
-        raise ContractError(f"eps must be positive, got {eps}")
-
-
 def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
     """Smallest iterate from which the mesh stays C^1 eps-close through n_max.
 
@@ -336,8 +330,7 @@ def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
     disk and horizon reads its off-slice nodes from it instead of pushing
     them again (``cli.cmd_lambda`` does, through ``_run_domination``).
     """
-    _check_eps(eps)
-    n_max = _count(n_max, "n_max")
+    eps, n_max = _positive(eps, "eps"), _count(n_max, "n_max")
     return _settle(((mo, c1_distance(mo)) for mo in _living(_orbits(f, seed_mesh(d, f), n_max))), eps)
 
 
@@ -522,8 +515,7 @@ def annulus_experiment(
         raise ContractError("annulus experiment needs base coordinates (angle, action)")
     if not y0 < y1:
         raise ContractError(f"need y0 < y1, got {y0}, {y1}")
-    _check_eps(eps)
-    n_max = _count(n_max, "n_max")
+    eps, n_max = _positive(eps, "eps"), _count(n_max, "n_max")
     y_col = f.dims.n_s + f.dims.n_u + 1  # the action coordinate y
     mo = seed_mesh(d, f)
     edges = [np.array([tag[1][1] == y for tag in mo.tags]) for y in (y0, y1)]

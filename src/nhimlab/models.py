@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import ContractError
-from .geometry import TWO_PI, ChartTopology, Dimensions, _count
+from .geometry import TWO_PI, ChartTopology, Dimensions, _count, _positive
 from .normalform import BoundSet, MapSpec, _Stacked, check_constants
 
 
@@ -29,6 +29,13 @@ def _check_rates(lambda_s: float, lambda_u: float) -> float:
             f"need 0 < lambda_s < 1 < lambda_u, got lambda_s={lambda_s}, lambda_u={lambda_u}"
         )
     return max(lambda_s, 1.0 / lambda_u)
+
+
+def _check_finite(**params: float) -> None:
+    """A real parameter of a model factory that is NaN or infinite is a ContractError naming it."""
+    for label, value in params.items():
+        if not math.isfinite(value):
+            raise ContractError(f"{label} must be finite, got {value}")
 
 
 def _constant_blocks(lambda_s: float, lambda_u: float, m: int = 1) -> dict:
@@ -62,6 +69,7 @@ def _zero_remainder(n_s: int, n_u: int, m: int) -> dict:
 
 def make_linear(lambda_s: float = 0.5, lambda_u: float = 2.0, omega: float = 0.0, rho: float = 0.5) -> MapSpec:
     """Zero-remainder reference map: constant normal blocks, rigid rotation."""
+    _check_finite(omega=omega)
     lam = _check_rates(lambda_s, lambda_u)
     return MapSpec(
         topo=ChartTopology.angles(1),
@@ -135,6 +143,7 @@ def make_twist_annulus(
     time-2*pi advance of a unit rotor).  Normal directions are constant and
     uncoupled, as in ``make_linear``.
     """
+    _check_finite(eps_twist=eps_twist, y0=y0, y1=y1)
     if not y0 < y1:
         raise ContractError(f"need y0 < y1, got y0={y0}, y1={y1}")
     lam = _check_rates(lambda_s, lambda_u)
@@ -197,6 +206,7 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
     """
     if condition not in ("b", "d"):
         raise ContractError(f"condition must be 'b' or 'd', got {condition!r}")
+    _check_finite(amp=amp)
     row = 1 if condition == "b" else 2
 
     def r_rows(S, U, X):
@@ -365,11 +375,10 @@ def ham_vector_field(hs: HamiltonianSpec, st: FlowState) -> np.ndarray:
 
 
 def _step_size(h, upper: float = math.inf) -> float:
-    """``h`` as a float; a step that is not finite or not in (0, upper] is a
-    ContractError, never a NaN orbit or a conversion error further down."""
-    h = float(h)
-    if not (math.isfinite(h) and 0.0 < h <= upper):
-        raise ContractError(f"step size must be a finite number in (0, {upper}], got {h}")
+    """``h`` as a positive float (``_positive``) of at most ``upper``."""
+    h = _positive(h, "h")
+    if h > upper:
+        raise ContractError(f"h must be at most {upper}, got {h}")
     return h
 
 

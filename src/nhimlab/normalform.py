@@ -37,6 +37,7 @@ from .geometry import (
     _as_float_vector,
     _count,
     _max_keep_nan,
+    _positive,
     mat_row_sup_norm,
     tensor_row_sup_norm,
     vec_sup_norm,
@@ -93,8 +94,7 @@ class MapSpec:
     name: str = ""
 
     def __post_init__(self):
-        if isinstance(self.rho, (bool, np.bool_)) or not 0 < self.rho < math.inf:  # a NaN radius fails this too
-            raise ContractError(f"rho must be positive and finite, got {self.rho}")
+        object.__setattr__(self, "rho", _positive(self.rho, "rho"))
         if not (0.0 < self.lam < 1.0):
             raise ContractError(f"lambda must lie in (0, 1), got {self.lam}")
         if self.topo.m != self.dims.m:
@@ -156,16 +156,21 @@ def _returned_none(name: str) -> ContractError:
     return ContractError(f"{name} returned None, which a float block would store as NaN")
 
 
+def _unfit(name: str, value, shape: tuple) -> ContractError:
+    return ContractError(f"{name} returns a value of shape {np.shape(value)} where its block has shape {shape}")
+
+
 def _stacked(fn, *shapes, name: str = "a callable"):
     """``fn`` in the stacked contract: as it is when it already is a ``_Stacked`` (or None), otherwise
     its per-row adapter, whose ``rows`` calls ``fn`` once per row, in row order, and fills one new
     (N, *shape) stack per block with ``out[i] = block``.  The blocks are the items of the value when
-    ``shapes`` names several, else those of a tuple value, or the value.  A shape given as None, or
+    ``shapes`` names several, else the value is the one block.  A shape given as None, or
     every shape when none is given, is the first row's block's, at least 1-d, read once and kept;
     before that, a stack of no rows has blocks of width 0.  Once its one block's shape is known, a
     one-point read calls ``fn`` once and fills one new block of that shape as ``rows`` fills a row,
     with no stack built around the point; before that, and for several blocks, it is a one-row
-    ``rows``.  A value of None is refused with a ContractError that names ``name``."""
+    ``rows``.  A value of None, or a block that does not fill its block's shape, is refused with a
+    ContractError that names ``name``; a ValueError that ``fn`` raises propagates as it is."""
     if fn is None or isinstance(fn, _Stacked):
         return fn
     shapes = list(shapes)
@@ -180,21 +185,27 @@ def _stacked(fn, *shapes, name: str = "a callable"):
                 value = fn(*row)
                 if value is None:
                     raise _returned_none(name)
-                out[i] = value
+                try:
+                    out[i] = value
+                except ValueError:
+                    raise _unfit(name, value, one) from None
             return out
         out = [np.empty((count, *shape)) for shape in shapes] if shapes and None not in shapes else None
         for i, row in enumerate(zip(*args)):
             value = fn(*row)
             if value is None:
                 raise _returned_none(name)
-            blocks = tuple(value) if len(shapes) > 1 or isinstance(value, tuple) else (value,)
+            blocks = tuple(value) if len(shapes) > 1 else (value,)
             if out is None:  # the first value read gives the shapes not yet known
                 shapes[:] = [np.shape(np.atleast_1d(block)) if shape is None else shape
-                             for shape, block in zip(shapes or [None] * len(blocks), blocks, strict=True)]
+                             for shape, block in zip(shapes or [None], blocks, strict=True)]
                 one = shapes[0] if len(shapes) == 1 else None
                 out = [np.empty((count, *shape)) for shape in shapes]
             for stack, block in zip(out, blocks, strict=True):
-                stack[i] = block
+                try:
+                    stack[i] = block
+                except ValueError:
+                    raise _unfit(name, block, stack.shape[1:]) from None
         if out is None:  # no rows, and a shape not yet read
             out = [np.empty((count, *(shape or (0,)))) for shape in shapes or [None]]
         return tuple(out) if len(out) > 1 else out[0]
@@ -206,7 +217,10 @@ def _stacked(fn, *shapes, name: str = "a callable"):
         if value is None:
             raise _returned_none(name)
         out = np.empty(one)
-        out[...] = value
+        try:
+            out[...] = value
+        except ValueError:
+            raise _unfit(name, value, one) from None
         return out
 
     return _Stacked(rows, point=point)
@@ -369,9 +383,7 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
     """
     if not p.in_ball(f.rho):
         raise OutOfNeighborhoodError(p.normal_norm, f.rho)
-    if not h > 0:  # a NaN step fails this too
-        raise ContractError(f"finite-difference step must be positive, got {h}")
-    return _jacobians(f, p.as_array()[None], h)[0]
+    return _jacobians(f, p.as_array()[None], _positive(h, "h"))[0]
 
 
 def _jacobians(f: MapSpec, Z: np.ndarray, h: float, points=None) -> np.ndarray:
@@ -537,8 +549,7 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     """
     sample_count = _count(sample_count, "sample_count", 1)
     seed = _count(seed, "seed")
-    if not tol > 0:  # a NaN tolerance fails this too
-        raise ContractError(f"tol must be positive, got {tol}")
+    tol = _positive(tol, "tol")
     dims = f.dims
     n_s, n_u, m = dims.n_s, dims.n_u, dims.m
     ranges = f.x_ranges()
@@ -763,8 +774,7 @@ def estimate_bounds(f: MapSpec, grid_density: int = 7, target_eps: float = 1e-2)
     a NaN from any row, so the constants have the bits of a per-row pass.
     """
     grid_density = _count(grid_density, "grid_density", 2)
-    if not target_eps > 0:  # a NaN target fails this too
-        raise ContractError(f"target_eps must be positive, got {target_eps}")
+    target_eps = _positive(target_eps, "target_eps")
     dims = f.dims
     n = dims.n
     sl_s = slice(0, dims.n_s)

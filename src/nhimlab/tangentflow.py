@@ -27,7 +27,7 @@ from .exceptions import (
     EscapeError,
     ModelInconsistencyError,
 )
-from .geometry import ChartPoint, Dimensions, TangentVector, _wrap_angles, vec_sup_norm
+from .geometry import ChartPoint, Dimensions, TangentVector, _count, _wrap_angles, vec_sup_norm
 from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _images, _in_row_order, _jacobians
 
 
@@ -40,8 +40,7 @@ class JetState:
     n: int = 0
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ContractError(f"iterate index must be nonnegative, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "n"))
         object.__setattr__(self, "frame", tuple(self.frame))
         if not self.frame:
             raise ContractError("frame must contain at least one tangent vector")
@@ -227,8 +226,7 @@ def theoretical_inclination_bounds(
         raise ContractError(f"need lam + k < 1, got {b.lam + b.k}")
     if not b.lk2_ok:
         raise ContractError(f"need 1/lam - k > 1, got {b.gap}")
-    if n < 0:
-        raise ContractError(f"iterate must be nonnegative, got {n}")
+    n = _count(n, "n")
     gap = b.gap
     lk = b.lam + b.k
     bound_x = (b.k / gap) ** n * I0_x + b.C * s0 * n * (lk ** (n - 1) if n >= 1 else 0.0)

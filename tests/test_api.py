@@ -1,5 +1,5 @@
-"""The public interface: every exported name has a user, and every count is
-checked the same way at the API and in the CLI."""
+"""The public interface: every exported name has a user, and every count and
+every positive real is checked the same way at the API and in the CLI."""
 
 import ast
 import collections
@@ -16,8 +16,13 @@ import nhimlab
 from nhimlab import (
     BoundSet,
     ContractError,
+    Dimensions,
     DiskSpec,
+    FlowState,
     GraphPair,
+    HamiltonianSpec,
+    JetState,
+    TangentVector,
     advance_mesh,
     annulus_experiment,
     cli,
@@ -28,8 +33,11 @@ from nhimlab import (
     make_default_disk,
     make_linear,
     make_twist_annulus,
+    poincare_map,
     seed_mesh,
     straighten_inverse,
+    symplectic_step,
+    theoretical_inclination_bounds,
     validate_conditions,
     verify_bound_domination,
 )
@@ -116,11 +124,20 @@ def test_every_private_helper_has_a_caller():
     assert not unreferenced, f"private helpers with no caller: {unreferenced}"
 
 
+def test_only_geometry_decides_what_a_positive_real_is():
+    # the one rule lives in geometry._positive, next to _count; a guard written out
+    # again in another module would carry its own answer for a bool, NaN or inf
+    homes = [path.name for path, lines, _ in _modules() if "must be positive" in "".join(lines)]
+    assert homes == ["geometry.py"]
+
+
 LINEAR = make_linear(0.5, 2.0)
 DISK = make_default_disk(LINEAR)
 TWIST = make_twist_annulus(0.05, 0.0, 1.0)
 BUDGET = BoundSet(0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2)
 SQUARE = GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2), G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
+HAM = HamiltonianSpec(eps=0.01, mu=0.001)
+ON_SECTION = FlowState(p=0.05, q=0.1, I=0.03, theta=0.0, J=0.0, phi=0.0)
 
 API_COUNTS = {
     "DiskSpec.mesh_per_axis": lambda n: DiskSpec(
@@ -135,6 +152,9 @@ API_COUNTS = {
     "advance_mesh.steps": lambda n: advance_mesh(seed_mesh(DISK, LINEAR), LINEAR, n),
     "straighten_inverse.max_iter": lambda n: straighten_inverse(SQUARE, LINEAR.point([0.05], [0.15], [0.0]), max_iter=n),
     "make_default_disk.n_target": lambda n: make_default_disk(LINEAR, n_target=n),
+    "Dimensions.n_s": lambda n: Dimensions(n, 1, 1),
+    "JetState.n": lambda n: JetState(LINEAR.point([0.0], [0.1], [0.0]), (TangentVector([0.0], [1.0], [0.0]),), n),
+    "theoretical_inclination_bounds.n": lambda n: theoretical_inclination_bounds(BUDGET, n, 0.1, 0.1, 0.1),
 }
 
 CLI_COUNTS = {
@@ -207,15 +227,21 @@ API_POSITIVES = {
     "annulus_experiment.eps": lambda v: annulus_experiment(TWIST, 0.0, 1.0, make_default_disk(TWIST), v, 3),
     "straighten_inverse.tol": lambda v: straighten_inverse(SQUARE, LINEAR.point([0.05], [0.15], [0.0]), tol=v),
     "jacobian.h": lambda v: jacobian(LINEAR, LINEAR.point([0.05], [0.15], [0.0]), h=v),
+    "symplectic_step.h": lambda v: symplectic_step(HAM, ON_SECTION, v),
+    "poincare_map.h": lambda v: poincare_map(HAM, ON_SECTION, h=v),
 }
 
 
 @pytest.mark.parametrize("entry", API_POSITIVES)
 def test_a_nan_where_a_positive_number_belongs_is_refused(entry):
     # before: a report failing on NaN violations, a NaN slab, K = None, 100
-    # sweeps ending in a DivergenceError, and a Jacobian of NaN differences
-    with pytest.raises(ContractError, match="must be positive, got nan"):
-        API_POSITIVES[entry](math.nan)
+    # sweeps ending in a DivergenceError, and a Jacobian of NaN differences;
+    # a bool read as 1.0, and an infinite tolerance passed every check
+    name = entry.split(".")[-1]
+    for value in (math.nan, True, np.True_, math.inf, 0.0, -1.0):
+        rule = "positive and finite" if value == math.inf else "positive"
+        with pytest.raises(ContractError, match=re.escape(f"{name} must be {rule}, got {value!r}")):
+            API_POSITIVES[entry](value)
 
 
 def test_a_nan_tolerance_in_a_validate_config_is_invalid_input(tmp_path, capsys):
@@ -226,6 +252,29 @@ def test_a_nan_tolerance_in_a_validate_config_is_invalid_input(tmp_path, capsys)
     assert cli.main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
     assert not list(out.glob("*"))
     assert "invalid input: tol must be positive, got nan" in capsys.readouterr().err
+
+
+CLI_REALS = {
+    "tol": ("validate", {"model": {"kind": "linear"}, "tol": True}),
+    "eps": ("lambda", {"model": {"kind": "linear"}, "eps": True}),
+    "h": ("ham", {"ham": {"h": True, "returns": 1, "cyl_returns": 1, "fit_exponents": False}}),
+    "drift_tol": ("ham", {"ham": {"drift_tol": -1, "returns": 1, "cyl_returns": 1, "fit_exponents": False}}),
+    "cyl_tol": ("ham", {"ham": {"cyl_tol": math.inf, "returns": 1, "cyl_returns": 1, "fit_exponents": False}}),
+    "omega": ("validate", {"model": {"kind": "linear", "omega": True}}),
+}
+
+
+@pytest.mark.parametrize("key", CLI_REALS)
+def test_a_real_config_key_that_is_a_bool_or_not_positive_is_a_config_error(key, tmp_path, capsys):
+    # before: true read as 1.0 (tol, eps, h, omega), a drift tolerance of -1 failed
+    # every run, and an infinite cylinder tolerance passed every run with exit 0
+    command, cfg = CLI_REALS[key]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+    assert not list(out.glob("*"))
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 MAP_RADII = {

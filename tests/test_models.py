@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -10,12 +11,14 @@ from nhimlab import (
     FlowState,
     HamiltonianSpec,
     apply_map,
+    cli,
     contact_order,
     ham_vector_field,
     hamiltonian_audits,
     hamiltonian_energy,
     integrate,
     integrate_series,
+    make_defective,
     make_linear,
     make_poly,
     make_twist_annulus,
@@ -156,6 +159,29 @@ def test_non_finite_hamiltonian_parameters_are_contract_errors(bad):
             HamiltonianSpec(eps=0.01, mu=0.0, f_coeffs=(row,))
         with pytest.raises(ContractError, match="finite"):
             HamiltonianSpec(eps=0.01, mu=0.0, g_coeffs=(row,))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("linear", {"omega": math.inf}),
+    ("linear", {"omega": math.nan}),
+    ("twist", {"eps_twist": math.nan, "y0": 0.2, "y1": 0.8}),
+    ("twist", {"eps_twist": math.inf, "y0": 0.2, "y1": 0.8}),
+    ("twist", {"eps_twist": 0.05, "y0": -math.inf, "y1": 0.8}),
+    ("defective", {"amp": math.inf}),
+])
+def test_a_model_factory_refuses_a_non_finite_parameter(kind, params, tmp_path, capsys):
+    # each map was built, and validate_conditions passed all but the defective one:
+    # conditions a)-e) never read g_map, and a NaN sampling box reads no violation
+    name = next(key for key, value in params.items() if not math.isfinite(value))
+    factory = {"linear": make_linear, "twist": make_twist_annulus, "defective": make_defective}[kind]
+    with pytest.raises(ContractError, match=f"^{name} must be finite, got {params[name]}$"):
+        factory(**params)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"kind": kind, **params}}))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+    assert not list(out.glob("*"))
+    assert f"{name} must be finite" in capsys.readouterr().err
 
 
 def test_contact_order_that_overflows_is_contract_error():

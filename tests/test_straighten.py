@@ -828,6 +828,69 @@ def test_a_graph_of_the_wrong_width_is_a_contract_error(entry, wide):
             run()
 
 
+def widening_pair():
+    # G_s has width 1 below |s| = 0.06 and 2 beyond: the adapter reads its width off the first value
+    return GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2) if abs(s[0]) < 0.06 else np.array([s[0] ** 2, 0.0]),
+                     G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
+
+
+@pytest.mark.parametrize("entry", ["straighten_inverse", "conjugated r_map rows"])
+def test_a_graph_whose_width_changes_is_a_contract_error(entry):
+    # a bare numpy ValueError "could not broadcast input array from shape (2,) into shape (1,)" before
+    f = make_linear(0.5, 2.0)
+    runs = {
+        # the first sweep moves s from 0.05 to 0.05 + 0.15^2
+        "straighten_inverse": lambda gp: straighten_inverse(gp, f.point([0.05], [0.15], [0.0])),
+        "conjugated r_map rows": lambda gp: conjugate_map(f, gp, radius=0.3).r_map.rows(
+            np.array([[0.01], [0.1]]), np.array([[0.01], [0.01]]), np.array([[1.0], [1.0]])),
+    }
+    with pytest.raises(ContractError, match=r"^G_s returns a value of shape \(2,\) where its block has shape \(1,\)$"):
+        runs[entry](widening_pair())
+
+
+def test_a_map_block_of_the_wrong_shape_is_a_contract_error():
+    # a bare numpy ValueError from the adapter's fill before
+    g = dataclasses.replace(make_linear(0.5, 2.0), A_s=lambda x: 0.5 * np.eye(2))
+    with pytest.raises(ContractError, match=r"^A_s returns a value of shape \(2, 2\) where its block has shape \(1, 1\)$"):
+        validate_conditions(g, sample_count=8)
+
+
+def test_a_value_error_of_the_callable_itself_propagates_as_it_is():
+    # only the adapter's fill is read as a misfit; what the callable raises is the caller's to see
+    def undefined(*args):
+        raise ValueError("undefined here")
+
+    f = make_linear(0.5, 2.0)
+    runs = [
+        lambda: validate_conditions(dataclasses.replace(f, A_s=undefined), sample_count=8),
+        lambda: straighten_inverse(GraphPair(G_s=undefined, G_u=lambda u, x: u ** 2), f.point([0.05], [0.15], [0.0])),
+        # raised by a one-point read after the first value gave the width
+        lambda: straighten_inverse(GraphPair(G_s=lambda s, x: s ** 2 if abs(s[0]) < 0.06 else undefined(),
+                                             G_u=lambda u, x: u ** 2), f.point([0.05], [0.15], [0.0])),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="^undefined here$") as err:
+            run()
+        assert type(err.value) is ValueError
+
+
+def test_a_tuple_from_a_plain_graph_is_its_one_block():
+    # a tuple value was split into one block per item, and the inverse raised an AttributeError
+    def tupled(v, x):
+        return (v[0] ** 2, 0.5 * v[0] ** 2 * np.cos(x[0]))
+
+    as_array, as_tuple = two_one_pair(), GraphPair(G_s=two_one_pair().G_s, G_u=tupled)
+    topo = ChartTopology.angles(1)
+    for s, u, x in (([0.03, -0.02], [0.05], [0.4]), ([0.0, 0.01], [-0.08], [5.0])):
+        q = ChartPoint(np.array(s), np.array(u), np.array(x), topo)
+        assert np.array_equal(straighten_inverse(as_tuple, q).as_array(), straighten_inverse(as_array, q).as_array())
+    rng = np.random.default_rng(7)
+    Q_s, Q_u, X = rng.uniform(-0.05, 0.05, (6, 2)), rng.uniform(-0.05, 0.05, (6, 1)), rng.uniform(0.0, TWO_PI, (6, 1))
+    for got, want in zip(straighten._inverse(as_tuple, Q_s, Q_u, X, 1e-13, 100),
+                         straighten._inverse(as_array, Q_s, Q_u, X, 1e-13, 100)):
+        assert np.array_equal(got, want)
+
+
 def test_a_graph_that_returns_none_is_refused():
     # None was stored as NaN, and the inverse ended in a DivergenceError that blamed the point
     f = make_linear(0.5, 2.0)
