@@ -123,10 +123,22 @@ def _count(n, name: str, minimum: int = 0) -> int:
     return value
 
 
+def _real(x) -> bool:
+    """Whether ``x`` is a real that is not a boolean; a float is told apart before the slower ABC test."""
+    return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_)))
+
+
+def _finite(x, name: str) -> float:
+    """``x`` as a float; a boolean, a value of no real type, NaN or an infinite real is a ContractError."""
+    if not (_real(x) and math.isfinite(x)):
+        raise ContractError(f"{name} must be finite, got {x!r}")
+    return float(x)
+
+
 def _positive(x, name: str) -> float:
     """``x`` as a float; a boolean, a value of no real type, NaN, a real not above zero or an
     infinite one is a ContractError, never a conversion error or a NaN that passes a ``<= 0`` test."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real) or not x > 0:
+    if not (_real(x) and x > 0):
         raise ContractError(f"{name} must be positive, got {x!r}")
     if x == math.inf:
         raise ContractError(f"{name} must be positive and finite, got {x!r}")

@@ -28,7 +28,7 @@ from .exceptions import (
     EmptyMeshError,
     ModelInconsistencyError,
 )
-from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _positive, _wrap_angles
+from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _finite, _positive, _wrap_angles
 from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _in_row_order, _stacked, check_constants
 from .tangentflow import (
     JetState,
@@ -62,8 +62,8 @@ class DiskSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mesh_per_axis", _count(self.mesh_per_axis, "mesh_per_axis", 1))
-        object.__setattr__(self, "u_box", tuple((float(a), float(b)) for a, b in self.u_box))
-        object.__setattr__(self, "x_box", tuple((float(a), float(b)) for a, b in self.x_box))
+        for box in ("u_box", "x_box"):
+            object.__setattr__(self, box, tuple((_finite(a, box), _finite(b, box)) for a, b in getattr(self, box)))
         object.__setattr__(self, "sigma", _stacked(self.sigma, name="sigma"))
         object.__setattr__(self, "dsigma", _stacked(self.dsigma, None, None, name="dsigma"))
         for lo, hi in self.u_box:
@@ -513,9 +513,9 @@ def annulus_experiment(
     """
     if f.dims.m != 2 or not f.topo.is_angle[0] or f.topo.is_angle[1]:
         raise ContractError("annulus experiment needs base coordinates (angle, action)")
+    y0, y1, eps, n_max = _finite(y0, "y0"), _finite(y1, "y1"), _positive(eps, "eps"), _count(n_max, "n_max")
     if not y0 < y1:
         raise ContractError(f"need y0 < y1, got {y0}, {y1}")
-    eps, n_max = _positive(eps, "eps"), _count(n_max, "n_max")
     y_col = f.dims.n_s + f.dims.n_u + 1  # the action coordinate y
     mo = seed_mesh(d, f)
     edges = [np.array([tag[1][1] == y for tag in mo.tags]) for y in (y0, y1)]
@@ -567,8 +567,8 @@ def make_default_disk(
     certified margin version of lam.
     """
     k = bounds.k if bounds is not None else 0.0
-    level = 0.6 * f.rho if sigma_level is None else float(sigma_level)
-    if not abs(level) < f.rho:  # a NaN level fails this too
+    level = 0.6 * f.rho if sigma_level is None else _finite(sigma_level, "sigma_level")
+    if not abs(level) < f.rho:
         raise ContractError(f"sigma_level {level} must sit inside the rho={f.rho} ball")
     half = f.rho * (f.lam + k) ** _count(n_target, "n_target", 1)
     s_const = np.full(f.dims.n_s, level)

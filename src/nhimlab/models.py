@@ -19,23 +19,17 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import ContractError
-from .geometry import TWO_PI, ChartTopology, Dimensions, _count, _positive
+from .geometry import TWO_PI, ChartTopology, Dimensions, _count, _finite, _positive
 from .normalform import BoundSet, MapSpec, _Stacked, check_constants
 
 
 def _check_rates(lambda_s: float, lambda_u: float) -> float:
+    lambda_s, lambda_u = _finite(lambda_s, "lambda_s"), _finite(lambda_u, "lambda_u")
     if not (0.0 < lambda_s < 1.0 < lambda_u):
         raise ContractError(
             f"need 0 < lambda_s < 1 < lambda_u, got lambda_s={lambda_s}, lambda_u={lambda_u}"
         )
     return max(lambda_s, 1.0 / lambda_u)
-
-
-def _check_finite(**params: float) -> None:
-    """A real parameter of a model factory that is NaN or infinite is a ContractError naming it."""
-    for label, value in params.items():
-        if not math.isfinite(value):
-            raise ContractError(f"{label} must be finite, got {value}")
 
 
 def _constant_blocks(lambda_s: float, lambda_u: float, m: int = 1) -> dict:
@@ -69,7 +63,7 @@ def _zero_remainder(n_s: int, n_u: int, m: int) -> dict:
 
 def make_linear(lambda_s: float = 0.5, lambda_u: float = 2.0, omega: float = 0.0, rho: float = 0.5) -> MapSpec:
     """Zero-remainder reference map: constant normal blocks, rigid rotation."""
-    _check_finite(omega=omega)
+    omega = _finite(omega, "omega")
     lam = _check_rates(lambda_s, lambda_u)
     return MapSpec(
         topo=ChartTopology.angles(1),
@@ -89,6 +83,7 @@ def make_poly(c: float, lambda_s: float = 0.5, lambda_u: float = 2.0, rho: float
     holds exactly; the analytic budget is k = 2*c*rho, C = c.  Construction
     is refused when that budget breaks any standing inequality.
     """
+    c = _finite(c, "c")
     if c < 0:
         raise ContractError(f"coupling c must be nonnegative, got {c}")
     lam = _check_rates(lambda_s, lambda_u)
@@ -143,7 +138,7 @@ def make_twist_annulus(
     time-2*pi advance of a unit rotor).  Normal directions are constant and
     uncoupled, as in ``make_linear``.
     """
-    _check_finite(eps_twist=eps_twist, y0=y0, y1=y1)
+    eps_twist, y0, y1 = _finite(eps_twist, "eps_twist"), _finite(y0, "y0"), _finite(y1, "y1")
     if not y0 < y1:
         raise ContractError(f"need y0 < y1, got y0={y0}, y1={y1}")
     lam = _check_rates(lambda_s, lambda_u)
@@ -168,23 +163,22 @@ def make_twist_annulus(
             axis=1,
         )
 
-    def d2_g(x):
-        ang, y = float(x[0]), float(x[1])
+    def d2_g_rows(X):
+        ang, y = X[:, 0], X[:, 1]
         bump = (y - y0) * (y1 - y)
         dbump = y0 + y1 - 2.0 * y
-        t = np.empty((2, 2, 2))
-        t[0, 0, 0] = -eps_twist * bump * math.cos(ang)
-        t[0, 0, 1] = -eps_twist * dbump * math.sin(ang)
-        t[0, 1, 0] = t[0, 0, 1]
-        t[0, 1, 1] = -2.0 * eps_twist * math.cos(ang)
-        t[1, 0, 0] = -eps_twist * bump * math.sin(ang)
-        t[1, 0, 1] = eps_twist * dbump * math.cos(ang)
-        t[1, 1, 0] = t[1, 0, 1]
-        t[1, 1, 1] = -2.0 * eps_twist * math.sin(ang)
+        cos, sin = np.cos(ang), np.sin(ang)
+        t = np.empty((len(X), 2, 2, 2))
+        t[:, 0, 0, 0] = -eps_twist * bump * cos
+        t[:, 0, 0, 1] = t[:, 0, 1, 0] = -eps_twist * dbump * sin
+        t[:, 0, 1, 1] = -2.0 * eps_twist * cos
+        t[:, 1, 0, 0] = -eps_twist * bump * sin
+        t[:, 1, 0, 1] = t[:, 1, 1, 0] = eps_twist * dbump * cos
+        t[:, 1, 1, 1] = -2.0 * eps_twist * sin
         return t
 
     blocks = _constant_blocks(lambda_s, lambda_u, m=2)
-    blocks.update(d_g=_Stacked(d_g_rows), d2_g=d2_g)
+    blocks.update(d_g=_Stacked(d_g_rows), d2_g=_Stacked(d2_g_rows))
     return MapSpec(
         topo=ChartTopology.of(("angle", "linear")),
         rho=rho,
@@ -206,7 +200,7 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
     """
     if condition not in ("b", "d"):
         raise ContractError(f"condition must be 'b' or 'd', got {condition!r}")
-    _check_finite(amp=amp)
+    amp = _finite(amp, "amp")
     row = 1 if condition == "b" else 2
 
     def r_rows(S, U, X):
@@ -241,10 +235,9 @@ def contact_order(nu: float, sigma_param: float, log_base: str = "natural") -> i
     switch.  Any nu >= 1 is accepted (the floor form already yields the
     minimal order 2 whenever log(nu) < 4*sigma).
     """
-    if not (math.isfinite(nu) and nu >= 1):
-        raise ContractError(f"nu must be finite and at least 1, got {nu}")
-    if not (math.isfinite(sigma_param) and sigma_param > 0):
-        raise ContractError(f"sigma_param must be finite and positive, got {sigma_param}")
+    if _finite(nu, "nu") < 1:
+        raise ContractError(f"nu must be at least 1, got {nu}")
+    sigma_param = _positive(_finite(sigma_param, "sigma_param"), "sigma_param")
     if log_base == "natural":
         lg = math.log(nu)
     elif log_base == "base10":
@@ -298,9 +291,9 @@ class HamiltonianSpec:
     _kernel_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for label, value in (("eps", self.eps), ("mu", self.mu)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ContractError(f"{label} must be finite and nonnegative, got {value}")
+        for label in ("eps", "mu"):
+            if _finite(getattr(self, label), label) < 0:
+                raise ContractError(f"{label} must be nonnegative, got {getattr(self, label)}")
         if self.mu > self.eps:
             raise ContractError(f"mu must not exceed eps, got mu={self.mu} > eps={self.eps}")
         if self.eps > 0 and self.mu > self.eps / 10.0:
@@ -345,13 +338,10 @@ class FlowState:
     phi: float
 
     def __post_init__(self):
-        for label, value in (("p", self.p), ("I", self.I), ("J", self.J)):
-            if not math.isfinite(value):
-                raise ContractError(f"momentum {label} must be finite, got {value}")
-        for label, value in (("q", self.q), ("theta", self.theta), ("phi", self.phi)):
-            if not math.isfinite(value):
-                raise ContractError(f"angle {label} must be finite, got {value}")
-            object.__setattr__(self, label, _canonical_angle(value))
+        for label in ("p", "I", "J"):
+            _finite(getattr(self, label), label)
+        for label in ("q", "theta", "phi"):
+            object.__setattr__(self, label, _canonical_angle(_finite(getattr(self, label), label)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p, self.q, self.I, self.theta, self.J, self.phi])

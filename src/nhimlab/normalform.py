@@ -36,6 +36,7 @@ from .geometry import (
     Dimensions,
     _as_float_vector,
     _count,
+    _finite,
     _max_keep_nan,
     _positive,
     mat_row_sup_norm,
@@ -99,8 +100,10 @@ class MapSpec:
             raise ContractError(f"lambda must lie in (0, 1), got {self.lam}")
         if self.topo.m != self.dims.m:
             raise ContractError("topology and dimensions disagree on m")
-        if self.x_box is not None and len(self.x_box) != self.dims.m:
-            raise ContractError("x_box must list one (lo, hi) range per manifold coordinate")
+        if self.x_box is not None:
+            if len(self.x_box) != self.dims.m:
+                raise ContractError("x_box must list one (lo, hi) range per manifold coordinate")
+            object.__setattr__(self, "x_box", tuple((_finite(a, "x_box"), _finite(b, "x_box")) for a, b in self.x_box))
         n_s, n_u, m, n = self.dims.n_s, self.dims.n_u, self.dims.m, self.dims.n
         shapes = dict(A_s=[(n_s, n_s)], A_u=[(n_u, n_u)], g_map=[(m,)], r_map=[(n_s,), (n_u,), (m,)],
                       d_r=[(n, n)], d2_r=[(n, n, n)], d_A_s=[(n_s, n_s, m)], d_A_u=[(n_u, n_u, m)],
@@ -119,7 +122,7 @@ class MapSpec:
             if kind == "angle":
                 ranges.append((0.0, TWO_PI))
             elif self.x_box is not None:
-                ranges.append(tuple(map(float, self.x_box[i])))
+                ranges.append(self.x_box[i])
             else:
                 ranges.append((-1.0, 1.0))
         return ranges

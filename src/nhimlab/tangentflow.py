@@ -8,7 +8,7 @@ case).  Every callable of the map is read in the one stacked contract
 wrapped once when its ``MapSpec`` is built, runs once per row.  Frames
 are renormalized to unit sup norm after every step (inclinations are
 scale-free, and the unstable part would otherwise overflow); the stretch
-factor is recorded before the renormalization.  The closed-form decay
+factor is read off the unnormalized push.  The closed-form decay
 bounds live here too so experiments can compare measured inclinations
 against them term by term.
 """
@@ -114,9 +114,9 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     evaluation (a conjugated map), all rows are evaluated as one stack.
     A stack that raises is read again row by row, so the error is the
     first row's.
-    Returns (images, pushed unit-row frames, the Jacobians of the live rows,
-    escaped mask, image normal norms); an escaped row keeps its input state.
-    The unstable stretch of a frame is read off those Jacobians by
+    Returns (images, pushed unit-row frames, the live rows' unnormalized
+    pushes, escaped mask, image normal norms); an escaped row keeps its input
+    state.  The unstable stretch of a frame is read off those pushes by
     ``_jet_step`` alone, so a mesh step takes no frame norms before its push
     unless ``require_unstable`` asks for them.  ``restricted``
     keeps the images on {u = 0} (drift above 1e-12 is model inconsistency,
@@ -145,32 +145,27 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     F_live = F[live]
     if require_unstable and not _block_norms(dims, F_live)[1].all():
         raise DegenerateVectorError("frame vector has zero unstable component")
-    W = _push(J, F_live)
+    # one gemv per frame row, the routine of jac @ v; F @ J.T or einsum rounds differently
+    W = np.matmul(J[:, None], F_live[..., None])[..., 0]
     scale = np.abs(W).max(axis=-1, keepdims=True)
     if not scale.all():
         raise DegenerateVectorError("frame vector annihilated by the Jacobian")
     Q[escaped] = Z[escaped]
     frames = F.copy()
     frames[live] = W / scale
-    return Q, frames, J, escaped, q_norms
-
-
-def _push(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The frames F (N x k x n) pushed by their Jacobians J (N x n x n), unnormalized."""
-    # one gemv per frame row, the routine of jac @ v; F @ J.T or einsum rounds differently
-    return np.matmul(J[:, None], F[..., None])[..., 0]
+    return Q, frames, W, escaped, q_norms
 
 
 def _jet_step(f: MapSpec, j: JetState, require_unstable: bool, restricted: bool) -> tuple:
     """``_step`` on one JetState, returning (JetState, InclinationRecord); the
-    stretch is the least |v_u| growth of the pushed frame, from its Jacobian."""
+    stretch is the least |v_u| growth of the frame, from its unnormalized push."""
     dims = f.dims
     frame = np.array([v.as_array() for v in j.frame])[None]
-    Q, F, J, escaped, q_norms = _step(f, j.p.as_array()[None], frame, require_unstable, restricted)
+    Q, F, W, escaped, q_norms = _step(f, j.p.as_array()[None], frame, require_unstable, restricted)
     n = j.n + 1
     if escaped[0]:
         raise EscapeError(f"orbit left the rho={f.rho} ball at iterate {n} (normal norm {q_norms[0]:.6g})", j)
-    nu, nu_w = _block_norms(dims, frame)[1], _block_norms(dims, _push(J, frame))[1]
+    nu, nu_w = _block_norms(dims, frame)[1], _block_norms(dims, W)[1]
     stretch = float(np.divide(nu_w, nu, out=np.full_like(nu, math.inf), where=nu > 0.0).min())
     inc_s, inc_x = (float(I[0]) for I in _frame_inclinations(dims, F))
     (s, u, x), F = dims.split(Q[0]), F[0]

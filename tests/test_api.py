@@ -1,8 +1,10 @@
-"""The public interface: every exported name has a user, and every count and
-every positive real is checked the same way at the API and in the CLI."""
+"""The public interface: every exported name has a user, and every count,
+every positive real and every finite real is checked the same way at the API
+and in the CLI."""
 
 import ast
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -27,11 +29,14 @@ from nhimlab import (
     annulus_experiment,
     cli,
     conjugate_map,
+    contact_order,
     estimate_bounds,
     find_K,
     jacobian,
     make_default_disk,
+    make_defective,
     make_linear,
+    make_poly,
     make_twist_annulus,
     poincare_map,
     seed_mesh,
@@ -125,10 +130,11 @@ def test_every_private_helper_has_a_caller():
 
 
 def test_only_geometry_decides_what_a_positive_real_is():
-    # the one rule lives in geometry._positive, next to _count; a guard written out
-    # again in another module would carry its own answer for a bool, NaN or inf
-    homes = [path.name for path, lines, _ in _modules() if "must be positive" in "".join(lines)]
-    assert homes == ["geometry.py"]
+    # the one rule lives in geometry._positive, next to _count and _finite; a guard written
+    # out again in another module would carry its own answer for a bool, NaN or inf
+    for rule in ("must be positive", "must be finite, got"):
+        homes = [path.name for path, lines, _ in _modules() if rule in "".join(lines)]
+        assert homes == ["geometry.py"], rule
 
 
 LINEAR = make_linear(0.5, 2.0)
@@ -242,6 +248,72 @@ def test_a_nan_where_a_positive_number_belongs_is_refused(entry):
         rule = "positive and finite" if value == math.inf else "positive"
         with pytest.raises(ContractError, match=re.escape(f"{name} must be {rule}, got {value!r}")):
             API_POSITIVES[entry](value)
+
+
+# every other real parameter: a rate, rotation, coupling or twist of a built-in map, a
+# Hamiltonian parameter, a flow state component, an end of a sampling box, a disk level
+# and an annulus edge
+API_FINITES = {
+    "make_linear.lambda_s": lambda v: make_linear(v, 2.0),
+    "make_linear.lambda_u": lambda v: make_linear(0.5, v),
+    "make_linear.omega": lambda v: make_linear(0.5, 2.0, omega=v),
+    "make_poly.c": lambda v: make_poly(v),
+    "make_twist_annulus.eps_twist": lambda v: make_twist_annulus(v, 0.0, 1.0),
+    "make_twist_annulus.y0": lambda v: make_twist_annulus(0.05, v, 1.0),
+    "make_twist_annulus.y1": lambda v: make_twist_annulus(0.05, 0.0, v),
+    "make_defective.amp": lambda v: make_defective("b", amp=v),
+    "contact_order.nu": lambda v: contact_order(v, 1.0),
+    "contact_order.sigma_param": lambda v: contact_order(55.0, v),
+    "HamiltonianSpec.eps": lambda v: HamiltonianSpec(eps=v, mu=0.0),
+    "HamiltonianSpec.mu": lambda v: HamiltonianSpec(eps=0.01, mu=v),
+    **{
+        f"FlowState.{label}": lambda v, label=label: dataclasses.replace(ON_SECTION, **{label: v})
+        for label in ("p", "q", "I", "theta", "J", "phi")
+    },
+    "MapSpec.x_box": lambda v: dataclasses.replace(TWIST, x_box=((0.0, 1.0), (0.0, v))),
+    "DiskSpec.u_box": lambda v: DiskSpec(sigma=DISK.sigma, u_box=((-0.01, v),), x_box=DISK.x_box, mesh_per_axis=5),
+    "DiskSpec.x_box": lambda v: DiskSpec(sigma=DISK.sigma, u_box=DISK.u_box, x_box=((v, 1.0),), mesh_per_axis=5),
+    "make_default_disk.sigma_level": lambda v: make_default_disk(LINEAR, sigma_level=v),
+    "annulus_experiment.y0": lambda v: annulus_experiment(TWIST, v, 1.0, make_default_disk(TWIST), 1e-2, 3),
+    "annulus_experiment.y1": lambda v: annulus_experiment(TWIST, 0.0, v, make_default_disk(TWIST), 1e-2, 3),
+}
+
+
+@pytest.mark.parametrize("entry", API_FINITES)
+def test_a_real_parameter_that_is_not_finite_or_is_a_bool_is_refused(entry):
+    # before: True read as 1.0 (a flow state's p, a Hamiltonian's eps, a disk level, an
+    # annulus edge), an infinite lambda_u or box end accepted, and NaN read by the coupling's budget
+    name = entry.split(".")[-1]
+    for value in (math.nan, math.inf, -math.inf, True, np.True_):
+        with pytest.raises(ContractError, match=re.escape(f"{name} must be finite, got {value!r}")):
+            API_FINITES[entry](value)
+
+
+def test_an_infinite_sampling_box_is_refused():
+    # find_K returned K = 5 over a mesh of NaN base points, and conditions a)-e) passed
+    # on a map sampled over [0, inf)
+    with pytest.raises(ContractError, match="x_box must be finite, got inf"):
+        find_K(DiskSpec(sigma=DISK.sigma, u_box=DISK.u_box, x_box=((0.0, math.inf),), mesh_per_axis=5), LINEAR, 1e-2, 10)
+    with pytest.raises(ContractError, match="x_box must be finite, got inf"):
+        validate_conditions(dataclasses.replace(TWIST, x_box=((0.0, 1.0), (0.0, math.inf))), sample_count=8)
+
+
+CLI_FINITES = {
+    "lambda_u": ("validate", {"model": {"kind": "linear", "lambda_u": math.inf}}),
+    "x_box": ("lambda", {"model": {"kind": "linear"}, "disk": {"x_box": [[0, math.inf]]}}),
+}
+
+
+@pytest.mark.parametrize("key", CLI_FINITES)
+def test_an_infinite_real_in_a_config_is_a_config_error(key, tmp_path, capsys):
+    # before: validate passed with lambda_u = inf, and lambda stopped on a NaN point naming no key
+    command, cfg = CLI_FINITES[key]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+    assert not list(out.glob("*"))
+    assert f"{key} must be finite, got inf" in capsys.readouterr().err
 
 
 def test_a_nan_tolerance_in_a_validate_config_is_invalid_input(tmp_path, capsys):

@@ -517,7 +517,7 @@ def test_stacked_step_is_the_per_row_step_bit_for_bit(make, restricted):
     Z, F = step_rows(f, restricted)
     got = _step(f, Z, F, require_unstable=True, restricted=restricted)
     plain = _step(as_plain(f), Z, F, require_unstable=True, restricted=restricted)
-    for stacked, by_rows in zip(got, plain):  # images, frames, Jacobians of the live rows, escapes, image norms
+    for stacked, by_rows in zip(got, plain):  # images, frames, pushes of the live rows, escapes, image norms
         assert np.array_equal(stacked, by_rows, equal_nan=True)
     Q, _, _, escaped, _ = got
     assert escaped.any() != restricted  # rows that escape and rows that stay are both compared
