@@ -289,10 +289,10 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     hc = _section(cfg, "ham", {})
-    # nu, sigma_param and log_base default to HamiltonianSpec's own values
+    if "log_base" in hc:  # a removed key: refused, so no old config silently changes its contact order
+        raise ConfigError("config key 'log_base' is removed: the contact order always takes the natural log")
+    # nu and sigma_param default to HamiltonianSpec's own values
     optional = {key: _field(hc, key, None) for key in ("nu", "sigma_param") if key in hc}
-    if "log_base" in hc:
-        optional["log_base"] = hc["log_base"]
     try:
         hs = HamiltonianSpec(eps=_field(hc, "eps", 0.01), mu=_field(hc, "mu", 0.001), **optional)
     except ContractError as err:

@@ -129,20 +129,25 @@ def _real(x) -> bool:
 
 
 def _finite(x, name: str) -> float:
-    """``x`` as a float; a boolean, a value of no real type, NaN or an infinite real is a ContractError."""
-    if not (_real(x) and math.isfinite(x)):
-        raise ContractError(f"{name} must be finite, got {x!r}")
-    return float(x)
+    """``x`` as a float; a boolean, a value of no real type, NaN or a real beyond the float range
+    (infinite, or an int too large to convert) is a ContractError, never an OverflowError."""
+    try:
+        if _real(x) and math.isfinite(x):
+            return float(x)
+    except OverflowError:  # math.isfinite of an int too large for a float
+        pass
+    raise ContractError(f"{name} must be finite, got {x!r}")
 
 
 def _positive(x, name: str) -> float:
-    """``x`` as a float; a boolean, a value of no real type, NaN, a real not above zero or an
-    infinite one is a ContractError, never a conversion error or a NaN that passes a ``<= 0`` test."""
+    """``x`` as a float; a boolean, a value of no real type, NaN, a real not above zero or one beyond
+    the float range is a ContractError, never a conversion error or a NaN that passes a ``<= 0`` test."""
     if not (_real(x) and x > 0):
         raise ContractError(f"{name} must be positive, got {x!r}")
-    if x == math.inf:
-        raise ContractError(f"{name} must be positive and finite, got {x!r}")
-    return float(x)
+    try:
+        return _finite(x, name)
+    except ContractError:  # an infinite real, or an int too large for a float
+        raise ContractError(f"{name} must be positive and finite, got {x!r}") from None
 
 
 def _frozen_array(v) -> np.ndarray:

@@ -228,23 +228,13 @@ def make_defective(condition: str = "b", amp: float = 0.025, rho: float = 0.5) -
 # Hamiltonian side
 
 
-def contact_order(nu: float, sigma_param: float, log_base: str = "natural") -> int:
-    """Even order 2*floor(log(nu)/(4*sigma) + 1) of cylinder tangency.
-
-    Natural log by default; the base-10 reading is exposed as an experimental
-    switch.  Any nu >= 1 is accepted (the floor form already yields the
-    minimal order 2 whenever log(nu) < 4*sigma).
-    """
+def contact_order(nu: float, sigma_param: float) -> int:
+    """Even order 2*floor(log(nu)/(4*sigma) + 1) of cylinder tangency, log the natural one; any
+    nu >= 1 is accepted (the floor form already yields the minimal order 2 whenever log(nu) < 4*sigma)."""
     if _finite(nu, "nu") < 1:
         raise ContractError(f"nu must be at least 1, got {nu}")
     sigma_param = _positive(_finite(sigma_param, "sigma_param"), "sigma_param")
-    if log_base == "natural":
-        lg = math.log(nu)
-    elif log_base == "base10":
-        lg = math.log10(nu)
-    else:
-        raise ContractError(f"log_base must be 'natural' or 'base10', got {log_base!r}")
-    ratio = lg / (4.0 * sigma_param)
+    ratio = math.log(nu) / (4.0 * sigma_param)
     if not math.isfinite(ratio):
         raise ContractError(f"contact order overflows at nu={nu}, sigma_param={sigma_param}")
     return 2 * int(math.floor(ratio + 1.0))
@@ -287,7 +277,6 @@ class HamiltonianSpec:
     sigma_param: float = 1.0
     f_coeffs: tuple = DEFAULT_F_COEFFS
     g_coeffs: tuple = DEFAULT_G_COEFFS
-    log_base: str = "natural"
     _kernel_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -302,7 +291,7 @@ class HamiltonianSpec:
                 "is meant to be a higher-order perturbation",
                 stacklevel=2,
             )
-        key = (contact_order(self.nu, self.sigma_param, self.log_base),
+        key = (contact_order(self.nu, self.sigma_param),
                _coeff_table(self.f_coeffs), _coeff_table(self.g_coeffs))
         object.__setattr__(self, "_kernel_args", (self.eps, self.mu, key))
 
@@ -412,8 +401,8 @@ def poincare_map(hs: HamiltonianSpec, st: FlowState, h: float = 1e-3) -> tuple:
     arr = _kernels.advance(st.as_array(), h, n_full, *args)
     if rem > 0.0:
         arr = _kernels.advance(arr, float(rem), 1, *args)
+    arr[5] = 0.0
     ret = FlowState.from_array(arr)
-    ret = FlowState(p=ret.p, q=ret.q, I=ret.I, theta=ret.theta, J=ret.J, phi=0.0)
     return ret, hamiltonian_energy(hs, ret) - e0
 
 

@@ -384,8 +384,7 @@ def jacobian(f: MapSpec, p: ChartPoint, h: float = FD_STEP_FIRST) -> np.ndarray:
     Analytic derivatives are used when the MapSpec carries them; otherwise
     central differences with step h (one-sided next to the boundary of U).
     """
-    if not p.in_ball(f.rho):
-        raise OutOfNeighborhoodError(p.normal_norm, f.rho)
+    _check_ball(f, p.s, p.u)
     return _jacobians(f, p.as_array()[None], _positive(h, "h"))[0]
 
 
@@ -577,13 +576,10 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
         point, r = _remainders(evaluate, S.reshape(-1, n_s), U.reshape(-1, n_u), np.repeat(x_samp[lo:hi], 3, axis=0))
         return point, [block.reshape(hi - lo, 3, -1) for block in r]
 
-    # one stack for the derivative samples, whose slice rows give the derivative checks below, then
-    # stacks of at most BOUND_ROWS rows for the rest
-    deriv_count = min(sample_count, 32)
-    per_stack = max(1, BOUND_ROWS // 3)
-    first, r = slices(0, deriv_count)
-    starts = range(deriv_count, sample_count, per_stack)
-    stacks = [r] + [slices(lo, min(lo + per_stack, sample_count))[1] for lo in starts]
+    # stacks of BOUND_ROWS // 3 samples, never fewer than the 32 whose slice rows give the derivative checks below
+    per_stack = max(32, BOUND_ROWS // 3)
+    first, r = slices(0, min(per_stack, sample_count))
+    stacks = [r] + [slices(lo, min(lo + per_stack, sample_count))[1] for lo in range(per_stack, sample_count, per_stack)]
     viol_a = viol_b = viol_c = viol_d = 0.0
     for r_s, r_u, r_x in stacks:
         viol_a = _max_keep_nan(viol_a, sup(r_s[:, 0], r_u[:, 0], r_x[:, 0]))
@@ -609,7 +605,7 @@ def validate_conditions(f: MapSpec, sample_count: int = 256, tol: float = 1e-10,
     sl_s = slice(0, n_s)
     sl_u = slice(n_s, n_s + n_u)
     sl_x = slice(n_s + n_u, dims.n)
-    on_slices = np.arange(3 * deriv_count).reshape(-1, 3)[:, 1:].reshape(-1)  # (s, 0, x) then (0, u, x)
+    on_slices = np.arange(3 * min(sample_count, 32)).reshape(-1, 3)[:, 1:].reshape(-1)  # (s, 0, x) then (0, u, x)
     jac = _in_row_order(lambda rows: first.take(on_slices[rows]).jacobian(), len(on_slices))
     on_s, on_u = jac[0::2], jac[1::2]
     viol_bc = sup(on_s[:, sl_u, sl_s], on_s[:, sl_u, sl_x], on_u[:, sl_s, sl_u], on_u[:, sl_s, sl_x])

@@ -145,9 +145,7 @@ def _inverse(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol
             out[live[done]] = z[done]
             keep = ~done
             live, q, x, g = live[keep], q[keep], x[keep], g[keep]
-    if live.size:
-        raise _diverged(q[:1, :a], q[:1, a:], tol, max_iter)
-    return out[:, :a], out[:, a:]
+    raise _diverged(q[:1, :a], q[:1, a:], tol, max_iter)
 
 
 def _inverse_row(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray, tol: float, max_iter: int) -> tuple:

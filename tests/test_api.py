@@ -242,12 +242,13 @@ API_POSITIVES = {
 def test_a_nan_where_a_positive_number_belongs_is_refused(entry):
     # before: a report failing on NaN violations, a NaN slab, K = None, 100
     # sweeps ending in a DivergenceError, and a Jacobian of NaN differences;
-    # a bool read as 1.0, and an infinite tolerance passed every check
+    # a bool read as 1.0, an infinite tolerance passed every check, and an int beyond
+    # the float range raised an OverflowError
     name = entry.split(".")[-1]
-    for value in (math.nan, True, np.True_, math.inf, 0.0, -1.0):
-        rule = "positive and finite" if value == math.inf else "positive"
-        with pytest.raises(ContractError, match=re.escape(f"{name} must be {rule}, got {value!r}")):
-            API_POSITIVES[entry](value)
+    for rule, values in (("positive", (math.nan, True, np.True_, 0.0, -1.0)), ("positive and finite", (math.inf, 10**400))):
+        for value in values:
+            with pytest.raises(ContractError, match=re.escape(f"{name} must be {rule}, got {value!r}")):
+                API_POSITIVES[entry](value)
 
 
 # every other real parameter: a rate, rotation, coupling or twist of a built-in map, a
@@ -282,9 +283,10 @@ API_FINITES = {
 @pytest.mark.parametrize("entry", API_FINITES)
 def test_a_real_parameter_that_is_not_finite_or_is_a_bool_is_refused(entry):
     # before: True read as 1.0 (a flow state's p, a Hamiltonian's eps, a disk level, an
-    # annulus edge), an infinite lambda_u or box end accepted, and NaN read by the coupling's budget
+    # annulus edge), an infinite lambda_u or box end accepted, NaN read by the coupling's budget,
+    # and an int beyond the float range raised an OverflowError
     name = entry.split(".")[-1]
-    for value in (math.nan, math.inf, -math.inf, True, np.True_):
+    for value in (math.nan, math.inf, -math.inf, True, np.True_, 10**400):
         with pytest.raises(ContractError, match=re.escape(f"{name} must be finite, got {value!r}")):
             API_FINITES[entry](value)
 

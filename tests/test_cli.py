@@ -250,6 +250,15 @@ def test_ham_non_finite_parameter_is_config_error(tmp_path, capsys, key, value):
     assert not list(out.glob("ham_*"))
 
 
+def test_ham_log_base_is_a_removed_key(tmp_path, capsys):
+    # the contact order always takes the natural log; an old config asking for base 10 must not run on it
+    cfg = {"ham": {"log_base": "base10", "returns": 1, "cyl_returns": 1, "fit_exponents": False}}
+    code, out = run(tmp_path, "ham", cfg, extra=("--quiet",))
+    assert code == 2
+    assert "'log_base'" in capsys.readouterr().err
+    assert not list(out.glob("ham_*"))
+
+
 def test_ham_rejects_mu_above_eps(tmp_path):
     code, _ = run(tmp_path, "ham", {"ham": {"eps": 0.001, "mu": 0.01}})
     assert code == 2

@@ -116,7 +116,6 @@ def test_contact_order_table():
     assert contact_order(math.exp(8.0), 1.0) == 6
     assert contact_order(55.0, 1.0) == 4
     assert contact_order(3.0, 100.0) == 2
-    assert contact_order(1e5, 1.0, log_base="base10") == 4
     assert contact_order(1.0, 1.0) == 2
 
 
@@ -125,8 +124,6 @@ def test_contact_order_validation():
         contact_order(0.5, 1.0)
     with pytest.raises(ContractError):
         contact_order(3.0, 0.0)
-    with pytest.raises(ContractError):
-        contact_order(3.0, 1.0, log_base="base2")
 
 
 def test_hamiltonian_spec_validation():

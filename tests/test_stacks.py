@@ -579,14 +579,14 @@ def test_a_poly_bound_grid_calls_each_derivative_once_per_stack(monkeypatch, row
     assert calls == {"d_r.rows": stacks, "d2_r.rows": stacks, "d2_g.rows": 1, "d_A_s.rows": 1}
 
 
-def test_poly_validation_reads_two_stacks_of_samples():
+def test_poly_validation_reads_one_stack_of_samples():
     calls = collections.Counter()
     f = counted(make_poly(0.05), calls)
     report = validate_conditions(f, sample_count=40).to_dict()
     assert report == validate_conditions(as_plain(make_poly(0.05)), sample_count=40).to_dict()
-    # the zero section and both slices of the first 32 samples, then of the other 8; the slice rows of
-    # the first stack give the derivative checks; condition e) reads one stack of all 40 samples
-    assert calls == {"r_map.rows": 2, "d_r.rows": 1, "A_s.rows": 1, "A_u.rows": 1}
+    # the zero section and both slices of all 40 samples in one stack; the slice rows of its first 32
+    # samples give the derivative checks; condition e) reads one stack of all 40 samples
+    assert calls == {"r_map.rows": 1, "d_r.rows": 1, "A_s.rows": 1, "A_u.rows": 1}
 
 
 def fd_second_by_point(func, z, h):

@@ -568,7 +568,7 @@ def test_the_ac8_solve_sequence_stays_within_its_inverse_count(monkeypatch):
     # the sequence of test_ac8_straightened_map_meets_its_exact_budget, in rows solved: 768 validation
     # (3 evaluations per sample, the derivative samples reusing two), 36 bound grid rows, 156 each for
     # find_K and the domination check; 2058 before one evaluation per point and the chain-rule d2_r.
-    # In calls, 2 per stack: validation 4 (two stacks), the grid 2, find_K 24 and the domination check
+    # In calls, 2 per stack: validation 2 (one stack), the grid 2, find_K 24 and the domination check
     # 38 (one stack per mesh step); 1116 when each point was solved on its own
     calls = counted_inverse(monkeypatch)
     f = ac8_map()
@@ -579,7 +579,7 @@ def test_the_ac8_solve_sequence_stays_within_its_inverse_count(monkeypatch):
     find_K(disk, f, eps=1e-2, n_max=12)
     verify_bound_domination(disk, f, bounds, n_max=12)
     assert sum(calls) <= 1116
-    assert len(calls) == 68
+    assert len(calls) == 66
 
 
 def offset_remainder(g):
