@@ -27,6 +27,7 @@ from .exceptions import ConfigError, ContractError, ModelInconsistencyError
 from .geometry import _count, _positive
 from .lambdalemma import (
     DiskSpec,
+    _affine_disk,
     _run_domination,
     annulus_experiment,
     find_K,
@@ -41,7 +42,7 @@ from .models import (
     make_poly,
     make_twist_annulus,
 )
-from .normalform import _Stacked, check_constants, estimate_bounds, validate_conditions
+from .normalform import check_constants, estimate_bounds, validate_conditions
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -62,6 +63,26 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    return _known(cfg, "the config root")
+
+
+# the keys some subcommand reads, per config object; a model's keys are its factory's parameters
+KEYS = {
+    "the config root": ("model", "samples", "tol", "grid_density", "target_eps", "eps", "n_max", "disk", "ham",
+                        "seed", "out"),
+    "disk": ("mesh_per_axis", "sigma_const", "sigma_u_coeffs", "sigma_x_coeffs", "u_half", "u_box", "x_box"),
+    "ham": ("eps", "mu", "nu", "sigma_param", "h", "returns", "cyl_returns", "drift_tol", "cyl_tol", "fit_rel_tol",
+            "fit_exponents", "seed_state"),
+    "seed_state": ("p", "q", "I", "theta", "J"),
+}
+
+
+def _known(cfg: dict, where: str) -> dict:
+    """``cfg``, the config object ``where``; a key that no subcommand reads there is a config error
+    naming it, so a misspelt key never runs on a default."""
+    unknown = [key for key in cfg if key not in KEYS[where]]
+    if unknown:
+        raise ConfigError(f"config key {unknown[0]!r} in {where} is read by no subcommand")
     return cfg
 
 
@@ -91,13 +112,15 @@ def _positive_field(cfg: dict, key: str, default: float) -> float:
 
 def _section(cfg: dict, key: str, default=None):
     """Config section ``key`` (``default`` when absent or null); a section
-    that is not a JSON object is a config error naming the key."""
+    that is not a JSON object is a config error naming the key, and so is a
+    key in it that no subcommand reads (``_known``), except in ``model``,
+    whose keys its factory checks."""
     value = cfg.get(key)
     if value is None:
         return default
     if not isinstance(value, dict):
         raise ConfigError(f"config section {key!r} must be a JSON object, got {value!r}")
-    return value
+    return value if key == "model" else _known(value, key)
 
 
 def _resolve_out(args, cfg: dict) -> Path:
@@ -137,13 +160,13 @@ def _report(out_dir: Path, experiment: str, model: str, cfg: dict, seed: int, pa
     return json_path, csv_path
 
 
-# kind -> (factory, config keys it takes, defaults the CLI adds); every other
-# default is the factory's own
+# kind -> (factory, defaults the CLI adds); the factory's parameters are the
+# model's config keys, and every other default is the factory's own
 MODELS = {
-    "linear": (make_linear, ("lambda_s", "lambda_u", "omega", "rho"), {}),
-    "poly": (make_poly, ("c", "lambda_s", "lambda_u", "rho"), {"c": 0.05}),
-    "twist": (make_twist_annulus, ("eps_twist", "y0", "y1", "lambda_s", "lambda_u", "rho"), {"eps_twist": 0.05}),
-    "defective": (make_defective, ("condition", "amp", "rho"), {}),
+    "linear": (make_linear, {}),
+    "poly": (make_poly, {"c": 0.05}),
+    "twist": (make_twist_annulus, {"eps_twist": 0.05}),
+    "defective": (make_defective, {}),
 }
 
 
@@ -153,8 +176,8 @@ def build_model(mc: dict):
     kind = mc["kind"]
     if not isinstance(kind, str) or kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    factory, keys, defaults = MODELS[kind]
-    params = {**defaults, **{key: _field(mc, key, None, lambda value: value) for key in keys if key in mc}}
+    factory, defaults = MODELS[kind]
+    params = {**defaults, **{key: _field(mc, key, None, lambda value: value) for key in mc if key != "kind"}}
     try:
         return factory(**params)
     except (ContractError, TypeError, ValueError) as err:
@@ -173,14 +196,6 @@ def build_disk(dc: dict, f) -> DiskSpec:
                        lambda v: np.asarray(v, dtype=float).reshape(n_s, n_u))
     x_coeffs = _field(dc, "sigma_x_coeffs", np.zeros((n_s, m)),
                        lambda v: np.asarray(v, dtype=float).reshape(n_s, m))
-
-    def sigma(U, X):
-        # one gemv per row, the routine of u_coeffs @ u
-        return const + np.matmul(u_coeffs, U[..., None])[..., 0] + np.matmul(x_coeffs, X[..., None])[..., 0]
-
-    def dsigma(U, X):
-        return np.repeat(u_coeffs[None], len(U), axis=0), np.repeat(x_coeffs[None], len(X), axis=0)
-
     if "u_half" in dc:
         half = _field(dc, "u_half", None)
         u_box = tuple((-half, half) for _ in range(n_u))
@@ -190,7 +205,7 @@ def build_disk(dc: dict, f) -> DiskSpec:
     try:
         u_box = tuple(tuple(b) for b in u_box)
         x_box = tuple(tuple(b) for b in x_box)
-        return DiskSpec(sigma=_Stacked(sigma), u_box=u_box, x_box=x_box, mesh_per_axis=mesh, dsigma=_Stacked(dsigma))
+        return _affine_disk(const, u_box, x_box, mesh, (u_coeffs, x_coeffs))
     except (ContractError, TypeError, ValueError) as err:
         raise ConfigError(f"invalid disk config: {err}") from err
 
@@ -289,8 +304,6 @@ def cmd_annulus(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
 
 def cmd_ham(cfg: dict, out_dir: Path, seed: int, quiet: bool) -> int:
     hc = _section(cfg, "ham", {})
-    if "log_base" in hc:  # a removed key: refused, so no old config silently changes its contact order
-        raise ConfigError("config key 'log_base' is removed: the contact order always takes the natural log")
     # nu and sigma_param default to HamiltonianSpec's own values
     optional = {key: _field(hc, key, None) for key in ("nu", "sigma_param") if key in hc}
     try:

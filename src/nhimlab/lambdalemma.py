@@ -29,7 +29,7 @@ from .exceptions import (
     ModelInconsistencyError,
 )
 from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _finite, _positive, _wrap_angles
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _in_row_order, _stacked, check_constants
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _fit, _in_row_order, _stacked, _Stacked, check_constants
 from .tangentflow import (
     JetState,
     _block_norms,
@@ -51,7 +51,8 @@ class DiskSpec:
     exactly, making the crossing slice part of the sample.  ``dsigma``, when
     given, returns the pair (d sigma/d u, d sigma/d x).  Construction wraps
     each plain callable once in the per-row adapter ``normalform._stacked``,
-    its widths read off its values, so each runs once per node.
+    its widths read off its values, so each runs once per node; seeding
+    fits each read to the map's blocks (``normalform._fit``).
     """
 
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -146,14 +147,14 @@ def _snap_zero(nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_partials(d: DiskSpec, U: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _sigma_partials(d: DiskSpec, U: np.ndarray, X: np.ndarray, n_s: int) -> np.ndarray:
     """The partials (d sigma/d u, d sigma/d x) at the nodes (U, X), joined as an (N, n_s, n_u + m)
-    stack: ``dsigma``, or central differences of sigma in (u, x)."""
+    stack: ``dsigma``, or central differences of sigma in (u, x), each read fitted to its blocks (``_fit``)."""
+    n_u, m = U.shape[1], X.shape[1]
     if d.dsigma is not None:
-        return np.concatenate([B.reshape(len(B), -1, B.shape[-1]) for B in d.dsigma.rows(U, X)], axis=2)
-    n_u = U.shape[1]
-    return _fd_first_rows(lambda V: d.sigma.rows(V[:, :n_u], V[:, n_u:]), np.concatenate((U, X), axis=1),
-                          FD_STEP_FIRST)
+        return np.concatenate(_fit("dsigma", d.dsigma.rows(U, X), [(n_s, n_u), (n_s, m)], len(U)), axis=2)
+    return _fd_first_rows(lambda V: _fit("sigma", d.sigma.rows(V[:, :n_u], V[:, n_u:]), (n_s,), len(V)),
+                          np.concatenate((U, X), axis=1), FD_STEP_FIRST)
 
 
 def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
@@ -183,13 +184,9 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
 
     def read(rows) -> tuple:
         U, X = nodes[rows, :n_u], nodes[rows, n_u:]
-        S = d.sigma.rows(U, X)
-        if S.shape[1:] != (n_s,):
-            raise ContractError(f"sigma returned shape {S.shape[1:]}, expected ({n_s},)")
+        S = _fit("sigma", d.sigma.rows(U, X), (n_s,), len(U))
         _check_ball(f, S, U)
-        partials = _sigma_partials(d, U, X)
-        if partials.shape[1:] != (n_s, k):
-            raise ContractError(f"sigma partials have shape {partials.shape[1:]}, expected ({n_s}, {k})")
+        partials = _sigma_partials(d, U, X, n_s)
         bad = np.flatnonzero(~np.isfinite(partials).all(axis=(1, 2)))  # a NaN value already failed the ball
         if bad.size:
             raise ContractError(f"sigma partials are not finite at u={U[bad[0]]}, x={X[bad[0]]}")
@@ -571,14 +568,25 @@ def make_default_disk(
     if not abs(level) < f.rho:
         raise ContractError(f"sigma_level {level} must sit inside the rho={f.rho} ball")
     half = f.rho * (f.lam + k) ** _count(n_target, "n_target", 1)
-    s_const = np.full(f.dims.n_s, level)
-    return DiskSpec(
-        sigma=lambda u, x: s_const.copy(),
-        u_box=tuple((-half, half) for _ in range(f.dims.n_u)),
-        x_box=tuple(f.x_ranges()),
-        mesh_per_axis=mesh_per_axis,
-        dsigma=lambda u, x: (
-            np.zeros((f.dims.n_s, f.dims.n_u)),
-            np.zeros((f.dims.n_s, f.dims.m)),
-        ),
-    )
+    return _affine_disk(np.full(f.dims.n_s, level), tuple((-half, half) for _ in range(f.dims.n_u)),
+                        tuple(f.x_ranges()), mesh_per_axis)
+
+
+def _affine_disk(const: np.ndarray, u_box: tuple, x_box: tuple, mesh_per_axis: int,
+                 coeffs: Optional[tuple] = None) -> DiskSpec:
+    """The graph disk s = const + a u + b x, with (a, b) = ``coeffs``, over u_box x x_box, in stacked
+    row forms.  sigma adds one matrix-vector product per row for a and one for b, the routine of
+    ``a @ u``; without ``coeffs`` the disk is constant and sigma adds nothing, so every row has the
+    bits of ``const`` (a level of -0.0 stays -0.0)."""
+    a, b = coeffs or (np.zeros((len(const), len(u_box))), np.zeros((len(const), len(x_box))))
+
+    def sigma(U, X):
+        if coeffs is None:
+            return np.repeat(const[None], len(U), axis=0)
+        return const + np.matmul(a, U[..., None])[..., 0] + np.matmul(b, X[..., None])[..., 0]
+
+    def dsigma(U, X):
+        return np.repeat(a[None], len(U), axis=0), np.repeat(b[None], len(X), axis=0)
+
+    return DiskSpec(sigma=_Stacked(sigma), u_box=u_box, x_box=x_box, mesh_per_axis=mesh_per_axis,
+                    dsigma=_Stacked(dsigma))

@@ -155,76 +155,78 @@ def _row(out):
     return tuple(block[0] for block in out) if isinstance(out, tuple) else out[0]
 
 
-def _returned_none(name: str) -> ContractError:
-    return ContractError(f"{name} returned None, which a float block would store as NaN")
-
-
-def _unfit(name: str, value, shape: tuple) -> ContractError:
-    return ContractError(f"{name} returns a value of shape {np.shape(value)} where its block has shape {shape}")
+def _fit(name: str, value, shape, rows: Optional[int] = None):
+    """``value``, what the callable ``name`` returns, in the shape of its block, ``shape``: the same
+    array when it is an array of that shape, else a float array of its entries.  A value fits only
+    when its shape is its block's, or when both hold one entry; a shape of None is the value's own,
+    at least 1-d.  A ``shape`` that is a list holds the shapes of several blocks, the items of
+    ``value``, fitted in turn into a tuple.  With ``rows`` given, ``value`` is a stack of that many
+    rows and ``shape`` a row's: an array with the rows along its first axis, or a list of row values,
+    stacked into one new float array.  None, a wrong number of blocks and a value that does not fit
+    are refused with a ContractError that names ``name``."""
+    if type(value) is np.ndarray and value.shape == (shape if rows is None else (rows, *shape)):
+        return value
+    if value is None:
+        raise ContractError(f"{name} returned None, which a float block would store as NaN")
+    if type(shape) is list:
+        blocks = tuple(value)
+        if len(blocks) != len(shape):
+            raise ContractError(f"{name} returns a value of length {len(blocks)} where it has {len(shape)} blocks")
+        return tuple(_fit(name, block, block_shape, rows) for block, block_shape in zip(blocks, shape))
+    if type(value) is list and rows is not None:
+        if not value:
+            return np.empty((0, *shape))
+        try:
+            stack = np.array(value, dtype=float)  # never broadcasts: rows of another shape make another stack
+        except ValueError:  # rows of different shapes
+            stack = None
+        if stack is not None and stack.shape == (rows, *shape):
+            return stack
+        if stack is None or any(row is None for row in value):  # the first row that does not fit is refused
+            return np.array([_fit(name, row, shape) for row in value], dtype=float)
+        value = stack
+    array = np.asarray(value, dtype=float)
+    got = array.shape if rows is None else array.shape[1:]
+    if shape is None:
+        shape = got or (1,)
+    if got != shape and not math.prod(got) == 1 == math.prod(shape):
+        raise ContractError(f"{name} returns a value of shape {got} where its block has shape {shape}")
+    return array.reshape(shape if rows is None else (rows, *shape))
 
 
 def _stacked(fn, *shapes, name: str = "a callable"):
     """``fn`` in the stacked contract: as it is when it already is a ``_Stacked`` (or None), otherwise
-    its per-row adapter, whose ``rows`` calls ``fn`` once per row, in row order, and fills one new
-    (N, *shape) stack per block with ``out[i] = block``.  The blocks are the items of the value when
-    ``shapes`` names several, else the value is the one block.  A shape given as None, or
-    every shape when none is given, is the first row's block's, at least 1-d, read once and kept;
-    before that, a stack of no rows has blocks of width 0.  Once its one block's shape is known, a
-    one-point read calls ``fn`` once and fills one new block of that shape as ``rows`` fills a row,
-    with no stack built around the point; before that, and for several blocks, it is a one-row
-    ``rows``.  A value of None, or a block that does not fill its block's shape, is refused with a
-    ContractError that names ``name``; a ValueError that ``fn`` raises propagates as it is."""
+    its per-row adapter, whose ``rows`` calls ``fn`` once per row, in row order, and stacks its values,
+    fitted to their blocks (``_fit``), into one new (N, *shape) stack per block.  The blocks are the
+    items of the value when ``shapes`` names several, else the value is the one block.  A shape given
+    as None, or the one shape when none is given, is the first value's, read once and kept; before
+    that, a stack of no rows has blocks of width 0.  Once its one block's shape is known, a one-point
+    read calls ``fn`` once and returns a new copy of its fitted value, with no stack built around the
+    point; before that, and for several blocks, it is a one-row ``rows``.  A ValueError that ``fn``
+    raises propagates as it is."""
     if fn is None or isinstance(fn, _Stacked):
         return fn
-    shapes = list(shapes)
-    one = shapes[0] if len(shapes) == 1 else None  # the shape of the one block, once known
+    shapes = list(shapes) or [None]
+    several = len(shapes) > 1
+    one = None if several else shapes[0]  # the shape of the one block, once known
 
     def rows(*args):
         nonlocal one
-        count = len(args[0])
-        if one is not None:  # one block of known shape, as most callables are
-            out = np.empty((count, *one))
-            for i, row in enumerate(zip(*args)):
-                value = fn(*row)
-                if value is None:
-                    raise _returned_none(name)
-                try:
-                    out[i] = value
-                except ValueError:
-                    raise _unfit(name, value, one) from None
-            return out
-        out = [np.empty((count, *shape)) for shape in shapes] if shapes and None not in shapes else None
-        for i, row in enumerate(zip(*args)):
-            value = fn(*row)
-            if value is None:
-                raise _returned_none(name)
-            blocks = tuple(value) if len(shapes) > 1 else (value,)
-            if out is None:  # the first value read gives the shapes not yet known
-                shapes[:] = [np.shape(np.atleast_1d(block)) if shape is None else shape
-                             for shape, block in zip(shapes or [None], blocks, strict=True)]
-                one = shapes[0] if len(shapes) == 1 else None
-                out = [np.empty((count, *shape)) for shape in shapes]
-            for stack, block in zip(out, blocks, strict=True):
-                try:
-                    stack[i] = block
-                except ValueError:
-                    raise _unfit(name, block, stack.shape[1:]) from None
-        if out is None:  # no rows, and a shape not yet read
-            out = [np.empty((count, *(shape or (0,)))) for shape in shapes or [None]]
-        return tuple(out) if len(out) > 1 else out[0]
+        values = list(map(fn, *args))
+        if values and None in shapes:  # the first value read gives the shapes not yet known
+            first = _fit(name, values[0], shapes if several else one)
+            shapes[:] = [block.shape for block in first] if several else [first.shape]
+            one = None if several else shapes[0]
+        if not several:
+            return _fit(name, values, one or (0,), len(values))
+        blocks = [_fit(name, value, shapes) for value in values]
+        return tuple(_fit(name, [value[j] for value in blocks], shape or (0,), len(values))
+                     for j, shape in enumerate(shapes))
 
     def point(*args):
         if one is None:  # several blocks, or a shape not yet read
             return _row(rows(*(v[None] for v in args)))
-        value = fn(*args)
-        if value is None:
-            raise _returned_none(name)
-        out = np.empty(one)
-        try:
-            out[...] = value
-        except ValueError:
-            raise _unfit(name, value, one) from None
-        return out
+        return _fit(name, fn(*args), one).astype(float)
 
     return _Stacked(rows, point=point)
 

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._fd import _fd_first_rows, _fd_second_rows
-from .exceptions import ContractError, DivergenceError
+from .exceptions import DivergenceError
 from .geometry import TWO_PI, ChartPoint, ChartTopology, _count, _max_keep_nan, _normal_norm, _positive, _wrap_angles, vec_sup_norm
 from .normalform import (
     FD_STEP_FIRST,
@@ -47,6 +47,7 @@ from .normalform import (
     MapSpec,
     _check_ball,
     _evaluator,
+    _fit,
     _image_blocks,
     _jacobians,
     _linear_blocks,
@@ -75,7 +76,8 @@ class GraphPair:
     derivatives; ``tangency_violation`` measures how badly a candidate pair
     fails that.  Construction wraps each plain graph once in the per-row
     adapter of ``normalform._stacked``, its width read off its values, so a
-    graph runs once per row and once per one-point read.
+    graph runs once per row and once per one-point read; each read is fitted
+    to the block it meets (``normalform._fit``).
     """
 
     G_s: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -92,19 +94,12 @@ class GraphPair:
 
 
 def _graph(gp: GraphPair, name: str, Z: np.ndarray, X: np.ndarray, width: int) -> np.ndarray:
-    """The graph ``name`` of gp ("G_s" or "G_u") at the rows (Z, X), an (N, width) stack; values of
-    another width are a ContractError.  A stack of no rows reads nothing, so it has the width of the
-    block the graph meets even before a plain graph's adapter has read one."""
+    """The graph ``name`` of gp ("G_s" or "G_u") at the rows (Z, X), fitted to an (N, width) stack
+    (``_fit``).  A stack of no rows reads nothing, so it has the width of the block the graph meets
+    even before a plain graph's adapter has read one."""
     if not len(Z):
         return np.empty((0, width))
-    out = getattr(gp, name).rows(Z, X)
-    if out.shape[1:] != (width,):
-        raise _misfit(name, out.shape[1:], width)
-    return out
-
-
-def _misfit(name: str, shape: tuple, width: int) -> ContractError:
-    return ContractError(f"{name} returns values of shape {shape} where its block has width {width}")
+    return _fit(name, getattr(gp, name).rows(Z, X), (width,), len(Z))
 
 
 def _phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> tuple:
@@ -153,13 +148,12 @@ def _inverse_row(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray,
     same graph reads, additions, subtractions and residual test on Python floats, which round as
     numpy's do, so the row takes the same sweeps and has the same bits, without numpy's cost per
     call on a row this short.  Each graph value is a one-point read (``_Stacked.point``), so a plain
-    graph runs once per sweep on float vectors, with no stack built around the point.  The widths
-    are checked at the first reads: a graph's one-point reads keep the shape of its first value."""
+    graph runs once per sweep on float vectors, with no stack built around the point.  The first
+    reads are fitted to their blocks (``_fit``): a graph's one-point reads keep the shape of its
+    first value."""
     a, b = Q_s.shape[1], Q_u.shape[1]
     x, read_u, read_s = X[0], gp.G_u.point, gp.G_s.point
-    g_u, g_s = read_u(Q_u[0], x), read_s(Q_s[0], x)
-    if g_u.shape != (a,) or g_s.shape != (b,):
-        raise _misfit("G_u", g_u.shape, a) if g_u.shape != (a,) else _misfit("G_s", g_s.shape, b)
+    g_u, g_s = _fit("G_u", read_u(Q_u[0], x), (a,)), _fit("G_s", read_s(Q_s[0], x), (b,))
     q, g = Q_s[0].tolist() + Q_u[0].tolist(), g_u.tolist() + g_s.tolist()  # g: the update of s, then of u
     for _ in range(max_iter):
         z = list(map(operator.add, q, g))

@@ -17,9 +17,11 @@ import pytest
 import nhimlab
 from nhimlab import (
     BoundSet,
+    ChartTopology,
     ContractError,
     Dimensions,
     DiskSpec,
+    DivergenceError,
     FlowState,
     GraphPair,
     HamiltonianSpec,
@@ -29,6 +31,7 @@ from nhimlab import (
     annulus_experiment,
     cli,
     conjugate_map,
+    conjugated_radius,
     contact_order,
     estimate_bounds,
     find_K,
@@ -38,6 +41,7 @@ from nhimlab import (
     make_linear,
     make_poly,
     make_twist_annulus,
+    pendulum_local_inverse,
     poincare_map,
     seed_mesh,
     straighten_inverse,
@@ -135,6 +139,14 @@ def test_only_geometry_decides_what_a_positive_real_is():
     for rule in ("must be positive", "must be finite, got"):
         homes = [path.name for path, lines, _ in _modules() if rule in "".join(lines)]
         assert homes == ["geometry.py"], rule
+
+
+def test_only_normalform_decides_whether_a_value_fits_its_block():
+    # the one rule lives in normalform._fit; a shape test written out again in another module
+    # would carry its own answer for a one-entry value, a value numpy broadcasts or a missing block
+    for rule in ("where its block has shape", "which a float block would store as NaN", "returns a value of length"):
+        homes = [path.name for path, lines, _ in _modules() if rule in "".join(lines)]
+        assert homes == ["normalform.py"], rule
 
 
 LINEAR = make_linear(0.5, 2.0)
@@ -374,3 +386,57 @@ def test_an_infinite_radius_in_a_validate_config_is_invalid_input(tmp_path, caps
     assert cli.main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
     assert not list(out.glob("*"))
     assert "rho must be positive and finite, got inf" in capsys.readouterr().err
+
+
+NAN_PAIR = GraphPair(G_s=lambda s, x: np.full(1, math.nan), G_u=lambda u, x: np.full(1, math.nan))
+
+# refusals that no other test reaches: the call, the error it raises and its message
+REFUSALS = {
+    "seed_mesh.sigma": (
+        lambda: seed_mesh(DiskSpec(sigma=lambda u, x: np.zeros(2), u_box=DISK.u_box, x_box=DISK.x_box,
+                                   mesh_per_axis=3), LINEAR),
+        ContractError, r"^sigma returns a value of shape \(2,\) where its block has shape \(1,\)$"),
+    "seed_mesh.dsigma": (
+        lambda: seed_mesh(DiskSpec(sigma=lambda u, x: np.zeros(1), u_box=DISK.u_box, x_box=DISK.x_box, mesh_per_axis=3,
+                                   dsigma=lambda u, x: (np.zeros((1, 2)), np.zeros((1, 1)))), LINEAR),
+        ContractError, r"^dsigma returns a value of shape \(1, 2\) where its block has shape \(1, 1\)$"),
+    "annulus_experiment.y0_y1": (
+        lambda: annulus_experiment(TWIST, 1.0, 1.0, make_default_disk(TWIST), 1e-2, 3),
+        ContractError, r"^need y0 < y1, got 1.0, 1.0$"),
+    "annulus_experiment.edges": (
+        lambda: annulus_experiment(TWIST, 0.0, 1.0, DiskSpec(sigma=lambda u, x: np.full(1, 0.1), u_box=((-0.01, 0.01),),
+                                                             x_box=((0.0, 2.0 * np.pi), (0.1, 0.9)), mesh_per_axis=3),
+                                   1e-2, 3),
+        ContractError, r"^mesh does not sample the boundary circles; x_box must span \[y0, y1\] inclusively$"),
+    "MapSpec.lam": (lambda: dataclasses.replace(LINEAR, lam=1.0), ContractError, r"^lambda must lie in \(0, 1\), got 1.0$"),
+    "MapSpec.topo": (lambda: dataclasses.replace(LINEAR, topo=ChartTopology.angles(2)), ContractError,
+                     r"^topology and dimensions disagree on m$"),
+    "MapSpec.x_box": (lambda: dataclasses.replace(TWIST, x_box=((0.0, 1.0),)), ContractError,
+                      r"^x_box must list one \(lo, hi\) range per manifold coordinate$"),
+    "conjugated_radius": (lambda: conjugated_radius(LINEAR, NAN_PAIR), DivergenceError,
+                          r"^straightening inverse fails on every probed ball radius$"),
+    "make_defective.condition": (lambda: make_defective("c"), ContractError, r"^condition must be 'b' or 'd', got 'c'$"),
+    "HamiltonianSpec.f_coeffs": (lambda: HamiltonianSpec(eps=0.01, mu=0.001, f_coeffs=((1, 0, 0.1),)), ContractError,
+                                 r"^Fourier table rows must be \(k1, k2, cos_coeff, sin_coeff\)$"),
+    "HamiltonianSpec.g_coeffs": (lambda: HamiltonianSpec(eps=0.01, mu=0.001, g_coeffs=((0.5, 1, 0.1, 0.0),)),
+                                 ContractError, r"^Fourier mode numbers k1, k2 must be integers$"),
+    "poincare_map.h": (lambda: poincare_map(HAM, ON_SECTION, h=7.0), ContractError,
+                       r"^h must be at most 6.283185307179586, got 7.0$"),
+    "pendulum_local_inverse.eps": (lambda: pendulum_local_inverse(HamiltonianSpec(eps=0.0, mu=0.0), 0.1, 0.1),
+                                   ContractError, r"^local hyperbolic coordinates need eps > 0$"),
+    "ChartTopology.canonicalize": (lambda: ChartTopology.angles(2).canonicalize([0.1]), ContractError,
+                                   r"^expected 2 manifold coordinates, got 1$"),
+    "JetState.frame": (lambda: JetState(LINEAR.point([0.0], [0.1], [0.0]), (), 0), ContractError,
+                       r"^frame must contain at least one tangent vector$"),
+    # lam + k < 1 implies 1/lam - k > 1 for 0 < lam < 1, so only a budget with lam outside (0, 1) reaches it
+    "theoretical_inclination_bounds.gap": (
+        lambda: theoretical_inclination_bounds(BoundSet(-0.5, 1.0, 0.0, 0.0, 0.0, 0.5, 1e-2), 5, 0.1, 0.1, 0.1),
+        ContractError, r"^need 1/lam - k > 1, got -3.0$"),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_a_refusal_names_what_it_refuses(entry):
+    call, error, message = REFUSALS[entry]
+    with pytest.raises(error, match=message):
+        call()

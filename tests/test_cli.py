@@ -382,6 +382,7 @@ def test_validate_and_lambda_go_through_the_module_seams(tmp_path, monkeypatch):
         ("validate", {"kind": None}),
         ("validate", {"kind": "twist", "y1": 0.8}),
         ("annulus", {"kind": "twist", "y1": 0.8}),
+        ("validate", {"c": 0.05}),
     ],
 )
 def test_bad_model_kind_or_missing_twist_edge_is_config_error(tmp_path, capsys, command, model):
@@ -389,3 +390,63 @@ def test_bad_model_kind_or_missing_twist_edge_is_config_error(tmp_path, capsys, 
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not list(out.glob(f"{command}_*"))
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        # validate exited 0 on c = 0.05 and lambda_s = 0.5 with these three misspelt keys
+        ("validate", {"model": {"kind": "poly", "cc": 0.3, "lambda_S": 0.9}, "n_maxx": 3, "samples": 16,
+                      "grid_density": 3}, "n_maxx"),
+        ("validate", {"model": {"kind": "poly", "cc": 0.3}, "samples": 16, "grid_density": 3}, "cc"),
+        ("lambda", {"model": {"kind": "poly"}, "disk": {"sigma_cons": 0.2}}, "sigma_cons"),
+        ("annulus", {"model": {"kind": "twist", "y0": 0.2, "y1": 0.8, "eps": 0.05}}, "eps"),
+        ("ham", {"ham": {"return": 2}}, "return"),
+        ("ham", {"ham": {"seed_state": {"phi": 0.1}}}, "phi"),
+    ],
+)
+def test_a_config_key_that_no_subcommand_reads_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    code, out = run(tmp_path, command, cfg, extra=("--quiet",))
+    assert code == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_the_shared_validate_and_lambda_config_runs_both(tmp_path):
+    # validate reads none of eps, n_max and disk, but lambda does, so the keys are known
+    cfg = {"model": {"kind": "poly", "c": 0.05}, "eps": 1e-2, "n_max": 25, "samples": 16, "grid_density": 3,
+           "disk": {"sigma_const": 0.2, "u_half": 0.01, "mesh_per_axis": 5}, "seed": 0}
+    for command in ("validate", "lambda"):
+        code, out = run(tmp_path, command, cfg, extra=("--quiet",))
+        assert code == 0
+        assert read_json(out, command)["config"] == cfg
+
+
+def test_a_config_root_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "validate", [1, 2], extra=("--quiet",))
+    assert code == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code, printed",
+    [
+        ("lambda", {"model": {"kind": "poly", "c": 0.05}, "eps": 1e-2, "n_max": 25,
+                    "disk": {"sigma_const": 0.2, "u_half": 0.01, "mesh_per_axis": 5}}, 0, "lambda[poly]: K="),
+        ("lambda", {"model": {"kind": "defective", "condition": "b"}, "samples": 16}, 1,
+         "lambda[defective_b]: model fails structural validation"),
+        ("annulus", {"model": {"kind": "twist", "y0": 0.2, "y1": 0.8}, "eps": 1e-2, "n_max": 25,
+                     "disk": {"sigma_const": 0.2, "u_half": 0.002, "mesh_per_axis": 5}}, 0,
+         "annulus[twist_annulus]: K=5 K'=[5, 5]"),
+        ("annulus", {"model": {"kind": "twist", "y0": 0.2, "y1": 0.8}, "eps": 1e-12, "n_max": 2,
+                     "disk": {"sigma_const": 0.2, "u_half": 0.002, "mesh_per_axis": 3}}, 3,
+         "annulus[twist_annulus]: K=None K'=[None, None]"),
+        ("ham", {"ham": {"returns": 2, "cyl_returns": 2, "fit_exponents": False}}, 0, "ham[eps=0.01, mu=0.001]: pass"),
+    ],
+)
+def test_a_run_without_quiet_prints_its_summary(tmp_path, capsys, command, cfg, code, printed):
+    assert run(tmp_path, command, cfg)[0] == code
+    captured = capsys.readouterr()
+    assert printed in captured.out + captured.err
+    assert ("  wrote " in captured.out) == (code != 1)

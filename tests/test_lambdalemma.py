@@ -34,7 +34,7 @@ from nhimlab import (
     theoretical_inclination_bounds,
     verify_bound_domination,
 )
-from nhimlab import lambdalemma
+from nhimlab import cli, lambdalemma
 from nhimlab.lambdalemma import _run_domination
 
 TWO_PI = 2.0 * np.pi
@@ -451,6 +451,19 @@ def test_make_default_disk_refuses_a_sigma_level_that_is_not_finite():
     for level in (math.nan, math.inf, -math.inf):
         with pytest.raises(ContractError, match="sigma_level"):
             make_default_disk(f, sigma_level=level)
+
+
+@pytest.mark.parametrize("level", [0.0, -0.0, 0.2])
+def test_the_default_disk_is_stacked_and_seeds_its_level_bit_for_bit(level):
+    # its plain per-node closures ran through the per-row adapter, which stored each node's copy of
+    # the level; the stacked disk adds no zero product to it, so a level of -0.0 keeps its sign
+    f = make_twist_annulus(0.05, 0.0, 1.0)
+    d = make_default_disk(f, n_target=4, mesh_per_axis=4, sigma_level=level)
+    assert not any(read.rows.__qualname__.startswith("_stacked.") for read in (d.sigma, d.dsigma))
+    mo = seed_mesh(d, f)
+    assert mo.points[:, 0].tobytes() == np.full(len(mo.points), level).tobytes()
+    assert not mo.frames[:, :, 0].any()  # dsigma = 0: no frame vector leans into s
+    assert not hasattr(cli, "_Stacked")  # the CLI disk is built by the same constructor
 
 
 # a constant base map has a zero x block, which annihilates the (0, 0, 1) frame rows

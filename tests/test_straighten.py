@@ -11,6 +11,7 @@ from nhimlab import (
     ChartTopology,
     ContractError,
     Dimensions,
+    DiskSpec,
     DivergenceError,
     estimate_bounds,
     find_K,
@@ -23,6 +24,7 @@ from nhimlab import (
     make_default_disk,
     make_linear,
     make_poly,
+    seed_mesh,
     straighten_inverse,
     straighten_point,
     tangency_violation,
@@ -824,7 +826,7 @@ def test_a_graph_of_the_wrong_width_is_a_contract_error(entry, wide):
         ],
     }
     for run in runs[entry]:
-        with pytest.raises(ContractError, match=f"^{wide} returns values of shape \\(2,\\) where its block has width 1$"):
+        with pytest.raises(ContractError, match=f"^{wide} returns a value of shape \\(2,\\) where its block has shape \\(1,\\)$"):
             run()
 
 
@@ -853,6 +855,77 @@ def test_a_map_block_of_the_wrong_shape_is_a_contract_error():
     g = dataclasses.replace(make_linear(0.5, 2.0), A_s=lambda x: 0.5 * np.eye(2))
     with pytest.raises(ContractError, match=r"^A_s returns a value of shape \(2, 2\) where its block has shape \(1, 1\)$"):
         validate_conditions(g, sample_count=8)
+
+
+MAP_222 = MapSpec(Dimensions(2, 2, 2), ChartTopology.angles(2), rho=0.5, lam=0.5,
+                  A_s=lambda x: 0.4 * np.eye(2), A_u=lambda x: 3.0 * np.eye(2), g_map=lambda x: x + 0.1,
+                  r_map=lambda s, u, x: (np.zeros(2), np.zeros(2), np.zeros(2)))
+
+
+def test_a_block_that_numpy_would_tile_is_refused():
+    # A_s = [[0.4]] on a (2, 2) block was tiled to [[0.4, 0.4], [0.4, 0.4]], and apply_map at
+    # s = (0.1, 0.2) returned s' = (0.12, 0.12) with no error
+    f = dataclasses.replace(MAP_222, A_s=lambda x: np.array([[0.4]]))
+    with pytest.raises(ContractError, match=r"^A_s returns a value of shape \(1, 1\) where its block has shape \(2, 2\)$"):
+        apply_map(f, f.point([0.1, 0.2], [0.0, 0.0], [0.0, 0.0]))
+
+
+# per MapSpec callable of MAP_222: a value that numpy broadcasts into the callable's block
+BROADCAST = {
+    "A_s": lambda x: np.array([0.4, 0.1]),
+    "A_u": lambda x: np.array([[3.0]]),
+    "g_map": lambda x: np.array([0.1]),
+    "r_map": lambda s, u, x: (np.zeros(1), np.zeros(2), np.zeros(2)),
+    "d_r": lambda s, u, x: np.zeros(6),
+    "d2_r": lambda s, u, x: np.zeros((6, 6)),
+    "d_A_s": lambda x: np.zeros(2),
+    "d_A_u": lambda x: np.zeros((1, 2, 2)),
+    "d_g": lambda x: np.ones(1),
+    "d2_g": lambda x: np.zeros((2, 2)),
+}
+
+
+def _narrowing(v, x):
+    """A value of width 2 near v = 0 and of width 1, which numpy broadcasts into width 2, beyond 0.1."""
+    return np.array([v[0] ** 2, 0.0]) if v[0] < 0.1 else np.array([v[0] ** 2])
+
+
+@pytest.mark.parametrize("slot", [*BROADCAST, "G_s", "G_u", "sigma", "dsigma"])
+def test_a_value_that_numpy_would_broadcast_into_its_block_is_refused(slot):
+    # the adapter's fill broadcast each of these into its block and returned the tiled value; the
+    # widths of the graphs and of the disk are read off their first value, here of width 2
+    if slot in BROADCAST:
+        read = getattr(dataclasses.replace(MAP_222, **{slot: BROADCAST[slot]}), slot)
+        args = ([0.1, 0.2], [0.0, 0.3], [1.0, 2.0]) if slot in ("r_map", "d_r", "d2_r") else ([1.0, 2.0],)
+        reads = [lambda: read(*args), lambda: read.rows(*(np.array([a, a]) for a in args))]
+    else:
+        if slot in ("G_s", "G_u"):
+            read = getattr(GraphPair(**{"G_s": _narrowing, "G_u": _narrowing}), slot)
+        else:
+            disk = DiskSpec(sigma=_narrowing, u_box=((-0.3, 0.3),), x_box=((0.0, 1.0),), mesh_per_axis=3,
+                            dsigma=lambda u, x: (np.zeros((2, 1)), np.zeros((2, 1)) if u[0] < 0.1 else np.zeros(1)))
+            read = getattr(disk, slot)
+        read([0.05], [0.0])
+        reads = [lambda: read([0.2], [0.0]), lambda: read.rows(np.array([[0.05], [0.2]]), np.zeros((2, 1)))]
+    for run in reads:
+        with pytest.raises(ContractError, match=f"^{slot} returns a value of shape"):
+            run()
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_a_value_of_the_wrong_number_of_blocks_is_refused(length):
+    # zip(..., strict=True) raised a bare ValueError "zip() argument 2 is shorter than argument 1"
+    f = dataclasses.replace(make_linear(0.5, 2.0), r_map=lambda s, u, x: (np.zeros(1),) * length)
+    for run in (lambda: f.r_map([0.0], [0.0], [0.0]), lambda: validate_conditions(f, sample_count=8)):
+        with pytest.raises(ContractError, match=f"^r_map returns a value of length {length} where it has 3 blocks$"):
+            run()
+    disk = DiskSpec(sigma=lambda u, x: np.full(1, 0.1), u_box=((-0.05, 0.05),), x_box=((0.0, TWO_PI),), mesh_per_axis=3,
+                    dsigma=lambda u, x: (np.zeros((1, 1)),) * (length - 1))
+    stacked = dataclasses.replace(disk, dsigma=_Stacked(lambda U, X: (np.zeros((len(U), 1, 1)),) * (length - 1)))
+    for run in (lambda: disk.dsigma([0.0], [0.0]), lambda: seed_mesh(disk, make_linear(0.5, 2.0)),
+                lambda: seed_mesh(stacked, make_linear(0.5, 2.0))):
+        with pytest.raises(ContractError, match=f"^dsigma returns a value of length {length - 1} where it has 2 blocks$"):
+            run()
 
 
 def test_a_value_error_of_the_callable_itself_propagates_as_it_is():
