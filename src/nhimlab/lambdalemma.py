@@ -29,7 +29,7 @@ from .exceptions import (
     ModelInconsistencyError,
 )
 from .geometry import TWO_PI, ChartPoint, ChartTopology, Dimensions, TangentVector, _count, _finite, _positive, _wrap_angles
-from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _fit, _in_row_order, _stacked, _Stacked, check_constants
+from .normalform import FD_STEP_FIRST, BoundSet, MapSpec, _check_ball, _in_row_order, _read, _Stacked, check_constants
 from .tangentflow import (
     JetState,
     _block_norms,
@@ -49,10 +49,9 @@ class DiskSpec:
     The box must contain u = 0 in its interior so the disk actually crosses
     the stable set; the mesh is snapped so one node per u-axis sits at 0
     exactly, making the crossing slice part of the sample.  ``dsigma``, when
-    given, returns the pair (d sigma/d u, d sigma/d x).  Construction wraps
-    each plain callable once in the per-row adapter ``normalform._stacked``,
-    its widths read off its values, so each runs once per node; seeding
-    fits each read to the map's blocks (``normalform._fit``).
+    given, returns the pair (d sigma/d u, d sigma/d x).  Both are kept as
+    given; seeding reads them at the map's blocks (``normalform._read``), so
+    a plain one runs once per node.
     """
 
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -65,8 +64,6 @@ class DiskSpec:
         object.__setattr__(self, "mesh_per_axis", _count(self.mesh_per_axis, "mesh_per_axis", 1))
         for box in ("u_box", "x_box"):
             object.__setattr__(self, box, tuple((_finite(a, box), _finite(b, box)) for a, b in getattr(self, box)))
-        object.__setattr__(self, "sigma", _stacked(self.sigma, name="sigma"))
-        object.__setattr__(self, "dsigma", _stacked(self.dsigma, None, None, name="dsigma"))
         for lo, hi in self.u_box:
             if not (lo < 0.0 < hi):
                 raise ContractError(f"u_box must contain 0 in its interior, got [{lo}, {hi}]")
@@ -149,11 +146,11 @@ def _snap_zero(nodes: np.ndarray) -> np.ndarray:
 
 def _sigma_partials(d: DiskSpec, U: np.ndarray, X: np.ndarray, n_s: int) -> np.ndarray:
     """The partials (d sigma/d u, d sigma/d x) at the nodes (U, X), joined as an (N, n_s, n_u + m)
-    stack: ``dsigma``, or central differences of sigma in (u, x), each read fitted to its blocks (``_fit``)."""
+    stack: ``dsigma``, or central differences of sigma in (u, x), each read at its blocks (``_read``)."""
     n_u, m = U.shape[1], X.shape[1]
     if d.dsigma is not None:
-        return np.concatenate(_fit("dsigma", d.dsigma.rows(U, X), [(n_s, n_u), (n_s, m)], len(U)), axis=2)
-    return _fd_first_rows(lambda V: _fit("sigma", d.sigma.rows(V[:, :n_u], V[:, n_u:]), (n_s,), len(V)),
+        return np.concatenate(_read(d.dsigma, "dsigma", [(n_s, n_u), (n_s, m)], U, X), axis=2)
+    return _fd_first_rows(lambda V: _read(d.sigma, "sigma", (n_s,), V[:, :n_u], V[:, n_u:]),
                           np.concatenate((U, X), axis=1), FD_STEP_FIRST)
 
 
@@ -184,7 +181,7 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
 
     def read(rows) -> tuple:
         U, X = nodes[rows, :n_u], nodes[rows, n_u:]
-        S = _fit("sigma", d.sigma.rows(U, X), (n_s,), len(U))
+        S = _read(d.sigma, "sigma", (n_s,), U, X)
         _check_ball(f, S, U)
         partials = _sigma_partials(d, U, X, n_s)
         bad = np.flatnonzero(~np.isfinite(partials).all(axis=(1, 2)))  # a NaN value already failed the ball
@@ -424,24 +421,22 @@ def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, run) -> Domi
     off_slice = np.array(mo.alive) & ~on_slice
 
     # regime 1: the stable slice, compared against the closed-form decay bounds;
-    # a seeded frame's rows j < n_u carry e_j in the u block and the others none,
-    # so those rows are the ones pointing out of the slice
+    # seeding snaps a node to 0 on every u axis, so the seeded mesh always has
+    # slice nodes; a seeded frame's rows j < n_u carry e_j in the u block and
+    # the others none, so those rows are the ones pointing out of the slice
     slice_rows = []
-    if not on_slice.any():
-        notes.append("no u=0 slice nodes with unstable-pointing frame vectors")
-    else:
-        nodes = np.flatnonzero(on_slice)
-        start = MeshOrbit(tuple(mo.tags[i] for i in nodes), mo.points[nodes], mo.frames[nodes, : dims.n_u],
-                          (-1,) * len(nodes), 0, dims, mo.topo)
-        (ns0, nx0), s0 = _frame_inclinations(dims, start.frames), sup_s(start.points)
-        for orbit in islice(_orbits(f, start, n_max, restricted=True), 1, None):
-            if not all(orbit.alive):  # rows run up to the depth every slice node reached
-                break
-            inc_s, inc_x = _frame_inclinations(dims, orbit.frames)
-            bounds = theoretical_inclination_bounds(b, orbit.n, I0_x=nx0, I0_s=ns0, s0=s0)
-            margin_s = None if bounds.pre_asymptotic else float(np.min(bounds.bound_s - inc_s))
-            margin_sn = float(np.min(sn_contraction_bound(b, orbit.n, s0) - sup_s(orbit.points)))
-            slice_rows.append((orbit.n, float(np.min(bounds.bound_x - inc_x)), margin_s, margin_sn))
+    nodes = np.flatnonzero(on_slice)
+    start = MeshOrbit(tuple(mo.tags[i] for i in nodes), mo.points[nodes], mo.frames[nodes, : dims.n_u],
+                      (-1,) * len(nodes), 0, dims, mo.topo)
+    (ns0, nx0), s0 = _frame_inclinations(dims, start.frames), sup_s(start.points)
+    for orbit in islice(_orbits(f, start, n_max, restricted=True), 1, None):
+        if not all(orbit.alive):  # rows run up to the depth every slice node reached
+            break
+        inc_s, inc_x = _frame_inclinations(dims, orbit.frames)
+        bounds = theoretical_inclination_bounds(b, orbit.n, I0_x=nx0, I0_s=ns0, s0=s0)
+        margin_s = None if bounds.pre_asymptotic else float(np.min(bounds.bound_s - inc_s))
+        margin_sn = float(np.min(sn_contraction_bound(b, orbit.n, s0) - sup_s(orbit.points)))
+        slice_rows.append((orbit.n, float(np.min(bounds.bound_x - inc_x)), margin_s, margin_sn))
 
     # regime 2: off-slice survivors, checked per frame vector for persistence
     eps = b.target_eps

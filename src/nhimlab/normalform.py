@@ -71,10 +71,11 @@ class MapSpec:
 
     The library reads every callable in one contract, on stacks of rows
     (``_Stacked``).  Construction wraps each plain callable once in a
-    per-row adapter, so a user's callable runs once per row, in row order;
-    the built-in maps of ``models`` pass stacked forms, which run once per
-    stack with the same bits, and a conjugated map evaluates a whole stack
-    at once.  ``dataclasses.replace`` wraps only the callables it replaces.
+    ``_Stacked`` that reads it at its block's shape (``_read``), so a
+    user's callable runs once per row, in row order; the built-in maps of
+    ``models`` pass stacked forms, which run once per stack with the same
+    bits, and a conjugated map evaluates a whole stack at once.
+    ``dataclasses.replace`` wraps only the callables it replaces.
     """
 
     dims: Dimensions
@@ -105,11 +106,12 @@ class MapSpec:
                 raise ContractError("x_box must list one (lo, hi) range per manifold coordinate")
             object.__setattr__(self, "x_box", tuple((_finite(a, "x_box"), _finite(b, "x_box")) for a, b in self.x_box))
         n_s, n_u, m, n = self.dims.n_s, self.dims.n_u, self.dims.m, self.dims.n
-        shapes = dict(A_s=[(n_s, n_s)], A_u=[(n_u, n_u)], g_map=[(m,)], r_map=[(n_s,), (n_u,), (m,)],
-                      d_r=[(n, n)], d2_r=[(n, n, n)], d_A_s=[(n_s, n_s, m)], d_A_u=[(n_u, n_u, m)],
-                      d_g=[(m, m)], d2_g=[(m, m, m)])
-        for name, block_shapes in shapes.items():
-            object.__setattr__(self, name, _stacked(getattr(self, name), *block_shapes, name=name))
+        shapes = dict(A_s=(n_s, n_s), A_u=(n_u, n_u), g_map=(m,), r_map=[(n_s,), (n_u,), (m,)], d_r=(n, n),
+                      d2_r=(n, n, n), d_A_s=(n_s, n_s, m), d_A_u=(n_u, n_u, m), d_g=(m, m), d2_g=(m, m, m))
+        for name, shape in shapes.items():
+            fn = getattr(self, name)
+            if fn is not None and not isinstance(fn, _Stacked):
+                object.__setattr__(self, name, _Stacked(functools.partial(_read, fn, name, shape)))
 
     def point(self, s, u, x) -> ChartPoint:
         return ChartPoint(np.atleast_1d(s), np.atleast_1d(u), np.atleast_1d(x), self.topo)
@@ -133,37 +135,26 @@ class _Stacked:
     """A callable in the one contract the library reads: ``rows`` takes its arguments with a leading
     row axis and returns new stacks along it (a tuple of them for a callable of several blocks),
     each row with the bits of the callable there.  ``evaluate`` is the one evaluation that ``rows``
-    reads a part of, when there is one (``_shared_evaluation``).  ``point`` reads one point on float
-    vectors: a per-row adapter calls its function once (``_stacked``), and any other reads a one-row
-    stack.  Calling it converts its arguments to float vectors and reads ``point``."""
+    reads a part of, when there is one (``_shared_evaluation``).  Calling it reads one point, its
+    arguments as float vectors, as a one-row stack."""
 
     rows: Callable
     evaluate: Optional[Callable] = None
-    point: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.point is None:
-            rows = self.rows
-            object.__setattr__(self, "point", lambda *args: _row(rows(*(v[None] for v in args))))
 
     def __call__(self, *args):
-        return self.point(*map(_as_float_vector, args))
-
-
-def _row(out):
-    """The first row of a stack, or of each stack in a tuple of them."""
-    return tuple(block[0] for block in out) if isinstance(out, tuple) else out[0]
+        out = self.rows(*(_as_float_vector(v)[None] for v in args))
+        return tuple(block[0] for block in out) if isinstance(out, tuple) else out[0]
 
 
 def _fit(name: str, value, shape, rows: Optional[int] = None):
     """``value``, what the callable ``name`` returns, in the shape of its block, ``shape``: the same
     array when it is an array of that shape, else a float array of its entries.  A value fits only
-    when its shape is its block's, or when both hold one entry; a shape of None is the value's own,
-    at least 1-d.  A ``shape`` that is a list holds the shapes of several blocks, the items of
-    ``value``, fitted in turn into a tuple.  With ``rows`` given, ``value`` is a stack of that many
-    rows and ``shape`` a row's: an array with the rows along its first axis, or a list of row values,
-    stacked into one new float array.  None, a wrong number of blocks and a value that does not fit
-    are refused with a ContractError that names ``name``."""
+    when its shape is its block's, or when both hold one entry.  A ``shape`` that is a list holds the
+    shapes of several blocks, the items of ``value``, fitted in turn into a tuple.  With ``rows``
+    given, ``value`` is a stack of that many rows and ``shape`` a row's: an array with the rows along
+    its first axis, or a list of row values, stacked into one new float array.  None, a wrong number
+    of blocks, a value that is not a float array and a value that does not fit are refused with a
+    ContractError that names ``name``."""
     if type(value) is np.ndarray and value.shape == (shape if rows is None else (rows, *shape)):
         return value
     if value is None:
@@ -185,50 +176,29 @@ def _fit(name: str, value, shape, rows: Optional[int] = None):
         if stack is None or any(row is None for row in value):  # the first row that does not fit is refused
             return np.array([_fit(name, row, shape) for row in value], dtype=float)
         value = stack
-    array = np.asarray(value, dtype=float)
+    try:
+        array = np.asarray(value, dtype=float)
+    except ValueError as exc:  # a ragged value, or entries that are not numbers
+        raise ContractError(f"{name} returns a value that is not a float array: {exc}") from None
     got = array.shape if rows is None else array.shape[1:]
-    if shape is None:
-        shape = got or (1,)
     if got != shape and not math.prod(got) == 1 == math.prod(shape):
         raise ContractError(f"{name} returns a value of shape {got} where its block has shape {shape}")
     return array.reshape(shape if rows is None else (rows, *shape))
 
 
-def _stacked(fn, *shapes, name: str = "a callable"):
-    """``fn`` in the stacked contract: as it is when it already is a ``_Stacked`` (or None), otherwise
-    its per-row adapter, whose ``rows`` calls ``fn`` once per row, in row order, and stacks its values,
-    fitted to their blocks (``_fit``), into one new (N, *shape) stack per block.  The blocks are the
-    items of the value when ``shapes`` names several, else the value is the one block.  A shape given
-    as None, or the one shape when none is given, is the first value's, read once and kept; before
-    that, a stack of no rows has blocks of width 0.  Once its one block's shape is known, a one-point
-    read calls ``fn`` once and returns a new copy of its fitted value, with no stack built around the
-    point; before that, and for several blocks, it is a one-row ``rows``.  A ValueError that ``fn``
-    raises propagates as it is."""
-    if fn is None or isinstance(fn, _Stacked):
-        return fn
-    shapes = list(shapes) or [None]
-    several = len(shapes) > 1
-    one = None if several else shapes[0]  # the shape of the one block, once known
-
-    def rows(*args):
-        nonlocal one
-        values = list(map(fn, *args))
-        if values and None in shapes:  # the first value read gives the shapes not yet known
-            first = _fit(name, values[0], shapes if several else one)
-            shapes[:] = [block.shape for block in first] if several else [first.shape]
-            one = None if several else shapes[0]
-        if not several:
-            return _fit(name, values, one or (0,), len(values))
-        blocks = [_fit(name, value, shapes) for value in values]
-        return tuple(_fit(name, [value[j] for value in blocks], shape or (0,), len(values))
-                     for j, shape in enumerate(shapes))
-
-    def point(*args):
-        if one is None:  # several blocks, or a shape not yet read
-            return _row(rows(*(v[None] for v in args)))
-        return _fit(name, fn(*args), one).astype(float)
-
-    return _Stacked(rows, point=point)
+def _read(fn, name: str, shape, *args):
+    """The callable ``fn``, named ``name``, at the rows ``args`` (its arguments with a leading row
+    axis), fitted to its block ``shape`` (``_fit``; a list of shapes for several blocks) as one new
+    stack per block.  A ``_Stacked`` is read in one ``rows`` call; any other callable is called once
+    per row, in row order, and a ValueError that it raises propagates as it is."""
+    count = len(args[0])
+    if isinstance(fn, _Stacked):
+        return _fit(name, fn.rows(*args), shape, count)
+    values = list(map(fn, *args))
+    if type(shape) is not list:
+        return _fit(name, values, shape, count)
+    values = [_fit(name, value, shape) for value in values]
+    return tuple(_fit(name, [value[j] for value in values], block, count) for j, block in enumerate(shape))
 
 
 def _in_row_order(read: Callable, count: int):
@@ -641,7 +611,8 @@ class BoundSet:
     slice-vanishing first derivatives there, and ``mu_star`` is the
     inclination-denominator factor at ``target_eps``.  ``c_excluded`` reports
     the second-derivative mass of the (sigma' = s) blocks, which the budget
-    deliberately leaves out.
+    deliberately leaves out.  ``lam`` must lie in (0, 1) and ``k`` must not
+    be negative; a NaN constant is an unknown one, and builds an unknown slab.
     """
 
     lam: float
@@ -657,6 +628,10 @@ class BoundSet:
     delta: float = field(init=False)
 
     def __post_init__(self):
+        if not 0.0 < self.lam < 1.0:
+            raise ContractError(f"lam must lie in (0, 1), got {self.lam}")
+        if self.k < 0.0:  # a NaN k is an unknown budget, kept
+            raise ContractError(f"k must be nonnegative, got {self.k}")
         lam, k, C, eps, gap = self.lam, self.k, self.C, self.target_eps, self.gap
         denom = 1.0 - ((2.0 * k + C * self.rho) / gap) * eps
         if denom <= 0.0:

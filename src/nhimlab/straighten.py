@@ -11,9 +11,9 @@ iteration (its derivative is the identity on the manifold, so the iteration
 contracts on a sub-ball), and a map can be conjugated through Phi to produce
 a new map spec with straightened invariant sets.  One array core on stacks
 of rows, ``_phi``, ``_inverse``, ``_dphi`` and ``_d2phi``, does the work: it
-reads the graphs in the library's one stacked contract, so a plain graph,
-wrapped once when its ``GraphPair`` is built, runs once per row and per
-sweep or probe, and everything around the graphs once per stack.  The
+reads the graphs, kept as the user gave them, at the blocks they meet
+(``normalform._read``), so a plain graph runs once per row and per sweep
+or probe, and everything around the graphs once per stack.  The
 public functions wrap the core for ``ChartPoint``s as one-row stacks, the
 conjugated map evaluates whole stacks, and the radius bisection solves one
 probe at a time.  A one-row stack sweeps on Python floats, and reads a plain
@@ -53,8 +53,8 @@ from .normalform import (
     _linear_blocks,
     _linear_part,
     _linear_second,
+    _read,
     _scale_manifold,
-    _stacked,
     _Stacked,
     _unit_samples,
 )
@@ -74,18 +74,13 @@ class GraphPair:
 
     Both graphs must vanish at the zero section together with their first
     derivatives; ``tangency_violation`` measures how badly a candidate pair
-    fails that.  Construction wraps each plain graph once in the per-row
-    adapter of ``normalform._stacked``, its width read off its values, so a
-    graph runs once per row and once per one-point read; each read is fitted
-    to the block it meets (``normalform._fit``).
+    fails that.  The graphs are kept as given.  Each read fits their values
+    to the block they meet (``normalform._read``): a plain graph runs once
+    per row, and the one-row inverse calls it on one point.
     """
 
     G_s: Callable[[np.ndarray, np.ndarray], np.ndarray]
     G_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "G_s", _stacked(self.G_s, name="G_s"))
-        object.__setattr__(self, "G_u", _stacked(self.G_u, name="G_u"))
 
     @classmethod
     def zero(cls, n_s: int, n_u: int) -> "GraphPair":
@@ -94,12 +89,8 @@ class GraphPair:
 
 
 def _graph(gp: GraphPair, name: str, Z: np.ndarray, X: np.ndarray, width: int) -> np.ndarray:
-    """The graph ``name`` of gp ("G_s" or "G_u") at the rows (Z, X), fitted to an (N, width) stack
-    (``_fit``).  A stack of no rows reads nothing, so it has the width of the block the graph meets
-    even before a plain graph's adapter has read one."""
-    if not len(Z):
-        return np.empty((0, width))
-    return _fit(name, getattr(gp, name).rows(Z, X), (width,), len(Z))
+    """The graph ``name`` of gp ("G_s" or "G_u") at the rows (Z, X), an (N, width) stack (``_read``)."""
+    return _read(getattr(gp, name), name, (width,), Z, X)
 
 
 def _phi(gp: GraphPair, S: np.ndarray, U: np.ndarray, X: np.ndarray) -> tuple:
@@ -147,18 +138,24 @@ def _inverse_row(gp: GraphPair, Q_s: np.ndarray, Q_u: np.ndarray, X: np.ndarray,
     """``_inverse`` of a one-row stack, as the radius bisection and a one-point read solve it: the
     same graph reads, additions, subtractions and residual test on Python floats, which round as
     numpy's do, so the row takes the same sweeps and has the same bits, without numpy's cost per
-    call on a row this short.  Each graph value is a one-point read (``_Stacked.point``), so a plain
-    graph runs once per sweep on float vectors, with no stack built around the point.  The first
-    reads are fitted to their blocks (``_fit``): a graph's one-point reads keep the shape of its
-    first value."""
+    call on a row this short.  A plain graph is called once per sweep on float vectors, with no
+    stack built around the point, and a stacked one reads a one-row stack; every read is fitted to
+    its block (``_fit``)."""
     a, b = Q_s.shape[1], Q_u.shape[1]
-    x, read_u, read_s = X[0], gp.G_u.point, gp.G_s.point
-    g_u, g_s = _fit("G_u", read_u(Q_u[0], x), (a,)), _fit("G_s", read_s(Q_s[0], x), (b,))
-    q, g = Q_s[0].tolist() + Q_u[0].tolist(), g_u.tolist() + g_s.tolist()  # g: the update of s, then of u
+    x = X[0]
+
+    def reader(name: str, width: int) -> Callable:
+        fn = getattr(gp, name)
+        if isinstance(fn, _Stacked):
+            return lambda z: _read(fn, name, (width,), z[None], X)[0].tolist()
+        return lambda z: _fit(name, fn(z, x), (width,)).tolist()
+
+    read_u, read_s = reader("G_u", a), reader("G_s", b)
+    q, g = Q_s[0].tolist() + Q_u[0].tolist(), read_u(Q_u[0]) + read_s(Q_s[0])  # g: the update of s, then of u
     for _ in range(max_iter):
         z = list(map(operator.add, q, g))
         z_su = np.array(z)
-        g = read_u(z_su[a:], x).tolist() + read_s(z_su[:a], x).tolist()
+        g = read_u(z_su[a:]) + read_s(z_su[:a])
         for z_i, g_i, q_i in zip(z, g, q):
             if not abs(z_i - g_i - q_i) <= tol:  # a NaN never passes
                 break

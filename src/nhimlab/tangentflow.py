@@ -219,8 +219,6 @@ def theoretical_inclination_bounds(
     """
     if not b.lk1_ok:
         raise ContractError(f"need lam + k < 1, got {b.lam + b.k}")
-    if not b.lk2_ok:
-        raise ContractError(f"need 1/lam - k > 1, got {b.gap}")
     n = _count(n, "n")
     gap = b.gap
     lk = b.lam + b.k

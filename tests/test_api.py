@@ -143,10 +143,48 @@ def test_only_geometry_decides_what_a_positive_real_is():
 
 def test_only_normalform_decides_whether_a_value_fits_its_block():
     # the one rule lives in normalform._fit; a shape test written out again in another module
-    # would carry its own answer for a one-entry value, a value numpy broadcasts or a missing block
-    for rule in ("where its block has shape", "which a float block would store as NaN", "returns a value of length"):
+    # would carry its own answer for a one-entry value, a value numpy broadcasts, a ragged value or a
+    # missing block
+    for rule in ("where its block has shape", "which a float block would store as NaN", "returns a value of length",
+                 "is not a float array"):
         homes = [path.name for path, lines, _ in _modules() if rule in "".join(lines)]
         assert homes == ["normalform.py"], rule
+
+
+GRAPH_AND_DISK_FIELDS = {"G_s", "G_u", "sigma", "dsigma"}
+
+
+def _per_row_reads(tree):
+    """The lines in ``tree`` that read a graph or disk field (or a field got by ``getattr``) as a stack
+    through its ``rows``, or row by row: by ``map`` or by calling it in a loop or a comprehension."""
+    def field(node):
+        if isinstance(node, ast.Call):
+            return isinstance(node.func, ast.Name) and node.func.id == "getattr"
+        return isinstance(node, ast.Attribute) and node.attr in GRAPH_AND_DISK_FIELDS
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "rows" and field(node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map":
+            lines.update(node.lineno for arg in node.args[:1] if field(arg))
+        elif isinstance(node, (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            lines.update(sub.lineno for sub in ast.walk(node) if isinstance(sub, ast.Call) and field(sub.func))
+    return sorted(lines)
+
+
+def test_only_normalform_reads_a_graph_or_disk_row_by_row():
+    # normalform._read is the one read of a graph or disk at a stack of rows: a stacked form in one
+    # rows call, anything else once per row, fitted to the block the reader names; a read written out
+    # again in another module would fit its values by a rule of its own, or not at all
+    probe = ast.parse("d.sigma.rows(U, X)\n"
+                      "getattr(gp, name).rows(Z, X)\n"
+                      "list(map(gp.G_s, S, X))\n"
+                      "[d.dsigma(u, x) for u, x in zip(U, X)]\n"
+                      "for z in Z:\n    gp.G_u(z, x)\n")
+    assert _per_row_reads(probe) == [1, 2, 3, 4, 6]
+    reads = {path.name: _per_row_reads(ast.Module(body, [])) for path, _, body in _modules()}
+    assert {name: lines for name, lines in reads.items() if lines and name != "normalform.py"} == {}
 
 
 LINEAR = make_linear(0.5, 2.0)
@@ -428,10 +466,19 @@ REFUSALS = {
                                    r"^expected 2 manifold coordinates, got 1$"),
     "JetState.frame": (lambda: JetState(LINEAR.point([0.0], [0.1], [0.0]), (), 0), ContractError,
                        r"^frame must contain at least one tangent vector$"),
-    # lam + k < 1 implies 1/lam - k > 1 for 0 < lam < 1, so only a budget with lam outside (0, 1) reaches it
-    "theoretical_inclination_bounds.gap": (
-        lambda: theoretical_inclination_bounds(BoundSet(-0.5, 1.0, 0.0, 0.0, 0.0, 0.5, 1e-2), 5, 0.1, 0.1, 0.1),
-        ContractError, r"^need 1/lam - k > 1, got -3.0$"),
+    # a budget with lam > 1 and k < 0 read lk1_ok and lk2_ok as True, and the bounds ran on it
+    "BoundSet.lam": (lambda: BoundSet(1.5, 0.0, 0.0, 0.0, 0.0, 0.5, 1e-2), ContractError,
+                     r"^lam must lie in \(0, 1\), got 1.5$"),
+    "BoundSet.k": (lambda: BoundSet(0.5, -1.0, 0.0, 0.0, 0.0, 0.5, 1e-2), ContractError,
+                   r"^k must be nonnegative, got -1.0$"),
+    "seed_mesh.boxes": (
+        lambda: seed_mesh(DiskSpec(sigma=DISK.sigma, u_box=DISK.u_box * 2, x_box=DISK.x_box, mesh_per_axis=3), LINEAR),
+        ContractError, r"^disk boxes \(2, 1\) do not match map dimensions \(1, 1\)$"),
+    # numpy's bare ValueError "setting an array element with a sequence" named nothing
+    "straighten_inverse.ragged": (
+        lambda: straighten_inverse(GraphPair(G_s=lambda s, x: [[s[0], 0.0], [0.0]], G_u=lambda u, x: u ** 2),
+                                   LINEAR.point([0.05], [0.15], [0.0])),
+        ContractError, r"^G_s returns a value that is not a float array: setting an array element with a sequence"),
 }
 
 

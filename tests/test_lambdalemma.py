@@ -36,6 +36,7 @@ from nhimlab import (
 )
 from nhimlab import cli, lambdalemma
 from nhimlab.lambdalemma import _run_domination
+from nhimlab.normalform import _Stacked
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,6 +78,17 @@ def test_seed_mesh_geometry():
         vu, vx = jet.frame
         assert (vu.v_s[0], vu.v_u[0], vu.v_x[0]) == (0.0, 1.0, 0.0)
         assert (vx.v_s[0], vx.v_u[0], vx.v_x[0]) == (0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("mesh", [1, 2])
+def test_every_seeded_mesh_has_slice_nodes(mesh):
+    # the domination report reads its slice regime off the seed with no case for a seed without slice
+    # nodes: the node nearest u = 0 on each u axis is snapped to 0, whatever the box and the count
+    d = DiskSpec(sigma=lambda u, x: np.atleast_1d(0.1), u_box=((-0.01, 0.03),), x_box=((0.0, TWO_PI),),
+                 mesh_per_axis=mesh)
+    mo = seed_mesh(d, make_linear(0.5, 2.0))
+    assert lambdalemma._on_slice(mo).sum() == mesh
+    assert sorted({p[1] for p in mo.points.tolist()}) == ([0.0] if mesh == 1 else [0.0, 0.03])
 
 
 def test_seed_mesh_tilted_disk_c1():
@@ -459,7 +471,7 @@ def test_the_default_disk_is_stacked_and_seeds_its_level_bit_for_bit(level):
     # the level; the stacked disk adds no zero product to it, so a level of -0.0 keeps its sign
     f = make_twist_annulus(0.05, 0.0, 1.0)
     d = make_default_disk(f, n_target=4, mesh_per_axis=4, sigma_level=level)
-    assert not any(read.rows.__qualname__.startswith("_stacked.") for read in (d.sigma, d.dsigma))
+    assert isinstance(d.sigma, _Stacked) and isinstance(d.dsigma, _Stacked)
     mo = seed_mesh(d, f)
     assert mo.points[:, 0].tobytes() == np.full(len(mo.points), level).tobytes()
     assert not mo.frames[:, :, 0].any()  # dsigma = 0: no frame vector leans into s

@@ -218,6 +218,8 @@ def test_x_ranges():
     assert list(f.x_ranges()) == [(0.0, 2 * np.pi)]
     tw = make_twist_annulus(0.05, 0.25, 1.75)
     assert list(tw.x_ranges()) == [(0.0, 2 * np.pi), (0.25, 1.75)]
+    # a linear coordinate with no declared box samples (-1, 1)
+    assert list(dataclasses.replace(tw, x_box=None).x_ranges()) == [(0.0, 2 * np.pi), (-1.0, 1.0)]
 
 
 def test_unit_samples_match_scipy_halton():

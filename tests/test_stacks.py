@@ -773,6 +773,11 @@ def counting_calls(fn, calls):
     return lambda *args: calls.append(1) or fn(*args)
 
 
+def row_by_row(graph):
+    """A stacked form of the plain graph ``graph`` that calls it once per row."""
+    return _Stacked(lambda Z, X: np.array([graph(z, x) for z, x in zip(Z, X)]))
+
+
 def square_pair():
     return GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2), G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
 
@@ -804,7 +809,7 @@ def test_plain_counting_callables_are_read_once_per_row_with_the_same_bits():
     # the graphs of the AC8 round trip behind plain counters
     gp, calls, seen = square_pair(), [], []
     plain = ac8(dataclasses.replace(gp, G_s=counting_calls(gp.G_s, calls), G_u=counting_calls(gp.G_u, calls)))
-    stacked = ac8(GraphPair(G_s=counting_rows(gp.G_s, seen), G_u=counting_rows(gp.G_u, seen)))
+    stacked = ac8(GraphPair(G_s=counting_rows(row_by_row(gp.G_s), seen), G_u=counting_rows(row_by_row(gp.G_u), seen)))
     assert len(calls) == sum(seen) > 0  # the radius bisection of the inner map
     calls.clear()
     seen.clear()

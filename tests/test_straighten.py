@@ -362,20 +362,20 @@ def test_conjugated_radius_is_pinned():
     assert r == float.fromhex("0x1.fa839aa000000p-4")
 
 
-def test_the_ac8_bisections_read_each_graph_point_by_point():
+def test_the_ac8_bisections_read_each_graph_point_by_point(monkeypatch):
     # the bisections of ac8_map's set-up, on the pair of test_conjugated_radius_is_pinned, make as
-    # many graph reads as one-row stacks made: each read is one call on 1-d float vectors, and none
-    # reads the graphs as a stack (only a plain graph's first read, which learns its width, does)
+    # many graph reads as one-row stacks made: each read is one call of the graph as given on 1-d
+    # float vectors, and none reads the graphs as a stack
     calls, stack_reads = [], []
 
     def square(v, x):
         calls.append((type(v), v.dtype.name, v.shape, type(x), x.dtype.name, x.shape))
         return np.atleast_1d(v[0] ** 2)
 
+    read = straighten._read
+    monkeypatch.setattr(straighten, "_read", lambda *args: stack_reads.append(1) or read(*args))
     gp = GraphPair(G_s=square, G_u=square)
-    for graph in (gp.G_s, gp.G_u):
-        rows = graph.rows
-        object.__setattr__(graph, "rows", lambda *args, rows=rows: stack_reads.append(1) or rows(*args))
+    assert gp.G_s is square and gp.G_u is square
     f = unstraighten_map(make_linear(0.5, 2.0, rho=0.3), gp)
     assert len(calls) == 22452
     conjugate_map(f, gp)
@@ -831,7 +831,7 @@ def test_a_graph_of_the_wrong_width_is_a_contract_error(entry, wide):
 
 
 def widening_pair():
-    # G_s has width 1 below |s| = 0.06 and 2 beyond: the adapter reads its width off the first value
+    # G_s has width 1 below |s| = 0.06, the width of its block on make_linear, and 2 beyond
     return GraphPair(G_s=lambda s, x: np.atleast_1d(s[0] ** 2) if abs(s[0]) < 0.06 else np.array([s[0] ** 2, 0.0]),
                      G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
 
@@ -893,20 +893,23 @@ def _narrowing(v, x):
 @pytest.mark.parametrize("slot", [*BROADCAST, "G_s", "G_u", "sigma", "dsigma"])
 def test_a_value_that_numpy_would_broadcast_into_its_block_is_refused(slot):
     # the adapter's fill broadcast each of these into its block and returned the tiled value; the
-    # widths of the graphs and of the disk are read off their first value, here of width 2
+    # graphs and the disk are read at the blocks of MAP_222, of width 2, at a point and in a stack
     if slot in BROADCAST:
         read = getattr(dataclasses.replace(MAP_222, **{slot: BROADCAST[slot]}), slot)
         args = ([0.1, 0.2], [0.0, 0.3], [1.0, 2.0]) if slot in ("r_map", "d_r", "d2_r") else ([1.0, 2.0],)
         reads = [lambda: read(*args), lambda: read.rows(*(np.array([a, a]) for a in args))]
+    elif slot in ("G_s", "G_u"):
+        # the other graph reads near 0, where its value has width 2, and this one at 0.2
+        gp = GraphPair(G_s=_narrowing, G_u=_narrowing)
+        s, u = ([0.2, 0.0], [0.05, 0.0]) if slot == "G_s" else ([0.05, 0.0], [0.2, 0.0])
+        reads = [lambda: straighten_inverse(gp, MAP_222.point(s, u, [0.0, 0.0])),
+                 lambda: straighten._inverse(gp, np.array([[0.0, 0.0], s]), np.array([[0.0, 0.0], u]),
+                                             np.zeros((2, 2)), 1e-13, 100)]
     else:
-        if slot in ("G_s", "G_u"):
-            read = getattr(GraphPair(**{"G_s": _narrowing, "G_u": _narrowing}), slot)
-        else:
-            disk = DiskSpec(sigma=_narrowing, u_box=((-0.3, 0.3),), x_box=((0.0, 1.0),), mesh_per_axis=3,
-                            dsigma=lambda u, x: (np.zeros((2, 1)), np.zeros((2, 1)) if u[0] < 0.1 else np.zeros(1)))
-            read = getattr(disk, slot)
-        read([0.05], [0.0])
-        reads = [lambda: read([0.2], [0.0]), lambda: read.rows(np.array([[0.05], [0.2]]), np.zeros((2, 1)))]
+        sigma = _narrowing if slot == "sigma" else lambda u, x: np.zeros(2)
+        disk = DiskSpec(sigma=sigma, u_box=((-0.3, 0.3),) * 2, x_box=((0.0, 1.0),) * 2, mesh_per_axis=3,
+                        dsigma=lambda u, x: (np.zeros((2, 2)), np.zeros((2, 2)) if u[0] < 0.1 else np.zeros(1)))
+        reads = [lambda: seed_mesh(disk, MAP_222)]  # the nodes at u = -0.3 read first, of width 2
     for run in reads:
         with pytest.raises(ContractError, match=f"^{slot} returns a value of shape"):
             run()
@@ -922,8 +925,7 @@ def test_a_value_of_the_wrong_number_of_blocks_is_refused(length):
     disk = DiskSpec(sigma=lambda u, x: np.full(1, 0.1), u_box=((-0.05, 0.05),), x_box=((0.0, TWO_PI),), mesh_per_axis=3,
                     dsigma=lambda u, x: (np.zeros((1, 1)),) * (length - 1))
     stacked = dataclasses.replace(disk, dsigma=_Stacked(lambda U, X: (np.zeros((len(U), 1, 1)),) * (length - 1)))
-    for run in (lambda: disk.dsigma([0.0], [0.0]), lambda: seed_mesh(disk, make_linear(0.5, 2.0)),
-                lambda: seed_mesh(stacked, make_linear(0.5, 2.0))):
+    for run in (lambda: seed_mesh(disk, make_linear(0.5, 2.0)), lambda: seed_mesh(stacked, make_linear(0.5, 2.0))):
         with pytest.raises(ContractError, match=f"^dsigma returns a value of length {length - 1} where it has 2 blocks$"):
             run()
 
@@ -937,7 +939,7 @@ def test_a_value_error_of_the_callable_itself_propagates_as_it_is():
     runs = [
         lambda: validate_conditions(dataclasses.replace(f, A_s=undefined), sample_count=8),
         lambda: straighten_inverse(GraphPair(G_s=undefined, G_u=lambda u, x: u ** 2), f.point([0.05], [0.15], [0.0])),
-        # raised by a one-point read after the first value gave the width
+        # raised by a one-point read after a first read that fit
         lambda: straighten_inverse(GraphPair(G_s=lambda s, x: s ** 2 if abs(s[0]) < 0.06 else undefined(),
                                              G_u=lambda u, x: u ** 2), f.point([0.05], [0.15], [0.0])),
     ]
@@ -970,13 +972,14 @@ def test_a_graph_that_returns_none_is_refused():
     gp = GraphPair(G_s=lambda s, x: None, G_u=lambda u, x: np.atleast_1d(u[0] ** 2))
     with pytest.raises(ContractError, match="G_s returned None"):
         straighten_inverse(gp, f.point([0.05], [0.05], [0.0]))
-    # once the width is known: a one-point read and a stack read
+    # after values that fit: past the first sweep of a one-point inverse, and in a stack read
     gp = GraphPair(G_s=lambda s, x: None if s[0] > 0.1 else np.atleast_1d(s[0] ** 2), G_u=lambda u, x: u**2)
-    assert gp.G_s([0.05], [0.0]).tolist() == [0.05**2]
     with pytest.raises(ContractError, match="G_s returned None"):
-        gp.G_s([0.2], [0.0])
+        straighten_inverse(gp, f.point([0.05], [0.3], [0.0]))
     with pytest.raises(ContractError, match="G_s returned None"):
-        gp.G_s.rows(np.array([[0.05], [0.2]]), np.zeros((2, 1)))
+        straighten_point(gp, f.point([0.2], [0.05], [0.0]))
+    with pytest.raises(ContractError, match="G_s returned None"):
+        straighten._phi(gp, np.array([[0.05], [0.2]]), np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 def test_a_map_callable_that_returns_none_is_refused():
