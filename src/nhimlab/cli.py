@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +131,48 @@ def _resolve_out(args, cfg: dict) -> Path:
     return path
 
 
+# json.dumps with an indent runs json's pure-Python encoder; _json_text writes the same text
+_REALS = {float, int}
+_NAMED_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, nested at the indent
+    ``pad``.  A list of plain floats and ints is written in one join of their reprs, which are
+    json's own for every finite value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NAMED_FLOATS.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = None
+        if set(map(type, value)) <= _REALS:
+            text = (",\n" + inner).join(map(repr, value))
+        if text is None or "n" in text:  # a NaN or an infinity, which json names
+            text = (",\n" + inner).join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + text + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(v, inner) for key, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:

@@ -1,15 +1,18 @@
 """Transversal-disk experiments: iterate a mesh, measure C^1 closeness, find K.
 
 A disk transversal to the stable set is given as a graph s = sigma(u, x) over
-a box containing u = 0.  One run loop pushes its mesh forward with tangent
-frames, every alive node in one array step per iterate, for every reader
-below; nodes leaving the neighborhood are censored (the intersect-with-U
-trimming of the disk).
+a box containing u = 0.  One run (``MeshRun``) pushes its mesh forward with
+tangent frames, every alive node in one array step per iterate, and holds
+the whole run as arrays: points (T, N, n), frames (T, N, k, n) and one
+escape iterate per node; nodes leaving the neighborhood are censored (the
+intersect-with-U trimming of the disk).
 Closeness to the unstable set is measured in C^0 (sup of |s|) and C^1 (frame
 inclinations); the first iterate from which both stay below a tolerance is
 the experiment's K.  A boundary-tracking variant handles annuli whose edge
 circles are invariant, and a domination report compares every measured
-inclination against the closed-form bounds.
+inclination against the closed-form bounds.  Each of these readers measures
+a run once, as reductions over all its iterates masked by the run's (T, N)
+liveness.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,11 +76,12 @@ class DiskSpec:
 
 @dataclass(frozen=True, eq=False)
 class MeshOrbit:
-    """Mesh nodes held as arrays, one row per node: base points (N, n) and
-    tangent frames (N, k, n) in (s, u, x) layout, with the node tags and
-    death times (-1 = alive), the one record of which nodes survive.  A dead
-    node keeps its last state inside the ball.  ``dims`` and ``topo``
-    describe the chart of the rows.
+    """Mesh nodes at one iterate held as arrays, one row per node: base points
+    (N, n) and tangent frames (N, k, n) in (s, u, x) layout, with the node
+    tags and death times (-1 = alive), the one record of which nodes
+    survive.  A dead node keeps its last state inside the ball.  ``dims``
+    and ``topo`` describe the chart of the rows.  Seeding makes one; each
+    iterate of a ``MeshRun`` is one, a view of the run's arrays.
     """
 
     tags: tuple
@@ -198,53 +201,104 @@ def seed_mesh(d: DiskSpec, f: MapSpec) -> MeshOrbit:
     return MeshOrbit(tags, points, _unit_rows(frames), (-1,) * len(nodes), 0, dims, f.topo)
 
 
-def _orbits(f: MapSpec, mo: MeshOrbit, steps: int, restricted: bool = False):
-    """The mesh run: ``mo``, then its image at each of the next ``steps`` iterates, every alive row
-    pushed in one ``_step`` call per iterate.  An escaped row keeps its last state; the run stops at
-    the iterate where no row is left alive."""
-    yield mo
-    died_at = np.array(mo.died_at)
-    for n in range(mo.n + 1, mo.n + steps + 1):
-        rows = np.flatnonzero(died_at < 0)
-        if not len(rows):
+class MeshRun:
+    """A mesh run held as arrays: the points (T, N, n) and frames (T, N, k, n) of the N nodes of a
+    seeded orbit at its iterates n0, ..., n0 + T - 1, and ``died_at`` (N,), the iterate each node
+    escaped at (-1 while alive).  A node keeps its last state in the ball from its escape on.
+    ``alive`` is the (T, N) liveness every whole-run reduction is masked by, and ``run[t]`` the
+    MeshOrbit of iterate n0 + t, a view of the arrays.
+
+    ``push`` writes the run iterate by iterate, every alive row pushed in one ``_step`` call per
+    iterate; a step that raises leaves the run holding the iterates before it.  The arrays grow with
+    the run's length; a reader that needs only a bounded stretch at a time pushes ``_segments``.
+    """
+
+    def __init__(self, mo: MeshOrbit, steps: int):
+        self.tags, self.dims, self.topo, self.n0 = mo.tags, mo.dims, mo.topo, mo.n
+        self.points = np.empty((steps + 1, *mo.points.shape))
+        self.frames = np.empty((steps + 1, *mo.frames.shape))
+        self.points[0], self.frames[0] = mo.points, mo.frames
+        self.died_at = np.array(mo.died_at)
+
+    def push(self, f: MapSpec, restricted: bool = False, living: bool = True) -> "MeshRun":
+        """Push the orbit through its ``steps``.  A ``restricted`` run (``_step``) ends before the
+        iterate where any row escapes, and never raises for it; any other run ends before the
+        iterate where no row is left alive, which is an EmptyMeshError when ``living``."""
+        P, F, died_at = self.points, self.frames, self.died_at
+        written = 0
+        try:
+            for t in range(len(P)):
+                if t:
+                    live = np.flatnonzero(died_at < 0)
+                    rows = slice(None) if len(live) == len(died_at) else live  # all alive: no gather or scatter
+                    P[t], F[t] = P[t - 1], F[t - 1]
+                    P[t, rows], F[t, rows], _, escaped, _ = _step(f, P[t - 1, rows], F[t - 1, rows], False, restricted)
+                    died_at[live[escaped]] = self.n0 + t
+                alive = died_at < 0
+                if restricted and not alive.all():
+                    break
+                if not alive.any():
+                    if living:
+                        raise EmptyMeshError(f"every mesh node escaped by iterate {self.n0 + t}; narrow the disk u_box")
+                    break
+                written = t + 1
+        finally:
+            self.points, self.frames = P[:written], F[:written]
+        return self
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def alive(self) -> np.ndarray:
+        """(T, N): whether each node is alive at each iterate of the run."""
+        iterates = self.n0 + np.arange(len(self))[:, None]
+        return (self.died_at < 0) | (iterates < self.died_at)
+
+    def __getitem__(self, t: int) -> MeshOrbit:
+        t = range(len(self))[t]
+        died_at = tuple(np.where(self.alive[t], -1, self.died_at).tolist())
+        return MeshOrbit(self.tags, self.points[t], self.frames[t], died_at, self.n0 + t, self.dims, self.topo)
+
+
+_SEGMENT = 64  # iterates per run of ``_segments``
+
+
+def _segments(f: MapSpec, mo: MeshOrbit, steps: int, **push):
+    """The run of ``mo`` through ``steps`` (``MeshRun.push`` with ``push``), as consecutive runs of at
+    most ``_SEGMENT`` steps, each from the last iterate of the one before, so a reader holds a
+    bounded stretch of the run at a time; the bits are those of one run."""
+    while True:
+        run = MeshRun(mo, min(steps, _SEGMENT)).push(f, **push)
+        yield run
+        steps -= _SEGMENT
+        if steps <= 0 or len(run) <= _SEGMENT:  # done, or the run ended early
             return
-        points, frames = mo.points.copy(), mo.frames.copy()
-        points[rows], frames[rows], _, escaped, _ = _step(
-            f, points[rows], frames[rows], require_unstable=False, restricted=restricted
-        )
-        died_at[rows[escaped]] = n
-        mo = MeshOrbit(mo.tags, points, frames, tuple(died_at.tolist()), n, mo.dims, mo.topo)
-        yield mo
-
-
-def _living(run):
-    """The orbits of ``run``; one with no alive node is an EmptyMeshError."""
-    for mo in run:
-        if not any(mo.alive):
-            raise EmptyMeshError(f"every mesh node escaped by iterate {mo.n}; narrow the disk u_box")
-        yield mo
+        mo = run[-1]
 
 
 def advance_mesh(mo: MeshOrbit, f: MapSpec, steps: int = 1) -> MeshOrbit:
-    """Advance every alive node; escapes censor the node, keeping its last state."""
-    for mo in _living(_orbits(f, mo, _count(steps, "steps", 1))):
+    """Advance every alive node; escapes censor the node, keeping its last state.  The run is pushed
+    in ``_segments`` and the result's arrays are copies, so no more than one segment is held."""
+    for run in _segments(f, mo, _count(steps, "steps", 1)):
         pass
-    return mo
+    mo = run[-1]
+    return replace(mo, points=mo.points.copy(), frames=mo.frames.copy())
 
 
-def _node_distances(mo: MeshOrbit, pool) -> tuple:
-    """Per node of ``pool``: sup |s| and the sup of its frame-vector gaps (see ``c1_distance``)."""
-    ns, nu, nx = _block_norms(mo.dims, mo.frames[pool])
+def _node_distances(dims: Dimensions, points: np.ndarray, frames: np.ndarray) -> tuple:
+    """Per node of the points (..., n) and their frames (..., k, n): sup |s| and the sup of its
+    frame-vector gaps (see ``c1_distance``)."""
+    ns, nu, nx = _block_norms(dims, frames)
     with np.errstate(divide="ignore", invalid="ignore"):
         gaps = np.where(nu > 0.0, np.maximum(ns, nx) / nu, np.where(nx > 0.0, ns / nx, math.inf))
-    return np.abs(mo.points[pool, : mo.dims.n_s]).max(axis=1), gaps.max(axis=1)
+    return np.abs(points[..., : dims.n_s]).max(axis=-1), gaps.max(axis=-1)
 
 
-def _distance(n: int, c0: np.ndarray, gaps: np.ndarray) -> C1Distance:
-    """The C1Distance of the nodes whose ``_node_distances`` are c0 and gaps."""
-    if not len(c0):
-        raise EmptyMeshError("no alive mesh nodes to measure")
-    return C1Distance(n=n, c0=float(c0.max()), c1=float(gaps.max()))
+def _maxima(mask: np.ndarray, *values: np.ndarray) -> list:
+    """Per iterate, a row of the (T, N) ``mask``, the max of each (T, N) array of ``values`` over
+    the nodes the mask holds (-inf over none), as one list of floats per array."""
+    return [np.max(v, axis=1, where=mask, initial=-math.inf).tolist() for v in values]
 
 
 def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Distance:
@@ -261,18 +315,21 @@ def c1_distance(mo: MeshOrbit, indices: Optional[Sequence[int]] = None) -> C1Dis
         if any(i >= len(mo.alive) for i in indices):
             raise ContractError(f"indices must be below the mesh's {len(mo.alive)} nodes, got {max(indices)}")
     pool = mo.alive_indices() if indices is None else [i for i in indices if mo.alive[i]]
-    return _distance(mo.n, *_node_distances(mo, pool))
+    if not pool:
+        raise EmptyMeshError("no alive mesh nodes to measure")
+    c0, gaps = _node_distances(mo.dims, mo.points[pool], mo.frames[pool])
+    return C1Distance(n=mo.n, c0=float(c0.max()), c1=float(gaps.max()))
 
 
 @dataclass(frozen=True)
 class FindKResult:
     """Settling iterate K, distance series and alive counts of a run; ``_run``
-    is the run itself, the seeded orbit and its images, one per iterate."""
+    is the run itself (``MeshRun``), its seeded orbit and one image per iterate."""
 
     K: Optional[int]
     series: tuple
     alive_series: tuple
-    _run: tuple = field(repr=False)
+    _run: MeshRun = field(repr=False)
 
     @property
     def final_orbit(self) -> MeshOrbit:
@@ -303,13 +360,15 @@ def _first_settled(pairs: Sequence[tuple], eps: float) -> Optional[int]:
     return settled
 
 
-def _settle(measured, eps: float) -> FindKResult:
-    """Distance series, alive counts and settling iterate over a run of (orbit, its C1Distance) pairs."""
-    run, series = zip(*measured)
+def _found(run: MeshRun, eps: float, distances: tuple) -> FindKResult:
+    """Distance series, alive counts and settling iterate of ``run``, whose ``_node_distances`` are
+    ``distances``: each iterate's c0 and c1 are maxima over its alive nodes."""
+    alive = run.alive
+    series = tuple(map(C1Distance, range(run.n0, run.n0 + len(run)), *_maxima(alive, *distances)))
     return FindKResult(
         K=_first_settled([(c.n, c.value) for c in series], eps),
         series=series,
-        alive_series=tuple(mo.alive_count() for mo in run),
+        alive_series=tuple(alive.sum(axis=1).tolist()),
         _run=run,
     )
 
@@ -319,13 +378,15 @@ def find_K(d: DiskSpec, f: MapSpec, eps: float, n_max: int) -> FindKResult:
 
     Not finding one within the horizon is a result (K = None), not an error;
     the caller sees the full distance series either way; a mesh whose every
-    node escapes within it is an EmptyMeshError.  The result keeps the run
-    (``final_orbit`` is its last orbit), so a domination check of the same
-    disk and horizon reads its off-slice nodes from it instead of pushing
-    them again (``cli.cmd_lambda`` does, through ``_run_domination``).
+    node escapes within it is an EmptyMeshError.  The series is measured over
+    the whole run at once.  The result keeps the run (``final_orbit`` is its
+    last orbit), so a domination check of the same disk and horizon reads its
+    off-slice nodes from it instead of pushing them again (``cli.cmd_lambda``
+    does, through ``_run_domination``).
     """
     eps, n_max = _positive(eps, "eps"), _count(n_max, "n_max")
-    return _settle(((mo, c1_distance(mo)) for mo in _living(_orbits(f, seed_mesh(d, f), n_max))), eps)
+    run = MeshRun(seed_mesh(d, f), n_max).push(f)
+    return _found(run, eps, _node_distances(run.dims, run.points, run.frames))
 
 
 @dataclass(frozen=True)
@@ -378,15 +439,15 @@ def verify_bound_domination(d: DiskSpec, f: MapSpec, b: BoundSet, n_max: int) ->
     are one run of the seed with its slice nodes dead from the start, which
     ``_run_domination`` reads from a ``find_K`` run instead, with the same
     bits; unlike ``find_K``, the report runs on once every node has escaped.
+    Both runs are pushed in ``_segments``, so the memory they hold does not
+    grow with n_max.
     Negative margins falsify either the model's structural conditions or the
     constant estimates, so they are reported rather than raised; a NaN
     margin is kept.
     """
     n_max = _count(n_max, "n_max")
     _check_budget(b)
-    mo = seed_mesh(d, f)
-    off_slice = replace(mo, died_at=tuple(np.where(_on_slice(mo), 0, -1).tolist()))
-    return _domination(f, b, mo, n_max, _orbits(f, off_slice, n_max))
+    return _domination(f, b, seed_mesh(d, f), n_max)
 
 
 def _run_domination(found: FindKResult, f: MapSpec, b: BoundSet) -> DominationReport:
@@ -407,36 +468,37 @@ def _on_slice(mo: MeshOrbit) -> np.ndarray:
     return np.array(mo.alive) & ~mo.points[:, mo.dims.n_s : mo.dims.n_s + mo.dims.n_u].any(axis=1)
 
 
-def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, run) -> DominationReport:
-    """The domination report of the seeded mesh ``mo`` through n_max.  ``run`` is a mesh run of
-    ``mo`` (``_orbits``) from iterate 0 whose off-slice rows are ``mo``'s; its slice rows are not
-    read, and the slice regime pushes its own restricted run."""
+def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, run: Optional[MeshRun] = None
+                ) -> DominationReport:
+    """The domination report of the seeded mesh ``mo`` through n_max, each regime one masked reduction
+    per segment of a run.  ``run`` is a mesh run of ``mo`` from iterate 0 whose off-slice rows are
+    ``mo``'s, or None to push the off-slice rows here in ``_segments``, once the slice regime is done;
+    its slice rows are not read, and the slice regime pushes its own restricted run."""
     dims = f.dims
     notes = []
 
     def sup_s(Z):
-        return np.abs(Z[:, : dims.n_s]).max(axis=1)
+        return np.abs(Z[..., : dims.n_s]).max(axis=-1)
 
     on_slice = _on_slice(mo)
-    off_slice = np.array(mo.alive) & ~on_slice
 
     # regime 1: the stable slice, compared against the closed-form decay bounds;
     # seeding snaps a node to 0 on every u axis, so the seeded mesh always has
     # slice nodes; a seeded frame's rows j < n_u carry e_j in the u block and
     # the others none, so those rows are the ones pointing out of the slice
-    slice_rows = []
     nodes = np.flatnonzero(on_slice)
     start = MeshOrbit(tuple(mo.tags[i] for i in nodes), mo.points[nodes], mo.frames[nodes, : dims.n_u],
                       (-1,) * len(nodes), 0, dims, mo.topo)
     (ns0, nx0), s0 = _frame_inclinations(dims, start.frames), sup_s(start.points)
-    for orbit in islice(_orbits(f, start, n_max, restricted=True), 1, None):
-        if not all(orbit.alive):  # rows run up to the depth every slice node reached
-            break
-        inc_s, inc_x = _frame_inclinations(dims, orbit.frames)
-        bounds = theoretical_inclination_bounds(b, orbit.n, I0_x=nx0, I0_s=ns0, s0=s0)
-        margin_s = None if bounds.pre_asymptotic else float(np.min(bounds.bound_s - inc_s))
-        margin_sn = float(np.min(sn_contraction_bound(b, orbit.n, s0) - sup_s(orbit.points)))
-        slice_rows.append((orbit.n, float(np.min(bounds.bound_x - inc_x)), margin_s, margin_sn))
+    slice_rows = []
+    for sliced in _segments(f, start, n_max, restricted=True):  # up to the depth every slice node reached
+        ns = range(sliced.n0 + 1, sliced.n0 + len(sliced))
+        bounds = [theoretical_inclination_bounds(b, n, I0_x=nx0, I0_s=ns0, s0=s0) for n in ns]
+        limits = np.array([(bd.bound_s, bd.bound_x, sn_contraction_bound(b, n, s0)) for n, bd in zip(ns, bounds)])
+        measured = np.stack((*_frame_inclinations(dims, sliced.frames[1:]), sup_s(sliced.points[1:])), axis=1)
+        margins = np.min(limits.reshape(measured.shape) - measured, axis=2).tolist()  # (0,) limits when no step
+        slice_rows += [(n, margin_x, None if bd.pre_asymptotic else margin_s, margin_sn)
+                       for n, bd, (margin_s, margin_x, margin_sn) in zip(ns, bounds, margins)]
 
     # regime 2: off-slice survivors, checked per frame vector for persistence
     eps = b.target_eps
@@ -444,18 +506,21 @@ def _domination(f: MapSpec, b: BoundSet, mo: MeshOrbit, n_max: int, run) -> Domi
     if b.eps_s <= 0.0:
         notes.append("eps_s = 0: thin-slab persistence regime is empty for this budget")
     else:
-        rows_of = [[] for _ in mo.tags]
-        was_armed = np.zeros(mo.frames.shape[:2], dtype=bool)
-        for orbit in run:
-            live = np.flatnonzero(off_slice & np.array(orbit.alive))
-            if not len(live):
-                break
-            n, Z = orbit.n, orbit.points[live]
-            inc_s, inc_x, has_u = _inclinations(dims, orbit.frames[live])
-            for r, j in zip(*np.nonzero(was_armed[live] & has_u)):
-                rows_of[live[r]].append((n, eps - float(inc_x[r, j]), eps - float(inc_s[r, j])))
-            was_armed[live] = has_u & (sup_s(Z) <= b.eps_s)[:, None] & (inc_s <= eps) & (inc_x <= eps)
-        persistence_rows = [row for rows in rows_of for row in rows]
+        runs = [run]
+        if run is None:  # the seed with its slice nodes dead from the start
+            runs = _segments(f, replace(mo, died_at=tuple(np.where(on_slice, 0, -1).tolist())), n_max, living=False)
+        parts = []
+        for run in runs:
+            inc_s, inc_x, has_u = _inclinations(dims, run.frames)
+            armed = has_u & (sup_s(run.points) <= b.eps_s)[..., None] & (inc_s <= eps) & (inc_x <= eps)
+            # a frame row armed at one iterate is checked at the next, while its node is alive off the slice
+            checked = (run.alive & ~on_slice)[1:, :, None] & armed[:-1] & has_u[1:]
+            node, t, j = np.nonzero(checked.transpose(1, 0, 2))
+            t += 1
+            parts.append((node, run.n0 + t, eps - inc_x[t, node, j], eps - inc_s[t, node, j]))
+        node, n, margin_x, margin_s = map(np.concatenate, zip(*parts))
+        order = np.argsort(node, kind="stable")  # node by node, each in iterate order
+        persistence_rows = zip(n[order].tolist(), margin_x[order].tolist(), margin_s[order].tolist())
     return DominationReport(
         slice_rows=tuple(slice_rows),
         persistence_rows=tuple(persistence_rows),
@@ -499,50 +564,58 @@ def annulus_experiment(
 
     The model must hold the circles {y = y0} and {y = y1} invariant; their
     submeshes are tracked separately, any y drift beyond 1e-10 is model
-    inconsistency, and each circle gets its own settling iterate K'.  Each
-    iterate's node distances are taken once, over the alive nodes, and
-    reduced over the whole mesh and over each circle's alive nodes.
+    inconsistency, and each circle gets its own settling iterate K'.  The
+    node distances are taken once over the whole run and reduced over the
+    alive nodes of the whole mesh and of each circle at every iterate.  A
+    circle that drifts, or has no alive node, at an iterate the run reached
+    is reported before an error of a later iterate.
     """
     if f.dims.m != 2 or not f.topo.is_angle[0] or f.topo.is_angle[1]:
         raise ContractError("annulus experiment needs base coordinates (angle, action)")
     y0, y1, eps, n_max = _finite(y0, "y0"), _finite(y1, "y1"), _positive(eps, "eps"), _count(n_max, "n_max")
     if not y0 < y1:
         raise ContractError(f"need y0 < y1, got {y0}, {y1}")
-    y_col = f.dims.n_s + f.dims.n_u + 1  # the action coordinate y
     mo = seed_mesh(d, f)
     edges = [np.array([tag[1][1] == y for tag in mo.tags]) for y in (y0, y1)]
     if not all(edge.any() for edge in edges):
         raise ContractError(
             "mesh does not sample the boundary circles; x_box must span [y0, y1] inclusively"
         )
-    rows0 = []
-    rows1 = []
-
-    def measured():
-        for orbit in _living(_orbits(f, mo, n_max)):
-            pool = np.flatnonzero(np.array(orbit.died_at) < 0)
-            c0, gaps = _node_distances(orbit, pool)
-            for edge, y_val, rows in zip(edges, (y0, y1), (rows0, rows1)):
-                on = edge[pool]
-                dist = _distance(orbit.n, c0[on], gaps[on])
-                y_dev = float(np.abs(orbit.points[pool[on], y_col] - y_val).max())
-                if y_dev > 1e-10:
-                    raise ModelInconsistencyError(
-                        f"boundary circle y={y_val} drifted by {y_dev:.3g} at iterate {orbit.n}"
-                    )
-                rows.append((orbit.n, dist.c0, dist.c1, y_dev))
-            yield orbit, _distance(orbit.n, c0, gaps)
-
-    full = _settle(measured(), eps)
+    run = MeshRun(mo, n_max)
+    try:
+        run.push(f)
+    finally:
+        distances = _node_distances(f.dims, run.points, run.frames)
+        tracks = _circle_rows(run, distances, edges, (y0, y1))
     circles = tuple(
-        CircleTrack(
-            y_value=y_val,
-            rows=tuple(rows),
-            K_prime=_first_settled([(r[0], max(r[1], r[2], r[3])) for r in rows], eps),
-        )
-        for y_val, rows in ((y0, rows0), (y1, rows1))
+        CircleTrack(y_value=y, rows=rows, K_prime=_first_settled([(r[0], max(r[1], r[2], r[3])) for r in rows], eps))
+        for y, rows in zip((y0, y1), tracks)
     )
-    return AnnulusReport(full=full, circles=circles)
+    return AnnulusReport(full=_found(run, eps, distances), circles=circles)
+
+
+def _circle_rows(run: MeshRun, distances: tuple, edges: list, ys: tuple) -> list:
+    """The (n, c0, c1, y_dev) rows of each boundary circle, the nodes of ``edges`` at the levels
+    ``ys``, over ``run``, whose ``_node_distances`` are ``distances``: maxima over the circle's alive
+    nodes.  The first iterate, circle by circle, where a circle has no alive node is an
+    EmptyMeshError, or where it drifts from its level by more than 1e-10 a ModelInconsistencyError."""
+    alive, n = run.alive, list(range(run.n0, run.n0 + len(run)))
+    y_col = run.dims.n_s + run.dims.n_u + 1  # the action coordinate y
+    tracks, faults = [], []
+    for edge, y in zip(edges, ys):
+        on = alive & edge
+        c0, c1, y_dev = _maxima(on, *distances, np.abs(run.points[..., y_col] - y))
+        tracks.append(tuple(zip(n, c0, c1, y_dev)))
+        faults.append(np.stack((~on.any(axis=1), np.array(y_dev) > 1e-10), axis=1))
+    faults = np.stack(faults, axis=1)  # (iterate, circle, empty or drifted)
+    if faults.any():
+        t, circle, drifted = np.unravel_index(np.argmax(faults), faults.shape)
+        if not drifted:
+            raise EmptyMeshError("no alive mesh nodes to measure")
+        raise ModelInconsistencyError(
+            f"boundary circle y={ys[circle]} drifted by {tracks[circle][t][3]:.3g} at iterate {n[t]}"
+        )
+    return tracks
 
 
 def make_default_disk(

@@ -152,15 +152,18 @@ def _fit(name: str, value, shape, rows: Optional[int] = None):
     when its shape is its block's, or when both hold one entry.  A ``shape`` that is a list holds the
     shapes of several blocks, the items of ``value``, fitted in turn into a tuple.  With ``rows``
     given, ``value`` is a stack of that many rows and ``shape`` a row's: an array with the rows along
-    its first axis, or a list of row values, stacked into one new float array.  None, a wrong number
-    of blocks, a value that is not a float array and a value that does not fit are refused with a
-    ContractError that names ``name``."""
+    its first axis, or a list of row values, stacked into one new float array.  None, a value that
+    holds no blocks, a wrong number of blocks, a value that is not a float array and a value that does
+    not fit are refused with a ContractError that names ``name``."""
     if type(value) is np.ndarray and value.shape == (shape if rows is None else (rows, *shape)):
         return value
     if value is None:
         raise ContractError(f"{name} returned None, which a float block would store as NaN")
     if type(shape) is list:
-        blocks = tuple(value)
+        try:
+            blocks = tuple(value)
+        except TypeError:  # a float, or any other value that holds no blocks
+            raise ContractError(f"{name} returns {value!r}, which holds none of its {len(shape)} blocks") from None
         if len(blocks) != len(shape):
             raise ContractError(f"{name} returns a value of length {len(blocks)} where it has {len(shape)} blocks")
         return tuple(_fit(name, block, block_shape, rows) for block, block_shape in zip(blocks, shape))

@@ -2,11 +2,12 @@
 
 A jet is a base point plus a frame of tangent vectors pushed forward by the
 block Jacobian.  One private array step advances many jets at once (a mesh
-calls it once per iterate over its alive nodes, a lone jet is its one-row
-case).  Every callable of the map is read in the one stacked contract
-(``normalform._Stacked``), once per step over all rows: a plain callable,
-wrapped once when its ``MapSpec`` is built, runs once per row.  Frames
-are renormalized to unit sup norm after every step (inclinations are
+run calls it once per iterate over its alive nodes, a lone jet is its
+one-row case); a step where no row escapes pushes the rows as given, with
+no gather or scatter.  Every callable of the map is read in the one
+stacked contract (``normalform._Stacked``), once per step over all rows:
+a plain callable, wrapped once when its ``MapSpec`` is built, runs once
+per row.  Frames are renormalized to unit sup norm after every step (inclinations are
 scale-free, and the unstable part would otherwise overflow); the stretch
 factor is read off the unnormalized push.  The closed-form decay
 bounds live here too so experiments can compare measured inclinations
@@ -96,11 +97,11 @@ def _inclinations(dims: Dimensions, F: np.ndarray) -> tuple:
 
 
 def _frame_inclinations(dims: Dimensions, F: np.ndarray) -> tuple:
-    """(I_s, I_x) of every frame of the stack F (N x k x n): sups over its rows
+    """(I_s, I_x) of every frame of the stack F (... x k x n): sups over its rows
     with v_u != 0, inf for a frame with none; a NaN in such a row is kept."""
     inc_s, inc_x, has_u = _inclinations(dims, F)
-    counted = has_u.any(axis=1)
-    return tuple(np.where(counted, np.where(has_u, inc, -math.inf).max(axis=1), math.inf) for inc in (inc_s, inc_x))
+    counted = has_u.any(axis=-1)
+    return tuple(np.where(counted, np.where(has_u, inc, -math.inf).max(axis=-1), math.inf) for inc in (inc_s, inc_x))
 
 
 def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, restricted: bool) -> tuple:
@@ -116,7 +117,9 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     first row's.
     Returns (images, pushed unit-row frames, the live rows' unnormalized
     pushes, escaped mask, image normal norms); an escaped row keeps its input
-    state.  The unstable stretch of a frame is read off those pushes by
+    state.  When no row escapes, every row is live and Z and F are read as
+    given, with no row gathered or scattered back.  The unstable stretch of
+    a frame is read off those pushes by
     ``_jet_step`` alone, so a mesh step takes no frame norms before its push
     unless ``require_unstable`` asks for them.  ``restricted``
     keeps the images on {u = 0} (drift above 1e-12 is model inconsistency,
@@ -136,13 +139,15 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     _wrap_angles(Q[:, b:], f.topo.is_angle)
     q_norms = np.abs(Q[:, :b]).max(axis=1)
     escaped = ~(q_norms < f.rho)
-    live = np.flatnonzero(~escaped)
-    Z_live, points = Z[live], points.take(live)
-    J = _in_row_order(lambda rows: _jacobians(f, Z_live[rows], FD_STEP_FIRST, points.take(rows)), len(live))
+    some_escaped = escaped.any()
+    Z_live, F_live = Z, F
+    if some_escaped:  # only the rows still in the ball take a Jacobian
+        live = np.flatnonzero(~escaped)
+        Z_live, F_live, points = Z[live], F[live], points.take(live)
+    J = _in_row_order(lambda rows: _jacobians(f, Z_live[rows], FD_STEP_FIRST, points.take(rows)), len(Z_live))
     if restricted:
         J[:, a:b, :a] = 0.0
         J[:, a:b, b:] = 0.0
-    F_live = F[live]
     if require_unstable and not _block_norms(dims, F_live)[1].all():
         raise DegenerateVectorError("frame vector has zero unstable component")
     # one gemv per frame row, the routine of jac @ v; F @ J.T or einsum rounds differently
@@ -150,6 +155,8 @@ def _step(f: MapSpec, Z: np.ndarray, F: np.ndarray, require_unstable: bool, rest
     scale = np.abs(W).max(axis=-1, keepdims=True)
     if not scale.all():
         raise DegenerateVectorError("frame vector annihilated by the Jacobian")
+    if not some_escaped:
+        return Q, W / scale, W, escaped, q_norms
     Q[escaped] = Z[escaped]
     frames = F.copy()
     frames[live] = W / scale

@@ -438,6 +438,14 @@ REFUSALS = {
         lambda: seed_mesh(DiskSpec(sigma=lambda u, x: np.zeros(1), u_box=DISK.u_box, x_box=DISK.x_box, mesh_per_axis=3,
                                    dsigma=lambda u, x: (np.zeros((1, 2)), np.zeros((1, 1)))), LINEAR),
         ContractError, r"^dsigma returns a value of shape \(1, 2\) where its block has shape \(1, 1\)$"),
+    # a plain callable of several blocks that returns one float: tuple(value) raised a bare TypeError
+    "MapSpec.r_map.blocks": (
+        lambda: nhimlab.apply_map(dataclasses.replace(LINEAR, r_map=lambda s, u, x: 0.0), LINEAR.point([0.0], [0.1], [0.0])),
+        ContractError, r"^r_map returns 0\.0, which holds none of its 3 blocks$"),
+    "seed_mesh.dsigma.blocks": (
+        lambda: seed_mesh(DiskSpec(sigma=lambda u, x: np.zeros(1), u_box=DISK.u_box, x_box=DISK.x_box, mesh_per_axis=3,
+                                   dsigma=lambda u, x: 0.0), LINEAR),
+        ContractError, r"^dsigma returns 0\.0, which holds none of its 2 blocks$"),
     "annulus_experiment.y0_y1": (
         lambda: annulus_experiment(TWIST, 1.0, 1.0, make_default_disk(TWIST), 1e-2, 3),
         ContractError, r"^need y0 < y1, got 1.0, 1.0$"),

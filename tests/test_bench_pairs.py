@@ -47,3 +47,17 @@ def test_the_other_verdicts():
     assert bench_pairs.verdict(record(parent, nine), 0.25) == "better"
     eight = [0.7 * p for p in parent[:8]] + [2.0 * p for p in parent[8:]]
     assert bench_pairs.verdict(record(parent, eight), 0.25) == "level"
+
+
+def test_each_end_to_end_verdict_gets_one_line():
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    solve = dict(record(parent, [0.7 * p for p in parent]), bound=0.25)
+    solve["verdict"] = bench_pairs.verdict(solve, 0.25)
+    setup = dict(record(parent, [p + 0.001 for p in parent]), bound=0.25)
+    setup["verdict"] = bench_pairs.verdict(setup, 0.25)
+    layer = record(parent, parent)  # a per-layer metric carries no verdict and gets no line
+    workloads = {"lambda-mesh": {"pairs": 10, "metrics": {"solve_s": solve, "setup_s": setup, "tangentflow.self_s": layer}}}
+    assert bench_pairs.verdict_lines(workloads) == [
+        "lambda-mesh solve_s: change_over_parent -30.0%, wins 10/10, better",
+        "lambda-mesh setup_s: change_over_parent +0.1%, wins 0/10, level",
+    ]

@@ -450,3 +450,22 @@ def test_a_run_without_quiet_prints_its_summary(tmp_path, capsys, command, cfg, 
     captured = capsys.readouterr()
     assert printed in captured.out + captured.err
     assert ("  wrote " in captured.out) == (code != 1)
+
+
+JSON_PAYLOADS = {
+    "specials": {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "-0.0": -0.0, "tiny": 5e-324},
+    "rows": {"rows": [[1, 0.5, -0.0], [2, float("nan"), 1e300], [3, None, 2.5], [4, True, False]]},
+    "empty": {"list": [], "dict": {}, "tuple": (), "nested": [[], {}, [[]], {"a": {}}]},
+    "tuples": {"t": (1, (2.0, "x"), [(), (None,)])},
+    "strings": {"ä": "naïve ☃ \"quoted\" \\ \n\t\u0001", "emoji": "\U0001f600", "plain": "a, b: c"},
+    "numbers": {"ints": [0, -1, 10**30, 7], "bools": [True, False], "mixed": [1, 2.0, True, None, "s"]},
+    "order": {"b": 1, "a": {"z": [1], "y": {"x": 0.1}}, "": None, "A": -2},
+    "list": [{"n": 0, "c0": 0.25}, 1.5, "x", [float("inf")]],
+}
+
+
+@pytest.mark.parametrize("payload", JSON_PAYLOADS.values(), ids=JSON_PAYLOADS.keys())
+def test_the_json_writer_writes_the_bytes_of_json_dumps(tmp_path, payload):
+    path = tmp_path / "out.json"
+    cli._write_json(path, payload)
+    assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")

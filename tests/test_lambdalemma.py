@@ -626,6 +626,35 @@ def test_domination_steps_no_slice_row_past_the_first_slice_escape(monkeypatch):
     assert (calls.count(True), calls.count(False)) == (11, 5)
 
 
+@pytest.mark.parametrize("mesh", [5, 1], ids=["constant-disk", "one-node"])
+def test_domination_reports_slice_nodes_that_escape_together(mesh):
+    # on S_GROWING every slice node of a constant disk has the same |s| and leaves the ball at
+    # iterate 12: the slice rows stop before it, and the empty slice is no EmptyMeshError
+    d, b = const_disk(0.004, 0.05, mesh=mesh), estimate_bounds(S_GROWING, grid_density=5)
+    rep = verify_bound_domination(d, S_GROWING, b, n_max=14)
+    assert [row[0] for row in rep.slice_rows] == list(range(1, 12))
+    assert (rep.slice_rows, rep.persistence_rows) == per_node_domination(d, S_GROWING, b, 14)[:2]
+
+
+@pytest.mark.parametrize("segment", [1, 5, 11])
+def test_runs_pushed_in_segments_keep_the_bits(monkeypatch, segment):
+    # segment ends fall before, on and after the first slice escape (iterate 11) of the escaping-slice case
+    f, d = make_poly(0.05), const_disk(0.2, 2e-3)
+    b, b_growing = estimate_bounds(f, grid_density=5), estimate_bounds(S_GROWING, grid_density=5)
+    whole = (verify_bound_domination(d, f, b, n_max=30), verify_bound_domination(WAVY_DISK, S_GROWING, b_growing, 14),
+             advance_mesh(seed_mesh(d, f), f, steps=30))
+    monkeypatch.setattr(lambdalemma, "_SEGMENT", segment)
+    segmented = (verify_bound_domination(d, f, b, n_max=30), verify_bound_domination(WAVY_DISK, S_GROWING, b_growing, 14),
+                 advance_mesh(seed_mesh(d, f), f, steps=30))
+    assert repr(segmented[:2]) == repr(whole[:2]) and segmented[0].persistence_rows
+    mo, ref = segmented[2], whole[2]
+    assert (mo.n, mo.died_at) == (ref.n, ref.died_at) == (30, ref.died_at)
+    assert np.array_equal(mo.points, ref.points) and np.array_equal(mo.frames, ref.frames)
+    assert mo.points.base is None and mo.frames.base is None  # copies, holding no segment alive
+    with pytest.raises(EmptyMeshError, match="every mesh node escaped by iterate 14"):
+        advance_mesh(seed_mesh(WAVY_DISK, S_GROWING), S_GROWING, steps=20)
+
+
 def test_domination_pushes_only_the_unstable_pointing_slice_rows():
     # the slice regime drops the annihilated x row before stepping; a one-node
     # disk has no off-slice nodes
@@ -649,3 +678,56 @@ def test_advance_mesh_keeps_its_errors():
     shifted = dataclasses.replace(f, r_map=lambda s, u, x: (np.ones(1), np.zeros(1), np.zeros(1)))
     with pytest.raises(EmptyMeshError):
         advance_mesh(mo, shifted)
+
+
+def _same_orbit(a, b):
+    """Whether two mesh orbits hold the same nodes, iterate and liveness, their arrays bit for bit."""
+    return (a.n, a.tags, a.died_at, a.alive) == (b.n, b.tags, b.died_at, b.alive) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in ((a.points, b.points), (a.frames, b.frames)))
+
+
+@pytest.mark.parametrize(
+    "f, d, n_max",
+    [
+        # the benchmark's lambda disk: its off-slice rows escape at iterates 8 to 11
+        (make_poly(0.05), cli.build_disk({"sigma_const": 0.2, "u_half": 0.002, "mesh_per_axis": 11}, make_poly(0.05)), 25),
+        (TWIST, make_default_disk(TWIST, n_target=8, mesh_per_axis=5, sigma_level=0.2), 40),
+    ],
+    ids=["lambda-mesh", "twist"],
+)
+def test_every_iterate_of_a_run_is_the_one_step_push_bit_for_bit(f, d, n_max):
+    run = find_K(d, f, eps=1e-2, n_max=n_max)._run
+    assert len(run) == n_max + 1 and list(run[-1].died_at).count(-1) < len(run[0].tags)
+    cur = seed_mesh(d, f)
+    for t, mo in enumerate(run):
+        if t:
+            cur = advance_mesh(cur, f, steps=1)
+        assert _same_orbit(mo, cur), t
+    assert _same_orbit(run[-1], advance_mesh(seed_mesh(d, f), f, steps=n_max))
+    if f is not TWIST:
+        assert sorted(set(run[-1].died_at) - {-1}) == [8, 9, 10, 11]
+
+
+def test_an_all_escaping_mesh_names_the_iterate_it_emptied_at():
+    # s grows by 1.5 per step from 0.2: every node, the slice ones too, leaves the 0.5 ball at iterate 3
+    f = dataclasses.replace(TWIST, A_s=lambda x: np.array([[1.5]]))
+    d = make_default_disk(TWIST, n_target=8, mesh_per_axis=5, sigma_level=0.2)
+    message = r"^every mesh node escaped by iterate 3; narrow the disk u_box$"
+    with pytest.raises(EmptyMeshError, match=message):
+        find_K(d, f, eps=1e-2, n_max=10)
+    with pytest.raises(EmptyMeshError, match=message):
+        advance_mesh(seed_mesh(d, f), f, steps=10)
+    with pytest.raises(EmptyMeshError, match=message):
+        annulus_experiment(f, 0.0, 1.0, d, 1e-2, 10)
+    # a horizon that ends before the mesh empties runs through
+    assert advance_mesh(seed_mesh(d, f), f, steps=2).alive_count() == 125
+
+
+def test_an_annulus_that_drifts_then_empties_raises_the_drift():
+    # the circle y = 0.9 drifts at iterate 1; every node has left the ball by iterate 3
+    f = dataclasses.replace(TWIST, A_s=lambda x: np.array([[1.5]]))
+    d = const_disk(0.2, 0.5 * 0.5**8, m=2, x_box=((0.0, TWO_PI), (0.0, 0.9)))
+    with pytest.raises(EmptyMeshError, match="by iterate 3"):
+        advance_mesh(seed_mesh(d, f), f, steps=10)
+    with pytest.raises(ModelInconsistencyError, match=r"^boundary circle y=0\.9 drifted by 0\.00428 at iterate 1$"):
+        annulus_experiment(f, 0.0, 0.9, d, 1e-2, 10)

@@ -20,7 +20,9 @@ the parent's, less 1, exceeds the bound; ``unresolved`` when the parent's
 quartile spread over its median exceeds the bound, unless every run of the
 change reads lower than every run of the parent; ``better`` when the change wins at least nine pairs in ten
 and its median undercuts the parent's by more than the parent's quartile
-spread; ``level`` otherwise.  After writing the record the tool exits 1 when
+spread; ``level`` otherwise.  After writing the record the tool prints one
+line per workload and end-to-end metric to stderr (the change's median over
+the parent's, its pair wins and the verdict), and exits 1 when
 a verdict is ``worse``, a run failed its checks, or the change failed more
 operations than the parent on a workload.
 """
@@ -150,6 +152,14 @@ def workload_record(parent, workload, seeds, seconds, backends, bounds):
     }
 
 
+def verdict_lines(workloads):
+    """One line per workload and end-to-end metric: the change's median over the parent's, its pair
+    wins and the verdict."""
+    return [f"{w} {name}: change_over_parent {m['change_over_parent']:+.1%}, wins {m['change_wins']}/{rec['pairs']}, "
+            f"{m['verdict']}"
+            for w, rec in workloads.items() for name, m in rec["metrics"].items() if "verdict" in m]
+
+
 def regressions(workloads):
     """What makes the change fail: worse verdicts, runs that failed their checks, more failed operations."""
     problems = []
@@ -207,6 +217,8 @@ def main():
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    for line in verdict_lines(workloads):
+        print(line, file=sys.stderr)
     problems = regressions(workloads)
     for problem in problems:
         print(f"regression: {problem}", file=sys.stderr)
